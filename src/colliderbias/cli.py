@@ -24,13 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .closedform import (
-    extended_stratum_bias,
-    lm_bias,
-    nabla_or_bias_factor,
-    v_stratum_bias,
-    y_stratum_bias,
-)
+from .closedform import closed_form
 from .errors import ColliderBiasError, ParameterError
 from .joint import bias as oracle_bias
 from .joint import build_joint, sample
@@ -180,28 +174,6 @@ def _dump_json(doc: dict) -> str:
 # compute
 
 
-def _closed_form_report(params: StructureParams, query: BiasQuery):
-    """The applicable closed-form evaluator, or None when only the oracle
-    serves this query (rr everywhere; or for extended kinds; everything but
-    the or factor for Nabla)."""
-    kind = params.kind
-    if isinstance(query.conditioning, Stratum):
-        level = query.conditioning.level
-        scale = query.scale
-        if kind is StructureKind.V:
-            return v_stratum_bias(params, level, scale) if scale is not Scale.RR else None
-        if kind is StructureKind.NABLA:
-            return nabla_or_bias_factor(params, level) if scale is Scale.OR else None
-        if kind is StructureKind.Y:
-            return y_stratum_bias(params, level, scale) if scale is not Scale.RR else None
-        if scale in (Scale.COV, Scale.RD):
-            return extended_stratum_bias(params, level, scale)
-        return None
-    if kind is StructureKind.NABLA:
-        return None
-    return lm_bias(params)
-
-
 def cmd_compute(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     if args.lm and args.stratum:
@@ -216,7 +188,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
     table = build_joint(params)
     oracle = oracle_bias(table, query)
-    report = _closed_form_report(params, query)
+    report = closed_form(params, query)
 
     ratio_scale = oracle.scale in (Scale.RR, Scale.OR)
     tolerance = args.tolerance

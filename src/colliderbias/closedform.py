@@ -2,10 +2,11 @@
 
 Each evaluator computes one analytic bias formula exactly as written, with
 no algebraic rearrangement, and returns a :class:`BiasReport` carrying the
-decomposition factors actually used.  Several evaluators end with a
-self-check against either an internal identity or the brute-force joint
-oracle; those checks are cheap (at most 2^6 cells) and raise AssertionError
-on disagreement, which would indicate a formula transcription bug.
+decomposition factors actually used.  Every factor is itself computed in
+closed form: nothing here imports or builds the joint oracle, so the two
+routes stay independent.  The identities tying them together (each formula
+against the oracle, and each alternative closed route against the direct
+one) run in :mod:`colliderbias.verification` and nowhere else.
 
 Vocabulary used throughout:
 
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from . import joint as joint_mod
 from .errors import (
     DegenerateStratumError,
     ParameterError,
@@ -32,6 +32,7 @@ from .errors import (
 )
 from .structures import (
     LINEAR_MODEL,
+    BiasQuery,
     ColliderCpt,
     Conditioning,
     Scale,
@@ -46,11 +47,6 @@ from .structures import (
 # (with a 10x wider band, since OR is a ratio of products), 0 elsewhere.
 SIGN_TOL = 1e-12
 SIGN_TOL_OR = 1e-11
-
-# Internal self-checks compare two routes to the same number; they are not
-# acceptance tolerances, just generous guards against transcription bugs.
-_CHECK_REL = 1e-9
-_CHECK_ABS = 1e-12
 
 _EXTENDED_KINDS = frozenset(
     {
@@ -157,8 +153,9 @@ def nabla_or_bias_factor(params: StructureParams, level: int) -> BiasReport:
 
     The X-Y odds ratio conditional on C=level equals the marginal odds ratio
     times this factor, which depends only on the collider table; the V
-    result is the special case with marginal OR equal to 1.  The identity is
-    re-checked here against the joint oracle.
+    result is the special case with marginal OR equal to 1.  The marginal OR
+    is that of P(Y=1 | X=x); the identity ``or_factor_vs_oracle`` in
+    :mod:`colliderbias.verification` checks the factor against the oracle.
     """
     _require_kind(params, StructureKind.NABLA)
     t = params.p_c_given
@@ -166,19 +163,17 @@ def nabla_or_bias_factor(params: StructureParams, level: int) -> BiasReport:
     if denom <= 0.0:
         raise UndefinedRatioError(f"P(C={level}|10) P(C={level}|01) = 0")
     value = t.level_given(level, 0, 0) * t.level_given(level, 1, 1) / denom
-
-    table = joint_mod.build_joint(params)
-    conditional = joint_mod.cond_measure(table, Scale.OR, Stratum("C", level)).value
-    marginal = joint_mod.cond_measure(table, Scale.OR, None).value
-    assert math.isclose(conditional, marginal * value, rel_tol=_CHECK_REL), (
-        "conditional OR does not factor into marginal OR times the bias factor"
-    )
+    assert params.p_y_given_b is not None
+    y1, y0 = params.p_y_given_b.given_1, params.p_y_given_b.given_0
+    if (1.0 - y1) * y0 <= 0.0:
+        raise UndefinedRatioError("a zero cell makes the marginal odds ratio undefined")
+    marginal = y1 * (1.0 - y0) / ((1.0 - y1) * y0)
     return BiasReport(
         value=value,
         scale=Scale.OR,
         conditioning=Stratum("C", level),
         sign=classify_sign(value, Scale.OR),
-        factors={"marginal_or": marginal, "conditional_or": conditional},
+        factors={"marginal_or": marginal, "conditional_or": marginal * value},
     )
 
 
@@ -258,8 +253,9 @@ def y_bias_from_embedded_v(params: StructureParams, level: int) -> float:
         (pd1 - pd0) / P(D=d)^2 * [ pd1 P(C=1)^2 Vbias(C=1, cov)
                                  - pd0 P(C=0)^2 Vbias(C=0, cov) ]
 
-    with pdc = P(D=d | C=c).  The result is checked against the direct
-    stratum formula before being returned.
+    with pdc = P(D=d | C=c).  The identity ``embedded_cov_contrast`` in
+    :mod:`colliderbias.verification` checks it against the direct stratum
+    formula.
     """
     _require_kind(params, StructureKind.Y)
     assert params.p_d_given_c is not None
@@ -277,15 +273,10 @@ def y_bias_from_embedded_v(params: StructureParams, level: int) -> float:
     pd0 = params.p_d_given_c.level_given(d, 0)
     pc1 = params.prob_collider(1)
     pc0 = params.prob_collider(0)
-    value = (pd1 - pd0) / (p_d * p_d) * (
+    return (pd1 - pd0) / (p_d * p_d) * (
         pd1 * pc1 * pc1 * v_stratum_bias(embedded, 1, Scale.COV).value
         - pd0 * pc0 * pc0 * v_stratum_bias(embedded, 0, Scale.COV).value
     )
-    direct = y_stratum_bias(params, d, Scale.COV).value
-    assert math.isclose(value, direct, rel_tol=_CHECK_REL, abs_tol=_CHECK_ABS), (
-        "embedded-V contrast disagrees with the direct stratum formula"
-    )
-    return value
 
 
 def embedded_core(params: StructureParams) -> StructureParams:
@@ -324,8 +315,9 @@ def extension_variance_ratio(params: StructureParams, level: int) -> float:
     left cause A, with G the conditioning variable; 1 for right-only
     extensions.
 
-    Evaluated from the closed mixture expressions, not from the joint table
-    (the joint-based ratio is what the oracle tests compare against).
+    Evaluated from the closed mixture expressions, not from the joint table;
+    the identity ``variance_ratio_identity`` in
+    :mod:`colliderbias.verification` compares it with the joint-based ratio.
     """
     _require_kind(params, *_EXTENDED_KINDS)
     if not params.kind.has_left_a:
@@ -410,7 +402,8 @@ def lm_bias_kernel(params: StructureParams) -> float:
     independent of the collider kills the kernel.  Also equal to the
     stratum-size-weighted mixture of the two cross-product differences,
     P(C=0) times the level-1 difference plus P(C=1) times the level-0
-    difference, which is re-checked here.
+    difference; the identity ``lm_kernel_mixture_identity`` in
+    :mod:`colliderbias.verification` checks that.
     """
     if params.kind is StructureKind.NABLA:
         raise ParameterError("lm kernel is undefined for the Nabla structure")
@@ -418,33 +411,7 @@ def lm_bias_kernel(params: StructureParams) -> float:
     p_l, p_r = params.collider_parent_marginals()
     right_effect = p_l * (t.given_11 - t.given_10) + (1.0 - p_l) * (t.given_01 - t.given_00)
     left_effect = p_r * (t.given_11 - t.given_01) + (1.0 - p_r) * (t.given_10 - t.given_00)
-    value = -right_effect * left_effect
-
-    pc1 = params.prob_collider(1)
-    mixture = (1.0 - pc1) * cross_product_difference(t, 1) + pc1 * cross_product_difference(t, 0)
-    assert math.isclose(value, mixture, rel_tol=_CHECK_REL, abs_tol=_CHECK_ABS), (
-        "lm kernel disagrees with its stratum-size mixture identity"
-    )
-    return value
-
-
-def lm_stratum_weights(params: StructureParams) -> tuple[float, float]:
-    """(w1, w0): the variance-times-size weights that average the two
-    stratum risk differences into the adjusted regression coefficient,
-    normalized to sum to 1.  The conditioning variable is C or D per kind.
-    """
-    table = joint_mod.build_joint(params)
-    g_name = params.kind.conditioning_variable
-    g1 = table.expectation(g_name)
-    g0 = 1.0 - g1
-    x_and_g1 = table.expectation("X", g_name)
-    x1 = table.expectation("X")
-    raw1 = g0 * x_and_g1 * (g1 - x_and_g1)
-    raw0 = g1 * (x1 - x_and_g1) * (1.0 - x1 - (g1 - x_and_g1))
-    total = raw1 + raw0
-    if total <= 0.0:
-        raise DegenerateStratumError(g_name, 1 if raw1 <= 0 else 0)
-    return raw1 / total, raw0 / total
+    return -right_effect * left_effect
 
 
 def v_lm_bias(params: StructureParams) -> BiasReport:
@@ -452,9 +419,12 @@ def v_lm_bias(params: StructureParams) -> BiasReport:
     structure.
 
     The value is the lm kernel times the outcome variance, divided by the
-    two-term mixture of within-stratum design products; it equals the
-    variance-weighted average of the two stratum risk differences, which is
-    re-checked here.
+    two-term mixture of within-stratum design products.  It equals the
+    average of the two stratum risk differences under the reported weights
+    (P(C=1-c) P(X=1, C=c) P(X=0, C=c), normalized); the identities
+    ``lm_two_routes_agree``, ``lm_vs_oracle``, ``stratum_rd_vs_oracle`` and
+    ``lm_weighted_average_identity`` in :mod:`colliderbias.verification`
+    check that between them.
     """
     _require_kind(params, StructureKind.V)
     assert params.p_right is not None
@@ -462,22 +432,24 @@ def v_lm_bias(params: StructureParams) -> BiasReport:
     p_x1, p_y1 = params.p_left, params.p_right
     p_x0, p_y0 = 1.0 - p_x1, 1.0 - p_y1
     kernel = lm_bias_kernel(params)
-    denominator = p_x1 * (t.given_11 * p_y1 + t.given_10 * p_y0) * (
-        (1.0 - t.given_11) * p_y1 + (1.0 - t.given_10) * p_y0
-    ) + p_x0 * (t.given_01 * p_y1 + t.given_00 * p_y0) * (
-        (1.0 - t.given_01) * p_y1 + (1.0 - t.given_00) * p_y0
-    )
+    # m<x><c> = P(X=x, C=c), from P(C=c | X=x) mixed over Y.
+    m11 = p_x1 * (t.given_11 * p_y1 + t.given_10 * p_y0)
+    m01 = p_x0 * (t.given_01 * p_y1 + t.given_00 * p_y0)
+    c0_x1 = (1.0 - t.given_11) * p_y1 + (1.0 - t.given_10) * p_y0
+    c0_x0 = (1.0 - t.given_01) * p_y1 + (1.0 - t.given_00) * p_y0
+    denominator = m11 * c0_x1 + m01 * c0_x0
     if denominator <= 0.0:
         raise DegenerateStratumError("C", 1)
     value = kernel * p_y1 * p_y0 / denominator
 
-    w1, w0 = lm_stratum_weights(params)
-    averaged = w1 * v_stratum_bias(params, 1, Scale.RD).value + w0 * v_stratum_bias(
-        params, 0, Scale.RD
-    ).value
-    assert math.isclose(value, averaged, rel_tol=_CHECK_REL, abs_tol=_CHECK_ABS), (
-        "lm bias disagrees with the weighted average of stratum risk differences"
-    )
+    m10 = p_x1 * c0_x1
+    m00 = p_x0 * c0_x0
+    raw1 = (m10 + m00) * m11 * m01
+    raw0 = (m11 + m01) * m10 * m00
+    total = raw1 + raw0
+    if total <= 0.0:
+        raise DegenerateStratumError("C", 1 if raw1 <= 0 else 0)
+    w1, w0 = raw1 / total, raw0 / total
     return BiasReport(
         value=value,
         scale=Scale.LM_COEF,
@@ -558,8 +530,9 @@ def lm_bias(params: StructureParams) -> BiasReport:
 
     where rd factors are 1 for absent extension/child edges, the variances
     are those of the collider's causes, and phi is the weight normalizer.
-    The closed phi is re-checked against its definitional form computed from
-    the joint table.
+    The identity ``lm_normalizer_identity`` in
+    :mod:`colliderbias.verification` checks the closed phi against its
+    definitional form.
     """
     if params.kind is StructureKind.NABLA:
         raise ParameterError("no closed lm form for the Nabla structure")
@@ -574,19 +547,6 @@ def lm_bias(params: StructureParams) -> BiasReport:
     phi = lm_weight_normalizer(params)
     if phi <= 0.0:
         raise DegenerateStratumError(params.kind.conditioning_variable, 1)
-
-    table = joint_mod.build_joint(params)
-    g_name = params.kind.conditioning_variable
-    g1 = table.expectation(g_name)
-    xg1 = table.expectation("X", g_name)
-    x1 = table.expectation("X")
-    definitional = (1.0 - g1) * xg1 * (g1 - xg1) + g1 * (x1 - xg1) * (
-        1.0 - x1 - g1 + xg1
-    )
-    assert math.isclose(phi, definitional, rel_tol=_CHECK_REL, abs_tol=_CHECK_ABS), (
-        "closed weight normalizer disagrees with its definitional form"
-    )
-
     value = kernel * rd_left * rd_right * rd_child**2 * var_left * var_right / phi
     return BiasReport(
         value=value,
@@ -603,3 +563,26 @@ def lm_bias(params: StructureParams) -> BiasReport:
             "lm_normalizer": phi,
         },
     )
+
+
+def closed_form(params: StructureParams, query: BiasQuery) -> BiasReport | None:
+    """The closed form that answers ``query`` for this kind, or None when
+    only the oracle serves it (rr everywhere; or for extended kinds;
+    everything but the or factor for Nabla)."""
+    query.check_valid_for(params.kind)
+    kind = params.kind
+    if not isinstance(query.conditioning, Stratum):
+        return None if kind is StructureKind.NABLA else lm_bias(params)
+    level = query.conditioning.level
+    scale = query.scale
+    if kind is StructureKind.NABLA:
+        return nabla_or_bias_factor(params, level) if scale is Scale.OR else None
+    if scale is Scale.RR:
+        return None
+    if kind is StructureKind.V:
+        return v_stratum_bias(params, level, scale)
+    if kind is StructureKind.Y:
+        return y_stratum_bias(params, level, scale)
+    if scale in (Scale.COV, Scale.RD):
+        return extended_stratum_bias(params, level, scale)
+    return None

@@ -120,34 +120,21 @@ def build_joint(params: StructureParams) -> JointTable:
     return JointTable(kind=params.kind, order=order, mass=mass)
 
 
-def _prob_one(params, roles, name, bits) -> np.ndarray:
-    """Per-cell P(name=1 | parents), broadcast over all cells."""
+def _prob_one(params, roles, name, values):
+    """P(name=1 | parents) given boolean arrays of the parents' values:
+    a scalar for a root variable, otherwise one probability per element."""
     parents = roles.parents[name]
     if name == roles.collider:
         left, right = parents
-        table = np.array(
-            [
-                params.p_c_given.given_00,
-                params.p_c_given.given_01,
-                params.p_c_given.given_10,
-                params.p_c_given.given_11,
-            ]
-        )
-        idx = 2 * bits[left].astype(np.intp) + bits[right].astype(np.intp)
-        return table[idx]
+        t = params.p_c_given
+        table = np.array([t.given_00, t.given_01, t.given_10, t.given_11])
+        return table[2 * values[left].astype(np.intp) + values[right]]
     if not parents:
-        if name == roles.left_cause:
-            return np.full(bits[name].shape, params.p_left)
-        return np.full(bits[name].shape, params.p_right)
+        return params.p_left if name == roles.left_cause else params.p_right
     (parent,) = parents
-    if name == "X":
-        cpt = params.p_x_given_a
-    elif name == "Y":
-        cpt = params.p_y_given_b
-    else:
-        cpt = params.p_d_given_c
+    cpt = {"X": params.p_x_given_a, "Y": params.p_y_given_b, "D": params.p_d_given_c}[name]
     assert cpt is not None
-    return np.where(bits[parent], cpt.given_1, cpt.given_0)
+    return np.where(values[parent], cpt.given_1, cpt.given_0)
 
 
 @dataclass(frozen=True)
@@ -208,6 +195,39 @@ def lm_coefficient(table: JointTable, covariate: str | None = None) -> float:
         )
     coef = np.linalg.solve(design, np.array([cov_xy, cov_gy]))
     return float(coef[0])
+
+
+def lm_normalizer_terms(
+    table: JointTable, exposure: str = "X", covariate: str | None = None
+) -> tuple[float, float]:
+    """Definitional terms (raw1, raw0) of the lm weight normalizer:
+
+        raw1 = P(G=0) P(F=1, G=1) P(F=0, G=1)
+        raw0 = P(G=1) P(F=1, G=0) P(F=0, G=0)
+
+    with F the exposure and G the kind's conditioning variable unless
+    overridden.  Their sum is the normalizer; each over the sum is the weight
+    of that stratum's risk difference in the adjusted coefficient.
+    """
+    g_name = covariate or table.kind.conditioning_variable
+    g1 = table.expectation(g_name)
+    fg1 = table.expectation(exposure, g_name)
+    f1 = table.expectation(exposure)
+    raw1 = (1.0 - g1) * fg1 * (g1 - fg1)
+    raw0 = g1 * (f1 - fg1) * (1.0 - f1 - g1 + fg1)
+    return raw1, raw0
+
+
+def lm_stratum_weights(table: JointTable) -> tuple[float, float]:
+    """(w1, w0): the variance-times-size weights that average the two
+    stratum risk differences into the adjusted regression coefficient,
+    normalized to sum to 1.  The conditioning variable is C or D per kind.
+    """
+    raw1, raw0 = lm_normalizer_terms(table)
+    total = raw1 + raw0
+    if total <= 0.0:
+        raise DegenerateStratumError(table.kind.conditioning_variable, 1 if raw1 <= 0 else 0)
+    return raw1 / total, raw0 / total
 
 
 def cond_measure(
@@ -320,30 +340,7 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
 
     values: dict[str, np.ndarray] = {}
     for k, name in enumerate(order):
-        parents = roles.parents[name]
-        if name == roles.collider:
-            left, right = parents
-            table = np.array(
-                [
-                    params.p_c_given.given_00,
-                    params.p_c_given.given_01,
-                    params.p_c_given.given_10,
-                    params.p_c_given.given_11,
-                ]
-            )
-            p1 = table[2 * values[left] + values[right]]
-        elif not parents:
-            p1 = params.p_left if name == roles.left_cause else params.p_right
-        else:
-            (parent,) = parents
-            cpt = {
-                "X": params.p_x_given_a,
-                "Y": params.p_y_given_b,
-                "D": params.p_d_given_c,
-            }[name]
-            assert cpt is not None
-            p1 = np.where(values[parent] == 1, cpt.given_1, cpt.given_0)
-        values[name] = (uniforms[k] < p1).astype(np.intp)
+        values[name] = uniforms[k] < _prob_one(params, roles, name, values)
 
     cell = np.zeros(n, dtype=np.intp)
     for name in order:

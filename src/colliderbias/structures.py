@@ -46,17 +46,17 @@ class StructureKind(str, Enum):
     @property
     def has_child_d(self) -> bool:
         """True when the structure conditions on a child D of the collider."""
-        return self in _D_KINDS
+        return "p_d_given_c" in _KIND_FIELDS[self]
 
     @property
     def has_left_a(self) -> bool:
         """True when the left cause of the collider is A rather than X."""
-        return self in _A_KINDS
+        return "p_x_given_a" in _KIND_FIELDS[self]
 
     @property
     def has_right_b(self) -> bool:
         """True when the right cause of the collider is B rather than Y."""
-        return self in _B_KINDS
+        return self is not StructureKind.NABLA and "p_y_given_b" in _KIND_FIELDS[self]
 
     @property
     def conditioning_variable(self) -> str:
@@ -64,16 +64,21 @@ class StructureKind(str, Enum):
         return "D" if self.has_child_d else "C"
 
 
-# The properties above resolve these at call time, after the enum exists.
-_D_KINDS = frozenset(
-    {StructureKind.Y, StructureKind.LONG_M, StructureKind.LEFT_LONG_M, StructureKind.RIGHT_LONG_M}
-)
-_A_KINDS = frozenset(
-    {StructureKind.M, StructureKind.LEFT_M, StructureKind.LONG_M, StructureKind.LEFT_LONG_M}
-)
-_B_KINDS = frozenset(
-    {StructureKind.M, StructureKind.RIGHT_M, StructureKind.LONG_M, StructureKind.RIGHT_LONG_M}
-)
+# The optional parameter fields each kind takes; every other per-kind rule
+# (topology, validation, the JSON schema, random draws) reads this table.
+# The properties above resolve it at call time, after the enum exists.  For
+# Nabla, p_y_given_b holds P(Y=1 | X=x) and there is no p_right.
+_KIND_FIELDS: dict[StructureKind, tuple[str, ...]] = {
+    StructureKind.V: ("p_right",),
+    StructureKind.NABLA: ("p_y_given_b",),
+    StructureKind.Y: ("p_right", "p_d_given_c"),
+    StructureKind.M: ("p_right", "p_x_given_a", "p_y_given_b"),
+    StructureKind.LEFT_M: ("p_right", "p_x_given_a"),
+    StructureKind.RIGHT_M: ("p_right", "p_y_given_b"),
+    StructureKind.LONG_M: ("p_right", "p_x_given_a", "p_y_given_b", "p_d_given_c"),
+    StructureKind.LEFT_LONG_M: ("p_right", "p_x_given_a", "p_d_given_c"),
+    StructureKind.RIGHT_LONG_M: ("p_right", "p_y_given_b", "p_d_given_c"),
+}
 
 
 class Sign(IntEnum):
@@ -303,7 +308,7 @@ def variable_roles(kind: StructureKind) -> RoleMap:
     )
 
 
-# Structure fields that exist only for some kinds, with their presence rule.
+# The single-edge tables among the optional fields, in draw order.
 _CONDITIONAL_FIELDS = ("p_x_given_a", "p_y_given_b", "p_d_given_c")
 
 
@@ -332,23 +337,13 @@ class StructureParams:
     p_d_given_c: EdgeCpt | None = None
 
     def __post_init__(self) -> None:
-        kind = self.kind
-        if kind is StructureKind.NABLA:
-            if self.p_right is not None:
-                raise ExtraFieldError(kind.value, "p_right")
-        elif self.p_right is None:
-            raise MissingFieldError(kind.value, "p_right")
-        needs = {
-            "p_x_given_a": kind.has_left_a,
-            "p_y_given_b": kind.has_right_b or kind is StructureKind.NABLA,
-            "p_d_given_c": kind.has_child_d,
-        }
-        for field_name, needed in needs.items():
+        fields = _KIND_FIELDS[self.kind]
+        for field_name in ("p_right", *_CONDITIONAL_FIELDS):
             value = getattr(self, field_name)
-            if needed and value is None:
-                raise MissingFieldError(kind.value, field_name)
-            if not needed and value is not None:
-                raise ExtraFieldError(kind.value, field_name)
+            if field_name in fields and value is None:
+                raise MissingFieldError(self.kind.value, field_name)
+            if field_name not in fields and value is not None:
+                raise ExtraFieldError(self.kind.value, field_name)
         for field_name, value in self._probability_items():
             if not (0.0 <= value <= 1.0) or math.isnan(value):
                 raise OutOfRangeError(field_name, value)
@@ -438,42 +433,27 @@ class StructureParams:
         return params_from_dict(json.loads(text))
 
 
-def _float_field(doc: Mapping, field: str) -> float:
+def _float_field(doc: Mapping, field: str, label: str | None = None) -> float:
+    """``doc[field]`` as a float; ``label`` names it in the error."""
     value = doc[field]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise OutOfRangeError(field, value)
+        raise OutOfRangeError(label or field, value)
     return float(value)
 
 
-def _collider_cpt_from(doc: Mapping, field: str, kind: str) -> ColliderCpt:
+def _table_fields(doc: Mapping, field: str, kind: str, keys: tuple[str, ...]) -> dict:
+    """The keyed probability table ``doc[field]`` as CPT constructor
+    arguments: key "01" becomes ``given_01``."""
     table = doc[field]
     if not isinstance(table, Mapping):
-        raise ParameterError(f"{field} must be an object with keys 00/01/10/11")
-    missing = {"00", "01", "10", "11"} - set(table)
+        raise ParameterError(f"{field} must be an object with keys {'/'.join(keys)}")
+    missing = set(keys) - set(table)
     if missing:
         raise MissingFieldError(kind, f"{field}[{sorted(missing)[0]}]")
-    extra = set(table) - {"00", "01", "10", "11"}
+    extra = set(table) - set(keys)
     if extra:
         raise ExtraFieldError(kind, f"{field}[{sorted(extra)[0]}]")
-    return ColliderCpt(
-        given_00=float(table["00"]),
-        given_01=float(table["01"]),
-        given_10=float(table["10"]),
-        given_11=float(table["11"]),
-    )
-
-
-def _edge_cpt_from(doc: Mapping, field: str, kind: str) -> EdgeCpt:
-    table = doc[field]
-    if not isinstance(table, Mapping):
-        raise ParameterError(f"{field} must be an object with keys 0/1")
-    missing = {"0", "1"} - set(table)
-    if missing:
-        raise MissingFieldError(kind, f"{field}[{sorted(missing)[0]}]")
-    extra = set(table) - {"0", "1"}
-    if extra:
-        raise ExtraFieldError(kind, f"{field}[{sorted(extra)[0]}]")
-    return EdgeCpt(given_0=float(table["0"]), given_1=float(table["1"]))
+    return {f"given_{key}": _float_field(table, key, f"{field}[{key}]") for key in keys}
 
 
 def params_from_dict(doc: Mapping) -> StructureParams:
@@ -484,15 +464,8 @@ def params_from_dict(doc: Mapping) -> StructureParams:
         kind = StructureKind(doc["kind"])
     except ValueError:
         raise ParameterError(f"unknown structure kind {doc['kind']!r}") from None
-    allowed = {"kind", "p_left", "p_c_given"}
-    if kind is not StructureKind.NABLA:
-        allowed.add("p_right")
-    if kind.has_left_a:
-        allowed.add("p_x_given_a")
-    if kind.has_right_b or kind is StructureKind.NABLA:
-        allowed.add("p_y_given_b")
-    if kind.has_child_d:
-        allowed.add("p_d_given_c")
+    fields = _KIND_FIELDS[kind]
+    allowed = {"kind", "p_left", "p_c_given", *fields}
     extra = set(doc) - allowed
     if extra:
         raise ExtraFieldError(kind.value, sorted(extra)[0])
@@ -503,13 +476,15 @@ def params_from_dict(doc: Mapping) -> StructureParams:
     kwargs: dict = {
         "kind": kind,
         "p_left": _float_field(doc, "p_left"),
-        "p_c_given": _collider_cpt_from(doc, "p_c_given", kind.value),
+        "p_c_given": ColliderCpt(
+            **_table_fields(doc, "p_c_given", kind.value, ("00", "01", "10", "11"))
+        ),
     }
-    if "p_right" in doc:
-        kwargs["p_right"] = _float_field(doc, "p_right")
-    for field_name in _CONDITIONAL_FIELDS:
-        if field_name in doc:
-            kwargs[field_name] = _edge_cpt_from(doc, field_name, kind.value)
+    for field_name in fields:
+        if field_name == "p_right":
+            kwargs[field_name] = _float_field(doc, field_name)
+        else:
+            kwargs[field_name] = EdgeCpt(**_table_fields(doc, field_name, kind.value, ("0", "1")))
     return StructureParams(**kwargs)
 
 
@@ -560,19 +535,12 @@ def random_structure_params(
     def u() -> float:
         return float(rng.uniform(low, high))
 
+    fields = _KIND_FIELDS[kind]
     p_left = u()
-    p_right = None if kind is StructureKind.NABLA else u()
+    p_right = u() if "p_right" in fields else None
     cpt = ColliderCpt(given_00=u(), given_01=u(), given_10=u(), given_11=u())
-    kwargs: dict = {
-        "kind": kind,
-        "p_left": p_left,
-        "p_right": p_right,
-        "p_c_given": cpt,
-    }
-    if kind.has_left_a:
-        kwargs["p_x_given_a"] = EdgeCpt(given_0=u(), given_1=u())
-    if kind.has_right_b or kind is StructureKind.NABLA:
-        kwargs["p_y_given_b"] = EdgeCpt(given_0=u(), given_1=u())
-    if kind.has_child_d:
-        kwargs["p_d_given_c"] = EdgeCpt(given_0=u(), given_1=u())
+    kwargs: dict = {"kind": kind, "p_left": p_left, "p_right": p_right, "p_c_given": cpt}
+    for field_name in _CONDITIONAL_FIELDS:
+        if field_name in fields:
+            kwargs[field_name] = EdgeCpt(given_0=u(), given_1=u())
     return StructureParams(**kwargs)

@@ -31,6 +31,7 @@ from .structures import (
     StructureKind,
     StructureParams,
     random_structure_params,
+    variable_roles,
 )
 
 DEFAULT_ABS_TOL = 1e-12
@@ -119,38 +120,32 @@ def _oracle_lm_bias(table) -> float:
 def _check_joint_basics(params: StructureParams, table, rec: _Recorder) -> None:
     rec.absolute("joint_normalization", table.prob(), 1.0, _EXACT_TOL)
     if params.kind is not StructureKind.NABLA:
-        roles_left = "A" if params.kind.has_left_a else "X"
-        roles_right = "B" if params.kind.has_right_b else "Y"
-        joint_lr = table.expectation(roles_left, roles_right)
-        product = table.expectation(roles_left) * table.expectation(roles_right)
+        roles = variable_roles(params.kind)
+        joint_lr = table.expectation(roles.left_cause, roles.right_cause)
+        product = table.expectation(roles.left_cause) * table.expectation(roles.right_cause)
         rec.absolute("parents_marginally_independent", joint_lr, product, _EXACT_TOL)
 
 
 def _check_closed_vs_oracle(params: StructureParams, table, rec: _Recorder) -> None:
     kind = params.kind
-    if kind is StructureKind.NABLA:
-        for level in (1, 0):
-            factor = cf.nabla_or_bias_factor(params, level).value
-            oracle = _oracle_stratum_bias(table, "C", level, Scale.OR)
-            rec.relative("or_factor_vs_oracle", factor, oracle)
-        return
-
     variable = kind.conditioning_variable
     for level in (1, 0):
-        if kind is StructureKind.V:
-            closed = {s: cf.v_stratum_bias(params, level, s) for s in (Scale.COV, Scale.RD, Scale.OR)}
-        elif kind is StructureKind.Y:
-            closed = {s: cf.y_stratum_bias(params, level, s) for s in (Scale.COV, Scale.RD, Scale.OR)}
-        else:
-            closed = {s: cf.extended_stratum_bias(params, level, s) for s in (Scale.COV, Scale.RD)}
-        for scale, report in closed.items():
-            oracle = _oracle_stratum_bias(table, variable, level, scale)
-            if scale is Scale.OR:
+        for scale in (Scale.COV, Scale.RD, Scale.OR):
+            query = BiasQuery(Stratum(variable, level), scale)
+            report = cf.closed_form(params, query)
+            if report is None:
+                continue
+            oracle = joint_mod.bias(table, query).value
+            if kind is StructureKind.NABLA:
+                rec.relative("or_factor_vs_oracle", report.value, oracle)
+            elif scale is Scale.OR:
                 rec.relative("stratum_or_vs_oracle", report.value, oracle)
             else:
                 rec.absolute(f"stratum_{scale.value}_vs_oracle", report.value, oracle)
 
-    lm_closed = cf.lm_bias(params)
+    lm_closed = cf.closed_form(params, BiasQuery(LINEAR_MODEL))
+    if lm_closed is None:
+        return
     rec.absolute("lm_vs_oracle", lm_closed.value, _oracle_lm_bias(table))
     if kind is StructureKind.V:
         rec.absolute("lm_two_routes_agree", lm_closed.value, cf.v_lm_bias(params).value)
@@ -182,11 +177,7 @@ def _check_oracle_identities(params: StructureParams, table, rec: _Recorder) -> 
 
     # Regression coefficient as a variance-weighted stratum average.
     g_name = params.kind.conditioning_variable
-    g1 = table.expectation(g_name)
-    xg1 = table.expectation("X", g_name)
-    x1 = table.expectation("X")
-    raw1 = (1.0 - g1) * xg1 * (g1 - xg1)
-    raw0 = g1 * (x1 - xg1) * (1.0 - x1 - g1 + xg1)
+    raw1, raw0 = joint_mod.lm_normalizer_terms(table)
     rd1 = joint_mod.cond_measure(table, Scale.RD, Stratum(g_name, 1)).value
     rd0 = joint_mod.cond_measure(table, Scale.RD, Stratum(g_name, 0)).value
     averaged = (raw1 * rd1 + raw0 * rd0) / (raw1 + raw0)
@@ -196,12 +187,8 @@ def _check_oracle_identities(params: StructureParams, table, rec: _Recorder) -> 
 
     # Symmetry of the weight normalizer in its two variables.
     def normalizer(f: str, g: str) -> float:
-        pg1 = table.expectation(g)
-        fg11 = table.expectation(f, g)
-        pf1 = table.expectation(f)
-        return (1.0 - pg1) * fg11 * (pg1 - fg11) + pg1 * (pf1 - fg11) * (
-            1.0 - pf1 - pg1 + fg11
-        )
+        raw1, raw0 = joint_mod.lm_normalizer_terms(table, f, g)
+        return raw1 + raw0
 
     for f, g in itertools.combinations(table.order, 2):
         rec.absolute("design_symmetry_identity", normalizer(f, g), normalizer(g, f))
@@ -217,16 +204,11 @@ def _check_supplementary(params: StructureParams, table, rec: _Recorder) -> None
     mixture = (1.0 - pc1) * cf.cross_product_difference(t, 1) + pc1 * cf.cross_product_difference(t, 0)
     rec.absolute("lm_kernel_mixture_identity", kernel, mixture)
 
-    g_name = kind.conditioning_variable
-    g1 = table.expectation(g_name)
-    xg1 = table.expectation("X", g_name)
-    x1 = table.expectation("X")
-    definitional = (1.0 - g1) * xg1 * (g1 - xg1) + g1 * (x1 - xg1) * (
-        1.0 - x1 - g1 + xg1
-    )
-    rec.absolute("lm_normalizer_identity", cf.lm_weight_normalizer(params), definitional)
+    raw1, raw0 = joint_mod.lm_normalizer_terms(table)
+    rec.absolute("lm_normalizer_identity", cf.lm_weight_normalizer(params), raw1 + raw0)
 
     if kind.has_left_a:
+        g_name = kind.conditioning_variable
         for level in (1, 0):
             closed_vr = cf.extension_variance_ratio(params, level)
             keep = table.event_mask({g_name: level})
@@ -237,11 +219,11 @@ def _check_supplementary(params: StructureParams, table, rec: _Recorder) -> None
             rec.absolute("variance_ratio_identity", closed_vr, joint_vr)
 
 
-def _check_extension_factorization(params: StructureParams, table, rec: _Recorder) -> None:
+def _check_extension_factorization(
+    params: StructureParams, table, core_table, rec: _Recorder
+) -> None:
     if params.kind not in cf._EXTENDED_KINDS:
         return
-    core = cf.embedded_core(params)
-    core_table = joint_mod.build_joint(core)
     variable = params.kind.conditioning_variable
     rd_left, rd_right = cf.extension_rds(params)
     for level in (1, 0):
@@ -256,7 +238,7 @@ def _check_extension_factorization(params: StructureParams, table, rec: _Recorde
             rec.absolute("extension_factorization", outer / inner, declared, 1e-9)
 
 
-def _check_sign_rules(params: StructureParams, table, rec: _Recorder) -> None:
+def _check_sign_rules(params: StructureParams, table, core_table, rec: _Recorder) -> None:
     kind = params.kind
     if kind is StructureKind.NABLA:
         return
@@ -282,10 +264,6 @@ def _check_sign_rules(params: StructureParams, table, rec: _Recorder) -> None:
 
     if kind.has_child_d:
         assert params.p_d_given_c is not None
-        if kind is StructureKind.Y:
-            core_table = table
-        else:
-            core_table = joint_mod.build_joint(cf.embedded_core(params))
         for level in (1, 0):
             case_sign = sm.y_stratum_sign(params.p_c_given, params.p_d_given_c, level)
             numeric = cf.classify_sign(
@@ -345,12 +323,18 @@ def verify_kind(
     for _ in range(draws):
         params = random_structure_params(kind, rng)
         table = joint_mod.build_joint(params)
+        # The embedded V or Y structure's table; a V, Nabla or Y structure is
+        # its own core.
+        if kind in cf._EXTENDED_KINDS:
+            core_table = joint_mod.build_joint(cf.embedded_core(params))
+        else:
+            core_table = table
         _check_joint_basics(params, table, rec)
         _check_closed_vs_oracle(params, table, rec)
         _check_oracle_identities(params, table, rec)
         _check_supplementary(params, table, rec)
-        _check_extension_factorization(params, table, rec)
-        _check_sign_rules(params, table, rec)
+        _check_extension_factorization(params, table, core_table, rec)
+        _check_sign_rules(params, table, core_table, rec)
     return KindVerification(
         kind=kind,
         draws=draws,

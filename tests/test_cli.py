@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from colliderbias.cli import grid_to_csv, main, parse_grid_csv
 
 REFERENCE_FLAGS = [
@@ -114,6 +116,35 @@ def test_flags_override_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["params"]["p_left"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (("p_c_given", "01"), "abc"),
+        (("p_x_given_a", "1"), None),
+        (("p_c_given", "11"), True),
+    ],
+)
+def test_malformed_table_entry_in_file_exits_2(tmp_path, capsys, field, value):
+    doc = {
+        "kind": "M",
+        "p_left": 0.4,
+        "p_right": 0.6,
+        "p_c_given": {"00": 0.15, "01": 0.25, "10": 0.25, "11": 0.75},
+        "p_x_given_a": {"0": 0.3, "1": 0.7},
+        "p_y_given_b": {"0": 0.2, "1": 0.8},
+    }
+    table, key = field
+    doc[table][key] = value
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        capsys, "compute", "--file", str(config), "--stratum", "C=1", "--format", "json",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{table}[{key}]" in err
 
 
 def test_sign_command(capsys):

@@ -1,7 +1,10 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+import colliderbias
 from colliderbias import (
     LINEAR_MODEL,
     BiasQuery,
@@ -16,11 +19,14 @@ from colliderbias import (
     UndefinedRatioError,
     bias,
     build_joint,
+    closed_form,
     cross_product_difference,
     extended_stratum_bias,
     extension_variance_ratio,
     lm_bias,
     lm_bias_kernel,
+    lm_stratum_weights,
+    lm_weight_normalizer,
     nabla_or_bias_factor,
     random_structure_params,
     v_lm_bias,
@@ -362,9 +368,13 @@ def test_v_lm_reference_point(reference_v_params):
 def test_v_lm_vs_oracle(rng):
     for _ in range(25):
         params = random_structure_params(StructureKind.V, rng)
-        closed = v_lm_bias(params).value
-        oracle = bias(build_joint(params), BiasQuery(LINEAR_MODEL)).value
-        assert math.isclose(closed, oracle, abs_tol=1e-12)
+        report = v_lm_bias(params)
+        table = build_joint(params)
+        oracle = bias(table, BiasQuery(LINEAR_MODEL)).value
+        assert math.isclose(report.value, oracle, abs_tol=1e-12)
+        w1, w0 = lm_stratum_weights(table)
+        assert math.isclose(report.factors["weight_1"], w1, abs_tol=1e-12)
+        assert math.isclose(report.factors["weight_0"], w0, abs_tol=1e-12)
 
 
 def test_general_lm_reduces_to_v_form(rng):
@@ -435,3 +445,43 @@ def test_sign_scale_agreement(reference_v_params):
     rd = v_stratum_bias(reference_v_params, 1, Scale.RD)
     or_ = v_stratum_bias(reference_v_params, 1, Scale.OR)
     assert cov.sign is rd.sign is or_.sign is Sign.POSITIVE
+
+
+# -- independence from the oracle --------------------------------------------
+
+
+@pytest.mark.parametrize("module", ["closedform.py", "signmap.py"])
+def test_closed_forms_import_nothing_from_joint(module):
+    tree = ast.parse((Path(colliderbias.__file__).parent / module).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            paths = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        else:
+            continue
+        for path in paths:
+            assert "joint" not in path.split("."), f"{module} imports {path}"
+
+
+def test_closed_forms_never_build_the_joint(monkeypatch, rng):
+    def refuse(params):
+        raise AssertionError("a closed form built the joint table")
+
+    monkeypatch.setattr(colliderbias.joint, "build_joint", refuse)
+    for kind in StructureKind:
+        params = random_structure_params(kind, rng)
+        variable = kind.conditioning_variable
+        queries = [BiasQuery(LINEAR_MODEL)] + [
+            BiasQuery(Stratum(variable, level), scale)
+            for level in (1, 0)
+            for scale in (Scale.COV, Scale.RD, Scale.RR, Scale.OR)
+        ]
+        answered = [closed_form(params, query) for query in queries]
+        assert any(report is not None for report in answered), kind
+        if kind is not StructureKind.NABLA:
+            lm_weight_normalizer(params)
+        if kind is StructureKind.V:
+            v_lm_bias(params)
+        if kind is StructureKind.Y:
+            y_bias_from_embedded_v(params, 1)

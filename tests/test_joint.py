@@ -19,6 +19,7 @@ from colliderbias import (
     build_joint,
     cond_measure,
     lm_coefficient,
+    params_from_dict,
     random_structure_params,
     sample,
     variable_roles,
@@ -224,6 +225,51 @@ def test_sample_is_deterministic(reference_v_params):
     assert first.counts.sum() == 10000
     third = sample(reference_v_params, 10000, seed=43)
     assert not np.array_equal(first.counts, third.counts)
+
+
+# Counts recorded from release 1.0.0: the seed-to-output mapping of the
+# sampler is part of the package contract.
+PINNED_SAMPLES = [
+    (
+        {"kind": "V", "p_left": 0.3, "p_right": 0.6,
+         "p_c_given": {"00": 0.1, "01": 0.4, "10": 0.35, "11": 0.8}},
+        11,
+        [525, 60, 468, 372, 155, 84, 64, 272],
+    ),
+    (
+        {"kind": "Nabla", "p_left": 0.45,
+         "p_c_given": {"00": 0.2, "01": 0.5, "10": 0.3, "11": 0.9},
+         "p_y_given_b": {"0": 0.25, "1": 0.65}},
+        12,
+        [663, 160, 134, 151, 227, 86, 53, 526],
+    ),
+    (
+        {"kind": "M", "p_left": 0.4, "p_right": 0.55,
+         "p_c_given": {"00": 0.15, "01": 0.45, "10": 0.5, "11": 0.85},
+         "p_x_given_a": {"0": 0.2, "1": 0.7}, "p_y_given_b": {"0": 0.35, "1": 0.75}},
+        13,
+        [263, 34, 136, 20, 76, 13, 27, 3, 71, 61, 205, 156, 16, 14, 45, 62,
+         43, 30, 25, 21, 82, 83, 39, 51, 4, 37, 15, 89, 13, 57, 32, 177],
+    ),
+    (
+        {"kind": "LongM", "p_left": 0.6, "p_right": 0.35,
+         "p_c_given": {"00": 0.3, "01": 0.55, "10": 0.6, "11": 0.9},
+         "p_x_given_a": {"0": 0.15, "1": 0.8}, "p_y_given_b": {"0": 0.4, "1": 0.7},
+         "p_d_given_c": {"0": 0.25, "1": 0.85}},
+        14,
+        [153, 45, 17, 61, 104, 24, 10, 48, 19, 7, 2, 11, 19, 6, 2, 7,
+         18, 9, 4, 34, 54, 21, 16, 86, 6, 2, 0, 8, 11, 2, 0, 14,
+         34, 6, 11, 44, 24, 5, 6, 26, 113, 35, 32, 181, 70, 36, 23, 129,
+         0, 0, 7, 23, 2, 2, 9, 44, 8, 3, 12, 72, 13, 2, 30, 178],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, seed, counts", PINNED_SAMPLES, ids=[doc["kind"] for doc, _, _ in PINNED_SAMPLES]
+)
+def test_sample_counts_are_pinned(doc, seed, counts):
+    assert sample(params_from_dict(doc), 2000, seed=seed).counts.tolist() == counts
 
 
 def test_sample_uniform_concentration(uniform_v_params):
