@@ -123,9 +123,10 @@ def v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
     factors = {"cross_product_diff": g, "p_stratum": p_c}
 
     if scale is Scale.COV:
-        if p_c <= 0.0:
+        p_c_sq = p_c * p_c  # zero when P(C=c) is zero or underflows on squaring
+        if p_c_sq <= 0.0:
             raise DegenerateStratumError("C", level)
-        value = p_x1 * p_x0 * p_y1 * p_y0 * g / (p_c * p_c)
+        value = p_x1 * p_x0 * p_y1 * p_y0 * g / p_c_sq
     elif scale is Scale.RD:
         c_given_x1 = p_y1 * t.level_given(level, 1, 1) + p_y0 * t.level_given(level, 1, 0)
         c_given_x0 = p_y1 * t.level_given(level, 0, 1) + p_y0 * t.level_given(level, 0, 0)
@@ -214,9 +215,10 @@ def y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
     }
 
     if scale is Scale.COV:
-        if p_d <= 0.0:
+        p_d_sq = p_d * p_d  # zero when P(D=d) is zero or underflows on squaring
+        if p_d_sq <= 0.0:
             raise DegenerateStratumError("D", d)
-        value = p_x1 * p_x0 * p_y1 * p_y0 / (p_d * p_d) * core
+        value = p_x1 * p_x0 * p_y1 * p_y0 / p_d_sq * core
     elif scale is Scale.RD:
         d_given_x1 = p_y1 * _child_mixture(params, d, 1, 1) + p_y0 * _child_mixture(params, d, 1, 0)
         d_given_x0 = p_y1 * _child_mixture(params, d, 0, 1) + p_y0 * _child_mixture(params, d, 0, 0)
@@ -261,7 +263,8 @@ def y_bias_from_embedded_v(params: StructureParams, level: int) -> float:
     assert params.p_d_given_c is not None
     d = level
     p_d = params.prob_child(d)
-    if p_d <= 0.0:
+    p_d_sq = p_d * p_d  # zero when P(D=d) is zero or underflows on squaring
+    if p_d_sq <= 0.0:
         raise DegenerateStratumError("D", d)
     embedded = StructureParams(
         kind=StructureKind.V,
@@ -273,7 +276,7 @@ def y_bias_from_embedded_v(params: StructureParams, level: int) -> float:
     pd0 = params.p_d_given_c.level_given(d, 0)
     pc1 = params.prob_collider(1)
     pc0 = params.prob_collider(0)
-    return (pd1 - pd0) / (p_d * p_d) * (
+    return (pd1 - pd0) / p_d_sq * (
         pd1 * pc1 * pc1 * v_stratum_bias(embedded, 1, Scale.COV).value
         - pd0 * pc0 * pc0 * v_stratum_bias(embedded, 0, Scale.COV).value
     )

@@ -57,25 +57,41 @@ class JointTable:
 
     ``mass[i]`` is the probability of the assignment whose bits (with
     ``order[0]`` as the most significant bit) spell the integer ``i``.
+
+    The table owns its mass: construction copies it into a fresh read-only
+    float64 array, so no caller's array, view or base can change it later.
+    Because the mass is fixed, each derived quantity is computed once per
+    table and kept in ``_memo``: the (X, Y) cells of each stratum (see
+    :func:`_xy_stratum_cells`) and each ``expectation`` moment.  A repeat
+    query returns the very float the first one computed, from the same masks
+    and the same ``.sum()``, so memoized results are bit-identical to
+    recomputed ones.
     """
 
     kind: StructureKind
     order: tuple[str, ...]
     mass: np.ndarray
     _bits: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
+    # Stratum (None for marginal) -> (p11, p10, p01, p00, p_g);
+    # frozenset of names -> expectation.  The key types never compare equal.
+    _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         n = len(self.order)
         if not 1 <= n <= 6:
             raise ParameterError(f"supported structures have 1..6 variables, got {n}")
-        if self.mass.shape != (2**n,):
-            raise ParameterError(f"mass must have shape (2**{n},), got {self.mass.shape}")
-        if np.any(self.mass < 0.0) or abs(float(self.mass.sum()) - 1.0) > 1e-12:
-            raise ParameterError("mass must be nonnegative and sum to 1")
+        mass = np.array(self.mass, dtype=np.float64)
+        if mass.shape != (2**n,):
+            raise ParameterError(f"mass must have shape (2**{n},), got {mass.shape}")
+        # Any NaN or infinite entry makes the sum NaN or infinite, which the
+        # negated comparison rejects (NaN compares false both ways).
+        if not abs(float(mass.sum()) - 1.0) <= 1e-12 or mass.min() < 0.0:
+            raise ParameterError("mass must be finite, nonnegative and sum to 1")
+        mass.setflags(write=False)
+        object.__setattr__(self, "mass", mass)
         columns = _bit_columns(n)
         for k, name in enumerate(self.order):
             self._bits[name] = columns[k]
-        self.mass.setflags(write=False)
 
     def column(self, name: str) -> np.ndarray:
         """Boolean per-cell indicator that ``name`` equals 1."""
@@ -99,10 +115,14 @@ class JointTable:
 
     def expectation(self, *names: str) -> float:
         """E[product of the named indicator variables]."""
-        mask = np.ones(self.mass.shape[0], dtype=bool)
-        for name in names:
-            mask &= self.column(name)
-        return float(self.mass[mask].sum())
+        key = frozenset(names)
+        value = self._memo.get(key)
+        if value is None:
+            mask = np.ones(self.mass.shape[0], dtype=bool)
+            for name in names:
+                mask &= self.column(name)
+            value = self._memo[key] = float(self.mass[mask].sum())
+        return value
 
 
 def build_joint(params: StructureParams) -> JointTable:
@@ -152,7 +172,11 @@ def _xy_stratum_cells(
     """Joint cell probabilities of (X, Y) within the stratum (or overall).
 
     Returns (p11, p10, p01, p00, p_stratum) where pxy = P(X=x, Y=y, stratum).
+    Memoized per table; a zero-mass stratum raises on every call.
     """
+    cells = table._memo.get(stratum)
+    if cells is not None:
+        return cells
     x = table.column("X")
     y = table.column("Y")
     if stratum is None:
@@ -169,7 +193,8 @@ def _xy_stratum_cells(
     p10 = float(m[x & ~y & keep].sum())
     p01 = float(m[~x & y & keep].sum())
     p00 = float(m[~x & ~y & keep].sum())
-    return p11, p10, p01, p00, p_g
+    cells = table._memo[stratum] = (p11, p10, p01, p00, p_g)
+    return cells
 
 
 def lm_coefficient(table: JointTable, covariate: str | None = None) -> float:

@@ -53,6 +53,35 @@ def test_compute_degenerate_stratum_exit_2(capsys):
     assert "stratum C=1" in err
 
 
+# P(stratum) is positive but its square underflows to zero; each closed form
+# must report a degenerate stratum instead of dividing by zero.
+UNDERFLOW_STRATUM_RUNS = {
+    "V": (
+        "--kind", "V", "--p-left", "0.5", "--p-right", "0.5",
+        "--p-c-given", "00=0,01=0,10=0,11=1e-300", "--stratum", "C=1",
+    ),
+    "M": (
+        "--kind", "M", "--p-left", "0.5", "--p-right", "0.5",
+        "--p-c-given", "00=0,01=0,10=0,11=1e-300", "--stratum", "C=1",
+        "--p-x-given-a", "0=0.2,1=0.8", "--p-y-given-b", "0=0.3,1=0.6",
+    ),
+    "Y": (
+        "--kind", "Y", "--p-left", "0.5", "--p-right", "0.5",
+        "--p-c-given", "00=0.5,01=0.5,10=0.5,11=0.5",
+        "--p-d-given-c", "0=0,1=1e-300", "--stratum", "D=1",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", UNDERFLOW_STRATUM_RUNS.values(), ids=UNDERFLOW_STRATUM_RUNS)
+def test_compute_underflowing_stratum_exit_2(capsys, flags):
+    code, out, err = run_cli(capsys, "compute", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "zero probability" in err
+
+
 def test_compute_rr_served_by_oracle_only(capsys):
     code, out, _ = run_cli(
         capsys, "compute", *REFERENCE_FLAGS, "--scale", "rr", "--stratum", "C=1",

@@ -429,6 +429,21 @@ def test_embedded_contrast_degenerate_child_stratum():
         y_bias_from_embedded_v(params, 1)
 
 
+def test_embedded_contrast_underflowing_child_stratum():
+    # P(D=1) = 5e-301 is positive, but its square underflows to zero.
+    params = StructureParams(
+        kind=StructureKind.Y,
+        p_left=0.5,
+        p_right=0.5,
+        p_c_given=ColliderCpt(0.5, 0.5, 0.5, 0.5),
+        p_d_given_c=EdgeCpt(given_0=0.0, given_1=1e-300),
+    )
+    from colliderbias import DegenerateStratumError
+
+    with pytest.raises(DegenerateStratumError):
+        y_bias_from_embedded_v(params, 1)
+
+
 def test_nabla_factor_undefined_at_zero_cell():
     params = StructureParams(
         kind=StructureKind.NABLA,

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from colliderbias import (
     ColliderCpt,
     DegenerateStratumError,
     EdgeCpt,
+    JointTable,
     ParameterError,
     Scale,
     Stratum,
@@ -24,6 +27,7 @@ from colliderbias import (
     sample,
     variable_roles,
 )
+from colliderbias import joint as joint_mod
 
 ALL_KINDS = list(StructureKind)
 
@@ -197,10 +201,100 @@ def test_lm_bias_equals_adjusted_minus_marginal(reference_v_params):
 
 
 def test_joint_table_rejects_bad_mass():
-    from colliderbias import JointTable
-
     with pytest.raises(ParameterError):
         JointTable(kind=StructureKind.V, order=("X", "Y", "C"), mass=np.ones(8))
+
+
+def test_joint_table_rejects_nan_mass():
+    # NaN passes both "< 0" and "|sum - 1| > tol" as False.
+    with pytest.raises(ParameterError):
+        JointTable(kind=StructureKind.V, order=("X", "Y", "C"), mass=np.full(8, np.nan))
+
+
+def test_joint_table_owns_its_mass():
+    base = np.zeros(16)
+    base[:8] = 0.125
+    view = base[:8]
+    table = JointTable(kind=StructureKind.V, order=("X", "Y", "C"), mass=view)
+    base[0] = 0.5  # a write through the view's writable base
+    assert table.prob({"X": 0, "Y": 0, "C": 0}) == 0.125
+    assert table.mass.tolist() == [0.125] * 8
+    assert not table.mass.flags.writeable
+    assert view.flags.writeable  # the caller's array is left as it was
+
+
+def _reference_bits(n: int) -> list[np.ndarray]:
+    idx = np.arange(2**n)
+    return [((idx >> (n - 1 - k)) & 1).astype(bool) for k in range(n)]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_memoized_queries_equal_fresh_mask_sums(kind):
+    # Loop reference: every stratum's cells and every moment summed with
+    # masks built here, compared exactly (the memo must not change a bit).
+    rng = np.random.default_rng(7 + ALL_KINDS.index(kind))
+    table = build_joint(random_structure_params(kind, rng))
+    order = table.order
+    m = table.mass
+    bits = dict(zip(order, _reference_bits(len(order))))
+    x, y = bits["X"], bits["Y"]
+
+    def reference_cells(stratum):
+        if stratum is None:
+            keep, p_g = np.ones_like(x), 1.0
+        else:
+            g = bits[stratum.variable]
+            keep = g if stratum.level else ~g
+            p_g = float(m[keep].sum())
+        return (
+            float(m[x & y & keep].sum()),
+            float(m[x & ~y & keep].sum()),
+            float(m[~x & y & keep].sum()),
+            float(m[~x & ~y & keep].sum()),
+            p_g,
+        )
+
+    def reference_moment(names):
+        mask = np.ones(m.shape[0], dtype=bool)
+        for name in names:
+            mask &= bits[name]
+        return float(m[mask].sum())
+
+    strata = [None] + [Stratum(v, level) for v in ("C", "D") if v in order for level in (0, 1)]
+    moments = [(a,) for a in order] + list(itertools.product(order, repeat=2))
+    queries = [("cells", s) for s in strata] + [("moment", names) for names in moments]
+    random.Random(kind.value).shuffle(queries)
+    for _ in range(2):
+        for what, arg in queries:
+            if what == "cells":
+                assert joint_mod._xy_stratum_cells(table, arg) == reference_cells(arg), arg
+            else:
+                assert table.expectation(*arg) == reference_moment(arg), arg
+
+
+@pytest.mark.parametrize(
+    "doc, stratum",
+    [
+        (
+            {"kind": "V", "p_left": 0.5, "p_right": 0.5,
+             "p_c_given": {"00": 0.0, "01": 0.0, "10": 0.0, "11": 0.0}},
+            Stratum("C", 1),
+        ),
+        (
+            {"kind": "Y", "p_left": 0.5, "p_right": 0.5,
+             "p_c_given": {"00": 0.5, "01": 0.5, "10": 0.5, "11": 0.5},
+             "p_d_given_c": {"0": 0.0, "1": 0.0}},
+            Stratum("D", 1),
+        ),
+    ],
+    ids=["V-C1", "Y-D1"],
+)
+def test_zero_mass_stratum_raises_on_every_call(doc, stratum):
+    table = build_joint(params_from_dict(doc))
+    for _ in range(2):
+        with pytest.raises(DegenerateStratumError):
+            joint_mod._xy_stratum_cells(table, stratum)
+    assert joint_mod._xy_stratum_cells(table, None)[4] == 1.0
 
 
 def test_lm_scale_requires_lm_conditioning(reference_v_params):
