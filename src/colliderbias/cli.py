@@ -42,7 +42,6 @@ from .structures import (
     BiasQuery,
     EdgeCpt,
     Scale,
-    Sign,
     Stratum,
     StructureKind,
     StructureParams,
@@ -160,14 +159,8 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _json_default(obj):
-    if isinstance(obj, (Sign, Scale, StructureKind, GridFamily)):
-        return obj.value if not isinstance(obj, Sign) else obj.label
-    raise TypeError(f"not serializable: {obj!r}")
-
-
 def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +469,13 @@ def parse_grid_csv(text: str) -> SignGrid:
         p_right=float(meta["p_right"]),
         p_d_given_c=d_cpt,
     )
-    axis = (np.arange(resolution) + 0.5) / resolution
-    cells = np.zeros((resolution, resolution, len(columns)), dtype=np.int8)
     if len(rows) != resolution * resolution:
         raise ParameterError(
             f"grid csv has {len(rows)} rows, expected {resolution * resolution}"
         )
+    # The first row block runs p01 over every cell center; repr round-trips.
+    axis = np.array([float(row[1]) for row in rows[:resolution]])
+    cells = np.zeros((resolution, resolution, len(columns)), dtype=np.int8)
     for index, row in enumerate(rows):
         i, j = divmod(index, resolution)
         cells[i, j] = [int(v) for v in row[2:]]

@@ -28,6 +28,7 @@ from typing import Mapping
 from .errors import (
     DegenerateStratumError,
     ParameterError,
+    PrecisionLossError,
     UndefinedRatioError,
 )
 from .structures import (
@@ -48,34 +49,28 @@ from .structures import (
 SIGN_TOL = 1e-12
 SIGN_TOL_OR = 1e-11
 
-_EXTENDED_KINDS = frozenset(
-    {
-        StructureKind.M,
-        StructureKind.LEFT_M,
-        StructureKind.RIGHT_M,
-        StructureKind.LONG_M,
-        StructureKind.LEFT_LONG_M,
-        StructureKind.RIGHT_LONG_M,
-    }
-)
+# In declaration order, so that error messages list them the same way.
+_EXTENDED_KINDS = tuple(kind for kind in StructureKind if kind.is_extended)
 
 
-def classify_sign(value: float, scale: Scale) -> Sign:
-    """Negative/Zero/Positive relative to the scale's null point."""
-    if scale is Scale.OR:
-        delta = value - 1.0
-        tol = SIGN_TOL_OR
-    else:
-        delta = value
-        tol = SIGN_TOL
+def band_sign(delta: float, tol: float = SIGN_TOL) -> Sign:
+    """Sign of ``delta``, reported as Zero when it lies within ``tol`` of 0."""
     if abs(delta) <= tol:
         return Sign.ZERO
     return Sign.POSITIVE if delta > 0 else Sign.NEGATIVE
 
 
+def classify_sign(value: float, scale: Scale) -> Sign:
+    """Negative/Zero/Positive relative to the scale's null point."""
+    if scale is Scale.OR:
+        return band_sign(value - 1.0, SIGN_TOL_OR)
+    return band_sign(value)
+
+
 @dataclass(frozen=True)
 class BiasReport:
-    """Value, sign and decomposition factors of one closed-form bias."""
+    """Value, sign and decomposition factors of one closed-form bias; a
+    non-finite value or factor raises PrecisionLossError."""
 
     value: float
     scale: Scale
@@ -84,9 +79,9 @@ class BiasReport:
     factors: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        for name, factor in self.factors.items():
-            if not math.isfinite(factor):
-                raise AssertionError(f"non-finite factor {name} = {factor!r}")
+        for name, number in (*self.factors.items(), ("value", self.value)):
+            if not math.isfinite(number):
+                raise PrecisionLossError(f"closed form gave non-finite {name} = {number!r}")
 
 
 def _require_kind(params: StructureParams, *kinds: StructureKind) -> None:
@@ -104,6 +99,37 @@ def cross_product_difference(p_c_given: ColliderCpt, level: int) -> float:
     )
 
 
+def _given_left(params: StructureParams, level: int, left: int, child: bool) -> float:
+    """P(G=level | left cause = left), mixing over the right cause, with G
+    the collider's child D when ``child`` is set and the collider C if not."""
+    p_r1 = params.p_right
+    assert p_r1 is not None
+    p_r0 = 1.0 - p_r1
+    if child:
+        return p_r1 * _child_mixture(params, level, left, 1) + p_r0 * _child_mixture(
+            params, level, left, 0
+        )
+    t = params.p_c_given
+    return p_r1 * t.level_given(level, left, 1) + p_r0 * t.level_given(level, left, 0)
+
+
+def _child_mixture(params: StructureParams, d: int, left: int, right: int) -> float:
+    """P(D=d | collider parents = (left, right)), mixing over C."""
+    assert params.p_d_given_c is not None
+    t = params.p_c_given
+    return t.level_given(1, left, right) * params.p_d_given_c.level_given(d, 1) + t.level_given(
+        0, left, right
+    ) * params.p_d_given_c.level_given(d, 0)
+
+
+def _stratum_odds_ratio(t: ColliderCpt, level: int) -> float:
+    """P(C=c|00)P(C=c|11) / {P(C=c|10)P(C=c|01)} at c = level."""
+    denom = t.level_given(level, 1, 0) * t.level_given(level, 0, 1)
+    if denom <= 0.0:
+        raise UndefinedRatioError(f"P(C={level}|10) P(C={level}|01) = 0")
+    return t.level_given(level, 0, 0) * t.level_given(level, 1, 1) / denom
+
+
 def v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasReport:
     """Bias of the X-Y association in the V structure within stratum C=level.
 
@@ -116,7 +142,6 @@ def v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
     _require_kind(params, StructureKind.V)
     assert params.p_right is not None
     g = cross_product_difference(params.p_c_given, level)
-    t = params.p_c_given
     p_x1, p_y1 = params.p_left, params.p_right
     p_x0, p_y0 = 1.0 - p_x1, 1.0 - p_y1
     p_c = params.prob_collider(level)
@@ -128,16 +153,13 @@ def v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
             raise DegenerateStratumError("C", level)
         value = p_x1 * p_x0 * p_y1 * p_y0 * g / p_c_sq
     elif scale is Scale.RD:
-        c_given_x1 = p_y1 * t.level_given(level, 1, 1) + p_y0 * t.level_given(level, 1, 0)
-        c_given_x0 = p_y1 * t.level_given(level, 0, 1) + p_y0 * t.level_given(level, 0, 0)
+        c_given_x1 = _given_left(params, level, 1, child=False)
+        c_given_x0 = _given_left(params, level, 0, child=False)
         if c_given_x1 * c_given_x0 <= 0.0:
             raise UndefinedRatioError(f"P(C={level} | X=x) = 0 for some x")
         value = p_y1 * p_y0 * g / (c_given_x1 * c_given_x0)
     elif scale is Scale.OR:
-        denom = t.level_given(level, 1, 0) * t.level_given(level, 0, 1)
-        if denom <= 0.0:
-            raise UndefinedRatioError(f"P(C={level}|10) P(C={level}|01) = 0")
-        value = t.level_given(level, 0, 0) * t.level_given(level, 1, 1) / denom
+        value = _stratum_odds_ratio(params.p_c_given, level)
     else:
         raise ParameterError(f"no closed stratum form on scale {scale.value}")
     return BiasReport(
@@ -159,11 +181,7 @@ def nabla_or_bias_factor(params: StructureParams, level: int) -> BiasReport:
     :mod:`colliderbias.verification` checks the factor against the oracle.
     """
     _require_kind(params, StructureKind.NABLA)
-    t = params.p_c_given
-    denom = t.level_given(level, 1, 0) * t.level_given(level, 0, 1)
-    if denom <= 0.0:
-        raise UndefinedRatioError(f"P(C={level}|10) P(C={level}|01) = 0")
-    value = t.level_given(level, 0, 0) * t.level_given(level, 1, 1) / denom
+    value = _stratum_odds_ratio(params.p_c_given, level)
     assert params.p_y_given_b is not None
     y1, y0 = params.p_y_given_b.given_1, params.p_y_given_b.given_0
     if (1.0 - y1) * y0 <= 0.0:
@@ -176,15 +194,6 @@ def nabla_or_bias_factor(params: StructureParams, level: int) -> BiasReport:
         sign=classify_sign(value, Scale.OR),
         factors={"marginal_or": marginal, "conditional_or": marginal * value},
     )
-
-
-def _child_mixture(params: StructureParams, d: int, left: int, right: int) -> float:
-    """P(D=d | collider parents = (left, right)), mixing over C."""
-    assert params.p_d_given_c is not None
-    t = params.p_c_given
-    return t.level_given(1, left, right) * params.p_d_given_c.level_given(d, 1) + t.level_given(
-        0, left, right
-    ) * params.p_d_given_c.level_given(d, 0)
 
 
 def y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasReport:
@@ -220,8 +229,8 @@ def y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
             raise DegenerateStratumError("D", d)
         value = p_x1 * p_x0 * p_y1 * p_y0 / p_d_sq * core
     elif scale is Scale.RD:
-        d_given_x1 = p_y1 * _child_mixture(params, d, 1, 1) + p_y0 * _child_mixture(params, d, 1, 0)
-        d_given_x0 = p_y1 * _child_mixture(params, d, 0, 1) + p_y0 * _child_mixture(params, d, 0, 0)
+        d_given_x1 = _given_left(params, d, 1, child=True)
+        d_given_x0 = _given_left(params, d, 0, child=True)
         if d_given_x1 * d_given_x0 <= 0.0:
             raise UndefinedRatioError(f"P(D={d} | X=x) = 0 for some x")
         value = p_y1 * p_y0 * core / (d_given_x1 * d_given_x0)
@@ -266,12 +275,7 @@ def y_bias_from_embedded_v(params: StructureParams, level: int) -> float:
     p_d_sq = p_d * p_d  # zero when P(D=d) is zero or underflows on squaring
     if p_d_sq <= 0.0:
         raise DegenerateStratumError("D", d)
-    embedded = StructureParams(
-        kind=StructureKind.V,
-        p_left=params.p_left,
-        p_right=params.p_right,
-        p_c_given=params.p_c_given,
-    )
+    embedded = _embedded_core(params, child=False)
     pd1 = params.p_d_given_c.level_given(d, 1)
     pd0 = params.p_d_given_c.level_given(d, 0)
     pc1 = params.prob_collider(1)
@@ -289,19 +293,18 @@ def embedded_core(params: StructureParams) -> StructureParams:
     are simply renamed to the exposure/outcome slots of the core.
     """
     _require_kind(params, *_EXTENDED_KINDS)
-    if params.kind.has_child_d:
-        return StructureParams(
-            kind=StructureKind.Y,
-            p_left=params.p_left,
-            p_right=params.p_right,
-            p_c_given=params.p_c_given,
-            p_d_given_c=params.p_d_given_c,
-        )
+    return _embedded_core(params, child=params.kind.has_child_d)
+
+
+def _embedded_core(params: StructureParams, child: bool) -> StructureParams:
+    """The V structure of the collider table and the cause marginals; with
+    ``child``, the Y structure that adds the collider-child edge."""
     return StructureParams(
-        kind=StructureKind.V,
+        kind=StructureKind.Y if child else StructureKind.V,
         p_left=params.p_left,
         p_right=params.p_right,
         p_c_given=params.p_c_given,
+        p_d_given_c=params.p_d_given_c if child else None,
     )
 
 
@@ -325,23 +328,11 @@ def extension_variance_ratio(params: StructureParams, level: int) -> float:
     _require_kind(params, *_EXTENDED_KINDS)
     if not params.kind.has_left_a:
         return 1.0
-    assert params.p_x_given_a is not None and params.p_right is not None
+    assert params.p_x_given_a is not None
     p_a1 = params.p_left
     p_a0 = 1.0 - p_a1
-    t = params.p_c_given
-    p_r1 = params.p_right
-    p_r0 = 1.0 - p_r1
-
-    def stratum_given_a(a: int) -> float:
-        # P(G=level | A=a), with G = C or D depending on the kind.
-        if params.kind.has_child_d:
-            return p_r1 * _child_mixture(params, level, a, 1) + p_r0 * _child_mixture(
-                params, level, a, 0
-            )
-        return p_r1 * t.level_given(level, a, 1) + p_r0 * t.level_given(level, a, 0)
-
-    g_a1 = stratum_given_a(1)
-    g_a0 = stratum_given_a(0)
+    g_a1 = _given_left(params, level, 1, child=params.kind.has_child_d)
+    g_a0 = _given_left(params, level, 0, child=params.kind.has_child_d)
     x1 = params.p_x_given_a.given_1
     x0 = params.p_x_given_a.given_0
     num = p_a1 * g_a1 * p_a0 * g_a0
@@ -411,7 +402,8 @@ def lm_bias_kernel(params: StructureParams) -> float:
     if params.kind is StructureKind.NABLA:
         raise ParameterError("lm kernel is undefined for the Nabla structure")
     t = params.p_c_given
-    p_l, p_r = params.collider_parent_marginals()
+    p_l, p_r = params.p_left, params.p_right
+    assert p_r is not None
     right_effect = p_l * (t.given_11 - t.given_10) + (1.0 - p_l) * (t.given_01 - t.given_00)
     left_effect = p_r * (t.given_11 - t.given_01) + (1.0 - p_r) * (t.given_10 - t.given_00)
     return -right_effect * left_effect
@@ -431,15 +423,14 @@ def v_lm_bias(params: StructureParams) -> BiasReport:
     """
     _require_kind(params, StructureKind.V)
     assert params.p_right is not None
-    t = params.p_c_given
     p_x1, p_y1 = params.p_left, params.p_right
     p_x0, p_y0 = 1.0 - p_x1, 1.0 - p_y1
     kernel = lm_bias_kernel(params)
     # m<x><c> = P(X=x, C=c), from P(C=c | X=x) mixed over Y.
-    m11 = p_x1 * (t.given_11 * p_y1 + t.given_10 * p_y0)
-    m01 = p_x0 * (t.given_01 * p_y1 + t.given_00 * p_y0)
-    c0_x1 = (1.0 - t.given_11) * p_y1 + (1.0 - t.given_10) * p_y0
-    c0_x0 = (1.0 - t.given_01) * p_y1 + (1.0 - t.given_00) * p_y0
+    m11 = p_x1 * _given_left(params, 1, 1, child=False)
+    m01 = p_x0 * _given_left(params, 1, 0, child=False)
+    c0_x1 = _given_left(params, 0, 1, child=False)
+    c0_x0 = _given_left(params, 0, 0, child=False)
     denominator = m11 * c0_x1 + m01 * c0_x0
     if denominator <= 0.0:
         raise DegenerateStratumError("C", 1)
@@ -472,33 +463,22 @@ def lm_weight_normalizer(params: StructureParams) -> float:
     """
     if params.kind is StructureKind.NABLA:
         raise ParameterError("lm weights are undefined for the Nabla structure")
-    t = params.p_c_given
     kind = params.kind
-    p_r1 = params.p_right
-    assert p_r1 is not None
-    p_r0 = 1.0 - p_r1
-
     if not kind.has_left_a:
         # Exposure X is itself the left cause of the collider.
         p_x1 = params.p_left
         p_x0 = 1.0 - p_x1
-        if not kind.has_child_d:
-            c1_x1 = t.given_11 * p_r1 + t.given_10 * p_r0
-            c0_x1 = (1.0 - t.given_11) * p_r1 + (1.0 - t.given_10) * p_r0
-            c1_x0 = t.given_01 * p_r1 + t.given_00 * p_r0
-            c0_x0 = (1.0 - t.given_01) * p_r1 + (1.0 - t.given_00) * p_r0
-            return p_x1 * p_x0 * (p_x1 * c1_x1 * c0_x1 + p_x0 * c1_x0 * c0_x0)
-
-        def d_given_x(d: int, x: int) -> float:
-            return p_r1 * _child_mixture(params, d, x, 1) + p_r0 * _child_mixture(params, d, x, 0)
-
+        child = kind.has_child_d
         return p_x1 * p_x0 * (
-            p_x1 * d_given_x(1, 1) * d_given_x(0, 1)
-            + p_x0 * d_given_x(1, 0) * d_given_x(0, 0)
+            p_x1 * _given_left(params, 1, 1, child=child) * _given_left(params, 0, 1, child=child)
+            + p_x0 * _given_left(params, 1, 0, child=child) * _given_left(params, 0, 0, child=child)
         )
 
     # Exposure X is a child of the left cause A.
-    assert params.p_x_given_a is not None
+    assert params.p_x_given_a is not None and params.p_right is not None
+    t = params.p_c_given
+    p_r1 = params.p_right
+    p_r0 = 1.0 - p_r1
     p_a1 = params.p_left
     p_a0 = 1.0 - p_a1
     x1 = params.p_x_given_a.given_1
@@ -506,12 +486,12 @@ def lm_weight_normalizer(params: StructureParams) -> float:
     p_x1 = p_a1 * x1 + p_a0 * x0
     p_x0 = p_a1 * (1.0 - x1) + p_a0 * (1.0 - x0)
     pc1 = (
-        p_a1 * (p_r1 * t.given_11 + p_r0 * t.given_10)
-        + p_a0 * (p_r1 * t.given_01 + p_r0 * t.given_00)
+        p_a1 * _given_left(params, 1, 1, child=False)
+        + p_a0 * _given_left(params, 1, 0, child=False)
     )
     pc0 = (
-        p_a1 * (p_r1 * (1.0 - t.given_11) + p_r0 * (1.0 - t.given_10))
-        + p_a0 * (p_r1 * (1.0 - t.given_01) + p_r0 * (1.0 - t.given_00))
+        p_a1 * _given_left(params, 0, 1, child=False)
+        + p_a0 * _given_left(params, 0, 0, child=False)
     )
     left_effect = p_r1 * (t.given_11 - t.given_01) + p_r0 * (t.given_10 - t.given_00)
     rd_x = params.p_x_given_a.risk_difference

@@ -71,6 +71,11 @@ class SingularDesignError(ColliderBiasError):
     """The regression design is singular (regressors perfectly collinear)."""
 
 
+class PrecisionLossError(ColliderBiasError):
+    """Double precision cannot represent the result: it overflowed to a
+    non-finite value, or rounding lost a quantity that is exactly null."""
+
+
 class InvalidResolutionError(ParameterError):
     """A sign grid was requested with fewer than 2 cells per axis."""
 

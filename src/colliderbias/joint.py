@@ -9,6 +9,7 @@ independent cross-check for them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import (
     DegenerateStratumError,
     ParameterError,
+    PrecisionLossError,
     SingularDesignError,
     UndefinedRatioError,
     UnknownVariableError,
@@ -71,7 +73,7 @@ class JointTable:
     kind: StructureKind
     order: tuple[str, ...]
     mass: np.ndarray
-    _bits: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
+    _bits: dict[str, np.ndarray] = field(init=False, repr=False, default_factory=dict)
     # Stratum (None for marginal) -> (p11, p10, p01, p00, p_g);
     # frozenset of names -> expectation.  The key types never compare equal.
     _memo: dict = field(init=False, repr=False, default_factory=dict)
@@ -159,11 +161,16 @@ def _prob_one(params, roles, name, values):
 
 @dataclass(frozen=True)
 class OracleMeasure:
-    """A single association measure evaluated from the joint table."""
+    """A single association measure evaluated from the joint table; a
+    non-finite value raises PrecisionLossError."""
 
     value: float
     scale: Scale
     conditioning: Conditioning | None = None
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise PrecisionLossError(f"oracle gave non-finite {self.scale.value} = {self.value!r}")
 
 
 def _xy_stratum_cells(
@@ -197,14 +204,14 @@ def _xy_stratum_cells(
     return cells
 
 
-def lm_coefficient(table: JointTable, covariate: str | None = None) -> float:
+def lm_coefficient(table: JointTable) -> float:
     """Population least-squares coefficient of X when Y is predicted from
-    {1, X, G}, with G the kind's conditioning variable unless overridden.
+    {1, X, G}, with G the kind's conditioning variable.
 
     Solves the 2x2 normal equations assembled from exact moments of the
     table; raises SingularDesignError when X and G are perfectly collinear.
     """
-    g_name = covariate or table.kind.conditioning_variable
+    g_name = table.kind.conditioning_variable
     e_x = table.expectation("X")
     e_g = table.expectation(g_name)
     e_y = table.expectation("Y")
@@ -302,7 +309,8 @@ def bias(table: JointTable, query: BiasQuery) -> OracleMeasure:
 
     For every kind except Nabla the collider's parents are marginally
     independent, so the marginal association is null and the bias equals the
-    conditional measure; that null is checked here rather than assumed.
+    conditional measure; that null is checked here rather than assumed, and
+    PrecisionLossError reports a table whose rounding has lost it.
     """
     query.check_valid_for(table.kind)
     if isinstance(query.conditioning, LinearModel):
@@ -318,7 +326,7 @@ def bias(table: JointTable, query: BiasQuery) -> OracleMeasure:
     if table.kind is not StructureKind.NABLA:
         null = 1.0 if ratio_scale else 0.0
         if abs(marginal.value - null) > _NULL_TOL:
-            raise AssertionError(
+            raise PrecisionLossError(
                 f"marginal X-Y association should be null for {table.kind.value}, "
                 f"got {marginal.value!r} on scale {marginal.scale.value}"
             )

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .closedform import (
-    SIGN_TOL,
+    band_sign,
     cross_product_difference,
     extension_rds,
     lm_bias_kernel,
@@ -72,17 +72,12 @@ class EffectPattern:
     rd_interaction: Sign
 
 
-def _sign(value: float, tol: float = SIGN_TOL) -> Sign:
-    if abs(value) <= tol:
-        return Sign.ZERO
-    return Sign.POSITIVE if value > 0 else Sign.NEGATIVE
-
-
-def classify_effects(p_c_given: ColliderCpt, tol: float = SIGN_TOL) -> EffectPattern:
+def classify_effects(p_c_given: ColliderCpt) -> EffectPattern:
     """Classify how the two causes move the collider.
 
-    Any of the four defining effect comparisons tying within ``tol`` yields
-    a degenerate-tie verdict rather than a forced region.
+    Any of the four defining effect comparisons tying within
+    closedform.SIGN_TOL yields a degenerate-tie verdict rather than a forced
+    region.
     """
     t = p_c_given
     x_at_y0 = t.given_10 - t.given_00
@@ -98,7 +93,7 @@ def classify_effects(p_c_given: ColliderCpt, tol: float = SIGN_TOL) -> EffectPat
     or_contrast = q11 * q00 * (1.0 - q10) * (1.0 - q01) - q10 * q01 * (1.0 - q11) * (1.0 - q00)
     rd_contrast = q11 + q00 - q10 - q01
 
-    signs = [_sign(delta, tol) for delta in (x_at_y0, x_at_y1, y_at_x0, y_at_x1)]
+    signs = [band_sign(delta) for delta in (x_at_y0, x_at_y1, y_at_x0, y_at_x1)]
     if Sign.ZERO in signs:
         pattern = Pattern.DEGENERATE_TIE
     else:
@@ -122,25 +117,20 @@ def classify_effects(p_c_given: ColliderCpt, tol: float = SIGN_TOL) -> EffectPat
     return EffectPattern(
         pattern=pattern,
         canonical_level=canonical,
-        rr_interaction_canonical=_sign(cross_product_difference(t, canonical), tol),
-        rr_interaction_other=_sign(cross_product_difference(t, 1 - canonical), tol),
-        or_interaction=_sign(or_contrast, tol),
-        rd_interaction=_sign(rd_contrast, tol),
+        rr_interaction_canonical=band_sign(cross_product_difference(t, canonical)),
+        rr_interaction_other=band_sign(cross_product_difference(t, 1 - canonical)),
+        or_interaction=band_sign(or_contrast),
+        rd_interaction=band_sign(rd_contrast),
     )
 
 
-def v_stratum_sign(p_c_given: ColliderCpt, level: int, tol: float = SIGN_TOL) -> Sign:
+def v_stratum_sign(p_c_given: ColliderCpt, level: int) -> Sign:
     """Sign of the stratum bias at C=level: the sign of the cross-product
     difference of the collider table at that level."""
-    return _sign(cross_product_difference(p_c_given, level), tol)
+    return band_sign(cross_product_difference(p_c_given, level))
 
 
-def y_stratum_sign(
-    p_c_given: ColliderCpt,
-    p_d_given_c: EdgeCpt,
-    level: int,
-    tol: float = SIGN_TOL,
-) -> Sign:
+def y_stratum_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -> Sign:
     """Sign of the child-stratum bias at D=level via the case rules.
 
     With g1, g0 the cross-product differences at the two collider levels and
@@ -153,14 +143,14 @@ def y_stratum_sign(
        negative outside; when both are positive, the reverse.
 
     The case verdict is cross-checked against the sign of
-    (pd1 - pd0)(pd1 g1 - pd0 g0); ties within ``tol`` report Zero.
+    (pd1 - pd0)(pd1 g1 - pd0 g0); ties within closedform.SIGN_TOL report Zero.
     """
     for field_name, value in p_d_given_c.items():
         if not (0.0 < value < 1.0):
             raise OutOfRangeError(f"p_d_given_c[{field_name}]", value, open_interval=True)
     g1 = cross_product_difference(p_c_given, 1)
     g0 = cross_product_difference(p_c_given, 0)
-    if abs(g1) <= tol and abs(g0) <= tol:
+    if band_sign(g1) is Sign.ZERO and band_sign(g0) is Sign.ZERO:
         raise DegenerateStratumError(
             "C", level, "both cross-product differences vanish: some cause has no effect on C"
         )
@@ -169,9 +159,9 @@ def y_stratum_sign(
     child_effect = pd1 - pd0
 
     if g1 >= 0.0 and g0 <= 0.0:
-        case_sign = _sign(child_effect, tol)
+        case_sign = band_sign(child_effect)
     elif g1 <= 0.0 and g0 >= 0.0:
-        case_sign = _sign(-child_effect, tol)
+        case_sign = band_sign(-child_effect)
     else:
         ratio = pd1 / pd0
         threshold = g0 / g1
@@ -185,7 +175,7 @@ def y_stratum_sign(
                 case_sign = Sign.NEGATIVE if inside else Sign.POSITIVE
 
     direct = (pd1 - pd0) * (pd1 * g1 - pd0 * g0)
-    direct_sign = _sign(direct, tol)
+    direct_sign = band_sign(direct)
     if direct_sign is Sign.ZERO:
         return Sign.ZERO
     assert case_sign is direct_sign, (
@@ -195,11 +185,7 @@ def y_stratum_sign(
     return direct_sign
 
 
-def extended_sign(
-    params: StructureParams,
-    conditioning: Conditioning,
-    tol: float = SIGN_TOL,
-) -> Sign:
+def extended_sign(params: StructureParams, conditioning: Conditioning) -> Sign:
     """Sign of the bias in any structure with marginally independent collider
     causes: the embedded V- or Y-structure sign times the signs of the
     extension-path risk differences.
@@ -210,9 +196,9 @@ def extended_sign(
     if params.kind is StructureKind.NABLA:
         raise ParameterError("sign algebra requires marginally independent causes")
     rd_left, rd_right = extension_rds(params)
-    extension = _sign(rd_left, tol) * _sign(rd_right, tol)
+    extension = band_sign(rd_left) * band_sign(rd_right)
     if isinstance(conditioning, LinearModel):
-        return _sign(lm_bias_kernel(params), tol) * extension
+        return band_sign(lm_bias_kernel(params)) * extension
     if conditioning.variable != params.kind.conditioning_variable:
         raise ParameterError(
             f"{params.kind.value} conditions on {params.kind.conditioning_variable}, "
@@ -220,13 +206,13 @@ def extended_sign(
         )
     if params.kind.has_child_d:
         assert params.p_d_given_c is not None
-        inner = y_stratum_sign(params.p_c_given, params.p_d_given_c, conditioning.level, tol)
+        inner = y_stratum_sign(params.p_c_given, params.p_d_given_c, conditioning.level)
     else:
-        inner = v_stratum_sign(params.p_c_given, conditioning.level, tol)
+        inner = v_stratum_sign(params.p_c_given, conditioning.level)
     return inner * extension
 
 
-def v_lm_sign(params: StructureParams, tol: float = SIGN_TOL) -> Sign:
+def v_lm_sign(params: StructureParams) -> Sign:
     """Sign of the regression-adjustment bias in the V structure: the sign
     of the lm kernel.
 
@@ -237,7 +223,7 @@ def v_lm_sign(params: StructureParams, tol: float = SIGN_TOL) -> Sign:
     """
     if params.kind is not StructureKind.V:
         raise ParameterError(f"operation requires kind V, got {params.kind.value}")
-    return _sign(lm_bias_kernel(params), tol)
+    return band_sign(lm_bias_kernel(params))
 
 
 class GridFamily(str, Enum):

@@ -59,6 +59,12 @@ class StructureKind(str, Enum):
         return self is not StructureKind.NABLA and "p_y_given_b" in _KIND_FIELDS[self]
 
     @property
+    def is_extended(self) -> bool:
+        """True when a cause of the collider is a parent of X or Y rather
+        than X or Y itself: the six M-type structures."""
+        return self.has_left_a or self.has_right_b
+
+    @property
     def conditioning_variable(self) -> str:
         """The variable conditioned on: D where present, otherwise C."""
         return "D" if self.has_child_d else "C"
@@ -362,39 +368,21 @@ class StructureParams:
 
     # -- implied marginals -------------------------------------------------
 
-    def collider_parent_marginals(self) -> tuple[float, float]:
-        """(P(left cause = 1), P(right cause = 1)).
-
-        For Nabla the right cause is the endogenous Y, whose marginal is the
-        X-mixture of p_y_given_b (which there holds P(Y=1 | X=x)).
-        """
-        if self.kind is StructureKind.NABLA:
-            assert self.p_y_given_b is not None
-            p_y = (
-                self.p_left * self.p_y_given_b.given_1
-                + (1.0 - self.p_left) * self.p_y_given_b.given_0
-            )
-            return self.p_left, p_y
-        assert self.p_right is not None
-        return self.p_left, self.p_right
-
     def prob_collider(self, c: int) -> float:
-        """P(C=c) implied by the parameterization."""
-        if self.kind is StructureKind.NABLA:
-            assert self.p_y_given_b is not None
-            total = 0.0
-            for x in (0, 1):
-                px = self.p_left if x else 1.0 - self.p_left
-                for y in (0, 1):
-                    py = self.p_y_given_b.level_given(y, x)
-                    total += px * py * self.p_c_given.level_given(c, x, y)
-            return total
-        p_l, p_r = self.collider_parent_marginals()
+        """P(C=c) implied by the parameterization.
+
+        For Nabla the right cause is Y, which depends on the left cause X
+        through p_y_given_b; elsewhere the two causes are independent.
+        """
         total = 0.0
         for left in (0, 1):
-            pl = p_l if left else 1.0 - p_l
+            pl = self.p_left if left else 1.0 - self.p_left
             for right in (0, 1):
-                pr = p_r if right else 1.0 - p_r
+                if self.p_right is not None:
+                    pr = self.p_right if right else 1.0 - self.p_right
+                else:
+                    assert self.p_y_given_b is not None
+                    pr = self.p_y_given_b.level_given(right, left)
                 total += pl * pr * self.p_c_given.level_given(c, left, right)
         return total
 
@@ -517,23 +505,18 @@ def validate(params: StructureParams, strict: bool = False) -> StructureParams:
     return params
 
 
-def random_structure_params(
-    kind: StructureKind,
-    rng: np.random.Generator,
-    low: float = 0.05,
-    high: float = 0.95,
-) -> StructureParams:
+def random_structure_params(kind: StructureKind, rng: np.random.Generator) -> StructureParams:
     """Draw a random strictly-valid parameter set for ``kind``.
 
-    Every probability is uniform on [low, high] (default [0.05, 0.95], which
-    keeps all implied strata safely non-degenerate).  Draw order is fixed --
-    p_left, p_right (when applicable), the four collider entries in key order
-    00/01/10/11, then p_x_given_a, p_y_given_b, p_d_given_c (each 0 then 1) --
-    so a parameter set is reproducible from the generator state alone.
+    Every probability is uniform on [0.05, 0.95], which keeps all implied
+    strata safely non-degenerate.  Draw order is fixed -- p_left, p_right
+    (when applicable), the four collider entries in key order 00/01/10/11,
+    then p_x_given_a, p_y_given_b, p_d_given_c (each 0 then 1) -- so a
+    parameter set is reproducible from the generator state alone.
     """
 
     def u() -> float:
-        return float(rng.uniform(low, high))
+        return float(rng.uniform(0.05, 0.95))
 
     fields = _KIND_FIELDS[kind]
     p_left = u()

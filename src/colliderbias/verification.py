@@ -85,9 +85,8 @@ class KindVerification:
 
 
 class _Recorder:
-    def __init__(self, abs_tol: float, rel_tol_or: float):
+    def __init__(self, abs_tol: float):
         self.abs_tol = abs_tol
-        self.rel_tol_or = rel_tol_or
         self._results: dict[str, IdentityResult] = {}
 
     def _slot(self, name: str, tolerance: float) -> IdentityResult:
@@ -100,7 +99,7 @@ class _Recorder:
 
     def relative(self, name: str, a: float, b: float) -> None:
         scale = max(abs(a), abs(b), 1e-300)
-        self._slot(name, self.rel_tol_or).record(abs(a - b) / scale)
+        self._slot(name, DEFAULT_REL_TOL_OR).record(abs(a - b) / scale)
 
     def flag(self, name: str, ok: bool) -> None:
         self._slot(name, 0.0).record(0.0 if ok else 1.0)
@@ -211,10 +210,9 @@ def _check_supplementary(params: StructureParams, table, rec: _Recorder) -> None
         g_name = kind.conditioning_variable
         for level in (1, 0):
             closed_vr = cf.extension_variance_ratio(params, level)
-            keep = table.event_mask({g_name: level})
-            p_g = float(table.mass[keep].sum())
-            a1 = float(table.mass[keep & table.column("A")].sum()) / p_g
-            x1_g = float(table.mass[keep & table.column("X")].sum()) / p_g
+            p_g = table.prob({g_name: level})
+            a1 = table.prob({g_name: level, "A": 1}) / p_g
+            x1_g = table.prob({g_name: level, "X": 1}) / p_g
             joint_vr = (a1 * (1.0 - a1)) / (x1_g * (1.0 - x1_g))
             rec.absolute("variance_ratio_identity", closed_vr, joint_vr)
 
@@ -222,7 +220,7 @@ def _check_supplementary(params: StructureParams, table, rec: _Recorder) -> None
 def _check_extension_factorization(
     params: StructureParams, table, core_table, rec: _Recorder
 ) -> None:
-    if params.kind not in cf._EXTENDED_KINDS:
+    if not params.kind.is_extended:
         return
     variable = params.kind.conditioning_variable
     rd_left, rd_right = cf.extension_rds(params)
@@ -309,23 +307,24 @@ def verify_kind(
     draws: int,
     seed: int,
     abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol_or: float = DEFAULT_REL_TOL_OR,
 ) -> KindVerification:
     """Run the full identity battery for one kind over ``draws`` random
-    strict parameter sets.  Deterministic for a given seed."""
+    strict parameter sets.  Deterministic for a given seed.  ``abs_tol``
+    bounds the absolute identities; the relative odds-ratio identities use
+    DEFAULT_REL_TOL_OR."""
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    rec = _Recorder(abs_tol, rel_tol_or)
+    rec = _Recorder(abs_tol)
     for _ in range(draws):
         params = random_structure_params(kind, rng)
         table = joint_mod.build_joint(params)
         # The embedded V or Y structure's table; a V, Nabla or Y structure is
         # its own core.
-        if kind in cf._EXTENDED_KINDS:
+        if kind.is_extended:
             core_table = joint_mod.build_joint(cf.embedded_core(params))
         else:
             core_table = table
@@ -349,10 +348,9 @@ def verify_many(
     draws: int,
     seed: int,
     abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol_or: float = DEFAULT_REL_TOL_OR,
 ) -> list[KindVerification]:
     """Verify several kinds, each with an independent seeded stream."""
     return [
-        verify_kind(kind, draws=draws, seed=seed + offset, abs_tol=abs_tol, rel_tol_or=rel_tol_or)
+        verify_kind(kind, draws=draws, seed=seed + offset, abs_tol=abs_tol)
         for offset, kind in enumerate(kinds)
     ]

@@ -82,6 +82,37 @@ def test_compute_underflowing_stratum_exit_2(capsys, flags):
     assert "zero probability" in err
 
 
+# Subnormal tables whose float results are meaningless: the oracle's marginal
+# null is lost to rounding (RightM), or a closed-form factor overflows
+# (LeftM's variance ratio).  Both exit 2 with an error line, no traceback.
+PRECISION_LOSS_RUNS = {
+    "RightM-marginal": ({
+        "kind": "RightM", "p_left": 5e-324, "p_right": 1e-300,
+        "p_c_given": {"00": 5e-324, "01": 1.0, "10": 0.9999999999999999, "11": 5e-324},
+        "p_y_given_b": {"0": 0.9095649693216113, "1": 0.9999999999999999},
+    }, "C=1", "should be null for RightM"),
+    "LeftM-variance-ratio": ({
+        "kind": "LeftM", "p_left": 0.8888238212386796, "p_right": 0.9999999999999999,
+        "p_c_given": {"00": 0.0, "01": 5e-324, "10": 0.5857495713535145, "11": 0.0},
+        "p_x_given_a": {"0": 0.0, "1": 5e-324},
+    }, "C=0", "variance_ratio = inf"),
+}
+
+
+@pytest.mark.parametrize("doc, stratum, message", PRECISION_LOSS_RUNS.values(),
+                         ids=PRECISION_LOSS_RUNS)
+def test_compute_precision_loss_exit_2(capsys, tmp_path, doc, stratum, message):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "compute", "--file", str(path), "--scale", "rd", "--stratum", stratum
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert message in err
+
+
 def test_compute_rr_served_by_oracle_only(capsys):
     code, out, _ = run_cli(
         capsys, "compute", *REFERENCE_FLAGS, "--scale", "rr", "--stratum", "C=1",

@@ -1,16 +1,20 @@
 import ast
+import hashlib
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import colliderbias
 from colliderbias import (
     LINEAR_MODEL,
     BiasQuery,
+    BiasReport,
     ColliderCpt,
     EdgeCpt,
     ParameterError,
+    PrecisionLossError,
     Scale,
     Sign,
     Stratum,
@@ -21,6 +25,7 @@ from colliderbias import (
     build_joint,
     closed_form,
     cross_product_difference,
+    embedded_core,
     extended_stratum_bias,
     extension_variance_ratio,
     lm_bias,
@@ -500,3 +505,79 @@ def test_closed_forms_never_build_the_joint(monkeypatch, rng):
             v_lm_bias(params)
         if kind is StructureKind.Y:
             y_bias_from_embedded_v(params, 1)
+
+
+# Digest of the exact bits every closed form gives at one fixed draw per
+# kind; moving any operand order changes a last bit and so the digest.
+CLOSED_FORM_DIGEST = "1aad54408e12add8b7eceb12e32c7d756c09ea75a966cda28d59a1a7897708d6"
+
+
+def test_closed_form_bits_pinned():
+    rng = np.random.default_rng(2016)
+    lines = []
+    for kind in StructureKind:
+        params = random_structure_params(kind, rng)
+        variable = kind.conditioning_variable
+        queries = [BiasQuery(LINEAR_MODEL)] + [
+            BiasQuery(Stratum(variable, level), scale)
+            for level in (1, 0)
+            for scale in (Scale.COV, Scale.RD, Scale.RR, Scale.OR)
+        ]
+        for query in queries:
+            report = closed_form(params, query)
+            if report is not None:
+                lines.append(repr((str(query.conditioning), query.scale.value, report.value,
+                                   sorted(report.factors.items()))))
+        lines.append(repr((params.prob_collider(1), params.prob_collider(0))))
+        if kind is not StructureKind.NABLA:
+            lines.append(repr((lm_bias_kernel(params), lm_weight_normalizer(params))))
+        if kind is StructureKind.V:
+            report = v_lm_bias(params)
+            lines.append(repr((report.value, sorted(report.factors.items()))))
+        if kind is StructureKind.Y:
+            lines.append(repr([y_bias_from_embedded_v(params, level) for level in (1, 0)]))
+        if kind.has_left_a:
+            lines.append(repr([extension_variance_ratio(params, level) for level in (1, 0)]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CLOSED_FORM_DIGEST
+
+
+def test_kind_error_lists_kinds_in_declaration_order(reference_v_params):
+    with pytest.raises(ParameterError) as info:
+        embedded_core(reference_v_params)
+    assert str(info.value) == (
+        "operation requires kind in {M, LeftM, RightM, LongM, LeftLongM, RightLongM}, got V"
+    )
+
+
+# P(C=1|10) P(C=1|01) is subnormal but positive, so the stratum odds ratio
+# overflows; both closed forms built on it must raise instead of returning inf.
+OVERFLOWING_OR_CPT = ColliderCpt(given_00=0.5, given_01=5e-324, given_10=1.0, given_11=0.5)
+
+
+def test_overflowing_stratum_or_raises():
+    v_params = StructureParams(
+        kind=StructureKind.V, p_left=0.5, p_right=0.5, p_c_given=OVERFLOWING_OR_CPT
+    )
+    with pytest.raises(PrecisionLossError, match="value = inf"):
+        v_stratum_bias(v_params, 1, Scale.OR)
+    nabla_params = StructureParams(
+        kind=StructureKind.NABLA,
+        p_left=0.5,
+        p_c_given=OVERFLOWING_OR_CPT,
+        p_y_given_b=EdgeCpt(given_0=0.3, given_1=0.6),
+    )
+    with pytest.raises(PrecisionLossError, match="conditional_or = inf"):
+        nabla_or_bias_factor(nabla_params, 1)
+
+
+@pytest.mark.parametrize("value, factor", [(math.inf, 1.0), (math.nan, 1.0), (1.0, -math.inf)])
+def test_bias_report_rejects_non_finite(value, factor):
+    with pytest.raises(PrecisionLossError):
+        BiasReport(
+            value=value,
+            scale=Scale.COV,
+            conditioning=Stratum("C", 1),
+            sign=Sign.ZERO,
+            factors={"p_stratum": factor},
+        )

@@ -12,7 +12,9 @@ from colliderbias import (
     DegenerateStratumError,
     EdgeCpt,
     JointTable,
+    OracleMeasure,
     ParameterError,
+    PrecisionLossError,
     Scale,
     Stratum,
     StructureKind,
@@ -209,6 +211,36 @@ def test_joint_table_rejects_nan_mass():
     # NaN passes both "< 0" and "|sum - 1| > tol" as False.
     with pytest.raises(ParameterError):
         JointTable(kind=StructureKind.V, order=("X", "Y", "C"), mass=np.full(8, np.nan))
+
+
+def test_joint_table_takes_no_bit_columns(uniform_v_params):
+    table = build_joint(uniform_v_params)
+    with pytest.raises(TypeError):
+        JointTable(kind=table.kind, order=table.order, mass=table.mass, _bits={"Z": table.column("C")})
+
+
+def test_oracle_measure_rejects_non_finite():
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(PrecisionLossError):
+            OracleMeasure(value, Scale.RR)
+
+
+def test_overflowing_marginal_ratio_raises():
+    # P(Y=1 | X=0) is subnormal, so the marginal risk ratio overflows; the
+    # stratum ratio over it used to come back as a silent 0.0.
+    params = StructureParams(
+        kind=StructureKind.NABLA,
+        p_left=0.3651437406380792,
+        p_c_given=ColliderCpt(
+            given_00=1.0,
+            given_01=0.3662391353739821,
+            given_10=0.2770770152337425,
+            given_11=0.4834525894695869,
+        ),
+        p_y_given_b=EdgeCpt(given_0=5e-324, given_1=0.13296399313622786),
+    )
+    with pytest.raises(PrecisionLossError, match="rr = inf"):
+        bias(build_joint(params), BiasQuery(Stratum("C", 0), Scale.RR))
 
 
 def test_joint_table_owns_its_mass():

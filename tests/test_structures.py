@@ -68,6 +68,15 @@ def test_kind_flags():
         StructureKind.LONG_M,
         StructureKind.RIGHT_LONG_M,
     }
+    extended_kinds = {k for k in ALL_KINDS if k.is_extended}
+    assert extended_kinds == {
+        StructureKind.M,
+        StructureKind.LEFT_M,
+        StructureKind.RIGHT_M,
+        StructureKind.LONG_M,
+        StructureKind.LEFT_LONG_M,
+        StructureKind.RIGHT_LONG_M,
+    }
 
 
 def test_roles_v():
