@@ -29,6 +29,7 @@ from .errors import ColliderBiasError, ParameterError
 from .joint import bias as oracle_bias
 from .joint import build_joint, sample
 from .signmap import (
+    MAX_GRID_RESOLUTION,
     GridFamily,
     GridFixed,
     SignGrid,
@@ -51,6 +52,7 @@ from .verification import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL_OR,
     KindVerification,
+    relative_discrepancy,
     verify_many,
 )
 
@@ -177,13 +179,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
         query = BiasQuery(_parse_stratum(args.stratum), Scale(args.scale))
     else:
         raise ParameterError("compute needs either --stratum VAR=LEVEL or --lm")
-    query.check_valid_for(params.kind)
 
     table = build_joint(params)
     oracle = oracle_bias(table, query)
     report = closed_form(params, query)
 
-    ratio_scale = oracle.scale in (Scale.RR, Scale.OR)
+    ratio_scale = oracle.scale.is_ratio
     tolerance = args.tolerance
     if tolerance is None:
         tolerance = DEFAULT_REL_TOL_OR if ratio_scale else DEFAULT_ABS_TOL
@@ -202,7 +203,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     }
     if report is not None:
         abs_disc = abs(report.value - oracle.value)
-        rel_disc = abs_disc / max(abs(report.value), abs(oracle.value), 1e-300)
+        rel_disc = relative_discrepancy(report.value, oracle.value)
         doc["closed_form"] = {
             "value": report.value,
             "sign": report.sign.label,
@@ -326,10 +327,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         kinds = [StructureKind(args.kind)]
     else:
         raise ParameterError("verify needs --kind KIND or --all")
-    if args.draws < 1:
-        raise ParameterError(f"--draws must be >= 1, got {args.draws}")
-    abs_tol = args.tolerance if args.tolerance is not None else DEFAULT_ABS_TOL
-    runs = verify_many(kinds, draws=args.draws, seed=args.seed, abs_tol=abs_tol)
+    runs = verify_many(kinds, draws=args.draws, seed=args.seed)
     doc = _verification_doc(runs)
 
     if args.format == "json":
@@ -359,11 +357,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    if args.draws < 1:
-        raise ParameterError(f"--draws must be >= 1, got {args.draws}")
-    table = build_joint(params)
     freq = sample(params, args.draws, args.seed)
-    exact = table.mass
+    exact = build_joint(params).mass
     observed = freq.frequencies
     max_abs = float(np.max(np.abs(observed - exact)))
     # Per-cell standard error is at most 0.5/sqrt(n); five of those is a
@@ -564,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_target.add_argument("--all", action="store_true", help="verify all nine kinds")
     verify.add_argument("--draws", type=int, default=1000)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tolerance", type=float, help="override the absolute tolerance")
     verify.add_argument("--format", choices=["text", "json"], default="text")
     verify.add_argument("--out", help="write output to a file instead of stdout")
     verify.set_defaults(func=cmd_verify)
@@ -585,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--p-right", type=float, default=0.5, help="P(right cause = 1)")
     grid.add_argument("--p-d-given-c", metavar="0=F,1=F",
                       help="collider-child edge (child-stratum family)")
-    grid.add_argument("--resolution", type=int, default=200)
+    grid.add_argument("--resolution", type=int, default=200,
+                      help=f"cells per axis, 2 to {MAX_GRID_RESOLUTION} (default 200)")
     grid.add_argument("--format", choices=["csv", "json"], default="csv")
     grid.add_argument("--out", help="write output to a file instead of stdout")
     grid.set_defaults(func=cmd_grid)

@@ -44,13 +44,16 @@ from .structures import (
 )
 
 # Sign classification bands: a value within SIGN_TOL of the null point is
-# reported as Zero rather than guessed.  The null point is 1 on the OR scale
-# (with a 10x wider band, since OR is a ratio of products), 0 elsewhere.
+# reported as Zero rather than guessed.  The null point is 1 on the ratio
+# scales, RR and OR (with a 10x wider band, since they are ratios of
+# products), 0 elsewhere.
 SIGN_TOL = 1e-12
 SIGN_TOL_OR = 1e-11
 
 # In declaration order, so that error messages list them the same way.
 _EXTENDED_KINDS = tuple(kind for kind in StructureKind if kind.is_extended)
+# The kinds whose collider causes are marginally independent: all but Nabla.
+_INDEPENDENT_KINDS = tuple(kind for kind in StructureKind if kind is not StructureKind.NABLA)
 
 
 def band_sign(delta: float, tol: float = SIGN_TOL) -> Sign:
@@ -62,7 +65,7 @@ def band_sign(delta: float, tol: float = SIGN_TOL) -> Sign:
 
 def classify_sign(value: float, scale: Scale) -> Sign:
     """Negative/Zero/Positive relative to the scale's null point."""
-    if scale is Scale.OR:
+    if scale.is_ratio:
         return band_sign(value - 1.0, SIGN_TOL_OR)
     return band_sign(value)
 
@@ -382,6 +385,15 @@ def extended_stratum_bias(params: StructureParams, level: int, scale: Scale) -> 
     )
 
 
+def _left_effect(params: StructureParams) -> float:
+    """The left cause's marginal effect on P(C=1), mixing over the right:
+    p_r (p11 - p01) + (1-p_r)(p10 - p00)."""
+    t = params.p_c_given
+    p_r = params.p_right
+    assert p_r is not None
+    return p_r * (t.given_11 - t.given_01) + (1.0 - p_r) * (t.given_10 - t.given_00)
+
+
 def lm_bias_kernel(params: StructureParams) -> float:
     """Negated product of the collider causes' marginal effects on it.
 
@@ -399,14 +411,11 @@ def lm_bias_kernel(params: StructureParams) -> float:
     difference; the identity ``lm_kernel_mixture_identity`` in
     :mod:`colliderbias.verification` checks that.
     """
-    if params.kind is StructureKind.NABLA:
-        raise ParameterError("lm kernel is undefined for the Nabla structure")
+    _require_kind(params, *_INDEPENDENT_KINDS)
     t = params.p_c_given
-    p_l, p_r = params.p_left, params.p_right
-    assert p_r is not None
+    p_l = params.p_left
     right_effect = p_l * (t.given_11 - t.given_10) + (1.0 - p_l) * (t.given_01 - t.given_00)
-    left_effect = p_r * (t.given_11 - t.given_01) + (1.0 - p_r) * (t.given_10 - t.given_00)
-    return -right_effect * left_effect
+    return -right_effect * _left_effect(params)
 
 
 def v_lm_bias(params: StructureParams) -> BiasReport:
@@ -461,8 +470,7 @@ def lm_weight_normalizer(params: StructureParams) -> float:
     expressions, shared pairwise by structures in which the exposure sits in
     the same position relative to the conditioning variable.
     """
-    if params.kind is StructureKind.NABLA:
-        raise ParameterError("lm weights are undefined for the Nabla structure")
+    _require_kind(params, *_INDEPENDENT_KINDS)
     kind = params.kind
     if not kind.has_left_a:
         # Exposure X is itself the left cause of the collider.
@@ -475,10 +483,7 @@ def lm_weight_normalizer(params: StructureParams) -> float:
         )
 
     # Exposure X is a child of the left cause A.
-    assert params.p_x_given_a is not None and params.p_right is not None
-    t = params.p_c_given
-    p_r1 = params.p_right
-    p_r0 = 1.0 - p_r1
+    assert params.p_x_given_a is not None
     p_a1 = params.p_left
     p_a0 = 1.0 - p_a1
     x1 = params.p_x_given_a.given_1
@@ -493,9 +498,8 @@ def lm_weight_normalizer(params: StructureParams) -> float:
         p_a1 * _given_left(params, 0, 1, child=False)
         + p_a0 * _given_left(params, 0, 0, child=False)
     )
-    left_effect = p_r1 * (t.given_11 - t.given_01) + p_r0 * (t.given_10 - t.given_00)
     rd_x = params.p_x_given_a.risk_difference
-    correction = (p_a1 * p_a0 * rd_x * left_effect) ** 2
+    correction = (p_a1 * p_a0 * rd_x * _left_effect(params)) ** 2
     if not kind.has_child_d:
         return p_x1 * p_x0 * pc1 * pc0 - correction
     assert params.p_d_given_c is not None
@@ -517,10 +521,8 @@ def lm_bias(params: StructureParams) -> BiasReport:
     :mod:`colliderbias.verification` checks the closed phi against its
     definitional form.
     """
-    if params.kind is StructureKind.NABLA:
-        raise ParameterError("no closed lm form for the Nabla structure")
-    assert params.p_right is not None
     kernel = lm_bias_kernel(params)
+    assert params.p_right is not None
     rd_left, rd_right = extension_rds(params)
     rd_child = (
         params.p_d_given_c.risk_difference if params.p_d_given_c is not None else 1.0

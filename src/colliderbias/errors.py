@@ -12,16 +12,13 @@ class ParameterError(ColliderBiasError):
 
 
 class OutOfRangeError(ParameterError):
-    """A probability lies outside its allowed range."""
+    """A probability lies outside [0, 1], or outside (0, 1) where required."""
 
-    def __init__(self, field: str, value: float, lo: float = 0.0, hi: float = 1.0,
-                 open_interval: bool = False):
+    def __init__(self, field: str, value: float, open_interval: bool = False):
         self.field = field
         self.value = value
-        bracket = "()" if open_interval else "[]"
-        super().__init__(
-            f"{field} = {value!r} is outside {bracket[0]}{lo}, {hi}{bracket[1]}"
-        )
+        interval = "(0.0, 1.0)" if open_interval else "[0.0, 1.0]"
+        super().__init__(f"{field} = {value!r} is outside {interval}")
 
 
 class MissingFieldError(ParameterError):
@@ -77,8 +74,9 @@ class PrecisionLossError(ColliderBiasError):
 
 
 class InvalidResolutionError(ParameterError):
-    """A sign grid was requested with fewer than 2 cells per axis."""
+    """A sign grid was requested with a resolution outside [2, maximum]."""
 
-    def __init__(self, resolution: int):
+    def __init__(self, resolution: int, maximum: int):
         self.resolution = resolution
-        super().__init__(f"grid resolution must be >= 2, got {resolution}")
+        bound = ">= 2" if resolution < 2 else f"<= {maximum}"
+        super().__init__(f"grid resolution must be {bound}, got {resolution}")

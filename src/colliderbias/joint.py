@@ -320,9 +320,7 @@ def bias(table: JointTable, query: BiasQuery) -> OracleMeasure:
         conditional = cond_measure(table, query.scale, query.conditioning)
         marginal = cond_measure(table, query.scale, None)
 
-    ratio_scale = query.scale in (Scale.RR, Scale.OR) and not isinstance(
-        query.conditioning, LinearModel
-    )
+    ratio_scale = query.scale.is_ratio and not isinstance(query.conditioning, LinearModel)
     if table.kind is not StructureKind.NABLA:
         null = 1.0 if ratio_scale else 0.0
         if abs(marginal.value - null) > _NULL_TOL:
@@ -363,7 +361,7 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
     the package contract and stable per release.
     """
     if n < 1:
-        raise ParameterError(f"sample size must be >= 1, got {n}")
+        raise ParameterError(f"draws must be >= 1, got {n}")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     roles = variable_roles(params.kind)

@@ -15,6 +15,8 @@ from enum import Enum
 import numpy as np
 
 from .closedform import (
+    _INDEPENDENT_KINDS,
+    _require_kind,
     band_sign,
     cross_product_difference,
     extension_rds,
@@ -23,10 +25,10 @@ from .closedform import (
 from .errors import (
     DegenerateStratumError,
     InvalidResolutionError,
-    OutOfRangeError,
     ParameterError,
 )
 from .structures import (
+    BiasQuery,
     ColliderCpt,
     Conditioning,
     EdgeCpt,
@@ -34,7 +36,12 @@ from .structures import (
     Sign,
     StructureKind,
     StructureParams,
+    check_probabilities,
 )
+
+# Largest cells per axis of a sign grid: 100 times the cells of the default
+# resolution of 200, checked before anything is allocated.
+MAX_GRID_RESOLUTION = 2000
 
 
 class Pattern(str, Enum):
@@ -145,9 +152,10 @@ def y_stratum_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -> 
     The case verdict is cross-checked against the sign of
     (pd1 - pd0)(pd1 g1 - pd0 g0); ties within closedform.SIGN_TOL report Zero.
     """
-    for field_name, value in p_d_given_c.items():
-        if not (0.0 < value < 1.0):
-            raise OutOfRangeError(f"p_d_given_c[{field_name}]", value, open_interval=True)
+    check_probabilities(
+        (("p_d_given_c", "0", p_d_given_c.given_0), ("p_d_given_c", "1", p_d_given_c.given_1)),
+        open_interval=True,
+    )
     g1 = cross_product_difference(p_c_given, 1)
     g0 = cross_product_difference(p_c_given, 0)
     if band_sign(g1) is Sign.ZERO and band_sign(g0) is Sign.ZERO:
@@ -193,17 +201,12 @@ def extended_sign(params: StructureParams, conditioning: Conditioning) -> Sign:
     For linear-model conditioning the embedded sign is that of the lm
     kernel, independent of the collider-child edge.
     """
-    if params.kind is StructureKind.NABLA:
-        raise ParameterError("sign algebra requires marginally independent causes")
+    _require_kind(params, *_INDEPENDENT_KINDS)
     rd_left, rd_right = extension_rds(params)
     extension = band_sign(rd_left) * band_sign(rd_right)
     if isinstance(conditioning, LinearModel):
         return band_sign(lm_bias_kernel(params)) * extension
-    if conditioning.variable != params.kind.conditioning_variable:
-        raise ParameterError(
-            f"{params.kind.value} conditions on {params.kind.conditioning_variable}, "
-            f"not {conditioning.variable}"
-        )
+    BiasQuery(conditioning).check_valid_for(params.kind)
     if params.kind.has_child_d:
         assert params.p_d_given_c is not None
         inner = y_stratum_sign(params.p_c_given, params.p_d_given_c, conditioning.level)
@@ -221,8 +224,7 @@ def v_lm_sign(params: StructureParams) -> Sign:
     negative bias); the identity ``monotone_lm_sign`` in
     :mod:`colliderbias.verification` checks that.
     """
-    if params.kind is not StructureKind.V:
-        raise ParameterError(f"operation requires kind V, got {params.kind.value}")
+    _require_kind(params, StructureKind.V)
     return band_sign(lm_bias_kernel(params))
 
 
@@ -257,14 +259,7 @@ class GridFixed:
     p_d_given_c: EdgeCpt | None = None
 
     def __post_init__(self) -> None:
-        for name in ("p_c00", "p_c11", "p_left", "p_right"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise OutOfRangeError(name, value)
-        if self.p_d_given_c is not None:
-            for key, value in self.p_d_given_c.items():
-                if not (0.0 <= value <= 1.0):
-                    raise OutOfRangeError(f"p_d_given_c[{key}]", value)
+        check_probabilities((name, None, value) for name, value in self.items())
 
     def items(self) -> list[tuple[str, float]]:
         pairs = [
@@ -359,10 +354,11 @@ def emit_grid(family: GridFamily, fixed: GridFixed, resolution: int) -> SignGrid
 
     Cell centers are (i + 1/2)/resolution, which keeps the sweep strictly
     inside the open square.  The output is a pure function of the inputs;
-    repeated calls produce identical grids.
+    repeated calls produce identical grids.  ``resolution`` must lie in
+    [2, MAX_GRID_RESOLUTION].
     """
-    if resolution < 2:
-        raise InvalidResolutionError(resolution)
+    if not 2 <= resolution <= MAX_GRID_RESOLUTION:
+        raise InvalidResolutionError(resolution, MAX_GRID_RESOLUTION)
     if family is GridFamily.CHILD_STRATUM and fixed.p_d_given_c is None:
         raise ParameterError("child-stratum grids need p_d_given_c")
     columns = _GRID_COLUMNS[family]

@@ -14,10 +14,9 @@ probabilities positionally.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -112,6 +111,12 @@ class Scale(str, Enum):
     RR = "rr"
     OR = "or"
     LM_COEF = "lm"
+
+    @property
+    def is_ratio(self) -> bool:
+        """True on the ratio scales (rr, or): the null point is 1 and a bias
+        is a quotient, so values are compared relatively."""
+        return self in (Scale.RR, Scale.OR)
 
 
 @dataclass(frozen=True)
@@ -314,6 +319,19 @@ def variable_roles(kind: StructureKind) -> RoleMap:
     )
 
 
+def check_probabilities(
+    items: Iterable[tuple[str, str | None, float]], open_interval: bool = False
+) -> None:
+    """Raise OutOfRangeError for the first (field, key, value) whose value is
+    outside [0, 1], or outside (0, 1) with ``open_interval``; NaN fails both.
+    The error names ``field``, or ``field[key]`` for a table entry, built
+    only when raising."""
+    for field, key, value in items:
+        if not (0.0 < value < 1.0 if open_interval else 0.0 <= value <= 1.0):
+            name = field if key is None else f"{field}[{key}]"
+            raise OutOfRangeError(name, value, open_interval)
+
+
 # The single-edge tables among the optional fields, in draw order.
 _CONDITIONAL_FIELDS = ("p_x_given_a", "p_y_given_b", "p_d_given_c")
 
@@ -350,21 +368,20 @@ class StructureParams:
                 raise MissingFieldError(self.kind.value, field_name)
             if field_name not in fields and value is not None:
                 raise ExtraFieldError(self.kind.value, field_name)
-        for field_name, value in self._probability_items():
-            if not (0.0 <= value <= 1.0) or math.isnan(value):
-                raise OutOfRangeError(field_name, value)
+        check_probabilities(self._probability_items())
 
-    def _probability_items(self) -> Iterator[tuple[str, float]]:
-        yield "p_left", self.p_left
+    def _probability_items(self) -> Iterator[tuple[str, str | None, float]]:
+        """(field, table key or None, value) for every probability."""
+        yield "p_left", None, self.p_left
         if self.p_right is not None:
-            yield "p_right", self.p_right
+            yield "p_right", None, self.p_right
         for key, value in self.p_c_given.items():
-            yield f"p_c_given[{key}]", value
+            yield "p_c_given", key, value
         for field_name in _CONDITIONAL_FIELDS:
             cpt = getattr(self, field_name)
             if cpt is not None:
                 for key, value in cpt.items():
-                    yield f"{field_name}[{key}]", value
+                    yield field_name, key, value
 
     # -- implied marginals -------------------------------------------------
 
@@ -487,9 +504,7 @@ def validate(params: StructureParams, strict: bool = False) -> StructureParams:
     """
     # Frozen dataclass construction already ran the lenient checks; re-run the
     # range scan so hand-built subclasses or replaced fields cannot slip by.
-    for field_name, value in params._probability_items():
-        if not (0.0 <= value <= 1.0) or math.isnan(value):
-            raise OutOfRangeError(field_name, value)
+    check_probabilities(params._probability_items())
     if not strict:
         return params
     for c in (0, 1):
@@ -499,9 +514,7 @@ def validate(params: StructureParams, strict: bool = False) -> StructureParams:
         for d in (0, 1):
             if params.prob_child(d) <= 0.0:
                 raise DegenerateStratumError("D", d)
-    for field_name, value in params._probability_items():
-        if not (0.0 < value < 1.0):
-            raise OutOfRangeError(field_name, value, open_interval=True)
+    check_probabilities(params._probability_items(), open_interval=True)
     return params
 
 

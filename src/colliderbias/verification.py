@@ -84,9 +84,14 @@ class KindVerification:
         raise KeyError(name)
 
 
+def relative_discrepancy(a: float, b: float) -> float:
+    """|a - b| over the larger magnitude: how ratio-scale values are
+    compared, against DEFAULT_REL_TOL_OR."""
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
 class _Recorder:
-    def __init__(self, abs_tol: float):
-        self.abs_tol = abs_tol
+    def __init__(self) -> None:
         self._results: dict[str, IdentityResult] = {}
 
     def _slot(self, name: str, tolerance: float) -> IdentityResult:
@@ -94,12 +99,11 @@ class _Recorder:
             self._results[name] = IdentityResult(name=name, tolerance=tolerance)
         return self._results[name]
 
-    def absolute(self, name: str, a: float, b: float, tolerance: float | None = None) -> None:
-        self._slot(name, tolerance if tolerance is not None else self.abs_tol).record(abs(a - b))
+    def absolute(self, name: str, a: float, b: float, tolerance: float = DEFAULT_ABS_TOL) -> None:
+        self._slot(name, tolerance).record(abs(a - b))
 
     def relative(self, name: str, a: float, b: float) -> None:
-        scale = max(abs(a), abs(b), 1e-300)
-        self._slot(name, DEFAULT_REL_TOL_OR).record(abs(a - b) / scale)
+        self._slot(name, DEFAULT_REL_TOL_OR).record(relative_discrepancy(a, b))
 
     def flag(self, name: str, ok: bool) -> None:
         self._slot(name, 0.0).record(0.0 if ok else 1.0)
@@ -137,7 +141,7 @@ def _check_closed_vs_oracle(params: StructureParams, table, rec: _Recorder) -> N
             oracle = joint_mod.bias(table, query).value
             if kind is StructureKind.NABLA:
                 rec.relative("or_factor_vs_oracle", report.value, oracle)
-            elif scale is Scale.OR:
+            elif scale.is_ratio:
                 rec.relative("stratum_or_vs_oracle", report.value, oracle)
             else:
                 rec.absolute(f"stratum_{scale.value}_vs_oracle", report.value, oracle)
@@ -302,23 +306,18 @@ def _check_sign_rules(params: StructureParams, table, core_table, rec: _Recorder
         )
 
 
-def verify_kind(
-    kind: StructureKind,
-    draws: int,
-    seed: int,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> KindVerification:
+def verify_kind(kind: StructureKind, draws: int, seed: int) -> KindVerification:
     """Run the full identity battery for one kind over ``draws`` random
-    strict parameter sets.  Deterministic for a given seed.  ``abs_tol``
-    bounds the absolute identities; the relative odds-ratio identities use
-    DEFAULT_REL_TOL_OR."""
+    strict parameter sets.  Deterministic for a given seed.  The absolute
+    identities use DEFAULT_ABS_TOL unless they name their own bound; the
+    relative odds-ratio identities use DEFAULT_REL_TOL_OR."""
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    rec = _Recorder(abs_tol)
+    rec = _Recorder()
     for _ in range(draws):
         params = random_structure_params(kind, rng)
         table = joint_mod.build_joint(params)
@@ -343,14 +342,8 @@ def verify_kind(
     )
 
 
-def verify_many(
-    kinds: list[StructureKind],
-    draws: int,
-    seed: int,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> list[KindVerification]:
+def verify_many(kinds: list[StructureKind], draws: int, seed: int) -> list[KindVerification]:
     """Verify several kinds, each with an independent seeded stream."""
     return [
-        verify_kind(kind, draws=draws, seed=seed + offset, abs_tol=abs_tol)
-        for offset, kind in enumerate(kinds)
+        verify_kind(kind, draws=draws, seed=seed + offset) for offset, kind in enumerate(kinds)
     ]

@@ -324,3 +324,186 @@ def test_grid_reference_cell_in_csv(capsys):
     # cell centers 0.25 and 0.75; the (0.25, 0.25) cell is positive at C=1
     assert grid.axis[0] == 0.25
     assert grid.cells[0, 0, 0] == 1
+
+
+# -- malformed input ----------------------------------------------------------
+
+V_FLAGS = ["--kind", "V", "--p-left", "0.5", "--p-right", "0.5"]
+GRID_FLAGS = ["grid", "--family", "stratum", "--p-c00", "0.15", "--p-c11", "0.75"]
+
+# Each row: argv (with {file}/{bad_json}/{list_json} placeholders for the
+# parameter files written by the test) and a fragment the error must name.
+MALFORMED_RUNS = {
+    "keyed-no-equals": (["compute", *V_FLAGS, "--p-c-given", "00=0.1,01", "--lm"],
+                        "--p-c-given: expected key=value"),
+    "keyed-unknown-key": (["compute", *V_FLAGS, "--p-c-given", "00=0.1,02=0.2", "--lm"],
+                          "--p-c-given: unknown key '02'"),
+    "keyed-duplicate-key": (["compute", *V_FLAGS, "--p-c-given", "00=0.1,00=0.2", "--lm"],
+                            "--p-c-given: duplicate key '00'"),
+    "keyed-not-a-number": (["compute", *V_FLAGS, "--p-c-given", "00=x,01=1,10=1,11=1", "--lm"],
+                           "--p-c-given: 'x' is not a number"),
+    "keyed-missing-key": (["compute", *V_FLAGS, "--p-c-given", "00=0.1,01=0.2,10=0.3", "--lm"],
+                          "--p-c-given: missing key '11'"),
+    "file-unreadable": (["compute", "--file", "{missing}", "--lm"], "cannot read"),
+    "file-invalid-json": (["compute", "--file", "{bad_json}", "--lm"], "is not valid JSON"),
+    "file-not-object": (["compute", "--file", "{list_json}", "--lm"], "must contain a JSON object"),
+    "stratum-malformed": (["compute", *REFERENCE_FLAGS, "--stratum", "C=2"], "--stratum"),
+    "stratum-and-lm": (["compute", *REFERENCE_FLAGS, "--stratum", "C=1", "--lm"],
+                       "mutually exclusive"),
+    "stratum-wrong-variable": (["compute", *REFERENCE_FLAGS, "--stratum", "D=1"],
+                               "V conditions on C, not D"),
+    "verify-no-target": (["verify", "--draws", "5"], "--kind"),
+    "verify-zero-draws": (["verify", "--kind", "V", "--draws", "0"], "draws"),
+    "sample-zero-draws": (["sample", *REFERENCE_FLAGS, "--draws", "0"], "draws"),
+    "grid-probability-out-of-range": ([*GRID_FLAGS, "--p-left", "1.5"], "p_left"),
+    "grid-child-edge-out-of-range": (
+        [*GRID_FLAGS[:2], "child-stratum", *GRID_FLAGS[3:], "--p-d-given-c", "0=-0.1,1=0.7"],
+        "p_d_given_c[0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, fragment", MALFORMED_RUNS.values(), ids=MALFORMED_RUNS)
+def test_malformed_input_exits_2(capsys, tmp_path, argv, fragment):
+    (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+    (tmp_path / "list.json").write_text("[0.5]", encoding="utf-8")
+    paths = {
+        "{missing}": str(tmp_path / "missing.json"),
+        "{bad_json}": str(tmp_path / "bad.json"),
+        "{list_json}": str(tmp_path / "list.json"),
+    }
+    code, out, err = run_cli(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert fragment in err
+
+
+def test_grid_resolution_cap_rejects_before_allocating(capsys):
+    code, out, err = run_cli(capsys, *GRID_FLAGS, "--resolution", str(10**9))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "resolution" in err and "2000" in err
+
+
+# -- pinned text output -------------------------------------------------------
+
+
+def test_compute_text_output_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "compute", *REFERENCE_FLAGS, "--scale", "cov",
+                           "--stratum", "C=1")
+    assert code == 0
+    assert out == (
+        "kind:        V\n"
+        "query:       C=1 on scale cov\n"
+        "oracle:      0.025510204081632626\n"
+        "closed form: 0.02551020408163265 (sign positive)\n"
+        "  factor cross_product_diff = 0.04999999999999999\n"
+        "  factor p_stratum = 0.35\n"
+        "discrepancy: abs 2.429e-17 rel 9.520e-16 (tolerance 1e-12: ok)\n"
+    )
+    code, out, _ = run_cli(capsys, "compute", *REFERENCE_FLAGS, "--scale", "rr",
+                           "--stratum", "C=1")
+    assert code == 0
+    assert out == (
+        "kind:        V\n"
+        "query:       C=1 on scale rr\n"
+        "oracle:      1.2\n"
+        "closed form: none for this query (oracle value is authoritative)\n"
+    )
+
+
+def test_sign_text_output_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "sign", *REFERENCE_FLAGS)
+    assert code == 0
+    assert out == (
+        "kind:            V\n"
+        "effect pattern:  both-positive (canonical level 1)\n"
+        "interactions:    rr_canonical=positive, rr_other=negative, or=positive, rd=positive\n"
+        "bias sign C=0:  negative\n"
+        "bias sign C=1:  positive\n"
+        "bias sign lm:    negative\n"
+    )
+
+
+NABLA_FLAGS = [
+    "--kind", "Nabla", "--p-left", "0.4", "--p-y-given-b", "0=0.3,1=0.6",
+    "--p-c-given", "00=0.15,01=0.25,10=0.25,11=0.75",
+]
+
+
+def test_sign_nabla_output_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "sign", *NABLA_FLAGS)
+    assert code == 0
+    assert out == (
+        "kind:            Nabla\n"
+        "effect pattern:  both-positive (canonical level 1)\n"
+        "interactions:    rr_canonical=positive, rr_other=negative, or=positive, rd=positive\n"
+        "bias sign C=0:  negative\n"
+        "bias sign C=1:  positive\n"
+        "note: stratum signs apply to the odds-ratio scale only\n"
+    )
+    code, out, _ = run_cli(capsys, "sign", *NABLA_FLAGS, "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"canonical_level": 1, "command": "sign", "interactions": {"or": "positive", '
+        '"rd": "positive", "rr_canonical": "positive", "rr_other": "negative"}, '
+        '"kind": "Nabla", "note": "stratum signs apply to the odds-ratio scale only", '
+        '"params": {"kind": "Nabla", "p_c_given": {"00": 0.15, "01": 0.25, "10": 0.25, '
+        '"11": 0.75}, "p_left": 0.4, "p_y_given_b": {"0": 0.3, "1": 0.6}}, '
+        '"pattern": "both-positive", "stratum_signs": {"C=0": "negative", "C=1": "positive"}}\n'
+    )
+
+
+def test_sample_text_output_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "sample", *REFERENCE_FLAGS, "--draws", "1000", "--seed", "2")
+    assert code == 0
+    assert out == (
+        "XYC  exact       observed    |diff|\n"
+        "000  0.21250000  0.19600000  1.65e-02\n"
+        "001  0.03750000  0.03200000  5.50e-03\n"
+        "010  0.18750000  0.19000000  2.50e-03\n"
+        "011  0.06250000  0.07500000  1.25e-02\n"
+        "100  0.18750000  0.19200000  4.50e-03\n"
+        "101  0.06250000  0.06600000  3.50e-03\n"
+        "110  0.06250000  0.05700000  5.50e-03\n"
+        "111  0.18750000  0.19200000  4.50e-03\n"
+        "max |observed - exact| = 1.650e-02 (smoke bound 7.906e-02: ok)\n"
+    )
+
+
+def test_child_stratum_grid_csv_round_trip(capsys):
+    code, out, _ = run_cli(
+        capsys, "grid", "--family", "child-stratum", "--p-c00", "0.15", "--p-c11", "0.75",
+        "--p-d-given-c", "0=0.2,1=0.7", "--resolution", "3",
+    )
+    assert code == 0
+    assert out == (
+        "# family=child-stratum\n"
+        "# resolution=3\n"
+        "# p_c00=0.15\n"
+        "# p_c11=0.75\n"
+        "# p_left=0.5\n"
+        "# p_right=0.5\n"
+        "# p_d_given_c[0]=0.2\n"
+        "# p_d_given_c[1]=0.7\n"
+        "# zero_locus name=rr_level1 curve=hyperbola product=0.11249999999999999\n"
+        "# zero_locus name=rr_level0 curve=complement-hyperbola product=0.2125\n"
+        "# zero_locus name=rd curve=line-sum sum=0.9\n"
+        "# zero_locus name=or curve=odds-curve odds_product=0.5294117647058824\n"
+        "p10,p01,sign_d1,sign_d0\n"
+        "0.16666666666666666,0.16666666666666666,1,-1\n"
+        "0.16666666666666666,0.5,1,-1\n"
+        "0.16666666666666666,0.8333333333333334,-1,1\n"
+        "0.5,0.16666666666666666,1,-1\n"
+        "0.5,0.5,-1,1\n"
+        "0.5,0.8333333333333334,-1,1\n"
+        "0.8333333333333334,0.16666666666666666,-1,1\n"
+        "0.8333333333333334,0.5,-1,1\n"
+        "0.8333333333333334,0.8333333333333334,-1,1\n"
+    )
+    grid = parse_grid_csv(out)
+    assert grid.fixed.p_d_given_c is not None
+    assert dict(grid.fixed.p_d_given_c.items()) == {"0": 0.2, "1": 0.7}
+    assert grid_to_csv(grid) == out

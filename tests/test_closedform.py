@@ -23,6 +23,7 @@ from colliderbias import (
     UndefinedRatioError,
     bias,
     build_joint,
+    classify_sign,
     closed_form,
     cross_product_difference,
     embedded_core,
@@ -465,6 +466,15 @@ def test_sign_scale_agreement(reference_v_params):
     rd = v_stratum_bias(reference_v_params, 1, Scale.RD)
     or_ = v_stratum_bias(reference_v_params, 1, Scale.OR)
     assert cov.sign is rd.sign is or_.sign is Sign.POSITIVE
+
+
+@pytest.mark.parametrize("scale", [Scale.RR, Scale.OR])
+def test_classify_sign_ratio_scales_use_null_one(scale):
+    assert classify_sign(0.5, scale) is Sign.NEGATIVE
+    assert classify_sign(1.0, scale) is Sign.ZERO
+    assert classify_sign(1.0 + 5e-12, scale) is Sign.ZERO
+    assert classify_sign(1.0 + 5e-11, scale) is Sign.POSITIVE
+    assert classify_sign(0.0, scale) is Sign.NEGATIVE
 
 
 # -- independence from the oracle --------------------------------------------

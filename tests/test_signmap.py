@@ -91,6 +91,14 @@ def test_extended_sign_rejects_wrong_stratum_variable():
         extended_sign(params, Stratum("C", 1))
 
 
+def test_extended_sign_rejects_nabla():
+    from colliderbias import ParameterError
+
+    params = random_structure_params(StructureKind.NABLA, np.random.default_rng(3))
+    with pytest.raises(ParameterError, match="got Nabla"):
+        extended_sign(params, Stratum("C", 1))
+
+
 # -- stratum signs -----------------------------------------------------------
 
 
@@ -235,6 +243,15 @@ def test_v_lm_sign_zero_when_exposure_independent():
     assert v_lm_sign(params) is Sign.ZERO
 
 
+@pytest.mark.parametrize("kind", [StructureKind.M, StructureKind.NABLA, StructureKind.Y])
+def test_v_lm_sign_rejects_other_kinds(kind):
+    from colliderbias import ParameterError
+
+    params = random_structure_params(kind, np.random.default_rng(5))
+    with pytest.raises(ParameterError, match=f"got {kind.value}"):
+        v_lm_sign(params)
+
+
 def test_v_lm_sign_matches_value(rng):
     for _ in range(100):
         params = random_structure_params(StructureKind.V, rng)
@@ -250,6 +267,33 @@ def test_grid_rejects_tiny_resolution():
     fixed = GridFixed(p_c00=0.15, p_c11=0.75, p_left=0.5, p_right=0.5)
     with pytest.raises(InvalidResolutionError):
         emit_grid(GridFamily.STRATUM, fixed, 1)
+
+
+def test_grid_rejects_resolution_above_cap():
+    fixed = GridFixed(p_c00=0.15, p_c11=0.75, p_left=0.5, p_right=0.5)
+    for resolution in (2001, 10**9):
+        with pytest.raises(InvalidResolutionError, match="2000"):
+            emit_grid(GridFamily.STRATUM, fixed, resolution)
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"p_c00": -0.1}, "p_c00"),
+        ({"p_c11": 1.5}, "p_c11"),
+        ({"p_left": math.nan}, "p_left"),
+        ({"p_right": math.inf}, "p_right"),
+        ({"p_d_given_c": EdgeCpt(given_0=0.2, given_1=1.01)}, "p_d_given_c[1]"),
+    ],
+)
+def test_grid_fixed_rejects_out_of_range(overrides, field):
+    from colliderbias import OutOfRangeError
+
+    kwargs = {"p_c00": 0.15, "p_c11": 0.75, "p_left": 0.5, "p_right": 0.5, **overrides}
+    with pytest.raises(OutOfRangeError) as info:
+        GridFixed(**kwargs)
+    assert info.value.field == field
+    assert str(info.value).endswith("is outside [0.0, 1.0]")
 
 
 def test_grid_requires_child_edge_for_child_family():

@@ -153,8 +153,16 @@ def test_strict_mode_rejects_boundary_probability(uniform_v_params):
         kind=StructureKind.V, p_left=0.0, p_right=0.5, p_c_given=ColliderCpt(0.5, 0.5, 0.5, 0.5)
     )
     validate(params)  # lenient is fine
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(OutOfRangeError) as info:
         validate(params, strict=True)
+    assert str(info.value) == "p_left = 0.0 is outside (0.0, 1.0)"
+
+
+def test_lenient_validate_rescans_replaced_fields(uniform_v_params):
+    object.__setattr__(uniform_v_params, "p_right", 1.5)
+    with pytest.raises(OutOfRangeError) as info:
+        validate(uniform_v_params)
+    assert str(info.value) == "p_right = 1.5 is outside [0.0, 1.0]"
 
 
 def test_extra_field_rejected():
