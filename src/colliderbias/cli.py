@@ -41,11 +41,13 @@ from .signmap import (
 from .structures import (
     LINEAR_MODEL,
     BiasQuery,
+    ColliderCpt,
     EdgeCpt,
     Scale,
     Stratum,
     StructureKind,
     StructureParams,
+    _CONDITIONAL_FIELDS,
     params_from_dict,
 )
 from .verification import (
@@ -132,25 +134,24 @@ def _params_from_args(args: argparse.Namespace) -> StructureParams:
     if args.p_right is not None:
         doc["p_right"] = args.p_right
     if args.p_c_given:
-        doc["p_c_given"] = _parse_keyed_floats(
-            args.p_c_given, ("00", "01", "10", "11"), "--p-c-given"
-        )
-    for flag, field_name in (
-        ("p_x_given_a", "p_x_given_a"),
-        ("p_y_given_b", "p_y_given_b"),
-        ("p_d_given_c", "p_d_given_c"),
-    ):
-        raw = getattr(args, flag)
+        doc["p_c_given"] = _parse_keyed_floats(args.p_c_given, ColliderCpt.KEYS, "--p-c-given")
+    for field_name in _CONDITIONAL_FIELDS:
+        raw = getattr(args, field_name)
         if raw:
-            doc[field_name] = _parse_keyed_floats(raw, ("0", "1"), "--" + flag.replace("_", "-"))
+            doc[field_name] = _parse_keyed_floats(
+                raw, EdgeCpt.KEYS, "--" + field_name.replace("_", "-")
+            )
     return params_from_dict(doc)
 
 
 def _parse_stratum(text: str) -> Stratum:
-    variable, sep, level = text.partition("=")
-    if not sep or variable not in ("C", "D") or level not in ("0", "1"):
-        raise ParameterError(f"--stratum must look like C=1 or D=0, got {text!r}")
-    return Stratum(variable, int(level))
+    """``VAR=LEVEL`` as a Stratum, whose constructor holds the C/D and 0/1
+    rules; any failure is reported in the flag's own terms."""
+    variable, _, level = text.partition("=")
+    try:
+        return Stratum(variable, int(level))
+    except (ValueError, ParameterError):
+        raise ParameterError(f"--stratum must look like C=1 or D=0, got {text!r}") from None
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -188,6 +189,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     tolerance = args.tolerance
     if tolerance is None:
         tolerance = DEFAULT_REL_TOL_OR if ratio_scale else DEFAULT_ABS_TOL
+    elif not 0.0 <= tolerance < math.inf:
+        raise ParameterError(f"--tolerance must be finite and >= 0, got {tolerance!r}")
     doc: dict = {
         "command": "compute",
         "kind": params.kind.value,
@@ -508,7 +511,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
     d_cpt = None
     if args.p_d_given_c:
-        keyed = _parse_keyed_floats(args.p_d_given_c, ("0", "1"), "--p-d-given-c")
+        keyed = _parse_keyed_floats(args.p_d_given_c, EdgeCpt.KEYS, "--p-d-given-c")
         d_cpt = EdgeCpt(given_0=keyed["0"], given_1=keyed["1"])
     fixed = GridFixed(
         p_c00=args.p_c00,
@@ -542,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--scale", choices=["cov", "rd", "rr", "or"], default="cov")
     compute.add_argument("--stratum", metavar="VAR=LEVEL", help="condition on C=c or D=d")
     compute.add_argument("--lm", action="store_true", help="linear-regression adjustment")
-    compute.add_argument("--tolerance", type=float, help="override the discrepancy tolerance")
+    compute.add_argument("--tolerance", type=float,
+                         help="override the discrepancy tolerance; a finite number >= 0")
     compute.add_argument("--format", choices=["text", "json"], default="text")
     compute.add_argument("--out", help="write output to a file instead of stdout")
     compute.set_defaults(func=cmd_compute)

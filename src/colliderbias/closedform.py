@@ -102,6 +102,13 @@ def cross_product_difference(p_c_given: ColliderCpt, level: int) -> float:
     )
 
 
+def child_contrast(pd1: float, pd0: float, g1: float, g0: float) -> float:
+    """(pd1 - pd0)(pd1 g1 - pd0 g0) for pd1, pd0 = P(D=d | C=1), P(D=d | C=0)
+    and g1, g0 the cross-product differences at C=1, C=0: the child-stratum
+    bias at D=d on the covariance and RD scales is a positive multiple."""
+    return (pd1 - pd0) * (pd1 * g1 - pd0 * g0)
+
+
 def _given_left(params: StructureParams, level: int, left: int, child: bool) -> float:
     """P(G=level | left cause = left), mixing over the right cause, with G
     the collider's child D when ``child`` is set and the collider C if not."""
@@ -215,7 +222,7 @@ def y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
     pd0 = params.p_d_given_c.level_given(d, 0)  # P(D=d | C=0)
     g1 = cross_product_difference(t, 1)
     g0 = cross_product_difference(t, 0)
-    core = (pd1 - pd0) * (pd1 * g1 - pd0 * g0)
+    core = child_contrast(pd1, pd0, g1, g0)
     p_x1, p_y1 = params.p_left, params.p_right
     p_x0, p_y0 = 1.0 - p_x1, 1.0 - p_y1
     p_d = params.prob_child(d)

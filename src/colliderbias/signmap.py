@@ -18,6 +18,7 @@ from .closedform import (
     _INDEPENDENT_KINDS,
     _require_kind,
     band_sign,
+    child_contrast,
     cross_product_difference,
     extension_rds,
     lm_bias_kernel,
@@ -138,19 +139,13 @@ def v_stratum_sign(p_c_given: ColliderCpt, level: int) -> Sign:
 
 
 def y_stratum_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -> Sign:
-    """Sign of the child-stratum bias at D=level via the case rules.
+    """Sign of the child-stratum bias at D=level: the band sign of
+    closedform.child_contrast, which every scale's D=level bias shares.
 
-    With g1, g0 the cross-product differences at the two collider levels and
-    pd1, pd0 = P(D=level | C=1), P(D=level | C=0):
-
-    1. g1 >= 0 and g0 <= 0: the sign of the collider's effect on P(D=level).
-    2. g1 <= 0 and g0 >= 0: the opposite of that effect's sign.
-    3. g1, g0 of one (weak) sign: zero when pd1/pd0 equals g0/g1; when both
-       are negative, positive for pd1/pd0 strictly between g0/g1 and 1 and
-       negative outside; when both are positive, the reverse.
-
-    The case verdict is cross-checked against the sign of
-    (pd1 - pd0)(pd1 g1 - pd0 g0); ties within closedform.SIGN_TOL report Zero.
+    Raises DegenerateStratumError when both cross-product differences lie
+    within closedform.SIGN_TOL of zero: then some cause has no effect on C.
+    The paper's case rules for this sign run in the verify battery, as the
+    identity ``child_sign_cases`` of :mod:`colliderbias.verification`.
     """
     check_probabilities(
         (("p_d_given_c", "0", p_d_given_c.given_0), ("p_d_given_c", "1", p_d_given_c.given_1)),
@@ -164,33 +159,7 @@ def y_stratum_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -> 
         )
     pd1 = p_d_given_c.level_given(level, 1)
     pd0 = p_d_given_c.level_given(level, 0)
-    child_effect = pd1 - pd0
-
-    if g1 >= 0.0 and g0 <= 0.0:
-        case_sign = band_sign(child_effect)
-    elif g1 <= 0.0 and g0 >= 0.0:
-        case_sign = band_sign(-child_effect)
-    else:
-        ratio = pd1 / pd0
-        threshold = g0 / g1
-        if ratio == threshold or ratio == 1.0:
-            case_sign = Sign.ZERO
-        else:
-            inside = min(threshold, 1.0) < ratio < max(threshold, 1.0)
-            if g1 < 0.0:
-                case_sign = Sign.POSITIVE if inside else Sign.NEGATIVE
-            else:
-                case_sign = Sign.NEGATIVE if inside else Sign.POSITIVE
-
-    direct = (pd1 - pd0) * (pd1 * g1 - pd0 * g0)
-    direct_sign = band_sign(direct)
-    if direct_sign is Sign.ZERO:
-        return Sign.ZERO
-    assert case_sign is direct_sign, (
-        f"case rule gave {case_sign.label} but the direct contrast gives "
-        f"{direct_sign.label}"
-    )
-    return direct_sign
+    return band_sign(child_contrast(pd1, pd0, g1, g0))
 
 
 def extended_sign(params: StructureParams, conditioning: Conditioning) -> Sign:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -188,8 +188,10 @@ class ColliderCpt:
     """P(C=1 | left parent, right parent).
 
     Field suffix is (left value, right value): ``given_01`` is the entry for
-    left=0, right=1.  The matching JSON keys are "00", "01", "10", "11".
+    left=0, right=1.  The matching JSON keys are ``KEYS``.
     """
+
+    KEYS: ClassVar[tuple[str, ...]] = ("00", "01", "10", "11")
 
     given_00: float
     given_01: float
@@ -210,15 +212,14 @@ class ColliderCpt:
         return p1 if c == 1 else 1.0 - p1
 
     def items(self) -> Iterator[tuple[str, float]]:
-        yield "00", self.given_00
-        yield "01", self.given_01
-        yield "10", self.given_10
-        yield "11", self.given_11
+        return zip(self.KEYS, (self.given_00, self.given_01, self.given_10, self.given_11))
 
 
 @dataclass(frozen=True)
 class EdgeCpt:
-    """P(child=1 | parent) along a single edge."""
+    """P(child=1 | parent) along a single edge; the JSON keys are ``KEYS``."""
+
+    KEYS: ClassVar[tuple[str, ...]] = ("0", "1")
 
     given_0: float
     given_1: float
@@ -235,8 +236,7 @@ class EdgeCpt:
         return self.given_1 - self.given_0
 
     def items(self) -> Iterator[tuple[str, float]]:
-        yield "0", self.given_0
-        yield "1", self.given_1
+        return zip(self.KEYS, (self.given_0, self.given_1))
 
 
 @dataclass(frozen=True)
@@ -482,14 +482,14 @@ def params_from_dict(doc: Mapping) -> StructureParams:
         "kind": kind,
         "p_left": _float_field(doc, "p_left"),
         "p_c_given": ColliderCpt(
-            **_table_fields(doc, "p_c_given", kind.value, ("00", "01", "10", "11"))
+            **_table_fields(doc, "p_c_given", kind.value, ColliderCpt.KEYS)
         ),
     }
     for field_name in fields:
         if field_name == "p_right":
             kwargs[field_name] = _float_field(doc, field_name)
         else:
-            kwargs[field_name] = EdgeCpt(**_table_fields(doc, field_name, kind.value, ("0", "1")))
+            kwargs[field_name] = EdgeCpt(**_table_fields(doc, field_name, kind.value, EdgeCpt.KEYS))
     return StructureParams(**kwargs)
 
 

@@ -25,6 +25,8 @@ from .errors import ParameterError
 from .structures import (
     LINEAR_MODEL,
     BiasQuery,
+    ColliderCpt,
+    EdgeCpt,
     Scale,
     Sign,
     Stratum,
@@ -116,10 +118,6 @@ def _oracle_stratum_bias(table, variable: str, level: int, scale: Scale) -> floa
     return joint_mod.bias(table, BiasQuery(Stratum(variable, level), scale)).value
 
 
-def _oracle_lm_bias(table) -> float:
-    return joint_mod.bias(table, BiasQuery(LINEAR_MODEL)).value
-
-
 def _check_joint_basics(params: StructureParams, table, rec: _Recorder) -> None:
     rec.absolute("joint_normalization", table.prob(), 1.0, _EXACT_TOL)
     if params.kind is not StructureKind.NABLA:
@@ -149,7 +147,7 @@ def _check_closed_vs_oracle(params: StructureParams, table, rec: _Recorder) -> N
     lm_closed = cf.closed_form(params, BiasQuery(LINEAR_MODEL))
     if lm_closed is None:
         return
-    rec.absolute("lm_vs_oracle", lm_closed.value, _oracle_lm_bias(table))
+    rec.absolute("lm_vs_oracle", lm_closed.value, joint_mod.bias(table, BiasQuery(LINEAR_MODEL)).value)
     if kind is StructureKind.V:
         rec.absolute("lm_two_routes_agree", lm_closed.value, cf.v_lm_bias(params).value)
     if kind is StructureKind.Y:
@@ -240,6 +238,43 @@ def _check_extension_factorization(
             rec.absolute("extension_factorization", outer / inner, declared, 1e-9)
 
 
+def _signs_agree(*signs: Sign) -> bool:
+    """True when no two of ``signs`` are strictly opposite: every pair is
+    equal or holds a Zero, which a sign flag reads as undecided."""
+    return not {Sign.POSITIVE, Sign.NEGATIVE} <= set(signs)
+
+
+def _child_case_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -> Sign:
+    """The paper's case rules for the sign of the child-stratum bias at
+    D=level.  With g1, g0 the cross-product differences at the two collider
+    levels and pd1, pd0 = P(D=level | C=1), P(D=level | C=0):
+
+    1. g1 >= 0 and g0 <= 0: the sign of the collider's effect on P(D=level).
+    2. g1 <= 0 and g0 >= 0: the opposite of that effect's sign.
+    3. g1, g0 of one strict sign: zero when pd1/pd0 equals g0/g1 or 1; when
+       both are negative, positive for pd1/pd0 strictly between g0/g1 and 1
+       and negative outside; when both are positive, the reverse.
+
+    The effect in cases 1 and 2 is banded at closedform.SIGN_TOL.
+    """
+    g1 = cf.cross_product_difference(p_c_given, 1)
+    g0 = cf.cross_product_difference(p_c_given, 0)
+    pd1 = p_d_given_c.level_given(level, 1)
+    pd0 = p_d_given_c.level_given(level, 0)
+    if g1 >= 0.0 and g0 <= 0.0:
+        return cf.band_sign(pd1 - pd0)
+    if g1 <= 0.0 and g0 >= 0.0:
+        return cf.band_sign(pd0 - pd1)
+    ratio = pd1 / pd0
+    threshold = g0 / g1
+    if ratio == threshold or ratio == 1.0:
+        return Sign.ZERO
+    inside = min(threshold, 1.0) < ratio < max(threshold, 1.0)
+    if g1 < 0.0:
+        return Sign.POSITIVE if inside else Sign.NEGATIVE
+    return Sign.NEGATIVE if inside else Sign.POSITIVE
+
+
 def _check_sign_rules(params: StructureParams, table, core_table, rec: _Recorder) -> None:
     kind = params.kind
     if kind is StructureKind.NABLA:
@@ -247,47 +282,30 @@ def _check_sign_rules(params: StructureParams, table, core_table, rec: _Recorder
     variable = kind.conditioning_variable
 
     for level in (1, 0):
-        signs = set()
-        for scale in (Scale.COV, Scale.RD, Scale.OR):
-            value = _oracle_stratum_bias(table, variable, level, scale)
-            signs.add(cf.classify_sign(value, scale))
-        rec.flag(
-            "sign_scale_invariance",
-            not ({Sign.POSITIVE, Sign.NEGATIVE} <= signs),
-        )
+        signs = {
+            scale: cf.classify_sign(_oracle_stratum_bias(table, variable, level, scale), scale)
+            for scale in (Scale.COV, Scale.RD, Scale.OR)
+        }
+        rec.flag("sign_scale_invariance", _signs_agree(*signs.values()))
         predicted = sm.extended_sign(params, Stratum(variable, level))
-        numeric = cf.classify_sign(
-            _oracle_stratum_bias(table, variable, level, Scale.COV), Scale.COV
-        )
-        rec.flag(
-            "extended_sign_rule",
-            predicted is numeric or Sign.ZERO in (predicted, numeric),
-        )
+        rec.flag("extended_sign_rule", _signs_agree(predicted, signs[Scale.COV]))
 
     if kind.has_child_d:
         assert params.p_d_given_c is not None
         for level in (1, 0):
-            case_sign = sm.y_stratum_sign(params.p_c_given, params.p_d_given_c, level)
+            case_sign = _child_case_sign(params.p_c_given, params.p_d_given_c, level)
+            direct = sm.y_stratum_sign(params.p_c_given, params.p_d_given_c, level)
             numeric = cf.classify_sign(
                 _oracle_stratum_bias(core_table, "D", level, Scale.COV), Scale.COV
             )
-            rec.flag(
-                "child_sign_cases",
-                case_sign is numeric or Sign.ZERO in (case_sign, numeric),
-            )
+            rec.flag("child_sign_cases", _signs_agree(case_sign, direct, numeric))
 
     lm_predicted = sm.extended_sign(params, LINEAR_MODEL)
     lm_numeric = cf.classify_sign(cf.lm_bias(params).value, Scale.LM_COEF)
-    rec.flag(
-        "lm_sign_rule",
-        lm_predicted is lm_numeric or Sign.ZERO in (lm_predicted, lm_numeric),
-    )
+    rec.flag("lm_sign_rule", _signs_agree(lm_predicted, lm_numeric))
 
     pattern = sm.classify_effects(params.p_c_given).pattern
-    g_signs = {
-        sm.v_stratum_sign(params.p_c_given, 1),
-        sm.v_stratum_sign(params.p_c_given, 0),
-    }
+    g_signs = {sm.v_stratum_sign(params.p_c_given, level) for level in (1, 0)}
     kernel_sign = cf.classify_sign(cf.lm_bias_kernel(params), Scale.LM_COEF)
     if pattern in (sm.Pattern.BOTH_POSITIVE, sm.Pattern.BOTH_NEGATIVE):
         rec.flag("monotone_pattern_signs", Sign.NEGATIVE in g_signs)

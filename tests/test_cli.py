@@ -216,6 +216,36 @@ def test_sign_command(capsys):
     assert doc["lm_sign"] == "negative"
 
 
+# A strict input whose child edge moves by 9e-13: the paper's case rule bands
+# that effect to zero, while the child contrast, near 1.8 times larger, is
+# positive at D=1.  Signs follow the contrast.
+NEAR_TIE_CHILD_FLAGS = [
+    "--p-left", "0.5", "--p-right", "0.5",
+    "--p-c-given", "00=0.999,01=0.001,10=0.001,11=0.999",
+    "--p-d-given-c", "0=0.9,1=0.9000000000009",
+]
+
+
+@pytest.mark.parametrize("extension", [
+    ["--kind", "Y"],
+    ["--kind", "LongM", "--p-x-given-a", "0=0.2,1=0.7", "--p-y-given-b", "0=0.3,1=0.8"],
+], ids=["Y", "LongM"])
+def test_sign_near_tie_child_edge(capsys, extension):
+    code, out, err = run_cli(capsys, "sign", *extension, *NEAR_TIE_CHILD_FLAGS,
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["stratum_signs"] == {"D=1": "positive", "D=0": "zero"}
+
+
+def test_grid_near_tie_child_edge(capsys):
+    code, out, err = run_cli(
+        capsys, "grid", "--family", "child-stratum", "--p-c00", "0.999", "--p-c11", "0.999",
+        "--p-d-given-c", "0=0.9,1=0.9000000000009", "--resolution", "20",
+    )
+    assert (code, err) == (0, "")
+    assert parse_grid_csv(out).cells[0, 0].tolist() == [1, 0]
+
+
 def test_verify_single_kind(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--kind", "V", "--draws", "40", "--seed", "11",
@@ -348,6 +378,12 @@ MALFORMED_RUNS = {
     "file-invalid-json": (["compute", "--file", "{bad_json}", "--lm"], "is not valid JSON"),
     "file-not-object": (["compute", "--file", "{list_json}", "--lm"], "must contain a JSON object"),
     "stratum-malformed": (["compute", *REFERENCE_FLAGS, "--stratum", "C=2"], "--stratum"),
+    "tolerance-nan": (["compute", *REFERENCE_FLAGS, "--stratum", "C=1", "--tolerance=nan"],
+                      "--tolerance must be finite and >= 0, got nan"),
+    "tolerance-negative": (["compute", *REFERENCE_FLAGS, "--stratum", "C=1", "--tolerance=-1"],
+                           "--tolerance must be finite and >= 0, got -1.0"),
+    "tolerance-inf": (["compute", *REFERENCE_FLAGS, "--stratum", "C=1", "--tolerance=inf",
+                       "--format", "json"], "--tolerance must be finite and >= 0, got inf"),
     "stratum-and-lm": (["compute", *REFERENCE_FLAGS, "--stratum", "C=1", "--lm"],
                        "mutually exclusive"),
     "stratum-wrong-variable": (["compute", *REFERENCE_FLAGS, "--stratum", "D=1"],

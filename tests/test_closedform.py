@@ -494,6 +494,35 @@ def test_closed_forms_import_nothing_from_joint(module):
             assert "joint" not in path.split("."), f"{module} imports {path}"
 
 
+def _narrows_optional(test: ast.expr) -> bool:
+    """True for ``x is not None``, alone or joined by ``and``."""
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+        return all(_narrows_optional(value) for value in test.values)
+    return (
+        isinstance(test, ast.Compare)
+        and [type(op) for op in test.ops] == [ast.IsNot]
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value is None
+    )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(colliderbias.__file__).parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_no_assert_is_a_runtime_check(path):
+    # A failed runtime check must reach the user as a ColliderBiasError, never
+    # as an AssertionError, and must not vanish under python -O; an assert may
+    # only narrow an Optional for the type checker.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Assert):
+            assert node.msg is None and _narrows_optional(node.test), where
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            assert not (isinstance(exc, ast.Name) and exc.id == "AssertionError"), where
+
+
 def test_closed_forms_never_build_the_joint(monkeypatch, rng):
     def refuse(params):
         raise AssertionError("a closed form built the joint table")

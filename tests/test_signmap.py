@@ -28,6 +28,7 @@ from colliderbias import (
     v_stratum_sign,
     y_stratum_sign,
 )
+from colliderbias.verification import _child_case_sign
 from conftest import REFERENCE_CPT, UNIFORM_CPT
 
 
@@ -174,6 +175,33 @@ def test_y_sign_matches_direct_formula(rng):
                 - pd0 * cross_product_difference(params.p_c_given, 0)
             )
             assert case is classify_sign(direct, Scale.COV)
+
+
+# Both cross-product differences negative (case 3a) or both positive (3b).
+CASE3A_CPT = ColliderCpt(given_00=0.15, given_01=0.4, given_10=0.6, given_11=0.75)
+CASE3B_CPT = ColliderCpt(given_00=0.5, given_01=0.9, given_10=0.2, given_11=0.5)
+
+# One point per branch of the paper's case rules, which the verify battery
+# runs as ``child_sign_cases``: (collider table, child edge, level, sign).
+CASE_RULE_POINTS = {
+    "case1-level1": (REFERENCE_CPT, EdgeCpt(given_0=0.2, given_1=0.7), 1, Sign.POSITIVE),
+    "case1-level0": (REFERENCE_CPT, EdgeCpt(given_0=0.2, given_1=0.7), 0, Sign.NEGATIVE),
+    "case2": (
+        ColliderCpt(given_00=0.5, given_01=0.9, given_10=0.9, given_11=0.5),
+        EdgeCpt(given_0=0.2, given_1=0.7), 1, Sign.NEGATIVE,
+    ),
+    "case3a-inside": (CASE3A_CPT, EdgeCpt(given_0=0.6, given_1=0.3), 1, Sign.POSITIVE),
+    "case3a-outside": (CASE3A_CPT, EdgeCpt(given_0=0.2, given_1=0.5), 1, Sign.NEGATIVE),
+    "case3b-inside": (CASE3B_CPT, EdgeCpt(given_0=0.3, given_1=0.6), 1, Sign.NEGATIVE),
+    "case3b-outside": (CASE3B_CPT, EdgeCpt(given_0=0.3, given_1=0.9), 1, Sign.POSITIVE),
+}
+
+
+@pytest.mark.parametrize("cpt, d_cpt, level, expected", CASE_RULE_POINTS.values(),
+                         ids=CASE_RULE_POINTS)
+def test_child_case_rule_branches(cpt, d_cpt, level, expected):
+    assert _child_case_sign(cpt, d_cpt, level) is expected
+    assert y_stratum_sign(cpt, d_cpt, level) is expected
 
 
 # -- extended and lm signs ---------------------------------------------------
