@@ -392,16 +392,13 @@ def extended_stratum_bias(params: StructureParams, level: int, scale: Scale) -> 
     )
 
 
-def _left_effect(params: StructureParams) -> float:
+def _left_effect(t: ColliderCpt, p_right: float) -> float:
     """The left cause's marginal effect on P(C=1), mixing over the right:
     p_r (p11 - p01) + (1-p_r)(p10 - p00)."""
-    t = params.p_c_given
-    p_r = params.p_right
-    assert p_r is not None
-    return p_r * (t.given_11 - t.given_01) + (1.0 - p_r) * (t.given_10 - t.given_00)
+    return p_right * (t.given_11 - t.given_01) + (1.0 - p_right) * (t.given_10 - t.given_00)
 
 
-def lm_bias_kernel(params: StructureParams) -> float:
+def lm_kernel(p_c_given: ColliderCpt, p_left: float, p_right: float) -> float:
     """Negated product of the collider causes' marginal effects on it.
 
     With (p_l, p_r) the marginal probabilities of the collider's actual
@@ -416,13 +413,20 @@ def lm_bias_kernel(params: StructureParams) -> float:
     stratum-size-weighted mixture of the two cross-product differences,
     P(C=0) times the level-1 difference plus P(C=1) times the level-0
     difference; the identity ``lm_kernel_mixture_identity`` in
-    :mod:`colliderbias.verification` checks that.
+    :mod:`colliderbias.verification` checks that.  Array-valued table
+    entries give the kernel elementwise.
     """
+    t = p_c_given
+    right_effect = p_left * (t.given_11 - t.given_10) + (1.0 - p_left) * (t.given_01 - t.given_00)
+    return -right_effect * _left_effect(t, p_right)
+
+
+def lm_bias_kernel(params: StructureParams) -> float:
+    """The lm kernel (:func:`lm_kernel`) of a structure with marginally
+    independent collider causes."""
     _require_kind(params, *_INDEPENDENT_KINDS)
-    t = params.p_c_given
-    p_l = params.p_left
-    right_effect = p_l * (t.given_11 - t.given_10) + (1.0 - p_l) * (t.given_01 - t.given_00)
-    return -right_effect * _left_effect(params)
+    assert params.p_right is not None
+    return lm_kernel(params.p_c_given, params.p_left, params.p_right)
 
 
 def v_lm_bias(params: StructureParams) -> BiasReport:
@@ -490,7 +494,7 @@ def lm_weight_normalizer(params: StructureParams) -> float:
         )
 
     # Exposure X is a child of the left cause A.
-    assert params.p_x_given_a is not None
+    assert params.p_x_given_a is not None and params.p_right is not None
     p_a1 = params.p_left
     p_a0 = 1.0 - p_a1
     x1 = params.p_x_given_a.given_1
@@ -506,7 +510,7 @@ def lm_weight_normalizer(params: StructureParams) -> float:
         + p_a0 * _given_left(params, 0, 0, child=False)
     )
     rd_x = params.p_x_given_a.risk_difference
-    correction = (p_a1 * p_a0 * rd_x * _left_effect(params)) ** 2
+    correction = (p_a1 * p_a0 * rd_x * _left_effect(params.p_c_given, params.p_right)) ** 2
     if not kind.has_child_d:
         return p_x1 * p_x0 * pc1 * pc0 - correction
     assert params.p_d_given_c is not None

@@ -22,12 +22,9 @@ from .closedform import (
     cross_product_difference,
     extension_rds,
     lm_bias_kernel,
+    lm_kernel,
 )
-from .errors import (
-    DegenerateStratumError,
-    InvalidResolutionError,
-    ParameterError,
-)
+from .errors import InvalidResolutionError, ParameterError
 from .structures import (
     BiasQuery,
     ColliderCpt,
@@ -138,28 +135,31 @@ def v_stratum_sign(p_c_given: ColliderCpt, level: int) -> Sign:
     return band_sign(cross_product_difference(p_c_given, level))
 
 
-def y_stratum_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -> Sign:
-    """Sign of the child-stratum bias at D=level: the band sign of
-    closedform.child_contrast, which every scale's D=level bias shares.
-
-    Raises DegenerateStratumError when both cross-product differences lie
-    within closedform.SIGN_TOL of zero: then some cause has no effect on C.
-    The paper's case rules for this sign run in the verify battery, as the
-    identity ``child_sign_cases`` of :mod:`colliderbias.verification`.
-    """
+def _child_delta(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -> float:
+    """closedform.child_contrast at D=level, once the child edge is checked
+    to lie inside the open unit interval."""
     check_probabilities(
         (("p_d_given_c", "0", p_d_given_c.given_0), ("p_d_given_c", "1", p_d_given_c.given_1)),
         open_interval=True,
     )
     g1 = cross_product_difference(p_c_given, 1)
     g0 = cross_product_difference(p_c_given, 0)
-    if band_sign(g1) is Sign.ZERO and band_sign(g0) is Sign.ZERO:
-        raise DegenerateStratumError(
-            "C", level, "both cross-product differences vanish: some cause has no effect on C"
-        )
     pd1 = p_d_given_c.level_given(level, 1)
     pd0 = p_d_given_c.level_given(level, 0)
-    return band_sign(child_contrast(pd1, pd0, g1, g0))
+    return child_contrast(pd1, pd0, g1, g0)
+
+
+def y_stratum_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -> Sign:
+    """Sign of the child-stratum bias at D=level: the band sign of
+    closedform.child_contrast, which every scale's D=level bias shares.
+
+    When both cross-product differences lie within closedform.SIGN_TOL of
+    zero, the contrast is below SIGN_TOL |pd1^2 - pd0^2| < SIGN_TOL, so the
+    sign is Zero.  The paper's case rules for this sign run in the verify
+    battery, as the identity ``child_sign_cases`` of
+    :mod:`colliderbias.verification`.
+    """
+    return band_sign(_child_delta(p_c_given, p_d_given_c, level))
 
 
 def extended_sign(params: StructureParams, conditioning: Conditioning) -> Sign:
@@ -322,8 +322,12 @@ def emit_grid(family: GridFamily, fixed: GridFixed, resolution: int) -> SignGrid
     the requested sign family at every cell center.
 
     Cell centers are (i + 1/2)/resolution, which keeps the sweep strictly
-    inside the open square.  The output is a pure function of the inputs;
-    repeated calls produce identical grids.  ``resolution`` must lie in
+    inside the open square.  The sweep runs row by row: each row is one
+    collider table whose P(C=1|0,1) entry is the whole axis, fed to the
+    function the family's scalar sign rule calls, and banded cell by cell
+    with closedform.band_sign; apart from the cells array, memory is
+    O(resolution).  The output is a pure function of the inputs; repeated
+    calls produce identical grids.  ``resolution`` must lie in
     [2, MAX_GRID_RESOLUTION].
     """
     if not 2 <= resolution <= MAX_GRID_RESOLUTION:
@@ -334,35 +338,18 @@ def emit_grid(family: GridFamily, fixed: GridFixed, resolution: int) -> SignGrid
     axis = (np.arange(resolution) + 0.5) / resolution
     cells = np.zeros((resolution, resolution, len(columns)), dtype=np.int8)
 
-    for i, p10 in enumerate(axis):
-        for j, p01 in enumerate(axis):
-            cpt = ColliderCpt(
-                given_00=fixed.p_c00,
-                given_01=float(p01),
-                given_10=float(p10),
-                given_11=fixed.p_c11,
-            )
-            if family is GridFamily.STRATUM:
-                cells[i, j, 0] = int(v_stratum_sign(cpt, 1))
-                cells[i, j, 1] = int(v_stratum_sign(cpt, 0))
-            elif family is GridFamily.CHILD_STRATUM:
-                assert fixed.p_d_given_c is not None
-                for k, level in enumerate((1, 0)):
-                    try:
-                        verdict = y_stratum_sign(cpt, fixed.p_d_given_c, level)
-                    except DegenerateStratumError:
-                        # Cell center sits where neither cause moves the
-                        # collider; the bias is identically zero there.
-                        verdict = Sign.ZERO
-                    cells[i, j, k] = int(verdict)
-            else:
-                params = StructureParams(
-                    kind=StructureKind.V,
-                    p_left=fixed.p_left,
-                    p_right=fixed.p_right,
-                    p_c_given=cpt,
-                )
-                cells[i, j, 0] = int(v_lm_sign(params))
+    for i, p10 in enumerate(axis.tolist()):
+        row = ColliderCpt(
+            given_00=fixed.p_c00, given_01=axis, given_10=p10, given_11=fixed.p_c11
+        )
+        if family is GridFamily.STRATUM:
+            deltas = [cross_product_difference(row, level) for level in (1, 0)]
+        elif family is GridFamily.CHILD_STRATUM:
+            deltas = [_child_delta(row, fixed.p_d_given_c, level) for level in (1, 0)]
+        else:
+            deltas = [lm_kernel(row, fixed.p_left, fixed.p_right)]
+        for k, delta in enumerate(deltas):
+            cells[i, :, k] = [band_sign(value) for value in delta.tolist()]
     cells.setflags(write=False)
     return SignGrid(
         family=family,

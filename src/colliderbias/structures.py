@@ -188,7 +188,10 @@ class ColliderCpt:
     """P(C=1 | left parent, right parent).
 
     Field suffix is (left value, right value): ``given_01`` is the entry for
-    left=0, right=1.  The matching JSON keys are ``KEYS``.
+    left=0, right=1.  The matching JSON keys are ``KEYS``.  A field may be a
+    float64 array; the lookups, and the sign-grid closed forms built on them
+    (``cross_product_difference``, ``child_contrast``, ``lm_kernel``), are
+    then evaluated elementwise.
     """
 
     KEYS: ClassVar[tuple[str, ...]] = ("00", "01", "10", "11")

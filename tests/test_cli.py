@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 
 import pytest
 
-from colliderbias.cli import grid_to_csv, main, parse_grid_csv
+from colliderbias import EdgeCpt, GridFamily, GridFixed, emit_grid
+from colliderbias.cli import grid_to_csv, grid_to_json, main, parse_grid_csv
 
 REFERENCE_FLAGS = [
     "--kind", "V",
@@ -246,6 +248,18 @@ def test_grid_near_tie_child_edge(capsys):
     assert parse_grid_csv(out).cells[0, 0].tolist() == [1, 0]
 
 
+# Neither cause moves the collider: both cross-product differences vanish,
+# so the child-stratum bias is exactly 0 and its sign is zero, not an error.
+def test_sign_degenerate_cross_products_is_zero(capsys):
+    code, out, err = run_cli(
+        capsys, "sign", "--kind", "Y", "--p-left", "0.5", "--p-right", "0.5",
+        "--p-c-given", "00=0.5,01=0.5,10=0.5,11=0.5", "--p-d-given-c", "0=0.2,1=0.7",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["stratum_signs"] == {"D=0": "zero", "D=1": "zero"}
+
+
 def test_verify_single_kind(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--kind", "V", "--draws", "40", "--seed", "11",
@@ -333,6 +347,35 @@ def test_grid_deterministic_bytes(tmp_path, capsys):
         )
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# (p_c00, p_c11, p_left, p_right, child edge): the table corners at 0 and 1,
+# the cause marginals at 0 and 1, values near the ends of the double range,
+# the near-tie child edge and the all-0.5 zero locus.
+GRID_PIN_SETTINGS = [
+    (0.0, 1.0, 0.5, 0.5, (0.2, 0.7)),
+    (1.0, 0.0, 0.0, 1.0, (0.3, 0.8)),
+    (0.15, 0.75, 1.0, 0.0, (0.7, 0.2)),
+    (1e-300, 1 - 1e-16, 1e-300, 0.3, (1e-300, 1 - 1e-16)),
+    (0.999, 0.999, 0.5, 0.5, (0.9, 0.9000000000009)),
+    (0.5, 0.5, 0.5, 0.5, (0.2, 0.7)),
+]
+# Digest of the CSV and JSON bytes of every family's grid at each setting, at
+# resolutions 5 and 60; any changed cell, axis value or locus changes it.
+GRID_BYTES_DIGEST = "219036dc4f3a89c76b4d9c6513296c0d527afb84476548380e940c79b6418b06"
+
+
+def test_grid_bytes_pinned():
+    digest = hashlib.sha256()
+    for p_c00, p_c11, p_left, p_right, (d0, d1) in GRID_PIN_SETTINGS:
+        fixed = GridFixed(p_c00=p_c00, p_c11=p_c11, p_left=p_left, p_right=p_right,
+                          p_d_given_c=EdgeCpt(given_0=d0, given_1=d1))
+        for family in GridFamily:
+            for resolution in (5, 60):
+                grid = emit_grid(family, fixed, resolution)
+                digest.update(grid_to_csv(grid).encode())
+                digest.update(grid_to_json(grid).encode())
+    assert digest.hexdigest() == GRID_BYTES_DIGEST
 
 
 def test_grid_invalid_resolution(capsys):

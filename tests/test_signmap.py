@@ -6,7 +6,6 @@ import pytest
 from colliderbias import (
     LINEAR_MODEL,
     ColliderCpt,
-    DegenerateStratumError,
     EdgeCpt,
     GridFamily,
     GridFixed,
@@ -28,6 +27,7 @@ from colliderbias import (
     v_stratum_sign,
     y_stratum_sign,
 )
+from colliderbias.closedform import SIGN_TOL, band_sign, child_contrast
 from colliderbias.verification import _child_case_sign
 from conftest import REFERENCE_CPT, UNIFORM_CPT
 
@@ -151,9 +151,26 @@ def test_y_sign_case3a_inside_band():
 
 
 def test_y_sign_degenerate_cross_products():
+    # Neither cause moves C, so both cross-product differences vanish and the
+    # child-stratum bias is identically zero.
     d_cpt = EdgeCpt(given_0=0.3, given_1=0.7)
-    with pytest.raises(DegenerateStratumError):
-        y_stratum_sign(UNIFORM_CPT, d_cpt, 1)
+    assert y_stratum_sign(UNIFORM_CPT, d_cpt, 1) is Sign.ZERO
+    assert y_stratum_sign(UNIFORM_CPT, d_cpt, 0) is Sign.ZERO
+
+
+# Child-edge probabilities up to 1 - 2^-53 and down to the smallest
+# subnormal, taken in every ordered pair as (pd1, pd0).
+EXTREME_PD = [1 - 2**-53, 2**-1074, 0.5, 1e-300]
+
+
+@pytest.mark.parametrize("pd1", EXTREME_PD)
+@pytest.mark.parametrize("pd0", EXTREME_PD)
+def test_child_contrast_zero_when_both_cross_products_in_band(pd1, pd0, rng):
+    # |contrast| <= SIGN_TOL |pd1^2 - pd0^2| < SIGN_TOL once |g1|, |g0| <= SIGN_TOL.
+    edges = [-SIGN_TOL, -SIGN_TOL / 2, 0.0, SIGN_TOL / 2, SIGN_TOL]
+    for g1 in edges + list(rng.uniform(-SIGN_TOL, SIGN_TOL, 50)):
+        for g0 in edges:
+            assert band_sign(child_contrast(pd1, pd0, float(g1), g0)) is Sign.ZERO
 
 
 def test_y_sign_requires_strict_child_edge():
@@ -357,17 +374,41 @@ def test_grid_zero_on_locus():
     assert grid.cells[2, 2, 1] == 0
 
 
-def test_grid_child_family_agrees_cell_by_cell():
-    d_cpt = EdgeCpt(given_0=0.2, given_1=0.7)
-    fixed = GridFixed(p_c00=0.15, p_c11=0.75, p_left=0.5, p_right=0.5, p_d_given_c=d_cpt)
-    grid = emit_grid(GridFamily.CHILD_STRATUM, fixed, 12)
+# (p_c00, p_c11, p_left, p_right, child edge, resolution).  The zero-locus
+# setting's odd resolution puts a cell center on (0.5, 0.5), where every table
+# entry is 0.5 and both cross-product differences vanish.
+SCALAR_ROUTE_SETTINGS = {
+    "reference": (0.15, 0.75, 0.3, 0.6, (0.2, 0.7), 12),
+    "zero-locus": (0.5, 0.5, 0.5, 0.5, (0.2, 0.7), 5),
+    "near-tie-child-edge": (0.999, 0.999, 0.5, 0.5, (0.9, 0.9000000000009), 20),
+}
+
+
+@pytest.mark.parametrize("family", list(GridFamily), ids=lambda family: family.value)
+@pytest.mark.parametrize("setting", list(SCALAR_ROUTE_SETTINGS))
+def test_grid_agrees_with_scalar_rules_cell_by_cell(setting, family):
+    p_c00, p_c11, p_left, p_right, (d0, d1), resolution = SCALAR_ROUTE_SETTINGS[setting]
+    d_cpt = EdgeCpt(given_0=d0, given_1=d1)
+    fixed = GridFixed(p_c00=p_c00, p_c11=p_c11, p_left=p_left, p_right=p_right,
+                      p_d_given_c=d_cpt)
+    grid = emit_grid(family, fixed, resolution)
     for i, p10 in enumerate(grid.axis):
         for j, p01 in enumerate(grid.axis):
             cpt = ColliderCpt(
-                given_00=0.15, given_01=float(p01), given_10=float(p10), given_11=0.75
+                given_00=p_c00, given_01=float(p01), given_10=float(p10), given_11=p_c11
             )
-            assert grid.cells[i, j, 0] == int(y_stratum_sign(cpt, d_cpt, 1))
-            assert grid.cells[i, j, 1] == int(y_stratum_sign(cpt, d_cpt, 0))
+            if family is GridFamily.STRATUM:
+                expected = [v_stratum_sign(cpt, level) for level in (1, 0)]
+            elif family is GridFamily.CHILD_STRATUM:
+                expected = [y_stratum_sign(cpt, d_cpt, level) for level in (1, 0)]
+            else:
+                params = StructureParams(
+                    kind=StructureKind.V, p_left=p_left, p_right=p_right, p_c_given=cpt
+                )
+                expected = [v_lm_sign(params)]
+            assert grid.cells[i, j].tolist() == expected
+    if setting == "zero-locus":
+        assert grid.cells[2, 2].tolist() == [0] * len(grid.columns)
 
 
 def test_grid_regression_loci():
