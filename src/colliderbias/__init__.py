@@ -8,6 +8,8 @@ sign rules, and a brute-force joint-distribution oracle that every closed
 form is cross-validated against.
 """
 
+import types
+
 from .closedform import (
     BiasReport,
     classify_sign,
@@ -91,73 +93,8 @@ from .verification import (
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BiasQuery",
-    "BiasReport",
-    "ColliderBiasError",
-    "ColliderCpt",
-    "Conditioning",
-    "DegenerateStratumError",
-    "EdgeCpt",
-    "EffectPattern",
-    "ExtraFieldError",
-    "GridFamily",
-    "GridFixed",
-    "IdentityResult",
-    "InvalidResolutionError",
-    "JointTable",
-    "KindVerification",
-    "LINEAR_MODEL",
-    "LinearModel",
-    "MissingFieldError",
-    "OracleMeasure",
-    "OutOfRangeError",
-    "ParameterError",
-    "Pattern",
-    "PrecisionLossError",
-    "RoleMap",
-    "SampleTable",
-    "Scale",
-    "Sign",
-    "SignGrid",
-    "SingularDesignError",
-    "Stratum",
-    "StructureKind",
-    "StructureParams",
-    "UndefinedRatioError",
-    "UnknownVariableError",
-    "ZeroLocus",
-    "bias",
-    "build_joint",
-    "classify_effects",
-    "classify_sign",
-    "closed_form",
-    "cond_measure",
-    "cross_product_difference",
-    "embedded_core",
-    "emit_grid",
-    "extended_sign",
-    "extended_stratum_bias",
-    "extension_rds",
-    "extension_variance_ratio",
-    "lm_bias",
-    "lm_bias_kernel",
-    "lm_coefficient",
-    "lm_stratum_weights",
-    "lm_weight_normalizer",
-    "nabla_or_bias_factor",
-    "params_from_dict",
-    "random_structure_params",
-    "sample",
-    "v_lm_bias",
-    "v_lm_sign",
-    "v_stratum_bias",
-    "v_stratum_sign",
-    "validate",
-    "variable_roles",
-    "verify_kind",
-    "verify_many",
-    "y_bias_from_embedded_v",
-    "y_stratum_bias",
-    "y_stratum_sign",
-]
+# Every name imported above, and nothing else: one list of the public API.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

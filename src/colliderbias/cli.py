@@ -20,6 +20,7 @@ import logging
 import math
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -331,6 +332,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         raise ParameterError("verify needs --kind KIND or --all")
     runs = verify_many(kinds, draws=args.draws, seed=args.seed)
+    if args.timings:
+        for run in runs:
+            print(f"{run.kind.value}: {run.elapsed_seconds:.3f} s", file=sys.stderr)
     doc = _verification_doc(runs)
 
     if args.format == "json":
@@ -419,12 +423,11 @@ def grid_to_csv(grid: SignGrid) -> str:
         coeffs = " ".join(f"{k}={v!r}" for k, v in locus.coefficients)
         out.write(f"# zero_locus name={locus.name} curve={locus.curve} {coeffs}\n")
     out.write("p10,p01," + ",".join(grid.columns) + "\n")
-    for i in range(grid.resolution):
-        p10 = repr(float(grid.axis[i]))
-        for j in range(grid.resolution):
-            row = [p10, repr(float(grid.axis[j]))]
-            row.extend(str(int(v)) for v in grid.cells[i, j])
-            out.write(",".join(row) + "\n")
+    # Each axis label is formatted once per grid, not once per cell.
+    labels = [repr(value) for value in grid.axis.tolist()]
+    for p10, row in zip(labels, grid.cells.tolist()):
+        signs = [",".join(map(str, cell)) for cell in row]
+        out.write("".join(f"{p10},{p01},{sign}\n" for p01, sign in zip(labels, signs)))
     return out.getvalue()
 
 
@@ -540,42 +543,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    compute = sub.add_parser("compute", help="closed-form bias with oracle cross-check")
+    def command(name: str, func, help: str, formats=("text", "json")) -> argparse.ArgumentParser:
+        """A subcommand; each writes one of ``formats`` to stdout or --out."""
+        command_parser = sub.add_parser(name, help=help)
+        command_parser.set_defaults(func=func)
+        command_parser.add_argument("--format", choices=list(formats), default=formats[0])
+        command_parser.add_argument("--out", help="write output to a file instead of stdout")
+        return command_parser
+
+    compute = command("compute", cmd_compute, "closed-form bias with oracle cross-check")
     _add_params_flags(compute)
     compute.add_argument("--scale", choices=["cov", "rd", "rr", "or"], default="cov")
     compute.add_argument("--stratum", metavar="VAR=LEVEL", help="condition on C=c or D=d")
     compute.add_argument("--lm", action="store_true", help="linear-regression adjustment")
     compute.add_argument("--tolerance", type=float,
                          help="override the discrepancy tolerance; a finite number >= 0")
-    compute.add_argument("--format", choices=["text", "json"], default="text")
-    compute.add_argument("--out", help="write output to a file instead of stdout")
-    compute.set_defaults(func=cmd_compute)
 
-    sign = sub.add_parser("sign", help="qualitative sign analysis")
-    _add_params_flags(sign)
-    sign.add_argument("--format", choices=["text", "json"], default="text")
-    sign.add_argument("--out", help="write output to a file instead of stdout")
-    sign.set_defaults(func=cmd_sign)
+    _add_params_flags(command("sign", cmd_sign, "qualitative sign analysis"))
 
-    verify = sub.add_parser("verify", help="randomized closed-form/oracle identity checks")
+    verify = command("verify", cmd_verify, "randomized closed-form/oracle identity checks")
     verify_target = verify.add_mutually_exclusive_group()
     verify_target.add_argument("--kind", choices=_KIND_CHOICES)
     verify_target.add_argument("--all", action="store_true", help="verify all nine kinds")
     verify.add_argument("--draws", type=int, default=1000)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--format", choices=["text", "json"], default="text")
-    verify.add_argument("--out", help="write output to a file instead of stdout")
-    verify.set_defaults(func=cmd_verify)
+    verify.add_argument("--timings", action="store_true",
+                        help="print each kind's wall-clock seconds to stderr")
 
-    sample_cmd = sub.add_parser("sample", help="Monte Carlo frequencies vs exact masses")
+    sample_cmd = command("sample", cmd_sample, "Monte Carlo frequencies vs exact masses")
     _add_params_flags(sample_cmd)
     sample_cmd.add_argument("--draws", type=int, default=100000)
     sample_cmd.add_argument("--seed", type=int, default=0)
-    sample_cmd.add_argument("--format", choices=["text", "json"], default="text")
-    sample_cmd.add_argument("--out", help="write output to a file instead of stdout")
-    sample_cmd.set_defaults(func=cmd_sample)
 
-    grid = sub.add_parser("grid", help="export a sign-region grid")
+    grid = command("grid", cmd_grid, "export a sign-region grid", formats=("csv", "json"))
     grid.add_argument("--family", choices=[f.value for f in GridFamily], required=True)
     grid.add_argument("--p-c00", type=float, required=True, help="fixed P(C=1|0,0)")
     grid.add_argument("--p-c11", type=float, required=True, help="fixed P(C=1|1,1)")
@@ -585,17 +585,21 @@ def build_parser() -> argparse.ArgumentParser:
                       help="collider-child edge (child-stratum family)")
     grid.add_argument("--resolution", type=int, default=200,
                       help=f"cells per axis, 2 to {MAX_GRID_RESOLUTION} (default 200)")
-    grid.add_argument("--format", choices=["csv", "json"], default="csv")
-    grid.add_argument("--out", help="write output to a file instead of stdout")
-    grid.set_defaults(func=cmd_grid)
 
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: parsing leaves it
+    unchanged, and each build leaves hundreds of objects in reference cycles
+    for the cyclic collector."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     log.info("running %s", args.command)
     try:
         return args.func(args)

@@ -25,11 +25,14 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .errors import (
     DegenerateStratumError,
     ParameterError,
-    PrecisionLossError,
     UndefinedRatioError,
+    raise_if_nonfinite,
+    raise_where,
 )
 from .structures import (
     LINEAR_MODEL,
@@ -57,7 +60,11 @@ _INDEPENDENT_KINDS = tuple(kind for kind in StructureKind if kind is not Structu
 
 
 def band_sign(delta: float, tol: float = SIGN_TOL) -> Sign:
-    """Sign of ``delta``, reported as Zero when it lies within ``tol`` of 0."""
+    """Sign of ``delta``, reported as Zero when it lies within ``tol`` of 0
+    and as Negative when it is NaN.  Elementwise on an array, as integer sign
+    codes (-1/0/1)."""
+    if isinstance(delta, np.ndarray):
+        return np.where(abs(delta) <= tol, 0, np.where(delta > 0, 1, -1))
     if abs(delta) <= tol:
         return Sign.ZERO
     return Sign.POSITIVE if delta > 0 else Sign.NEGATIVE
@@ -72,8 +79,9 @@ def classify_sign(value: float, scale: Scale) -> Sign:
 
 @dataclass(frozen=True)
 class BiasReport:
-    """Value, sign and decomposition factors of one closed-form bias; a
-    non-finite value or factor raises PrecisionLossError."""
+    """Value, sign and decomposition factors of one closed-form bias, each an
+    array over a batch of draws; a non-finite value or factor raises
+    PrecisionLossError."""
 
     value: float
     scale: Scale
@@ -82,9 +90,16 @@ class BiasReport:
     factors: Mapping[str, float]
 
     def __post_init__(self) -> None:
+        scalar = isinstance(self.value, float)
         for name, number in (*self.factors.items(), ("value", self.value)):
-            if not math.isfinite(number):
-                raise PrecisionLossError(f"closed form gave non-finite {name} = {number!r}")
+            if not (scalar and math.isfinite(number)):  # the common case inline
+                raise_if_nonfinite(number, "closed form gave non-finite", name)
+
+
+def _square(x: float) -> float:
+    """``x ** 2`` rounded as Python rounds it, through libm pow, which is
+    not always ``x * x``; on an array, np.float_power calls the same pow."""
+    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x**2
 
 
 def _require_kind(params: StructureParams, *kinds: StructureKind) -> None:
@@ -135,8 +150,7 @@ def _child_mixture(params: StructureParams, d: int, left: int, right: int) -> fl
 def _stratum_odds_ratio(t: ColliderCpt, level: int) -> float:
     """P(C=c|00)P(C=c|11) / {P(C=c|10)P(C=c|01)} at c = level."""
     denom = t.level_given(level, 1, 0) * t.level_given(level, 0, 1)
-    if denom <= 0.0:
-        raise UndefinedRatioError(f"P(C={level}|10) P(C={level}|01) = 0")
+    raise_where(denom <= 0.0, UndefinedRatioError, f"P(C={level}|10) P(C={level}|01) = 0")
     return t.level_given(level, 0, 0) * t.level_given(level, 1, 1) / denom
 
 
@@ -159,14 +173,13 @@ def v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
 
     if scale is Scale.COV:
         p_c_sq = p_c * p_c  # zero when P(C=c) is zero or underflows on squaring
-        if p_c_sq <= 0.0:
-            raise DegenerateStratumError("C", level)
+        raise_where(p_c_sq <= 0.0, DegenerateStratumError, "C", level)
         value = p_x1 * p_x0 * p_y1 * p_y0 * g / p_c_sq
     elif scale is Scale.RD:
         c_given_x1 = _given_left(params, level, 1, child=False)
         c_given_x0 = _given_left(params, level, 0, child=False)
-        if c_given_x1 * c_given_x0 <= 0.0:
-            raise UndefinedRatioError(f"P(C={level} | X=x) = 0 for some x")
+        bad = c_given_x1 * c_given_x0 <= 0.0
+        raise_where(bad, UndefinedRatioError, f"P(C={level} | X=x) = 0 for some x")
         value = p_y1 * p_y0 * g / (c_given_x1 * c_given_x0)
     elif scale is Scale.OR:
         value = _stratum_odds_ratio(params.p_c_given, level)
@@ -194,8 +207,8 @@ def nabla_or_bias_factor(params: StructureParams, level: int) -> BiasReport:
     value = _stratum_odds_ratio(params.p_c_given, level)
     assert params.p_y_given_b is not None
     y1, y0 = params.p_y_given_b.given_1, params.p_y_given_b.given_0
-    if (1.0 - y1) * y0 <= 0.0:
-        raise UndefinedRatioError("a zero cell makes the marginal odds ratio undefined")
+    bad = (1.0 - y1) * y0 <= 0.0
+    raise_where(bad, UndefinedRatioError, "a zero cell makes the marginal odds ratio undefined")
     marginal = y1 * (1.0 - y0) / ((1.0 - y1) * y0)
     return BiasReport(
         value=value,
@@ -235,14 +248,13 @@ def y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
 
     if scale is Scale.COV:
         p_d_sq = p_d * p_d  # zero when P(D=d) is zero or underflows on squaring
-        if p_d_sq <= 0.0:
-            raise DegenerateStratumError("D", d)
+        raise_where(p_d_sq <= 0.0, DegenerateStratumError, "D", d)
         value = p_x1 * p_x0 * p_y1 * p_y0 / p_d_sq * core
     elif scale is Scale.RD:
         d_given_x1 = _given_left(params, d, 1, child=True)
         d_given_x0 = _given_left(params, d, 0, child=True)
-        if d_given_x1 * d_given_x0 <= 0.0:
-            raise UndefinedRatioError(f"P(D={d} | X=x) = 0 for some x")
+        bad = d_given_x1 * d_given_x0 <= 0.0
+        raise_where(bad, UndefinedRatioError, f"P(D={d} | X=x) = 0 for some x")
         value = p_y1 * p_y0 * core / (d_given_x1 * d_given_x0)
     elif scale is Scale.OR:
         num = (pd1 - pd0) * (
@@ -253,8 +265,7 @@ def y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
             pd1 * t.level_given(1, 1, 0) * t.level_given(1, 0, 1)
             - pd0 * t.level_given(0, 1, 0) * t.level_given(0, 0, 1)
         ) + pd1 * pd0
-        if den <= 0.0:
-            raise UndefinedRatioError(f"odds-ratio denominator vanishes at D={d}")
+        raise_where(den <= 0.0, UndefinedRatioError, f"odds-ratio denominator vanishes at D={d}")
         value = num / den
     else:
         raise ParameterError(f"no closed stratum form on scale {scale.value}")
@@ -283,8 +294,7 @@ def y_bias_from_embedded_v(params: StructureParams, level: int) -> float:
     d = level
     p_d = params.prob_child(d)
     p_d_sq = p_d * p_d  # zero when P(D=d) is zero or underflows on squaring
-    if p_d_sq <= 0.0:
-        raise DegenerateStratumError("D", d)
+    raise_where(p_d_sq <= 0.0, DegenerateStratumError, "D", d)
     embedded = _embedded_core(params, child=False)
     pd1 = params.p_d_given_c.level_given(d, 1)
     pd0 = params.p_d_given_c.level_given(d, 0)
@@ -349,8 +359,7 @@ def extension_variance_ratio(params: StructureParams, level: int) -> float:
     den = (x1 * p_a1 * g_a1 + x0 * p_a0 * g_a0) * (
         (1.0 - x1) * p_a1 * g_a1 + (1.0 - x0) * p_a0 * g_a0
     )
-    if den <= 0.0:
-        raise UndefinedRatioError("var(X | stratum) = 0")
+    raise_where(den <= 0.0, UndefinedRatioError, "var(X | stratum) = 0")
     return num / den
 
 
@@ -452,8 +461,7 @@ def v_lm_bias(params: StructureParams) -> BiasReport:
     c0_x1 = _given_left(params, 0, 1, child=False)
     c0_x0 = _given_left(params, 0, 0, child=False)
     denominator = m11 * c0_x1 + m01 * c0_x0
-    if denominator <= 0.0:
-        raise DegenerateStratumError("C", 1)
+    raise_where(denominator <= 0.0, DegenerateStratumError, "C", 1)
     value = kernel * p_y1 * p_y0 / denominator
 
     m10 = p_x1 * c0_x1
@@ -461,8 +469,7 @@ def v_lm_bias(params: StructureParams) -> BiasReport:
     raw1 = (m10 + m00) * m11 * m01
     raw0 = (m11 + m01) * m10 * m00
     total = raw1 + raw0
-    if total <= 0.0:
-        raise DegenerateStratumError("C", 1 if raw1 <= 0 else 0)
+    raise_where(total <= 0.0, lambda r: DegenerateStratumError("C", 1 if r <= 0 else 0), raw1)
     w1, w0 = raw1 / total, raw0 / total
     return BiasReport(
         value=value,
@@ -510,14 +517,14 @@ def lm_weight_normalizer(params: StructureParams) -> float:
         + p_a0 * _given_left(params, 0, 0, child=False)
     )
     rd_x = params.p_x_given_a.risk_difference
-    correction = (p_a1 * p_a0 * rd_x * _left_effect(params.p_c_given, params.p_right)) ** 2
+    correction = _square(p_a1 * p_a0 * rd_x * _left_effect(params.p_c_given, params.p_right))
     if not kind.has_child_d:
         return p_x1 * p_x0 * pc1 * pc0 - correction
     assert params.p_d_given_c is not None
     d_cpt = params.p_d_given_c
     pd1 = d_cpt.given_1 * pc1 + d_cpt.given_0 * pc0
     pd0 = (1.0 - d_cpt.given_1) * pc1 + (1.0 - d_cpt.given_0) * pc0
-    return p_x1 * p_x0 * pd1 * pd0 - correction * d_cpt.risk_difference**2
+    return p_x1 * p_x0 * pd1 * pd0 - correction * _square(d_cpt.risk_difference)
 
 
 def lm_bias(params: StructureParams) -> BiasReport:
@@ -541,9 +548,8 @@ def lm_bias(params: StructureParams) -> BiasReport:
     var_left = params.p_left * (1.0 - params.p_left)
     var_right = params.p_right * (1.0 - params.p_right)
     phi = lm_weight_normalizer(params)
-    if phi <= 0.0:
-        raise DegenerateStratumError(params.kind.conditioning_variable, 1)
-    value = kernel * rd_left * rd_right * rd_child**2 * var_left * var_right / phi
+    raise_where(phi <= 0.0, lambda: DegenerateStratumError(params.kind.conditioning_variable, 1))
+    value = kernel * rd_left * rd_right * _square(rd_child) * var_left * var_right / phi
     return BiasReport(
         value=value,
         scale=Scale.LM_COEF,

@@ -1,6 +1,11 @@
-"""Exception hierarchy shared by all colliderbias modules."""
+"""Exception hierarchy shared by all colliderbias modules, and the guard
+that raises one for a single value or for a batch of draws."""
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 
 class ColliderBiasError(Exception):
@@ -80,3 +85,33 @@ class InvalidResolutionError(ParameterError):
         self.resolution = resolution
         bound = ">= 2" if resolution < 2 else f"<= {maximum}"
         super().__init__(f"grid resolution must be {bound}, got {resolution}")
+
+
+def raise_if_nonfinite(value, *label: str) -> None:
+    """Raise PrecisionLossError "<label> = <value>" if ``value``, or an entry
+    of it over a batch, is NaN or infinite."""
+    if isinstance(value, float) and math.isfinite(value):
+        return
+    message = " ".join(label)
+    raise_where(~np.isfinite(value), lambda v: PrecisionLossError(f"{message} = {v!r}"), value)
+
+
+def raise_where(bad, error, *args) -> None:
+    """Raise ``error(*args)`` if ``bad`` holds.
+
+    ``bad`` is one truth value, or a boolean array over a batch of draws.  In
+    a batch the error is built from the first bad draw's entry of each array
+    argument, and its ``draw`` attribute and message name that draw.
+    """
+    if bad is False:
+        return
+    if getattr(bad, "ndim", 0) == 0:
+        if bad:
+            raise error(*args)
+        return
+    draw = int(bad.argmax())
+    if bad[draw]:
+        exc = error(*(arg.item(draw) if getattr(arg, "ndim", 0) else arg for arg in args))
+        exc.draw = draw
+        exc.args = (f"draw {draw}: {exc}",)
+        raise exc

@@ -9,8 +9,7 @@ independent cross-check for them.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,6 +21,8 @@ from .errors import (
     SingularDesignError,
     UndefinedRatioError,
     UnknownVariableError,
+    raise_if_nonfinite,
+    raise_where,
 )
 from .structures import (
     LINEAR_MODEL,
@@ -53,104 +54,145 @@ def _bit_columns(n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _cell_index(order: tuple[str, ...], events: tuple[tuple[tuple[str, int], ...], ...]) -> np.ndarray:
+    """Cell indices of a table over ``order``, one row per event: row i
+    lists, ascending, the cells where every (name, value) of events[i]
+    holds.  The events must each hold on equally many cells."""
+    columns = dict(zip(order, _bit_columns(len(order))))
+    rows = []
+    for event in events:
+        keep = np.ones(2 ** len(order), dtype=bool)
+        for name, value in event:
+            if name not in columns:
+                raise UnknownVariableError(name)
+            keep &= columns[name] if value else ~columns[name]
+        rows.append(np.flatnonzero(keep))
+    index = np.array(rows)
+    index.setflags(write=False)
+    return index
+
+
+def ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, of at most 128 terms, in the order in which
+    ``ndarray.sum`` adds a contiguous 1-D float64 array, so that each entry
+    is bit-identical to its row's own ``.sum()``: a left fold below 8 terms;
+    otherwise eight running sums started at the first 8 terms, each further
+    block of 8 added in, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and
+    the tail folded in.  A tier-1 test pins this against ``ndarray.sum``."""
+    k = terms.shape[-1]
+    if k < 8:
+        total, tail = terms[..., 0], 1
+    else:
+        r = terms[..., :8]
+        tail = k - k % 8
+        for i in range(8, tail, 8):
+            r = r + terms[..., i : i + 8]
+        r = r[..., 0::2] + r[..., 1::2]
+        r = r[..., 0::2] + r[..., 1::2]
+        total = r[..., 0] + r[..., 1]
+    for j in range(tail, k):
+        total = total + terms[..., j]
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class JointTable:
     """Exact joint distribution over the structure's binary variables.
 
     ``mass[i]`` is the probability of the assignment whose bits (with
-    ``order[0]`` as the most significant bit) spell the integer ``i``.
+    ``order[0]`` as the most significant bit) spell the integer ``i``.  A
+    batch of B tables of one kind (:func:`build_joint_batch`) has mass of
+    shape (B, 2**n); every query then answers with a (B,) array whose entries
+    are bit-identical to the floats each row's own table gives.
 
     The table owns its mass: construction copies it into a fresh read-only
     float64 array, so no caller's array, view or base can change it later.
-    Because the mass is fixed, each derived quantity is computed once per
-    table and kept in ``_memo``: the (X, Y) cells of each stratum (see
-    :func:`_xy_stratum_cells`) and each ``expectation`` moment.  A repeat
-    query returns the very float the first one computed, from the same masks
-    and the same ``.sum()``, so memoized results are bit-identical to
-    recomputed ones.
+    Queries sum the cells of an event through index arrays cached per
+    (variable order, event), with ``.sum()`` on one table and
+    :func:`ordered_sum` on a batch.
     """
 
     kind: StructureKind
     order: tuple[str, ...]
     mass: np.ndarray
-    _bits: dict[str, np.ndarray] = field(init=False, repr=False, default_factory=dict)
-    # Stratum (None for marginal) -> (p11, p10, p01, p00, p_g);
-    # frozenset of names -> expectation.  The key types never compare equal.
-    _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         n = len(self.order)
         if not 1 <= n <= 6:
             raise ParameterError(f"supported structures have 1..6 variables, got {n}")
         mass = np.array(self.mass, dtype=np.float64)
-        if mass.shape != (2**n,):
-            raise ParameterError(f"mass must have shape (2**{n},), got {mass.shape}")
-        # Any NaN or infinite entry makes the sum NaN or infinite, which the
-        # negated comparison rejects (NaN compares false both ways).
-        if not abs(float(mass.sum()) - 1.0) <= 1e-12 or mass.min() < 0.0:
-            raise ParameterError("mass must be finite, nonnegative and sum to 1")
-        mass.setflags(write=False)
+        if mass.shape[-1:] != (2**n,) or mass.ndim > 2:
+            raise ParameterError(f"mass must have shape (2**{n},) or (B, 2**{n}), got {mass.shape}")
         object.__setattr__(self, "mass", mass)
-        columns = _bit_columns(n)
-        for k, name in enumerate(self.order):
-            self._bits[name] = columns[k]
+        # Any NaN or infinite entry makes the sum NaN or infinite.
+        total = self.prob()
+        bad = (abs(total - 1.0) > 1e-12) | (total != total) | (mass.min(axis=-1) < 0.0)
+        raise_where(bad, ParameterError, "mass must be finite, nonnegative and sum to 1")
+        mass.setflags(write=False)
 
     def column(self, name: str) -> np.ndarray:
         """Boolean per-cell indicator that ``name`` equals 1."""
-        try:
-            return self._bits[name]
-        except KeyError:
-            raise UnknownVariableError(name) from None
+        if name not in self.order:
+            raise UnknownVariableError(name)
+        return _bit_columns(len(self.order))[self.order.index(name)]
 
-    def event_mask(self, event: dict[str, int]) -> np.ndarray:
-        mask = np.ones(self.mass.shape[0], dtype=bool)
-        for name, value in event.items():
-            column = self.column(name)
-            mask &= column if value else ~column
-        return mask
-
-    def prob(self, event: dict[str, int] | None = None) -> float:
+    def prob(self, event: dict[str, int] | None = None) -> float | np.ndarray:
         """Probability of a variable-assignment event; prob({}) is 1."""
-        if not event:
-            return float(self.mass.sum())
-        return float(self.mass[self.event_mask(event)].sum())
+        mass = self.mass
+        if event:
+            (index,) = _cell_index(self.order, (tuple(event.items()),))
+            mass = mass[index] if mass.ndim == 1 else mass[:, index]
+        return float(mass.sum()) if mass.ndim == 1 else ordered_sum(mass)
 
-    def expectation(self, *names: str) -> float:
+    def probs(self, *events: dict[str, int]) -> np.ndarray:
+        """:meth:`prob` of each event, on the last axis; the events must each
+        hold on equally many cells."""
+        index = _cell_index(self.order, tuple(tuple(event.items()) for event in events))
+        return ordered_sum(self.mass[..., index])
+
+    def expectation(self, *names: str) -> float | np.ndarray:
         """E[product of the named indicator variables]."""
-        key = frozenset(names)
-        value = self._memo.get(key)
-        if value is None:
-            mask = np.ones(self.mass.shape[0], dtype=bool)
-            for name in names:
-                mask &= self.column(name)
-            value = self._memo[key] = float(self.mass[mask].sum())
-        return value
+        return self.prob(dict.fromkeys(names, 1))
 
 
 def build_joint(params: StructureParams) -> JointTable:
     """Multiply the factor probabilities along the role map of the kind."""
+    return _build(params, batch=False)
+
+
+def build_joint_batch(params: StructureParams) -> JointTable:
+    """The tables of a batch from structures.stack_params, as one JointTable
+    of mass (B, 2**n) whose row b is bit-identical to ``build_joint`` of draw
+    b: the factors multiply in the same order."""
+    return _build(params, batch=True)
+
+
+def _build(params: StructureParams, batch: bool) -> JointTable:
     roles = variable_roles(params.kind)
     order = roles.order
-    n = len(order)
-    columns = _bit_columns(n)
-    bits = {name: columns[k] for k, name in enumerate(order)}
-
-    mass = np.ones(2**n)
+    columns = _bit_columns(len(order))
+    if batch:
+        columns = columns[:, :, None]  # cells down, draws across
+    bits = dict(zip(order, columns))
+    mass = np.ones(columns.shape[1:])
     for name in order:
         p1 = _prob_one(params, roles, name, bits)
         mass = mass * np.where(bits[name], p1, 1.0 - p1)
-    return JointTable(kind=params.kind, order=order, mass=mass)
+    return JointTable(kind=params.kind, order=order, mass=mass.T)
 
 
 def _prob_one(params, roles, name, values):
     """P(name=1 | parents) given boolean arrays of the parents' values:
-    a scalar for a root variable, otherwise one probability per element."""
+    a scalar for a root variable, otherwise one probability per element.
+    Over a batch, values are (cells, 1) columns and probabilities (B,)."""
     parents = roles.parents[name]
     if name == roles.collider:
         left, right = parents
         t = params.p_c_given
         table = np.array([t.given_00, t.given_01, t.given_10, t.given_11])
-        return table[2 * values[left].astype(np.intp) + values[right]]
+        # Raveled, a batch's (cells, 1) index picks rows of the (4, B) table.
+        return table[(2 * values[left].astype(np.intp) + values[right]).ravel()]
     if not parents:
         return params.p_left if name == roles.left_cause else params.p_right
     (parent,) = parents
@@ -164,44 +206,33 @@ class OracleMeasure:
     """A single association measure evaluated from the joint table; a
     non-finite value raises PrecisionLossError."""
 
-    value: float
+    value: float | np.ndarray
     scale: Scale
     conditioning: Conditioning | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise PrecisionLossError(f"oracle gave non-finite {self.scale.value} = {self.value!r}")
+        raise_if_nonfinite(self.value, "oracle gave non-finite", self.scale.value)
 
 
-def _xy_stratum_cells(
-    table: JointTable, stratum: Stratum | None
-) -> tuple[float, float, float, float, float]:
+# The (X, Y) events of the cells p11, p10, p01, p00.
+_XY_CELLS = tuple({"X": x, "Y": y} for x, y in ((1, 1), (1, 0), (0, 1), (0, 0)))
+
+
+def _xy_stratum_cells(table: JointTable, stratum: Stratum | None) -> tuple:
     """Joint cell probabilities of (X, Y) within the stratum (or overall).
 
-    Returns (p11, p10, p01, p00, p_stratum) where pxy = P(X=x, Y=y, stratum).
-    Memoized per table; a zero-mass stratum raises on every call.
+    Returns (p11, p10, p01, p00, p_stratum) where pxy = P(X=x, Y=y, stratum);
+    a zero-mass stratum raises DegenerateStratumError.
     """
-    cells = table._memo.get(stratum)
-    if cells is not None:
-        return cells
-    x = table.column("X")
-    y = table.column("Y")
     if stratum is None:
-        keep = np.ones_like(x)
+        keep: dict[str, int] = {}
         p_g = 1.0
     else:
-        g = table.column(stratum.variable)
-        keep = g if stratum.level else ~g
-        p_g = float(table.mass[keep].sum())
-        if p_g <= 0.0:
-            raise DegenerateStratumError(stratum.variable, stratum.level)
-    m = table.mass
-    p11 = float(m[x & y & keep].sum())
-    p10 = float(m[x & ~y & keep].sum())
-    p01 = float(m[~x & y & keep].sum())
-    p00 = float(m[~x & ~y & keep].sum())
-    cells = table._memo[stratum] = (p11, p10, p01, p00, p_g)
-    return cells
+        keep = {stratum.variable: stratum.level}
+        p_g = table.prob(keep)
+        raise_where(p_g <= 0.0, DegenerateStratumError, stratum.variable, stratum.level)
+    cells = table.probs(*({**xy, **keep} for xy in _XY_CELLS))
+    return (*(cells.tolist() if cells.ndim == 1 else cells.T), p_g)
 
 
 def lm_coefficient(table: JointTable) -> float:
@@ -220,31 +251,35 @@ def lm_coefficient(table: JointTable) -> float:
     cov_xg = table.expectation("X", g_name) - e_x * e_g
     cov_xy = table.expectation("X", "Y") - e_x * e_y
     cov_gy = table.expectation(g_name, "Y") - e_g * e_y
-    design = np.array([[var_x, cov_xg], [cov_xg, var_g]])
-    if abs(np.linalg.det(design)) <= _SINGULAR_TOL:
-        raise SingularDesignError(
-            f"X and {g_name} are collinear under the joint distribution"
-        )
-    coef = np.linalg.solve(design, np.array([cov_xy, cov_gy]))
-    return float(coef[0])
+    # Transposing stacks a batch as (B, 2, 2) and leaves one symmetric matrix
+    # as it is; batched det and solve give each matrix's own bits (a tier-1
+    # test checks that).
+    design = np.array([[var_x, cov_xg], [cov_xg, var_g]]).T
+    bad = abs(np.linalg.det(design)) <= _SINGULAR_TOL
+    raise_where(bad, SingularDesignError, f"X and {g_name} are collinear under the joint distribution")
+    coef = np.linalg.solve(design, np.array([cov_xy, cov_gy]).T[..., None])[..., 0, 0]
+    return coef if coef.ndim else float(coef)
 
 
-def lm_normalizer_terms(
-    table: JointTable, exposure: str = "X", covariate: str | None = None
-) -> tuple[float, float]:
+def lm_normalizer_terms(table: JointTable) -> tuple[float, float]:
     """Definitional terms (raw1, raw0) of the lm weight normalizer:
 
-        raw1 = P(G=0) P(F=1, G=1) P(F=0, G=1)
-        raw0 = P(G=1) P(F=1, G=0) P(F=0, G=0)
+        raw1 = P(G=0) P(X=1, G=1) P(X=0, G=1)
+        raw0 = P(G=1) P(X=1, G=0) P(X=0, G=0)
 
-    with F the exposure and G the kind's conditioning variable unless
-    overridden.  Their sum is the normalizer; each over the sum is the weight
-    of that stratum's risk difference in the adjusted coefficient.
+    with G the kind's conditioning variable.  Their sum is the normalizer;
+    each over the sum is the weight of that stratum's risk difference in the
+    adjusted coefficient.
     """
-    g_name = covariate or table.kind.conditioning_variable
-    g1 = table.expectation(g_name)
-    fg1 = table.expectation(exposure, g_name)
-    f1 = table.expectation(exposure)
+    g_name = table.kind.conditioning_variable
+    return normalizer_terms(
+        table.expectation("X"), table.expectation(g_name), table.expectation("X", g_name)
+    )
+
+
+def normalizer_terms(f1, g1, fg1) -> tuple[float, float]:
+    """:func:`lm_normalizer_terms` with X and G in the roles of any two
+    variables F and G, from the moments E[F], E[G] and E[FG]."""
     raw1 = (1.0 - g1) * fg1 * (g1 - fg1)
     raw0 = g1 * (f1 - fg1) * (1.0 - f1 - g1 + fg1)
     return raw1, raw0
@@ -257,8 +292,8 @@ def lm_stratum_weights(table: JointTable) -> tuple[float, float]:
     """
     raw1, raw0 = lm_normalizer_terms(table)
     total = raw1 + raw0
-    if total <= 0.0:
-        raise DegenerateStratumError(table.kind.conditioning_variable, 1 if raw1 <= 0 else 0)
+    g_name = table.kind.conditioning_variable
+    raise_where(total <= 0.0, lambda r: DegenerateStratumError(g_name, 1 if r <= 0 else 0), raw1)
     return raw1 / total, raw0 / total
 
 
@@ -282,21 +317,20 @@ def cond_measure(
         e_x = (p11 + p10) / p_g
         e_y = (p11 + p01) / p_g
         value = e_xy - e_x * e_y
-    elif scale is Scale.RD:
-        if p11 + p10 <= 0.0 or p01 + p00 <= 0.0:
-            raise UndefinedRatioError("P(X=x, stratum) = 0 for some x")
-        value = p11 / (p11 + p10) - p01 / (p01 + p00)
-    elif scale is Scale.RR:
-        if p11 + p10 <= 0.0 or p01 + p00 <= 0.0:
-            raise UndefinedRatioError("P(X=x, stratum) = 0 for some x")
+    elif scale in (Scale.RD, Scale.RR):
+        bad = (p11 + p10 <= 0.0) | (p01 + p00 <= 0.0)
+        raise_where(bad, UndefinedRatioError, "P(X=x, stratum) = 0 for some x")
         risk1 = p11 / (p11 + p10)
         risk0 = p01 / (p01 + p00)
-        if risk0 <= 0.0 or risk1 <= 0.0:
-            raise UndefinedRatioError("P(Y=1 | X=x, stratum) = 0 for some x")
-        value = risk1 / risk0
+        if scale is Scale.RD:
+            value = risk1 - risk0
+        else:
+            bad = (risk0 <= 0.0) | (risk1 <= 0.0)
+            raise_where(bad, UndefinedRatioError, "P(Y=1 | X=x, stratum) = 0 for some x")
+            value = risk1 / risk0
     elif scale is Scale.OR:
-        if p10 * p01 <= 0.0 or p11 * p00 <= 0.0:
-            raise UndefinedRatioError("a zero cell makes the odds ratio undefined")
+        bad = (p10 * p01 <= 0.0) | (p11 * p00 <= 0.0)
+        raise_where(bad, UndefinedRatioError, "a zero cell makes the odds ratio undefined")
         value = (p11 * p00) / (p10 * p01)
     else:
         raise ParameterError(f"scale {scale} requires linear-model conditioning")
@@ -323,14 +357,16 @@ def bias(table: JointTable, query: BiasQuery) -> OracleMeasure:
     ratio_scale = query.scale.is_ratio and not isinstance(query.conditioning, LinearModel)
     if table.kind is not StructureKind.NABLA:
         null = 1.0 if ratio_scale else 0.0
-        if abs(marginal.value - null) > _NULL_TOL:
-            raise PrecisionLossError(
+        raise_where(
+            abs(marginal.value - null) > _NULL_TOL,
+            lambda v: PrecisionLossError(
                 f"marginal X-Y association should be null for {table.kind.value}, "
-                f"got {marginal.value!r} on scale {marginal.scale.value}"
-            )
+                f"got {v!r} on scale {marginal.scale.value}"
+            ),
+            marginal.value,
+        )
     if ratio_scale:
-        if marginal.value == 0.0:
-            raise UndefinedRatioError("marginal association is zero")
+        raise_where(marginal.value == 0.0, UndefinedRatioError, "marginal association is zero")
         value = conditional.value / marginal.value
     else:
         value = conditional.value - marginal.value

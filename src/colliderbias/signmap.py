@@ -77,19 +77,42 @@ class EffectPattern:
     rd_interaction: Sign
 
 
-def classify_effects(p_c_given: ColliderCpt) -> EffectPattern:
-    """Classify how the two causes move the collider.
+# Pattern.DEGENERATE_TIE first, then the pattern of each rule in
+# effect_pattern's order; the last is the default.
+_PATTERN_RULES = np.array(list(Pattern)[-1:] + list(Pattern)[:-1], dtype=object)
 
-    Any of the four defining effect comparisons tying within
-    closedform.SIGN_TOL yields a degenerate-tie verdict rather than a forced
-    region.
-    """
+
+def effect_pattern(p_c_given: ColliderCpt) -> Pattern:
+    """How the two causes move the collider: the sign pattern of their four
+    effects on P(C=1), each banded at closedform.SIGN_TOL.  Any tie yields a
+    degenerate-tie verdict rather than a forced region.  Elementwise over
+    array-valued table entries, as an object array of Patterns."""
     t = p_c_given
-    x_at_y0 = t.given_10 - t.given_00
-    x_at_y1 = t.given_11 - t.given_01
-    y_at_x0 = t.given_01 - t.given_00
-    y_at_x1 = t.given_11 - t.given_10
+    x_at_y0, x_at_y1 = t.given_10 - t.given_00, t.given_11 - t.given_01
+    y_at_x0, y_at_x1 = t.given_01 - t.given_00, t.given_11 - t.given_10
+    sx0, sx1, sy0, sy1 = (band_sign(d) for d in (x_at_y0, x_at_y1, y_at_x0, y_at_x1))
+    x_consistent = sx0 == sx1
+    y_consistent = sy0 == sy1
+    both = x_consistent & y_consistent
+    rules = [
+        sx0 * sx1 * sy0 * sy1 == 0,  # DEGENERATE_TIE
+        both & (sx0 + sy0 == 2),  # BOTH_POSITIVE
+        both & (sx0 + sy0 == -2),  # BOTH_NEGATIVE
+        both,  # OPPOSITE_SIGNS
+        y_consistent,  # QUALITATIVE_IN_X
+        x_consistent,  # QUALITATIVE_IN_Y
+    ]
+    # The index of the first rule that holds, or len(rules) if none does.
+    first = len(rules)
+    for index in reversed(range(len(rules))):
+        first = np.where(rules[index], index, first)
+    return _PATTERN_RULES[first]
 
+
+def classify_effects(p_c_given: ColliderCpt) -> EffectPattern:
+    """Classify how the two causes move the collider (:func:`effect_pattern`),
+    with the interaction signs at the canonical level."""
+    t = p_c_given
     canonical = 1 if t.given_11 >= t.given_00 else 0
     q00 = t.level_given(canonical, 0, 0)
     q01 = t.level_given(canonical, 0, 1)
@@ -97,30 +120,8 @@ def classify_effects(p_c_given: ColliderCpt) -> EffectPattern:
     q11 = t.level_given(canonical, 1, 1)
     or_contrast = q11 * q00 * (1.0 - q10) * (1.0 - q01) - q10 * q01 * (1.0 - q11) * (1.0 - q00)
     rd_contrast = q11 + q00 - q10 - q01
-
-    signs = [band_sign(delta) for delta in (x_at_y0, x_at_y1, y_at_x0, y_at_x1)]
-    if Sign.ZERO in signs:
-        pattern = Pattern.DEGENERATE_TIE
-    else:
-        sx0, sx1, sy0, sy1 = signs
-        x_consistent = sx0 is sx1
-        y_consistent = sy0 is sy1
-        if x_consistent and y_consistent:
-            if sx0 is Sign.POSITIVE and sy0 is Sign.POSITIVE:
-                pattern = Pattern.BOTH_POSITIVE
-            elif sx0 is Sign.NEGATIVE and sy0 is Sign.NEGATIVE:
-                pattern = Pattern.BOTH_NEGATIVE
-            else:
-                pattern = Pattern.OPPOSITE_SIGNS
-        elif y_consistent:
-            pattern = Pattern.QUALITATIVE_IN_X
-        elif x_consistent:
-            pattern = Pattern.QUALITATIVE_IN_Y
-        else:
-            pattern = Pattern.QUALITATIVE_IN_BOTH
-
     return EffectPattern(
-        pattern=pattern,
+        pattern=effect_pattern(t),
         canonical_level=canonical,
         rr_interaction_canonical=band_sign(cross_product_difference(t, canonical)),
         rr_interaction_other=band_sign(cross_product_difference(t, 1 - canonical)),
@@ -324,8 +325,8 @@ def emit_grid(family: GridFamily, fixed: GridFixed, resolution: int) -> SignGrid
     Cell centers are (i + 1/2)/resolution, which keeps the sweep strictly
     inside the open square.  The sweep runs row by row: each row is one
     collider table whose P(C=1|0,1) entry is the whole axis, fed to the
-    function the family's scalar sign rule calls, and banded cell by cell
-    with closedform.band_sign; apart from the cells array, memory is
+    function the family's scalar sign rule calls, and banded with one
+    closedform.band_sign call; apart from the cells array, memory is
     O(resolution).  The output is a pure function of the inputs; repeated
     calls produce identical grids.  ``resolution`` must lie in
     [2, MAX_GRID_RESOLUTION].
@@ -349,7 +350,7 @@ def emit_grid(family: GridFamily, fixed: GridFixed, resolution: int) -> SignGrid
         else:
             deltas = [lm_kernel(row, fixed.p_left, fixed.p_right)]
         for k, delta in enumerate(deltas):
-            cells[i, :, k] = [band_sign(value) for value in delta.tolist()]
+            cells[i, :, k] = band_sign(delta)
     cells.setflags(write=False)
     return SignGrid(
         family=family,

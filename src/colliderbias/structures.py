@@ -14,9 +14,11 @@ probabilities positionally.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum, IntEnum
-from typing import ClassVar, Iterable, Iterator, Mapping
+from functools import lru_cache
+from types import MappingProxyType
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .errors import (
     MissingFieldError,
     OutOfRangeError,
     ParameterError,
+    raise_where,
 )
 
 
@@ -94,6 +97,8 @@ class Sign(IntEnum):
     POSITIVE = 1
 
     def __mul__(self, other: "Sign") -> "Sign":  # type: ignore[override]
+        if not isinstance(other, int):
+            return NotImplemented  # an array of sign codes multiplies elementwise
         return Sign(int(self) * int(other))
 
     __rmul__ = __mul__
@@ -261,24 +266,20 @@ class RoleMap:
     collider_child: str | None
 
     def roles_of(self, variable: str) -> frozenset[str]:
-        roles = set()
-        if variable == self.exposure:
-            roles.add("exposure")
-        if variable == self.outcome:
-            roles.add("outcome")
-        if variable == self.collider:
-            roles.add("collider")
-        if variable == self.collider_child:
-            roles.add("collider-child")
-        if variable == self.left_cause:
-            roles.add("left-cause")
-        if variable == self.right_cause:
-            roles.add("right-cause")
-        return frozenset(roles)
+        holders = {
+            "exposure": self.exposure,
+            "outcome": self.outcome,
+            "collider": self.collider,
+            "collider-child": self.collider_child,
+            "left-cause": self.left_cause,
+            "right-cause": self.right_cause,
+        }
+        return frozenset(role for role, holder in holders.items() if holder == variable)
 
 
+@lru_cache(maxsize=None)
 def variable_roles(kind: StructureKind) -> RoleMap:
-    """Role map for one of the nine structure kinds.
+    """Role map for one of the nine structure kinds, built once per kind.
 
     The left cause of the collider is A when present, otherwise X; the right
     cause is B when present, otherwise Y.  In the Nabla structure X is also
@@ -286,33 +287,21 @@ def variable_roles(kind: StructureKind) -> RoleMap:
     """
     left = "A" if kind.has_left_a else "X"
     right = "B" if kind.has_right_b else "Y"
-    parents: dict[str, tuple[str, ...]] = {left: (), "C": (left, right)}
-    if kind is StructureKind.NABLA:
-        parents["Y"] = ("X",)
-    elif kind.has_right_b:
+    # Inserted in topological order, which is the role map's order.
+    parents: dict[str, tuple[str, ...]] = {left: ()}
+    if kind.has_right_b:
         parents["B"] = ()
-        parents["Y"] = ("B",)
-    else:
-        parents["Y"] = ()
     if kind.has_left_a:
         parents["X"] = ("A",)
+    parents["Y"] = ("X",) if kind is StructureKind.NABLA else ("B",) if kind.has_right_b else ()
+    parents["C"] = (left, right)
     if kind.has_child_d:
         parents["D"] = ("C",)
 
-    order: list[str] = [left]
-    if kind.has_right_b:
-        order.append("B")
-    if kind.has_left_a:
-        order.append("X")
-    order.append("Y")
-    order.append("C")
-    if kind.has_child_d:
-        order.append("D")
-
     return RoleMap(
         kind=kind,
-        order=tuple(order),
-        parents={v: parents[v] for v in order},
+        order=tuple(parents),
+        parents=MappingProxyType(parents),
         exposure="X",
         outcome="Y",
         collider="C",
@@ -328,11 +317,13 @@ def check_probabilities(
     """Raise OutOfRangeError for the first (field, key, value) whose value is
     outside [0, 1], or outside (0, 1) with ``open_interval``; NaN fails both.
     The error names ``field``, or ``field[key]`` for a table entry, built
-    only when raising."""
+    only when raising.  A value may be an array over a batch of draws."""
     for field, key, value in items:
-        if not (0.0 < value < 1.0 if open_interval else 0.0 <= value <= 1.0):
-            name = field if key is None else f"{field}[{key}]"
-            raise OutOfRangeError(name, value, open_interval)
+        if type(value) is float and (0.0 < value < 1.0 if open_interval else 0.0 <= value <= 1.0):
+            continue  # the common case, without the elementwise form below
+        inside = (0.0 < value) & (value < 1.0) if open_interval else (0.0 <= value) & (value <= 1.0)
+        name = field if key is None else f"{field}[{key}]"
+        raise_where(~np.asarray(inside), lambda v: OutOfRangeError(name, v, open_interval), value)
 
 
 # The single-edge tables among the optional fields, in draw order.
@@ -352,7 +343,8 @@ class StructureParams:
     Construction performs lenient validation: every probability must lie in
     [0, 1] and fields not applicable to the kind must be absent.  Use
     :func:`validate` with ``strict=True`` to additionally require interior
-    probabilities and non-degenerate C and D strata.
+    probabilities and non-degenerate C and D strata.  :func:`stack_params`
+    builds a batch, whose every probability is an array over the draws.
     """
 
     kind: StructureKind
@@ -542,4 +534,24 @@ def random_structure_params(kind: StructureKind, rng: np.random.Generator) -> St
     for field_name in _CONDITIONAL_FIELDS:
         if field_name in fields:
             kwargs[field_name] = EdgeCpt(given_0=u(), given_1=u())
+    return StructureParams(**kwargs)
+
+
+def stack_params(draws: Sequence[StructureParams]) -> StructureParams:
+    """The draws of one kind as one parameter set whose every probability is
+    the (B,) array of that field over the draws, in order.  The closed forms,
+    the sign rules and ``joint.build_joint_batch`` answer such a batch
+    elementwise, with each draw's own bits."""
+    kind = draws[0].kind
+    if any(params.kind is not kind for params in draws):
+        raise ParameterError("a batch holds draws of one kind")
+    kwargs: dict = {"kind": kind}
+    for name in ("p_left", "p_right", "p_c_given", *_CONDITIONAL_FIELDS):
+        values = [getattr(params, name) for params in draws]
+        if values[0] is None or isinstance(values[0], float):
+            kwargs[name] = None if values[0] is None else np.array(values)
+        else:  # read with getattr: vars() would give every draw's table a dict
+            table = type(values[0])
+            columns = {f.name: np.array([getattr(v, f.name) for v in values]) for f in dataclass_fields(table)}
+            kwargs[name] = table(**columns)
     return StructureParams(**kwargs)

@@ -8,6 +8,10 @@ factorization of extended-structure bias into embedded bias times extension
 terms, and the qualitative sign rules.  Results are aggregated per identity
 with the maximum observed discrepancy, so one summary answers both "does
 everything hold?" and "with how much room?".
+
+The draws run in fixed-size batches (structures.stack_params): every check
+below evaluates the closed forms, the oracle and the sign rules once per
+batch, on arrays whose entries are bit-identical to each draw's own floats.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -33,6 +38,7 @@ from .structures import (
     StructureKind,
     StructureParams,
     random_structure_params,
+    stack_params,
     variable_roles,
 )
 
@@ -41,6 +47,8 @@ DEFAULT_REL_TOL_OR = 1e-10
 # Exact-arithmetic facts of the factorized joint (normalization, marginal
 # independence of the collider's parents) hold to a few ulps.
 _EXACT_TOL = 1e-14
+# Draws per batch: memory stays fixed whatever the number of draws.
+_BATCH = 500
 
 
 @dataclass
@@ -57,12 +65,14 @@ class IdentityResult:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def record(self, discrepancy: float) -> None:
-        self.checked += 1
-        if discrepancy > self.max_discrepancy:
-            self.max_discrepancy = discrepancy
-        if discrepancy > self.tolerance:
-            self.failures += 1
+    def record(self, discrepancy: float | np.ndarray) -> None:
+        """Fold in one discrepancy or an array of them.  A failure is any
+        value not within the tolerance, NaN included; the maximum skips
+        NaN."""
+        values = np.ravel(discrepancy)
+        self.checked += values.size
+        self.max_discrepancy = float(np.fmax.reduce(values, initial=self.max_discrepancy))
+        self.failures += int(np.count_nonzero(~(values <= self.tolerance)))
 
 
 @dataclass
@@ -88,34 +98,52 @@ class KindVerification:
 
 def relative_discrepancy(a: float, b: float) -> float:
     """|a - b| over the larger magnitude: how ratio-scale values are
-    compared, against DEFAULT_REL_TOL_OR."""
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+    compared, against DEFAULT_REL_TOL_OR.  Elementwise on arrays."""
+    value = abs(a - b) / np.maximum(np.maximum(abs(a), abs(b)), 1e-300)
+    return value if isinstance(value, np.ndarray) else float(value)
 
 
 class _Recorder:
+    """Per-identity results of a batch of draws; ``where`` picks the draws
+    an identity applies to, and one with none applying is not recorded."""
+
     def __init__(self) -> None:
         self._results: dict[str, IdentityResult] = {}
 
-    def _slot(self, name: str, tolerance: float) -> IdentityResult:
+    def _record(self, name: str, tolerance: float, discrepancy, where=None) -> None:
+        if where is not None:
+            discrepancy = discrepancy[where]
+            if not discrepancy.size:
+                return
         if name not in self._results:
             self._results[name] = IdentityResult(name=name, tolerance=tolerance)
-        return self._results[name]
+        self._results[name].record(discrepancy)
 
-    def absolute(self, name: str, a: float, b: float, tolerance: float = DEFAULT_ABS_TOL) -> None:
-        self._slot(name, tolerance).record(abs(a - b))
+    def absolute(self, name: str, a, b, tolerance: float = DEFAULT_ABS_TOL, where=None) -> None:
+        self._record(name, tolerance, abs(a - b), where)
 
-    def relative(self, name: str, a: float, b: float) -> None:
-        self._slot(name, DEFAULT_REL_TOL_OR).record(relative_discrepancy(a, b))
+    def relative(self, name: str, a, b) -> None:
+        self._record(name, DEFAULT_REL_TOL_OR, relative_discrepancy(a, b))
 
-    def flag(self, name: str, ok: bool) -> None:
-        self._slot(name, 0.0).record(0.0 if ok else 1.0)
+    def flag(self, name: str, ok, where=None) -> None:
+        self._record(name, 0.0, np.where(ok, 0.0, 1.0), where)
 
     def results(self) -> list[IdentityResult]:
         return list(self._results.values())
 
 
-def _oracle_stratum_bias(table, variable: str, level: int, scale: Scale) -> float:
-    return joint_mod.bias(table, BiasQuery(Stratum(variable, level), scale)).value
+def _stratum_biases(table) -> dict[tuple[int, Scale], np.ndarray]:
+    """The oracle's bias at each level of the kind's conditioning variable,
+    on the or scale and, but for Nabla, the cov and rd scales: evaluated once
+    per batch, and read by every check below."""
+    kind = table.kind
+    scales = (Scale.OR,) if kind is StructureKind.NABLA else (Scale.COV, Scale.RD, Scale.OR)
+    strata = {level: Stratum(kind.conditioning_variable, level) for level in (1, 0)}
+    return {
+        (level, scale): joint_mod.bias(table, BiasQuery(stratum, scale)).value
+        for level, stratum in strata.items()
+        for scale in scales
+    }
 
 
 def _check_joint_basics(params: StructureParams, table, rec: _Recorder) -> None:
@@ -127,16 +155,15 @@ def _check_joint_basics(params: StructureParams, table, rec: _Recorder) -> None:
         rec.absolute("parents_marginally_independent", joint_lr, product, _EXACT_TOL)
 
 
-def _check_closed_vs_oracle(params: StructureParams, table, rec: _Recorder) -> None:
+def _check_closed_vs_oracle(params: StructureParams, table, biases, rec: _Recorder) -> None:
     kind = params.kind
     variable = kind.conditioning_variable
     for level in (1, 0):
         for scale in (Scale.COV, Scale.RD, Scale.OR):
-            query = BiasQuery(Stratum(variable, level), scale)
-            report = cf.closed_form(params, query)
+            report = cf.closed_form(params, BiasQuery(Stratum(variable, level), scale))
             if report is None:
                 continue
-            oracle = joint_mod.bias(table, query).value
+            oracle = biases[level, scale]
             if kind is StructureKind.NABLA:
                 rec.relative("or_factor_vs_oracle", report.value, oracle)
             elif scale.is_ratio:
@@ -158,12 +185,8 @@ def _check_closed_vs_oracle(params: StructureParams, table, rec: _Recorder) -> N
         )
 
 
-def _stratum_variables(kind: StructureKind) -> tuple[str, ...]:
-    return ("C", "D") if kind.has_child_d else ("C",)
-
-
 def _check_oracle_identities(params: StructureParams, table, rec: _Recorder) -> None:
-    for variable in _stratum_variables(params.kind):
+    for variable in ("C", "D") if params.kind.has_child_d else ("C",):
         for level in (1, 0):
             stratum = Stratum(variable, level)
             p11, p10, p01, p00, p_g = joint_mod._xy_stratum_cells(table, stratum)
@@ -182,17 +205,17 @@ def _check_oracle_identities(params: StructureParams, table, rec: _Recorder) -> 
     rd1 = joint_mod.cond_measure(table, Scale.RD, Stratum(g_name, 1)).value
     rd0 = joint_mod.cond_measure(table, Scale.RD, Stratum(g_name, 0)).value
     averaged = (raw1 * rd1 + raw0 * rd0) / (raw1 + raw0)
-    rec.absolute(
-        "lm_weighted_average_identity", joint_mod.lm_coefficient(table), averaged
-    )
+    rec.absolute("lm_weighted_average_identity", joint_mod.lm_coefficient(table), averaged)
 
-    # Symmetry of the weight normalizer in its two variables.
-    def normalizer(f: str, g: str) -> float:
-        raw1, raw0 = joint_mod.lm_normalizer_terms(table, f, g)
-        return raw1 + raw0
-
-    for f, g in itertools.combinations(table.order, 2):
-        rec.absolute("design_symmetry_identity", normalizer(f, g), normalizer(g, f))
+    # Symmetry of the weight normalizer in its two variables, from every
+    # first and pairwise moment, each summed once.
+    pairs = list(itertools.combinations(table.order, 2))
+    means = dict(zip(table.order, table.probs(*({name: 1} for name in table.order)).T))
+    products = table.probs(*({f: 1, g: 1} for f, g in pairs)).T
+    for (f, g), fg in zip(pairs, products):
+        raw1, raw0 = joint_mod.normalizer_terms(means[f], means[g], fg)
+        swapped1, swapped0 = joint_mod.normalizer_terms(means[g], means[f], fg)
+        rec.absolute("design_symmetry_identity", raw1 + raw0, swapped1 + swapped0)
 
 
 def _check_supplementary(params: StructureParams, table, rec: _Recorder) -> None:
@@ -220,34 +243,38 @@ def _check_supplementary(params: StructureParams, table, rec: _Recorder) -> None
 
 
 def _check_extension_factorization(
-    params: StructureParams, table, core_table, rec: _Recorder
+    params: StructureParams, biases, core_biases, rec: _Recorder
 ) -> None:
     if not params.kind.is_extended:
         return
-    variable = params.kind.conditioning_variable
     rd_left, rd_right = cf.extension_rds(params)
     for level in (1, 0):
         for scale in (Scale.COV, Scale.RD):
-            outer = _oracle_stratum_bias(table, variable, level, scale)
-            inner = _oracle_stratum_bias(core_table, variable, level, scale)
-            if abs(inner) <= 1e-6:
-                continue
+            outer = biases[level, scale]
+            inner = core_biases[level, scale]
+            # Draws whose embedded bias is near zero are not checked.
+            checked = abs(inner) > 1e-6
             declared = rd_left * rd_right
             if scale is Scale.RD:
-                declared *= cf.extension_variance_ratio(params, level)
-            rec.absolute("extension_factorization", outer / inner, declared, 1e-9)
+                declared = declared * cf.extension_variance_ratio(params, level)
+            ratio = outer / np.where(checked, inner, 1.0)
+            rec.absolute("extension_factorization", ratio, declared, 1e-9, where=checked)
 
 
-def _signs_agree(*signs: Sign) -> bool:
-    """True when no two of ``signs`` are strictly opposite: every pair is
-    equal or holds a Zero, which a sign flag reads as undecided."""
-    return not {Sign.POSITIVE, Sign.NEGATIVE} <= set(signs)
+def _signs_agree(*signs) -> np.ndarray:
+    """True for each draw where no two of ``signs`` are strictly opposite:
+    every pair is equal or holds a Zero, which a sign flag reads as
+    undecided."""
+    positive = reduce(np.logical_or, [np.equal(sign, Sign.POSITIVE) for sign in signs])
+    negative = reduce(np.logical_or, [np.equal(sign, Sign.NEGATIVE) for sign in signs])
+    return ~(positive & negative)
 
 
-def _child_case_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -> Sign:
+def _child_case_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -> np.ndarray:
     """The paper's case rules for the sign of the child-stratum bias at
-    D=level.  With g1, g0 the cross-product differences at the two collider
-    levels and pd1, pd0 = P(D=level | C=1), P(D=level | C=0):
+    D=level, as sign codes over a batch (a Sign for one draw).  With g1, g0
+    the cross-product differences at the two collider levels and pd1, pd0 =
+    P(D=level | C=1), P(D=level | C=0):
 
     1. g1 >= 0 and g0 <= 0: the sign of the collider's effect on P(D=level).
     2. g1 <= 0 and g0 >= 0: the opposite of that effect's sign.
@@ -261,21 +288,18 @@ def _child_case_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -
     g0 = cf.cross_product_difference(p_c_given, 0)
     pd1 = p_d_given_c.level_given(level, 1)
     pd0 = p_d_given_c.level_given(level, 0)
-    if g1 >= 0.0 and g0 <= 0.0:
-        return cf.band_sign(pd1 - pd0)
-    if g1 <= 0.0 and g0 >= 0.0:
-        return cf.band_sign(pd0 - pd1)
+    case1 = (g1 >= 0.0) & (g0 <= 0.0)
+    case2 = (g1 <= 0.0) & (g0 >= 0.0)
     ratio = pd1 / pd0
-    threshold = g0 / g1
-    if ratio == threshold or ratio == 1.0:
-        return Sign.ZERO
-    inside = min(threshold, 1.0) < ratio < max(threshold, 1.0)
-    if g1 < 0.0:
-        return Sign.POSITIVE if inside else Sign.NEGATIVE
-    return Sign.NEGATIVE if inside else Sign.POSITIVE
+    threshold = g0 / np.where(case1 | case2, 1.0, g1)  # g1 is nonzero in case 3
+    inside = (np.minimum(threshold, 1.0) < ratio) & (ratio < np.maximum(threshold, 1.0))
+    on_boundary = (ratio == threshold) | (ratio == 1.0)
+    case3 = np.where(on_boundary, 0, np.where(inside == (g1 < 0.0), 1, -1))
+    codes = np.where(case1, cf.band_sign(pd1 - pd0), np.where(case2, cf.band_sign(pd0 - pd1), case3))
+    return codes if codes.ndim else Sign(int(codes))
 
 
-def _check_sign_rules(params: StructureParams, table, core_table, rec: _Recorder) -> None:
+def _check_sign_rules(params: StructureParams, biases, core_biases, rec: _Recorder) -> None:
     kind = params.kind
     if kind is StructureKind.NABLA:
         return
@@ -283,7 +307,7 @@ def _check_sign_rules(params: StructureParams, table, core_table, rec: _Recorder
 
     for level in (1, 0):
         signs = {
-            scale: cf.classify_sign(_oracle_stratum_bias(table, variable, level, scale), scale)
+            scale: cf.classify_sign(biases[level, scale], scale)
             for scale in (Scale.COV, Scale.RD, Scale.OR)
         }
         rec.flag("sign_scale_invariance", _signs_agree(*signs.values()))
@@ -295,33 +319,31 @@ def _check_sign_rules(params: StructureParams, table, core_table, rec: _Recorder
         for level in (1, 0):
             case_sign = _child_case_sign(params.p_c_given, params.p_d_given_c, level)
             direct = sm.y_stratum_sign(params.p_c_given, params.p_d_given_c, level)
-            numeric = cf.classify_sign(
-                _oracle_stratum_bias(core_table, "D", level, Scale.COV), Scale.COV
-            )
+            numeric = cf.classify_sign(core_biases[level, Scale.COV], Scale.COV)
             rec.flag("child_sign_cases", _signs_agree(case_sign, direct, numeric))
 
     lm_predicted = sm.extended_sign(params, LINEAR_MODEL)
     lm_numeric = cf.classify_sign(cf.lm_bias(params).value, Scale.LM_COEF)
     rec.flag("lm_sign_rule", _signs_agree(lm_predicted, lm_numeric))
 
-    pattern = sm.classify_effects(params.p_c_given).pattern
-    g_signs = {sm.v_stratum_sign(params.p_c_given, level) for level in (1, 0)}
+    pattern = sm.effect_pattern(params.p_c_given)
+
+    def among(*patterns: sm.Pattern) -> np.ndarray:
+        # A 0-d object array compares the enum members, not their str().
+        return reduce(np.logical_or, [pattern == np.array(p, dtype=object) for p in patterns])
+
+    s1, s0 = (sm.v_stratum_sign(params.p_c_given, level) for level in (1, 0))
     kernel_sign = cf.classify_sign(cf.lm_bias_kernel(params), Scale.LM_COEF)
-    if pattern in (sm.Pattern.BOTH_POSITIVE, sm.Pattern.BOTH_NEGATIVE):
-        rec.flag("monotone_pattern_signs", Sign.NEGATIVE in g_signs)
-        rec.flag("monotone_lm_sign", kernel_sign is Sign.NEGATIVE)
-    elif pattern is sm.Pattern.OPPOSITE_SIGNS:
-        rec.flag("monotone_pattern_signs", Sign.POSITIVE in g_signs)
-        rec.flag("monotone_lm_sign", kernel_sign is Sign.POSITIVE)
-    elif pattern in (
-        sm.Pattern.QUALITATIVE_IN_X,
-        sm.Pattern.QUALITATIVE_IN_Y,
-        sm.Pattern.QUALITATIVE_IN_BOTH,
-    ):
-        rec.flag(
-            "qualitative_pattern_signs",
-            g_signs == {Sign.POSITIVE, Sign.NEGATIVE},
-        )
+    monotone = among(sm.Pattern.BOTH_POSITIVE, sm.Pattern.BOTH_NEGATIVE)
+    pinned = monotone | among(sm.Pattern.OPPOSITE_SIGNS)
+    # Monotone patterns pin a negative sign, opposite ones a positive sign.
+    pinned_sign = np.where(monotone, -1, 1)
+    rec.flag("monotone_pattern_signs", (s1 == pinned_sign) | (s0 == pinned_sign), where=pinned)
+    rec.flag("monotone_lm_sign", kernel_sign == pinned_sign, where=pinned)
+    qualitative = among(
+        sm.Pattern.QUALITATIVE_IN_X, sm.Pattern.QUALITATIVE_IN_Y, sm.Pattern.QUALITATIVE_IN_BOTH
+    )
+    rec.flag("qualitative_pattern_signs", s1 * s0 == -1, where=qualitative)
 
 
 def verify_kind(kind: StructureKind, draws: int, seed: int) -> KindVerification:
@@ -336,21 +358,23 @@ def verify_kind(kind: StructureKind, draws: int, seed: int) -> KindVerification:
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     rec = _Recorder()
-    for _ in range(draws):
-        params = random_structure_params(kind, rng)
-        table = joint_mod.build_joint(params)
-        # The embedded V or Y structure's table; a V, Nabla or Y structure is
-        # its own core.
+    for first in range(0, draws, _BATCH):
+        size = min(_BATCH, draws - first)
+        params = stack_params([random_structure_params(kind, rng) for _ in range(size)])
+        table = joint_mod.build_joint_batch(params)
+        biases = _stratum_biases(table)
+        # The embedded V or Y structure's; a V, Nabla or Y structure is its
+        # own core.
         if kind.is_extended:
-            core_table = joint_mod.build_joint(cf.embedded_core(params))
+            core_biases = _stratum_biases(joint_mod.build_joint_batch(cf.embedded_core(params)))
         else:
-            core_table = table
+            core_biases = biases
         _check_joint_basics(params, table, rec)
-        _check_closed_vs_oracle(params, table, rec)
+        _check_closed_vs_oracle(params, table, biases, rec)
         _check_oracle_identities(params, table, rec)
         _check_supplementary(params, table, rec)
-        _check_extension_factorization(params, table, core_table, rec)
-        _check_sign_rules(params, table, core_table, rec)
+        _check_extension_factorization(params, biases, core_biases, rec)
+        _check_sign_rules(params, biases, core_biases, rec)
     return KindVerification(
         kind=kind,
         draws=draws,

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from colliderbias import EdgeCpt, GridFamily, GridFixed, emit_grid
+from colliderbias import EdgeCpt, GridFamily, GridFixed, StructureKind, emit_grid
 from colliderbias.cli import grid_to_csv, grid_to_json, main, parse_grid_csv
 
 REFERENCE_FLAGS = [
@@ -290,6 +290,35 @@ def test_verify_deterministic_output(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# sha256 of the stdout of ``verify --all --draws 40 --seed 7`` in json and
+# text, taken before the battery ran in batches: every identity's count and
+# every bit of its maximum discrepancy must stay as they were.
+VERIFY_BYTES_DIGESTS = {
+    "json": "19c7b13de942b6f682e247bdfa9161c704a061940d7aaf2411f11ccc4bbcddbf",
+    "text": "3336ec0d024edc936224b5be7b3973c5cc084c8937479d4f8695b9c324cd80f6",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_BYTES_DIGESTS))
+def test_verify_bytes_pinned(capsys, fmt):
+    code, out, _ = run_cli(
+        capsys, "verify", "--all", "--draws", "40", "--seed", "7", "--format", fmt
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_BYTES_DIGESTS[fmt]
+
+
+def test_verify_timings_go_to_stderr_only(capsys):
+    args = ["verify", "--all", "--draws", "3", "--seed", "2"]
+    code, plain, plain_err = run_cli(capsys, *args)
+    code_timed, timed, err = run_cli(capsys, *args, "--timings")
+    assert code == code_timed == 0
+    assert timed == plain and plain_err == ""
+    lines = err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [kind.value for kind in StructureKind]
+    assert all(line.endswith(" s") and float(line.split()[1]) >= 0.0 for line in lines)
 
 
 def test_sample_deterministic_and_bounded(capsys):

@@ -262,3 +262,12 @@ def test_random_params_are_strict(kind, rng):
     for _ in range(25):
         params = random_structure_params(kind, rng)
         assert validate(params, strict=True) is params
+
+
+def test_package_exports_its_api_and_no_helper():
+    import colliderbias
+
+    exported = set(colliderbias.__all__)
+    assert {"StructureParams", "build_joint", "verify_many", "closed_form"} <= exported
+    assert not exported & {"types", "ModuleType", "np", "closedform", "joint"}
+    assert all(hasattr(colliderbias, name) for name in exported)
