@@ -36,6 +36,7 @@ from .signmap import (
     SignGrid,
     ZeroLocus,
     classify_effects,
+    emit_grid,
     extended_sign,
     v_stratum_sign,
 )
@@ -510,8 +511,6 @@ def grid_to_json(grid: SignGrid) -> str:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    from .signmap import emit_grid
-
     d_cpt = None
     if args.p_d_given_c:
         keyed = _parse_keyed_floats(args.p_d_given_c, EdgeCpt.KEYS, "--p-d-given-c")

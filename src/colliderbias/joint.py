@@ -109,8 +109,10 @@ class JointTable:
     The table owns its mass: construction copies it into a fresh read-only
     float64 array, so no caller's array, view or base can change it later.
     Queries sum the cells of an event through index arrays cached per
-    (variable order, event), with ``.sum()`` on one table and
-    :func:`ordered_sum` on a batch.
+    (variable order, event) with :func:`ordered_sum`, except that
+    :meth:`prob` on one table uses ``.sum()``, which gives the same bits:
+    routing it through ``ordered_sum`` slowed the query-mix benchmark, one
+    scalar query at a time, by about 10%.
     """
 
     kind: StructureKind
@@ -162,9 +164,10 @@ def build_joint(params: StructureParams) -> JointTable:
 
 
 def build_joint_batch(params: StructureParams) -> JointTable:
-    """The tables of a batch from structures.stack_params, as one JointTable
-    of mass (B, 2**n) whose row b is bit-identical to ``build_joint`` of draw
-    b: the factors multiply in the same order."""
+    """One JointTable of mass (B, 2**n) for a batch of draws of one kind,
+    such as ``structures.random_structure_params`` gives with a draw count.
+    Row b is bit-identical to ``build_joint`` of draw b: the factors
+    multiply in the same order."""
     return _build(params, batch=True)
 
 

@@ -14,11 +14,11 @@ probabilities positionally.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
 from types import MappingProxyType
-from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -343,8 +343,9 @@ class StructureParams:
     Construction performs lenient validation: every probability must lie in
     [0, 1] and fields not applicable to the kind must be absent.  Use
     :func:`validate` with ``strict=True`` to additionally require interior
-    probabilities and non-degenerate C and D strata.  :func:`stack_params`
-    builds a batch, whose every probability is an array over the draws.
+    probabilities and non-degenerate C and D strata.  A batch, such as
+    :func:`random_structure_params` draws with a draw count, holds one kind's
+    draws with every probability an array over them, checked elementwise.
     """
 
     kind: StructureKind
@@ -423,10 +424,6 @@ class StructureParams:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_dict(doc: Mapping) -> "StructureParams":
-        return params_from_dict(doc)
 
     @staticmethod
     def from_json(text: str) -> "StructureParams":
@@ -513,45 +510,33 @@ def validate(params: StructureParams, strict: bool = False) -> StructureParams:
     return params
 
 
-def random_structure_params(kind: StructureKind, rng: np.random.Generator) -> StructureParams:
-    """Draw a random strictly-valid parameter set for ``kind``.
+def random_structure_params(
+    kind: StructureKind, rng: np.random.Generator, draws: int | None = None
+) -> StructureParams:
+    """Draw a random strictly-valid parameter set for ``kind``, or with
+    ``draws`` a batch of that many, each row the same as the next single draw.
 
     Every probability is uniform on [0.05, 0.95], which keeps all implied
-    strata safely non-degenerate.  Draw order is fixed -- p_left, p_right
-    (when applicable), the four collider entries in key order 00/01/10/11,
-    then p_x_given_a, p_y_given_b, p_d_given_c (each 0 then 1) -- so a
-    parameter set is reproducible from the generator state alone.
+    strata safely non-degenerate.  All fields come from one ``rng.uniform``
+    call whose columns are in a fixed order -- p_left, p_right (when
+    applicable), the four collider entries in key order 00/01/10/11, then
+    p_x_given_a, p_y_given_b, p_d_given_c (each 0 then 1) -- so a parameter
+    set is reproducible from the generator state alone.  A single draw's
+    fields are floats; a batch's are contiguous (draws,) arrays.
     """
-
-    def u() -> float:
-        return float(rng.uniform(0.05, 0.95))
-
     fields = _KIND_FIELDS[kind]
-    p_left = u()
-    p_right = u() if "p_right" in fields else None
-    cpt = ColliderCpt(given_00=u(), given_01=u(), given_10=u(), given_11=u())
-    kwargs: dict = {"kind": kind, "p_left": p_left, "p_right": p_right, "p_c_given": cpt}
-    for field_name in _CONDITIONAL_FIELDS:
-        if field_name in fields:
-            kwargs[field_name] = EdgeCpt(given_0=u(), given_1=u())
-    return StructureParams(**kwargs)
-
-
-def stack_params(draws: Sequence[StructureParams]) -> StructureParams:
-    """The draws of one kind as one parameter set whose every probability is
-    the (B,) array of that field over the draws, in order.  The closed forms,
-    the sign rules and ``joint.build_joint_batch`` answer such a batch
-    elementwise, with each draw's own bits."""
-    kind = draws[0].kind
-    if any(params.kind is not kind for params in draws):
-        raise ParameterError("a batch holds draws of one kind")
-    kwargs: dict = {"kind": kind}
-    for name in ("p_left", "p_right", "p_c_given", *_CONDITIONAL_FIELDS):
-        values = [getattr(params, name) for params in draws]
-        if values[0] is None or isinstance(values[0], float):
-            kwargs[name] = None if values[0] is None else np.array(values)
-        else:  # read with getattr: vars() would give every draw's table a dict
-            table = type(values[0])
-            columns = {f.name: np.array([getattr(v, f.name) for v in values]) for f in dataclass_fields(table)}
-            kwargs[name] = table(**columns)
+    edges = [name for name in _CONDITIONAL_FIELDS if name in fields]
+    width = 5 + ("p_right" in fields) + 2 * len(edges)
+    if draws is None:
+        columns = iter(rng.uniform(0.05, 0.95, size=width).tolist())
+    elif not isinstance(draws, int) or draws < 1:
+        raise ParameterError(f"draws must be an int >= 1, got {draws!r}")
+    else:
+        columns = iter(np.ascontiguousarray(rng.uniform(0.05, 0.95, size=(draws, width)).T))
+    kwargs: dict = {"kind": kind, "p_left": next(columns)}
+    if "p_right" in fields:
+        kwargs["p_right"] = next(columns)
+    kwargs["p_c_given"] = ColliderCpt(next(columns), next(columns), next(columns), next(columns))
+    for field_name in edges:
+        kwargs[field_name] = EdgeCpt(next(columns), next(columns))
     return StructureParams(**kwargs)

@@ -9,9 +9,10 @@ terms, and the qualitative sign rules.  Results are aggregated per identity
 with the maximum observed discrepancy, so one summary answers both "does
 everything hold?" and "with how much room?".
 
-The draws run in fixed-size batches (structures.stack_params): every check
-below evaluates the closed forms, the oracle and the sign rules once per
-batch, on arrays whose entries are bit-identical to each draw's own floats.
+The draws run in fixed-size batches, each drawn by one
+structures.random_structure_params call: every check below evaluates the
+closed forms, the oracle and the sign rules once per batch, on arrays whose
+entries are bit-identical to each draw's own floats.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .structures import (
     StructureKind,
     StructureParams,
     random_structure_params,
-    stack_params,
     variable_roles,
 )
 
@@ -360,7 +360,7 @@ def verify_kind(kind: StructureKind, draws: int, seed: int) -> KindVerification:
     rec = _Recorder()
     for first in range(0, draws, _BATCH):
         size = min(_BATCH, draws - first)
-        params = stack_params([random_structure_params(kind, rng) for _ in range(size)])
+        params = random_structure_params(kind, rng, size)
         table = joint_mod.build_joint_batch(params)
         biases = _stratum_biases(table)
         # The embedded V or Y structure's; a V, Nabla or Y structure is its

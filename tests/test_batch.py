@@ -27,15 +27,18 @@ from colliderbias import closedform as cf
 from colliderbias import joint as joint_mod
 from colliderbias import signmap as sm
 from colliderbias import verification
-from colliderbias.structures import stack_params
 
 ALL_KINDS = list(StructureKind)
 DRAWS = 25
 
 
 def _draws(kind, seed=3):
-    rng = np.random.default_rng(seed + ALL_KINDS.index(kind))
-    return [random_structure_params(kind, rng) for _ in range(DRAWS)]
+    """DRAWS single draws and the batch drawn from a generator with the same
+    seed, which must hold the same draws."""
+    seed += ALL_KINDS.index(kind)
+    rng = np.random.default_rng(seed)
+    singles = [random_structure_params(kind, rng) for _ in range(DRAWS)]
+    return singles, random_structure_params(kind, np.random.default_rng(seed), DRAWS)
 
 
 def _same_bits(batch, scalars):
@@ -78,9 +81,9 @@ def test_batched_det_and_solve_match_per_matrix():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_batch_oracle_matches_single_tables(kind):
-    draws = _draws(kind)
-    tables = [build_joint(params) for params in draws]
-    batch = joint_mod.build_joint_batch(stack_params(draws))
+    draws, params = _draws(kind)
+    tables = [build_joint(one) for one in draws]
+    batch = joint_mod.build_joint_batch(params)
     assert batch.mass.shape == (DRAWS, tables[0].mass.shape[0])
     assert batch.mass.tobytes() == np.stack([t.mass for t in tables]).tobytes()
     assert _same_bits(batch.prob(), [t.prob() for t in tables])
@@ -115,8 +118,7 @@ def _report_bits(report):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_batch_closed_forms_and_signs_match_single_draws(kind):
-    draws = _draws(kind, seed=11)
-    batch = stack_params(draws)
+    draws, batch = _draws(kind, seed=11)
     variable = kind.conditioning_variable
     queries = [BiasQuery(LINEAR_MODEL)] + [
         BiasQuery(Stratum(variable, level), scale)
@@ -161,13 +163,12 @@ def test_band_sign_is_elementwise():
 
 
 def test_batch_guard_names_the_first_bad_draw():
-    rng = np.random.default_rng(5)
-    draws = [random_structure_params(StructureKind.V, rng) for _ in range(5)]
-    for index in (2, 4):
-        draws[index] = StructureParams(
-            kind=StructureKind.V, p_left=0.5, p_right=0.5, p_c_given=ColliderCpt(0.0, 0.0, 0.0, 0.0)
-        )
-    batch = stack_params(draws)
+    collider = np.random.default_rng(5).uniform(0.05, 0.95, size=(4, 5))
+    collider[:, [2, 4]] = 0.0  # draws 2 and 4 never have C=1
+    batch = StructureParams(
+        kind=StructureKind.V, p_left=np.full(5, 0.5), p_right=np.full(5, 0.5),
+        p_c_given=ColliderCpt(*collider),
+    )
     with pytest.raises(DegenerateStratumError) as info:
         cf.v_stratum_bias(batch, 1, Scale.COV)
     assert info.value.draw == 2
@@ -177,11 +178,23 @@ def test_batch_guard_names_the_first_bad_draw():
     assert info.value.draw == 2
 
 
-def test_stack_params_takes_one_kind():
-    rng = np.random.default_rng(6)
-    draws = [random_structure_params(kind, rng) for kind in (StructureKind.V, StructureKind.Y)]
-    with pytest.raises(ParameterError):
-        stack_params(draws)
+@pytest.mark.parametrize("size", [1, 7])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_batch_draw_rows_are_the_single_draws(kind, size):
+    batch_rng, single_rng = np.random.default_rng(6), np.random.default_rng(6)
+    columns = [v for _, _, v in random_structure_params(kind, batch_rng, size)._probability_items()]
+    assert all(column.shape == (size,) and column.flags.c_contiguous for column in columns)
+    for b in range(size):
+        values = [v for _, _, v in random_structure_params(kind, single_rng)._probability_items()]
+        assert all(type(value) is float for value in values)
+        assert [value.hex() for value in values] == [float(column[b]).hex() for column in columns]
+    assert batch_rng.random() == single_rng.random()
+
+
+@pytest.mark.parametrize("draws", [0, -1, 2.0])
+def test_bad_draw_count_is_a_parameter_error(draws):
+    with pytest.raises(ParameterError, match="draws"):
+        random_structure_params(StructureKind.V, np.random.default_rng(0), draws)
 
 
 def test_verify_does_not_depend_on_the_batch_size(monkeypatch):

@@ -292,22 +292,30 @@ def test_verify_deterministic_output(capsys):
     assert out1 == out2
 
 
-# sha256 of the stdout of ``verify --all --draws 40 --seed 7`` in json and
-# text, taken before the battery ran in batches: every identity's count and
-# every bit of its maximum discrepancy must stay as they were.
+# sha256 of the stdout of ``verify --all --draws N --seed 7`` per format,
+# keyed by N: every identity's count and every bit of its maximum
+# discrepancy must stay as they were.  The 40-draw digests predate the
+# batched battery; 1000 draws cross its 500-draw batch boundary.
 VERIFY_BYTES_DIGESTS = {
-    "json": "19c7b13de942b6f682e247bdfa9161c704a061940d7aaf2411f11ccc4bbcddbf",
-    "text": "3336ec0d024edc936224b5be7b3973c5cc084c8937479d4f8695b9c324cd80f6",
+    "json": {
+        "40": "19c7b13de942b6f682e247bdfa9161c704a061940d7aaf2411f11ccc4bbcddbf",
+        "1000": "ff4ec06945a09e5854e716057920b23663d145f9af74733535cc78bbdf46430f",
+    },
+    "text": {
+        "40": "3336ec0d024edc936224b5be7b3973c5cc084c8937479d4f8695b9c324cd80f6",
+        "1000": "046b68c424072495c22559dfcae6490b7c72234850bf4b7b7f4a3916de96095a",
+    },
 }
 
 
 @pytest.mark.parametrize("fmt", sorted(VERIFY_BYTES_DIGESTS))
 def test_verify_bytes_pinned(capsys, fmt):
-    code, out, _ = run_cli(
-        capsys, "verify", "--all", "--draws", "40", "--seed", "7", "--format", fmt
-    )
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_BYTES_DIGESTS[fmt]
+    for draws, digest in VERIFY_BYTES_DIGESTS[fmt].items():
+        code, out, _ = run_cli(
+            capsys, "verify", "--all", "--draws", draws, "--seed", "7", "--format", fmt
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, draws
 
 
 def test_verify_timings_go_to_stderr_only(capsys):
