@@ -43,13 +43,12 @@ from .signmap import (
 from .structures import (
     LINEAR_MODEL,
     BiasQuery,
-    ColliderCpt,
     EdgeCpt,
     Scale,
     Stratum,
     StructureKind,
     StructureParams,
-    _CONDITIONAL_FIELDS,
+    _FIELD_TYPES,
     params_from_dict,
 )
 from .verification import (
@@ -131,18 +130,13 @@ def _params_from_args(args: argparse.Namespace) -> StructureParams:
             raise ParameterError(f"{args.file} must contain a JSON object")
     if args.kind:
         doc["kind"] = args.kind
-    if args.p_left is not None:
-        doc["p_left"] = args.p_left
-    if args.p_right is not None:
-        doc["p_right"] = args.p_right
-    if args.p_c_given:
-        doc["p_c_given"] = _parse_keyed_floats(args.p_c_given, ColliderCpt.KEYS, "--p-c-given")
-    for field_name in _CONDITIONAL_FIELDS:
+    for field_name, field_type in _FIELD_TYPES.items():
         raw = getattr(args, field_name)
-        if raw:
-            doc[field_name] = _parse_keyed_floats(
-                raw, EdgeCpt.KEYS, "--" + field_name.replace("_", "-")
-            )
+        if raw is None or raw == "":  # an empty table flag sets nothing
+            continue
+        if field_type is not float:
+            raw = _parse_keyed_floats(raw, field_type.KEYS, "--" + field_name.replace("_", "-"))
+        doc[field_name] = raw
     return params_from_dict(doc)
 
 
@@ -433,7 +427,8 @@ def grid_to_csv(grid: SignGrid) -> str:
 
 
 def parse_grid_csv(text: str) -> SignGrid:
-    """Parse :func:`grid_to_csv` output back into a SignGrid."""
+    """Parse :func:`grid_to_csv` output back into a SignGrid; text that is
+    not such output raises ParameterError."""
     meta: dict[str, str] = {}
     loci: list[ZeroLocus] = []
     rows: list[list[str]] = []
@@ -444,12 +439,13 @@ def parse_grid_csv(text: str) -> SignGrid:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("zero_locus "):
-                fields = dict(part.split("=", 1) for part in body[len("zero_locus "):].split())
-                name = fields.pop("name")
-                curve = fields.pop("curve")
-                loci.append(
-                    ZeroLocus(name, curve, tuple((k, float(v)) for k, v in fields.items()))
-                )
+                try:
+                    fields = dict(part.split("=", 1) for part in body[len("zero_locus "):].split())
+                    name, curve = fields.pop("name"), fields.pop("curve")
+                    coefficients = tuple((k, float(v)) for k, v in fields.items())
+                except (KeyError, ValueError):
+                    raise ParameterError(f"grid csv has a malformed line {line!r}") from None
+                loci.append(ZeroLocus(name, curve, coefficients))
             else:
                 key, _, value = body.partition("=")
                 meta[key] = value
@@ -460,30 +456,40 @@ def parse_grid_csv(text: str) -> SignGrid:
         rows.append(line.split(","))
     if columns is None:
         raise ParameterError("grid csv has no header row")
-    resolution = int(meta["resolution"])
+
+    def metadata(convert, name: str):
+        try:
+            return convert(meta[name])
+        except KeyError:
+            raise ParameterError(f"grid csv has no '# {name}=' metadata line") from None
+        except ValueError:
+            raise ParameterError(f"grid csv metadata {name}={meta[name]!r} is malformed") from None
+
+    resolution = metadata(int, "resolution")
     d_cpt = None
     if "p_d_given_c[0]" in meta:
-        d_cpt = EdgeCpt(given_0=float(meta["p_d_given_c[0]"]), given_1=float(meta["p_d_given_c[1]"]))
+        d_cpt = EdgeCpt.from_keyed({k: metadata(float, f"p_d_given_c[{k}]") for k in EdgeCpt.KEYS})
     fixed = GridFixed(
-        p_c00=float(meta["p_c00"]),
-        p_c11=float(meta["p_c11"]),
-        p_left=float(meta["p_left"]),
-        p_right=float(meta["p_right"]),
+        **{name: metadata(float, name) for name in ("p_c00", "p_c11", "p_left", "p_right")},
         p_d_given_c=d_cpt,
     )
-    if len(rows) != resolution * resolution:
-        raise ParameterError(
-            f"grid csv has {len(rows)} rows, expected {resolution * resolution}"
-        )
-    # The first row block runs p01 over every cell center; repr round-trips.
-    axis = np.array([float(row[1]) for row in rows[:resolution]])
+    if resolution < 2 or len(rows) != resolution * resolution:
+        raise ParameterError(f"grid csv has {len(rows)} rows for resolution {resolution}")
     cells = np.zeros((resolution, resolution, len(columns)), dtype=np.int8)
     for index, row in enumerate(rows):
-        i, j = divmod(index, resolution)
-        cells[i, j] = [int(v) for v in row[2:]]
+        if len(row) != 2 + len(columns) or not {"-1", "0", "1"}.issuperset(row[2:]):
+            raise ParameterError(
+                f"grid csv row {index + 1} is not p10,p01 then {len(columns)} signs of -1, 0 or 1"
+            )
+        cells[divmod(index, resolution)] = [int(v) for v in row[2:]]
     cells.setflags(write=False)
+    try:
+        # The first row block runs p01 over every cell center; repr round-trips.
+        axis = np.array([float(row[1]) for row in rows[:resolution]])
+    except ValueError:
+        raise ParameterError("grid csv has a p01 value that is not a number") from None
     return SignGrid(
-        family=GridFamily(meta["family"]),
+        family=metadata(GridFamily, "family"),
         fixed=fixed,
         resolution=resolution,
         axis=axis,
@@ -513,8 +519,9 @@ def grid_to_json(grid: SignGrid) -> str:
 def cmd_grid(args: argparse.Namespace) -> int:
     d_cpt = None
     if args.p_d_given_c:
-        keyed = _parse_keyed_floats(args.p_d_given_c, EdgeCpt.KEYS, "--p-d-given-c")
-        d_cpt = EdgeCpt(given_0=keyed["0"], given_1=keyed["1"])
+        d_cpt = EdgeCpt.from_keyed(
+            _parse_keyed_floats(args.p_d_given_c, EdgeCpt.KEYS, "--p-d-given-c")
+        )
     fixed = GridFixed(
         p_c00=args.p_c00,
         p_c11=args.p_c11,

@@ -31,7 +31,7 @@ from .errors import (
     DegenerateStratumError,
     ParameterError,
     UndefinedRatioError,
-    raise_if_nonfinite,
+    raise_first_nonfinite,
     raise_where,
 )
 from .structures import (
@@ -44,6 +44,7 @@ from .structures import (
     Stratum,
     StructureKind,
     StructureParams,
+    _KIND_FIELDS,
 )
 
 # Sign classification bands: a value within SIGN_TOL of the null point is
@@ -90,10 +91,10 @@ class BiasReport:
     factors: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        scalar = isinstance(self.value, float)
-        for name, number in (*self.factors.items(), ("value", self.value)):
-            if not (scalar and math.isfinite(number)):  # the common case inline
-                raise_if_nonfinite(number, "closed form gave non-finite", name)
+        numbers = (*self.factors.values(), self.value)
+        if not (isinstance(self.value, float) and all(map(math.isfinite, numbers))):
+            named = (*self.factors.items(), ("value", self.value))
+            raise_first_nonfinite("closed form gave non-finite", named)
 
 
 def _square(x: float) -> float:
@@ -295,7 +296,7 @@ def y_bias_from_embedded_v(params: StructureParams, level: int) -> float:
     p_d = params.prob_child(d)
     p_d_sq = p_d * p_d  # zero when P(D=d) is zero or underflows on squaring
     raise_where(p_d_sq <= 0.0, DegenerateStratumError, "D", d)
-    embedded = _embedded_core(params, child=False)
+    embedded = _embedded_core(params, StructureKind.V)
     pd1 = params.p_d_given_c.level_given(d, 1)
     pd0 = params.p_d_given_c.level_given(d, 0)
     pc1 = params.prob_collider(1)
@@ -313,19 +314,12 @@ def embedded_core(params: StructureParams) -> StructureParams:
     are simply renamed to the exposure/outcome slots of the core.
     """
     _require_kind(params, *_EXTENDED_KINDS)
-    return _embedded_core(params, child=params.kind.has_child_d)
+    return _embedded_core(params, StructureKind.Y if params.kind.has_child_d else StructureKind.V)
 
 
-def _embedded_core(params: StructureParams, child: bool) -> StructureParams:
-    """The V structure of the collider table and the cause marginals; with
-    ``child``, the Y structure that adds the collider-child edge."""
-    return StructureParams(
-        kind=StructureKind.Y if child else StructureKind.V,
-        p_left=params.p_left,
-        p_right=params.p_right,
-        p_c_given=params.p_c_given,
-        p_d_given_c=params.p_d_given_c if child else None,
-    )
+def _embedded_core(params: StructureParams, kind: StructureKind) -> StructureParams:
+    """The ``kind`` structure on those fields of ``params`` that it takes."""
+    return StructureParams(kind=kind, **{name: getattr(params, name) for name in _KIND_FIELDS[kind]})
 
 
 def extension_rds(params: StructureParams) -> tuple[float, float]:

@@ -3,8 +3,6 @@ that raises one for a single value or for a batch of draws."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -87,13 +85,21 @@ class InvalidResolutionError(ParameterError):
         super().__init__(f"grid resolution must be {bound}, got {resolution}")
 
 
-def raise_if_nonfinite(value, *label: str) -> None:
-    """Raise PrecisionLossError "<label> = <value>" if ``value``, or an entry
-    of it over a batch, is NaN or infinite."""
-    if isinstance(value, float) and math.isfinite(value):
-        return
-    message = " ".join(label)
-    raise_where(~np.isfinite(value), lambda v: PrecisionLossError(f"{message} = {v!r}"), value)
+def raise_first_nonfinite(label: str, named: tuple[tuple[str, object], ...]) -> None:
+    """Raise PrecisionLossError "<label> <name> = <value>" for the first
+    (name, value) pair whose value is NaN or infinite.  Over a batch, one
+    pass checks every value and the error names the first bad draw of the
+    first bad name.  The last value spans the batch; any other value may be
+    one number, which stands for every draw."""
+    stacked = np.empty((len(named), *getattr(named[-1][1], "shape", ())))
+    for row, (_, value) in enumerate(named):
+        stacked[row] = value
+    finite = np.isfinite(stacked).ravel()  # each name's draws in turn
+    first = finite.argmin()
+    if not finite[first]:
+        name, value = named[first * len(named) // finite.size]
+        message = f"{label} {name}"
+        raise_where(~np.isfinite(value), lambda v: PrecisionLossError(f"{message} = {v!r}"), value)
 
 
 def raise_where(bad, error, *args) -> None:

@@ -9,6 +9,7 @@ independent cross-check for them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,7 +22,7 @@ from .errors import (
     SingularDesignError,
     UndefinedRatioError,
     UnknownVariableError,
-    raise_if_nonfinite,
+    raise_first_nonfinite,
     raise_where,
 )
 from .structures import (
@@ -185,23 +186,26 @@ def _build(params: StructureParams, batch: bool) -> JointTable:
     return JointTable(kind=params.kind, order=order, mass=mass.T)
 
 
+# The parameter table holding P(variable=1 | parents), for each variable
+# that has parents in some kind.
+_TABLE_FIELD = {"C": "p_c_given", "X": "p_x_given_a", "Y": "p_y_given_b", "D": "p_d_given_c"}
+
+
 def _prob_one(params, roles, name, values):
     """P(name=1 | parents) given boolean arrays of the parents' values:
     a scalar for a root variable, otherwise one probability per element.
     Over a batch, values are (cells, 1) columns and probabilities (B,)."""
     parents = roles.parents[name]
+    if not parents:
+        return params.p_left if name == roles.left_cause else params.p_right
+    t = getattr(params, _TABLE_FIELD[name])
     if name == roles.collider:
         left, right = parents
-        t = params.p_c_given
         table = np.array([t.given_00, t.given_01, t.given_10, t.given_11])
         # Raveled, a batch's (cells, 1) index picks rows of the (4, B) table.
         return table[(2 * values[left].astype(np.intp) + values[right]).ravel()]
-    if not parents:
-        return params.p_left if name == roles.left_cause else params.p_right
     (parent,) = parents
-    cpt = {"X": params.p_x_given_a, "Y": params.p_y_given_b, "D": params.p_d_given_c}[name]
-    assert cpt is not None
-    return np.where(values[parent], cpt.given_1, cpt.given_0)
+    return np.where(values[parent], t.given_1, t.given_0)
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,8 @@ class OracleMeasure:
     conditioning: Conditioning | None = None
 
     def __post_init__(self) -> None:
-        raise_if_nonfinite(self.value, "oracle gave non-finite", self.scale.value)
+        if not (isinstance(self.value, float) and math.isfinite(self.value)):
+            raise_first_nonfinite("oracle gave non-finite", ((self.scale.value, self.value),))
 
 
 # The (X, Y) events of the cells p11, p10, p01, p00.

@@ -140,8 +140,7 @@ def _child_delta(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -> fl
     """closedform.child_contrast at D=level, once the child edge is checked
     to lie inside the open unit interval."""
     check_probabilities(
-        (("p_d_given_c", "0", p_d_given_c.given_0), ("p_d_given_c", "1", p_d_given_c.given_1)),
-        open_interval=True,
+        (("p_d_given_c", key, value) for key, value in p_d_given_c.items()), open_interval=True
     )
     g1 = cross_product_difference(p_c_given, 1)
     g0 = cross_product_difference(p_c_given, 0)
@@ -239,8 +238,7 @@ class GridFixed:
             ("p_right", self.p_right),
         ]
         if self.p_d_given_c is not None:
-            pairs.append(("p_d_given_c[0]", self.p_d_given_c.given_0))
-            pairs.append(("p_d_given_c[1]", self.p_d_given_c.given_1))
+            pairs += ((f"p_d_given_c[{key}]", value) for key, value in self.p_d_given_c.items())
         return pairs
 
 

@@ -5,6 +5,10 @@ Every structure has a collider C with two marginally independent causes
 directly).  The exposure X and outcome Y either are those causes or are
 children of them; four structures add a child D of the collider.
 
+As data the kinds differ only in their parameter fields: ``_KIND_FIELDS``
+lists each kind's fields in one order and ``_FIELD_TYPES`` gives each
+field's type, and every consumer of the fields loops over these two tables.
+
 Index convention for the collider table: ``p_c_given`` entries are keyed
 (left parent value, right parent value), so ``given_01`` is
 P(C=1 | left=0, right=1).  Use the named accessors; never unpack the four
@@ -70,23 +74,6 @@ class StructureKind(str, Enum):
     def conditioning_variable(self) -> str:
         """The variable conditioned on: D where present, otherwise C."""
         return "D" if self.has_child_d else "C"
-
-
-# The optional parameter fields each kind takes; every other per-kind rule
-# (topology, validation, the JSON schema, random draws) reads this table.
-# The properties above resolve it at call time, after the enum exists.  For
-# Nabla, p_y_given_b holds P(Y=1 | X=x) and there is no p_right.
-_KIND_FIELDS: dict[StructureKind, tuple[str, ...]] = {
-    StructureKind.V: ("p_right",),
-    StructureKind.NABLA: ("p_y_given_b",),
-    StructureKind.Y: ("p_right", "p_d_given_c"),
-    StructureKind.M: ("p_right", "p_x_given_a", "p_y_given_b"),
-    StructureKind.LEFT_M: ("p_right", "p_x_given_a"),
-    StructureKind.RIGHT_M: ("p_right", "p_y_given_b"),
-    StructureKind.LONG_M: ("p_right", "p_x_given_a", "p_y_given_b", "p_d_given_c"),
-    StructureKind.LEFT_LONG_M: ("p_right", "p_x_given_a", "p_d_given_c"),
-    StructureKind.RIGHT_LONG_M: ("p_right", "p_y_given_b", "p_d_given_c"),
-}
 
 
 class Sign(IntEnum):
@@ -188,18 +175,29 @@ class BiasQuery:
                 raise ParameterError("lm scale requires linear-model conditioning")
 
 
+class _Cpt:
+    """P(child=1 | parents): one field per parent assignment, in the order
+    of ``KEYS``, the table's JSON keys."""
+
+    KEYS: ClassVar[tuple[str, ...]]
+
+    @classmethod
+    def from_keyed(cls, keyed: Mapping[str, float]):
+        """The table whose entry for each of ``KEYS`` is ``keyed[key]``."""
+        return cls(*[keyed[key] for key in cls.KEYS])
+
+
 @dataclass(frozen=True)
-class ColliderCpt:
+class ColliderCpt(_Cpt):
     """P(C=1 | left parent, right parent).
 
     Field suffix is (left value, right value): ``given_01`` is the entry for
-    left=0, right=1.  The matching JSON keys are ``KEYS``.  A field may be a
-    float64 array; the lookups, and the sign-grid closed forms built on them
-    (``cross_product_difference``, ``child_contrast``, ``lm_kernel``), are
-    then evaluated elementwise.
+    left=0, right=1.  A field may be a float64 array; the lookups, and the
+    sign-grid closed forms built on them (``cross_product_difference``,
+    ``child_contrast``, ``lm_kernel``), are then evaluated elementwise.
     """
 
-    KEYS: ClassVar[tuple[str, ...]] = ("00", "01", "10", "11")
+    KEYS = ("00", "01", "10", "11")
 
     given_00: float
     given_01: float
@@ -224,10 +222,10 @@ class ColliderCpt:
 
 
 @dataclass(frozen=True)
-class EdgeCpt:
-    """P(child=1 | parent) along a single edge; the JSON keys are ``KEYS``."""
+class EdgeCpt(_Cpt):
+    """P(child=1 | parent) along a single edge."""
 
-    KEYS: ClassVar[tuple[str, ...]] = ("0", "1")
+    KEYS = ("0", "1")
 
     given_0: float
     given_1: float
@@ -245,6 +243,31 @@ class EdgeCpt:
 
     def items(self) -> Iterator[tuple[str, float]]:
         return zip(self.KEYS, (self.given_0, self.given_1))
+
+
+# Every parameter field of each kind, in the one order that validation,
+# range scans, JSON, random draws and the CLI use; the StructureKind
+# properties read it too.  For Nabla, p_y_given_b holds P(Y=1 | X=x).
+_KIND_FIELDS: dict[StructureKind, tuple[str, ...]] = {
+    StructureKind.V: ("p_left", "p_right", "p_c_given"),
+    StructureKind.NABLA: ("p_left", "p_c_given", "p_y_given_b"),
+    StructureKind.Y: ("p_left", "p_right", "p_c_given", "p_d_given_c"),
+    StructureKind.M: ("p_left", "p_right", "p_c_given", "p_x_given_a", "p_y_given_b"),
+    StructureKind.LEFT_M: ("p_left", "p_right", "p_c_given", "p_x_given_a"),
+    StructureKind.RIGHT_M: ("p_left", "p_right", "p_c_given", "p_y_given_b"),
+    StructureKind.LONG_M: (
+        "p_left", "p_right", "p_c_given", "p_x_given_a", "p_y_given_b", "p_d_given_c"
+    ),
+    StructureKind.LEFT_LONG_M: ("p_left", "p_right", "p_c_given", "p_x_given_a", "p_d_given_c"),
+    StructureKind.RIGHT_LONG_M: ("p_left", "p_right", "p_c_given", "p_y_given_b", "p_d_given_c"),
+}
+
+# The type of every parameter field, in schema order: one probability
+# (float), or a table of them keyed by the table class's KEYS.
+_FIELD_TYPES: dict[str, type] = {
+    "p_left": float, "p_right": float, "p_c_given": ColliderCpt,
+    "p_x_given_a": EdgeCpt, "p_y_given_b": EdgeCpt, "p_d_given_c": EdgeCpt,
+}
 
 
 @dataclass(frozen=True)
@@ -326,10 +349,6 @@ def check_probabilities(
         raise_where(~np.asarray(inside), lambda v: OutOfRangeError(name, v, open_interval), value)
 
 
-# The single-edge tables among the optional fields, in draw order.
-_CONDITIONAL_FIELDS = ("p_x_given_a", "p_y_given_b", "p_d_given_c")
-
-
 @dataclass(frozen=True)
 class StructureParams:
     """Full parameterization of one structure instance.
@@ -358,26 +377,22 @@ class StructureParams:
 
     def __post_init__(self) -> None:
         fields = _KIND_FIELDS[self.kind]
-        for field_name in ("p_right", *_CONDITIONAL_FIELDS):
-            value = getattr(self, field_name)
-            if field_name in fields and value is None:
-                raise MissingFieldError(self.kind.value, field_name)
-            if field_name not in fields and value is not None:
-                raise ExtraFieldError(self.kind.value, field_name)
+        for field_name in _FIELD_TYPES:
+            absent = getattr(self, field_name) is None
+            if absent == (field_name in fields):
+                raise (MissingFieldError if absent else ExtraFieldError)(self.kind.value, field_name)
         check_probabilities(self._probability_items())
 
     def _probability_items(self) -> Iterator[tuple[str, str | None, float]]:
-        """(field, table key or None, value) for every probability."""
-        yield "p_left", None, self.p_left
-        if self.p_right is not None:
-            yield "p_right", None, self.p_right
-        for key, value in self.p_c_given.items():
-            yield "p_c_given", key, value
-        for field_name in _CONDITIONAL_FIELDS:
-            cpt = getattr(self, field_name)
-            if cpt is not None:
-                for key, value in cpt.items():
-                    yield field_name, key, value
+        """(field, table key or None, value) for every probability, in
+        schema order."""
+        for field_name in _KIND_FIELDS[self.kind]:
+            value = getattr(self, field_name)
+            if _FIELD_TYPES[field_name] is float:
+                yield field_name, None, value
+            else:
+                for key, entry in value.items():
+                    yield field_name, key, entry
 
     # -- implied marginals -------------------------------------------------
 
@@ -409,17 +424,10 @@ class StructureParams:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        doc: dict = {
-            "kind": self.kind.value,
-            "p_left": self.p_left,
-            "p_c_given": dict(self.p_c_given.items()),
-        }
-        if self.p_right is not None:
-            doc["p_right"] = self.p_right
-        for field_name in _CONDITIONAL_FIELDS:
-            cpt = getattr(self, field_name)
-            if cpt is not None:
-                doc[field_name] = dict(cpt.items())
+        doc: dict = {"kind": self.kind.value}
+        for field_name in _KIND_FIELDS[self.kind]:
+            value = getattr(self, field_name)
+            doc[field_name] = value if _FIELD_TYPES[field_name] is float else dict(value.items())
         return doc
 
     def to_json(self) -> str:
@@ -427,21 +435,25 @@ class StructureParams:
 
     @staticmethod
     def from_json(text: str) -> "StructureParams":
-        return params_from_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"parameters are not valid JSON: {exc}") from None
+        return params_from_dict(doc)
 
 
-def _float_field(doc: Mapping, field: str, label: str | None = None) -> float:
-    """``doc[field]`` as a float; ``label`` names it in the error."""
-    value = doc[field]
+def _float_field(doc: Mapping, key: str, table: str | None = None) -> float:
+    """``doc[key]`` as a float; the error names it ``key``, or ``table[key]``
+    for an entry of that table."""
+    value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise OutOfRangeError(label or field, value)
+        raise OutOfRangeError(key if table is None else f"{table}[{key}]", value)
     return float(value)
 
 
-def _table_fields(doc: Mapping, field: str, kind: str, keys: tuple[str, ...]) -> dict:
-    """The keyed probability table ``doc[field]`` as CPT constructor
-    arguments: key "01" becomes ``given_01``."""
-    table = doc[field]
+def _table_fields(doc: Mapping, field: str, kind: str, table_type: type[_Cpt]) -> _Cpt:
+    """The keyed probability table ``doc[field]`` as a ``table_type``."""
+    table, keys = doc[field], table_type.KEYS
     if not isinstance(table, Mapping):
         raise ParameterError(f"{field} must be an object with keys {'/'.join(keys)}")
     missing = set(keys) - set(table)
@@ -449,12 +461,14 @@ def _table_fields(doc: Mapping, field: str, kind: str, keys: tuple[str, ...]) ->
         raise MissingFieldError(kind, f"{field}[{sorted(missing)[0]}]")
     extra = set(table) - set(keys)
     if extra:
-        raise ExtraFieldError(kind, f"{field}[{sorted(extra)[0]}]")
-    return {f"given_{key}": _float_field(table, key, f"{field}[{key}]") for key in keys}
+        raise ExtraFieldError(kind, f"{field}[{sorted(extra, key=str)[0]}]")
+    return table_type.from_keyed({key: _float_field(table, key, field) for key in keys})
 
 
 def params_from_dict(doc: Mapping) -> StructureParams:
     """Parse the JSON parameter schema into a validated StructureParams."""
+    if not isinstance(doc, Mapping):
+        raise ParameterError(f"parameters must be a JSON object, got {type(doc).__name__}")
     if "kind" not in doc:
         raise MissingFieldError("?", "kind")
     try:
@@ -462,26 +476,19 @@ def params_from_dict(doc: Mapping) -> StructureParams:
     except ValueError:
         raise ParameterError(f"unknown structure kind {doc['kind']!r}") from None
     fields = _KIND_FIELDS[kind]
-    allowed = {"kind", "p_left", "p_c_given", *fields}
-    extra = set(doc) - allowed
+    extra = set(doc) - {"kind", *fields}
     if extra:
-        raise ExtraFieldError(kind.value, sorted(extra)[0])
-    missing = allowed - set(doc)
+        raise ExtraFieldError(kind.value, sorted(extra, key=str)[0])
+    missing = set(fields) - set(doc)
     if missing:
         raise MissingFieldError(kind.value, sorted(missing)[0])
-
-    kwargs: dict = {
-        "kind": kind,
-        "p_left": _float_field(doc, "p_left"),
-        "p_c_given": ColliderCpt(
-            **_table_fields(doc, "p_c_given", kind.value, ColliderCpt.KEYS)
-        ),
-    }
+    kwargs: dict = {"kind": kind}
     for field_name in fields:
-        if field_name == "p_right":
+        field_type = _FIELD_TYPES[field_name]
+        if field_type is float:
             kwargs[field_name] = _float_field(doc, field_name)
         else:
-            kwargs[field_name] = EdgeCpt(**_table_fields(doc, field_name, kind.value, EdgeCpt.KEYS))
+            kwargs[field_name] = _table_fields(doc, field_name, kind.value, field_type)
     return StructureParams(**kwargs)
 
 
@@ -518,25 +525,27 @@ def random_structure_params(
 
     Every probability is uniform on [0.05, 0.95], which keeps all implied
     strata safely non-degenerate.  All fields come from one ``rng.uniform``
-    call whose columns are in a fixed order -- p_left, p_right (when
-    applicable), the four collider entries in key order 00/01/10/11, then
-    p_x_given_a, p_y_given_b, p_d_given_c (each 0 then 1) -- so a parameter
+    call whose columns are the kind's fields in schema order (p_left,
+    p_right, p_c_given, then p_x_given_a, p_y_given_b, p_d_given_c where the
+    kind has them), each table's entries in ``KEYS`` order, so a parameter
     set is reproducible from the generator state alone.  A single draw's
     fields are floats; a batch's are contiguous (draws,) arrays.
     """
     fields = _KIND_FIELDS[kind]
-    edges = [name for name in _CONDITIONAL_FIELDS if name in fields]
-    width = 5 + ("p_right" in fields) + 2 * len(edges)
+    width = sum(
+        1 if _FIELD_TYPES[name] is float else len(_FIELD_TYPES[name].KEYS) for name in fields
+    )
     if draws is None:
         columns = iter(rng.uniform(0.05, 0.95, size=width).tolist())
     elif not isinstance(draws, int) or draws < 1:
         raise ParameterError(f"draws must be an int >= 1, got {draws!r}")
     else:
         columns = iter(np.ascontiguousarray(rng.uniform(0.05, 0.95, size=(draws, width)).T))
-    kwargs: dict = {"kind": kind, "p_left": next(columns)}
-    if "p_right" in fields:
-        kwargs["p_right"] = next(columns)
-    kwargs["p_c_given"] = ColliderCpt(next(columns), next(columns), next(columns), next(columns))
-    for field_name in edges:
-        kwargs[field_name] = EdgeCpt(next(columns), next(columns))
+    kwargs: dict = {"kind": kind}
+    for field_name in fields:
+        field_type = _FIELD_TYPES[field_name]
+        if field_type is float:
+            kwargs[field_name] = next(columns)
+        else:
+            kwargs[field_name] = field_type(*[next(columns) for _ in field_type.KEYS])
     return StructureParams(**kwargs)

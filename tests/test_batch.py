@@ -12,6 +12,7 @@ from colliderbias import (
     ColliderCpt,
     DegenerateStratumError,
     ParameterError,
+    PrecisionLossError,
     Scale,
     Sign,
     Stratum,
@@ -176,6 +177,21 @@ def test_batch_guard_names_the_first_bad_draw():
     with pytest.raises(DegenerateStratumError) as info:
         cond_measure(joint_mod.build_joint_batch(batch), Scale.COV, Stratum("C", 1))
     assert info.value.draw == 2
+
+
+def test_batch_nonfinite_check_names_the_first_bad_factor_and_draw():
+    factors = {"rd_child": 1.0, "second": np.ones(5), "third": np.full(5, math.inf)}
+    factors["second"][3] = math.nan
+    report = dict(scale=Scale.COV, conditioning=Stratum("C", 1), sign=Sign.ZERO)
+    with pytest.raises(PrecisionLossError) as info:
+        cf.BiasReport(value=np.full(5, math.nan), factors=factors, **report)
+    assert info.value.draw == 3
+    assert str(info.value) == "draw 3: closed form gave non-finite second = nan"
+    with pytest.raises(PrecisionLossError, match="^draw 1: closed form gave non-finite value = inf"):
+        cf.BiasReport(value=np.array([0.0, math.inf]), factors={"rd_child": 1.0}, **report)
+    with pytest.raises(PrecisionLossError, match="^draw 2: oracle gave non-finite cov = -inf$"):
+        joint_mod.OracleMeasure(np.array([0.0, 1.0, -math.inf]), Scale.COV)
+    cf.BiasReport(value=np.zeros(5), factors={"rd_child": 1.0, "g": np.ones(5)}, **report)
 
 
 @pytest.mark.parametrize("size", [1, 7])

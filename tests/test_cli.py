@@ -2,9 +2,18 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
-from colliderbias import EdgeCpt, GridFamily, GridFixed, StructureKind, emit_grid
+from colliderbias import (
+    EdgeCpt,
+    GridFamily,
+    GridFixed,
+    ParameterError,
+    StructureKind,
+    emit_grid,
+    random_structure_params,
+)
 from colliderbias.cli import grid_to_csv, grid_to_json, main, parse_grid_csv
 
 REFERENCE_FLAGS = [
@@ -623,3 +632,68 @@ def test_child_stratum_grid_csv_round_trip(capsys):
     assert grid.fixed.p_d_given_c is not None
     assert dict(grid.fixed.p_d_given_c.items()) == {"0": 0.2, "1": 0.7}
     assert grid_to_csv(grid) == out
+
+
+@pytest.mark.parametrize("kind", list(StructureKind))
+def test_flags_and_file_give_the_same_bytes(tmp_path, capsys, kind):
+    doc = random_structure_params(kind, np.random.default_rng(11)).to_dict()
+    config = tmp_path / "params.json"
+    config.write_text(json.dumps(doc))
+    flags = ["--kind", kind.value]
+    for field, value in doc.items():
+        if field == "kind":
+            continue
+        if isinstance(value, dict):
+            value = ",".join(f"{key}={entry!r}" for key, entry in value.items())
+        flags += ["--" + field.replace("_", "-"), str(value)]
+    stratum = f"{kind.conditioning_variable}=1"
+    for command, *options in (["compute", "--stratum", stratum], ["compute", "--lm"], ["sign"]):
+        by_flags = run_cli(capsys, command, *flags, *options, "--format", "json")
+        by_file = run_cli(capsys, command, "--file", str(config), *options, "--format", "json")
+        assert by_flags == by_file
+        assert by_flags[0] == 0 and json.loads(by_flags[1])["params"] == doc
+
+
+GRID_CSV = (
+    "# family=child-stratum\n# resolution=2\n# p_c00=0.15\n# p_c11=0.75\n# p_left=0.5\n"
+    "# p_right=0.5\n# p_d_given_c[0]=0.2\n# p_d_given_c[1]=0.7\n"
+    "# zero_locus name=rd curve=line-sum sum=0.9\n"
+    "p10,p01,sign_d1,sign_d0\n0.25,0.25,1,-1\n0.25,0.75,-1,1\n0.75,0.25,-1,1\n0.75,0.75,-1,1\n"
+)
+
+# Each row: (text to replace in GRID_CSV, its replacement, the error message).
+MALFORMED_GRID_CSV = {
+    "no-resolution": ("# resolution=2\n", "", "grid csv has no '# resolution=' metadata line"),
+    "no-p-c00": ("# p_c00=0.15\n", "", "grid csv has no '# p_c00=' metadata line"),
+    "no-family": ("# family=child-stratum\n", "", "grid csv has no '# family=' metadata line"),
+    "half-child-edge": ("# p_d_given_c[1]=0.7\n", "",
+                        "grid csv has no '# p_d_given_c[1]=' metadata line"),
+    "resolution-not-int": ("resolution=2", "resolution=two",
+                           "grid csv metadata resolution='two' is malformed"),
+    "negative-resolution": ("resolution=2", "resolution=-2",
+                            "grid csv has 4 rows for resolution -2"),
+    "unknown-family": ("family=child-stratum", "family=cross",
+                       "grid csv metadata family='cross' is malformed"),
+    "sign-not-int": ("0.75,0.75,-1,1", "0.75,0.75,-1,x",
+                     "grid csv row 4 is not p10,p01 then 2 signs"),
+    "sign-out-of-range": ("0.75,0.75,-1,1", "0.75,0.75,-1,300",
+                          "grid csv row 4 is not p10,p01 then 2 signs"),
+    "short-row": ("0.25,0.75,-1,1", "0.25,0.75,-1", "grid csv row 2 is not p10,p01 then 2 signs"),
+    "p01-not-a-number": ("0.25,0.75,-1,1", "0.25,abc,-1,1",
+                         "grid csv has a p01 value that is not a number"),
+    "locus-without-name": (" name=rd", "", "grid csv has a malformed line"),
+    "locus-not-a-number": ("sum=0.9", "sum=x", "grid csv has a malformed line"),
+    "too-few-rows": ("0.75,0.75,-1,1\n", "", "grid csv has 3 rows for resolution 2"),
+}
+
+
+def test_grid_csv_fixture_parses():
+    assert grid_to_csv(parse_grid_csv(GRID_CSV)) == GRID_CSV
+
+
+@pytest.mark.parametrize("old, new, message", MALFORMED_GRID_CSV.values(), ids=MALFORMED_GRID_CSV)
+def test_malformed_grid_csv_is_a_parameter_error(old, new, message):
+    assert old in GRID_CSV
+    with pytest.raises(ParameterError) as info:
+        parse_grid_csv(GRID_CSV.replace(old, new, 1))
+    assert str(info.value).startswith(message)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from colliderbias import (
     validate,
     variable_roles,
 )
+from colliderbias.structures import _FIELD_TYPES, _KIND_FIELDS
 
 ALL_KINDS = list(StructureKind)
 
@@ -211,6 +213,60 @@ def test_nabla_requires_outcome_edge():
 def test_json_round_trip_is_bit_identical(kind, rng):
     params = random_structure_params(kind, rng)
     assert StructureParams.from_json(params.to_json()) == params
+
+
+def test_schema_covers_every_field_in_one_order():
+    order = list(_FIELD_TYPES)
+    assert set(order) == {f.name for f in dataclasses.fields(StructureParams)} - {"kind"}
+    for fields in _KIND_FIELDS.values():
+        assert list(fields) == sorted(fields, key=order.index)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_route_follows_the_kind_schema(kind, rng):
+    params = random_structure_params(kind, rng)
+    fields = [field for field, _, _ in params._probability_items()]
+    assert list(dict.fromkeys(fields)) == list(_KIND_FIELDS[kind])
+    assert list(params.to_dict()) == ["kind", *_KIND_FIELDS[kind]]
+    assert params_from_dict(params.to_dict()) == params
+
+
+def test_from_keyed_ignores_the_key_order():
+    assert EdgeCpt.from_keyed({"1": 0.7, "0": 0.2}) == EdgeCpt(0.2, 0.7)
+    keyed = {"11": 0.4, "01": 0.2, "10": 0.3, "00": 0.1}
+    assert ColliderCpt.from_keyed(keyed) == ColliderCpt(0.1, 0.2, 0.3, 0.4)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{", "parameters are not valid JSON: Expecting property name enclosed in double quotes"),
+        ("[1]", "parameters must be a JSON object, got list"),
+        ('"V"', "parameters must be a JSON object, got str"),
+        ("null", "parameters must be a JSON object, got NoneType"),
+    ],
+)
+def test_malformed_json_is_a_parameter_error(text, message):
+    with pytest.raises(ParameterError) as info:
+        StructureParams.from_json(text)
+    assert str(info.value).startswith(message)
+    assert not isinstance(info.value, MissingFieldError)
+
+
+def test_from_dict_names_a_non_string_key():
+    doc = {"kind": "V", "p_left": 0.5, "p_right": 0.5, 7: 0.5, "zz": 0.5,
+           "p_c_given": {"00": 0.5, "01": 0.5, "10": 0.5, "11": 0.5}}
+    with pytest.raises(ExtraFieldError, match="^structure kind V does not take field 7$"):
+        params_from_dict(doc)
+    doc.pop(7), doc.pop("zz")
+    doc["p_c_given"][0] = 0.5
+    with pytest.raises(ExtraFieldError, match=r"field p_c_given\[0\]$"):
+        params_from_dict(doc)
+
+
+def test_from_dict_rejects_a_non_mapping():
+    with pytest.raises(ParameterError, match="^parameters must be a JSON object, got tuple$"):
+        params_from_dict(("kind", "V"))
 
 
 def test_from_dict_rejects_unknown_kind():
