@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import logging
 import math
@@ -31,6 +32,7 @@ from .joint import bias as oracle_bias
 from .joint import build_joint, sample
 from .signmap import (
     MAX_GRID_RESOLUTION,
+    _GRID_COLUMNS,
     GridFamily,
     GridFixed,
     SignGrid,
@@ -96,6 +98,8 @@ def _parse_keyed_floats(text: str, keys: tuple[str, ...], flag: str) -> dict[str
             out[key] = float(value)
         except ValueError:
             raise ParameterError(f"{flag}: {value!r} is not a number") from None
+    if not out:
+        raise ParameterError(f"{flag}: expected key=value entries, got {text!r}")
     missing = [key for key in keys if key not in out]
     if missing:
         raise ParameterError(f"{flag}: missing key {missing[0]!r}")
@@ -132,7 +136,7 @@ def _params_from_args(args: argparse.Namespace) -> StructureParams:
         doc["kind"] = args.kind
     for field_name, field_type in _FIELD_TYPES.items():
         raw = getattr(args, field_name)
-        if raw is None or raw == "":  # an empty table flag sets nothing
+        if raw is None:
             continue
         if field_type is not float:
             raw = _parse_keyed_floats(raw, field_type.KEYS, "--" + field_name.replace("_", "-"))
@@ -406,6 +410,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
 # grid
 
 
+# The keys of grid_to_csv's metadata lines other than zero_locus.
+_GRID_METADATA = (
+    "family", "resolution", "p_c00", "p_c11", "p_left", "p_right",
+    *(f"p_d_given_c[{key}]" for key in EdgeCpt.KEYS),
+)
+
+
 def grid_to_csv(grid: SignGrid) -> str:
     """Deterministic CSV rendering: '#'-prefixed metadata lines, then one
     row per cell."""
@@ -418,11 +429,18 @@ def grid_to_csv(grid: SignGrid) -> str:
         coeffs = " ".join(f"{k}={v!r}" for k, v in locus.coefficients)
         out.write(f"# zero_locus name={locus.name} curve={locus.curve} {coeffs}\n")
     out.write("p10,p01," + ",".join(grid.columns) + "\n")
-    # Each axis label is formatted once per grid, not once per cell.
+    # Every row shares the tails ",p01,signs\n", one per column and sign
+    # combination, formatted once per grid; a cell's signs + 1, read as
+    # base-3 digits, index its tail.
     labels = [repr(value) for value in grid.axis.tolist()]
-    for p10, row in zip(labels, grid.cells.tolist()):
-        signs = [",".join(map(str, cell)) for cell in row]
-        out.write("".join(f"{p10},{p01},{sign}\n" for p01, sign in zip(labels, signs)))
+    combos = itertools.product((-1, 0, 1), repeat=len(grid.columns))
+    signs = [",".join(map(str, combo)) for combo in combos]
+    tails = np.array([[f",{p01},{s}\n" for s in signs] for p01 in labels], dtype=object)
+    digits = np.moveaxis(grid.cells + 1, -1, 0)
+    codes = np.ravel_multi_index(tuple(digits), (3,) * len(grid.columns))
+    cols = np.arange(grid.resolution)
+    for p10, row in zip(labels, codes):
+        out.write(p10 + p10.join(tails[cols, row].tolist()))
     return out.getvalue()
 
 
@@ -432,7 +450,7 @@ def parse_grid_csv(text: str) -> SignGrid:
     meta: dict[str, str] = {}
     loci: list[ZeroLocus] = []
     rows: list[list[str]] = []
-    columns: tuple[str, ...] | None = None
+    header: str | None = None
     for line in text.splitlines():
         if not line:
             continue
@@ -448,13 +466,15 @@ def parse_grid_csv(text: str) -> SignGrid:
                 loci.append(ZeroLocus(name, curve, coefficients))
             else:
                 key, _, value = body.partition("=")
+                if key not in _GRID_METADATA:
+                    raise ParameterError(f"grid csv has an unknown metadata line {line!r}")
                 meta[key] = value
             continue
-        if columns is None:
-            columns = tuple(line.split(",")[2:])
+        if header is None:
+            header = line
             continue
         rows.append(line.split(","))
-    if columns is None:
+    if header is None:
         raise ParameterError("grid csv has no header row")
 
     def metadata(convert, name: str):
@@ -465,9 +485,16 @@ def parse_grid_csv(text: str) -> SignGrid:
         except ValueError:
             raise ParameterError(f"grid csv metadata {name}={meta[name]!r} is malformed") from None
 
+    family = metadata(GridFamily, "family")
+    columns = _GRID_COLUMNS[family]
+    if header != ",".join(("p10", "p01", *columns)):
+        raise ParameterError(
+            f"grid csv header {header!r} is not p10,p01,{','.join(columns)}"
+            f" of the {family.value} family"
+        )
     resolution = metadata(int, "resolution")
     d_cpt = None
-    if "p_d_given_c[0]" in meta:
+    if any(f"p_d_given_c[{k}]" in meta for k in EdgeCpt.KEYS):
         d_cpt = EdgeCpt.from_keyed({k: metadata(float, f"p_d_given_c[{k}]") for k in EdgeCpt.KEYS})
     fixed = GridFixed(
         **{name: metadata(float, name) for name in ("p_c00", "p_c11", "p_left", "p_right")},
@@ -489,7 +516,7 @@ def parse_grid_csv(text: str) -> SignGrid:
     except ValueError:
         raise ParameterError("grid csv has a p01 value that is not a number") from None
     return SignGrid(
-        family=metadata(GridFamily, "family"),
+        family=family,
         fixed=fixed,
         resolution=resolution,
         axis=axis,
@@ -518,7 +545,7 @@ def grid_to_json(grid: SignGrid) -> str:
 
 def cmd_grid(args: argparse.Namespace) -> int:
     d_cpt = None
-    if args.p_d_given_c:
+    if args.p_d_given_c is not None:
         d_cpt = EdgeCpt.from_keyed(
             _parse_keyed_floats(args.p_d_given_c, EdgeCpt.KEYS, "--p-d-given-c")
         )

@@ -321,13 +321,15 @@ def emit_grid(family: GridFamily, fixed: GridFixed, resolution: int) -> SignGrid
     the requested sign family at every cell center.
 
     Cell centers are (i + 1/2)/resolution, which keeps the sweep strictly
-    inside the open square.  The sweep runs row by row: each row is one
-    collider table whose P(C=1|0,1) entry is the whole axis, fed to the
+    inside the open square.  The whole lattice is evaluated in one
+    broadcast: one collider table whose P(C=1|1,0) entry is the axis as a
+    column and whose P(C=1|0,1) entry is the axis as a row, fed once to the
     function the family's scalar sign rule calls, and banded with one
-    closedform.band_sign call; apart from the cells array, memory is
-    O(resolution).  The output is a pure function of the inputs; repeated
-    calls produce identical grids.  ``resolution`` must lie in
-    [2, MAX_GRID_RESOLUTION].
+    closedform.band_sign call per column.  The arithmetic is elementwise,
+    so every cell equals its scalar evaluation; memory is a few
+    O(resolution²) float temporaries.  The output is a pure function of the
+    inputs; repeated calls produce identical grids.  ``resolution`` must lie
+    in [2, MAX_GRID_RESOLUTION].
     """
     if not 2 <= resolution <= MAX_GRID_RESOLUTION:
         raise InvalidResolutionError(resolution, MAX_GRID_RESOLUTION)
@@ -335,20 +337,22 @@ def emit_grid(family: GridFamily, fixed: GridFixed, resolution: int) -> SignGrid
         raise ParameterError("child-stratum grids need p_d_given_c")
     columns = _GRID_COLUMNS[family]
     axis = (np.arange(resolution) + 0.5) / resolution
-    cells = np.zeros((resolution, resolution, len(columns)), dtype=np.int8)
-
-    for i, p10 in enumerate(axis.tolist()):
-        row = ColliderCpt(
-            given_00=fixed.p_c00, given_01=axis, given_10=p10, given_11=fixed.p_c11
-        )
-        if family is GridFamily.STRATUM:
-            deltas = [cross_product_difference(row, level) for level in (1, 0)]
-        elif family is GridFamily.CHILD_STRATUM:
-            deltas = [_child_delta(row, fixed.p_d_given_c, level) for level in (1, 0)]
-        else:
-            deltas = [lm_kernel(row, fixed.p_left, fixed.p_right)]
-        for k, delta in enumerate(deltas):
-            cells[i, :, k] = band_sign(delta)
+    lattice = ColliderCpt(
+        given_00=fixed.p_c00, given_01=axis[None, :], given_10=axis[:, None], given_11=fixed.p_c11
+    )
+    # Each column's float lattice is computed lazily and banded into cells
+    # allocated beforehand: one float lattice is alive at a time, and the
+    # long-lived cells do not pin the freed temporaries in the heap, which
+    # keeps the peak memory of large grids down.
+    if family is GridFamily.STRATUM:
+        deltas = (cross_product_difference(lattice, level) for level in (1, 0))
+    elif family is GridFamily.CHILD_STRATUM:
+        deltas = (_child_delta(lattice, fixed.p_d_given_c, level) for level in (1, 0))
+    else:
+        deltas = (lm_kernel(lattice, fixed.p_left, fixed.p_right),)
+    cells = np.empty((resolution, resolution, len(columns)), dtype=np.int8)
+    for k, delta in enumerate(deltas):
+        cells[..., k] = band_sign(delta)
     cells.setflags(write=False)
     return SignGrid(
         family=family,

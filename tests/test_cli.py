@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 
@@ -15,6 +16,7 @@ from colliderbias import (
     random_structure_params,
 )
 from colliderbias.cli import grid_to_csv, grid_to_json, main, parse_grid_csv
+from colliderbias.signmap import _GRID_COLUMNS, SignGrid, ZeroLocus
 
 REFERENCE_FLAGS = [
     "--kind", "V",
@@ -424,6 +426,51 @@ def test_grid_bytes_pinned():
     assert digest.hexdigest() == GRID_BYTES_DIGEST
 
 
+def _reference_grid_to_csv(grid) -> str:
+    """The per-cell renderer that grid_to_csv replaced, kept as its
+    byte-for-byte reference."""
+    lines = [f"# family={grid.family.value}\n", f"# resolution={grid.resolution}\n"]
+    lines += [f"# {name}={value!r}\n" for name, value in grid.fixed.items()]
+    for locus in grid.zero_loci:
+        coeffs = " ".join(f"{k}={v!r}" for k, v in locus.coefficients)
+        lines.append(f"# zero_locus name={locus.name} curve={locus.curve} {coeffs}\n")
+    lines.append("p10,p01," + ",".join(grid.columns) + "\n")
+    labels = [repr(value) for value in grid.axis.tolist()]
+    for p10, row in zip(labels, grid.cells.tolist()):
+        for p01, cell in zip(labels, row):
+            lines.append(f"{p10},{p01}," + ",".join(map(str, cell)) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("family", [GridFamily.REGRESSION, GridFamily.STRATUM])
+@pytest.mark.parametrize("resolution", [3, 7])
+def test_grid_csv_matches_per_cell_reference(family, resolution):
+    # Hand-built cells: every sign combination of the family's columns,
+    # then the rest of the lattice drawn at random.
+    columns = _GRID_COLUMNS[family]
+    combos = list(itertools.product((-1, 0, 1), repeat=len(columns)))
+    rng = np.random.default_rng(resolution)
+    drawn = rng.integers(-1, 2, size=(resolution * resolution - len(combos), len(columns)))
+    cells = np.concatenate([combos, drawn]).astype(np.int8)
+    rng.shuffle(cells)
+    cells = cells.reshape(resolution, resolution, len(columns))
+    grid = SignGrid(
+        family=family,
+        fixed=GridFixed(p_c00=0.15, p_c11=0.75, p_left=0.3, p_right=0.6),
+        resolution=resolution,
+        axis=(np.arange(resolution) + 0.5) / resolution,
+        columns=columns,
+        cells=cells,
+        zero_loci=(ZeroLocus("rd", "line-sum", (("sum", 0.9),)),),
+    )
+    text = grid_to_csv(grid)
+    assert text == _reference_grid_to_csv(grid)
+    parsed = parse_grid_csv(text)
+    assert np.array_equal(parsed.cells, cells)
+    assert np.array_equal(parsed.axis, grid.axis)
+    assert grid_to_csv(parsed) == text
+
+
 def test_grid_invalid_resolution(capsys):
     code, _, err = run_cli(
         capsys, "grid", "--family", "stratum", "--p-c00", "0.2", "--p-c11", "0.8",
@@ -485,6 +532,11 @@ MALFORMED_RUNS = {
         [*GRID_FLAGS[:2], "child-stratum", *GRID_FLAGS[3:], "--p-d-given-c", "0=-0.1,1=0.7"],
         "p_d_given_c[0]",
     ),
+    # An empty table flag is an error, not a flag that sets nothing.
+    "compute-empty-table-flag": (["compute", "--file", "{v_json}", "--p-c-given", "", "--lm"],
+                                 "--p-c-given: expected key=value entries, got ''"),
+    "grid-empty-child-edge": ([*GRID_FLAGS, "--p-d-given-c", ""],
+                              "--p-d-given-c: expected key=value entries, got ''"),
 }
 
 
@@ -492,10 +544,14 @@ MALFORMED_RUNS = {
 def test_malformed_input_exits_2(capsys, tmp_path, argv, fragment):
     (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
     (tmp_path / "list.json").write_text("[0.5]", encoding="utf-8")
+    v_doc = {"kind": "V", "p_left": 0.5, "p_right": 0.5,
+             "p_c_given": {"00": 0.15, "01": 0.25, "10": 0.25, "11": 0.75}}
+    (tmp_path / "v.json").write_text(json.dumps(v_doc), encoding="utf-8")
     paths = {
         "{missing}": str(tmp_path / "missing.json"),
         "{bad_json}": str(tmp_path / "bad.json"),
         "{list_json}": str(tmp_path / "list.json"),
+        "{v_json}": str(tmp_path / "v.json"),
     }
     code, out, err = run_cli(capsys, *(paths.get(arg, arg) for arg in argv))
     assert code == 2
@@ -684,6 +740,13 @@ MALFORMED_GRID_CSV = {
     "locus-without-name": (" name=rd", "", "grid csv has a malformed line"),
     "locus-not-a-number": ("sum=0.9", "sum=x", "grid csv has a malformed line"),
     "too-few-rows": ("0.75,0.75,-1,1\n", "", "grid csv has 3 rows for resolution 2"),
+    "lone-child-edge-1": ("# p_d_given_c[0]=0.2\n", "",
+                          "grid csv has no '# p_d_given_c[0]=' metadata line"),
+    "unknown-metadata": ("# p_left=0.5\n", "# p_left=0.5\n# bogus=1\n",
+                         "grid csv has an unknown metadata line '# bogus=1'"),
+    "header-of-other-family": ("p10,p01,sign_d1,sign_d0", "p10,p01,sign_c1,sign_c0",
+                               "grid csv header 'p10,p01,sign_c1,sign_c0' is not"
+                               " p10,p01,sign_d1,sign_d0 of the child-stratum family"),
 }
 
 
