@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import nullcontext
 from functools import lru_cache
 
 import numpy as np
@@ -32,11 +33,9 @@ from .joint import bias as oracle_bias
 from .joint import build_joint, sample
 from .signmap import (
     MAX_GRID_RESOLUTION,
-    _GRID_COLUMNS,
     GridFamily,
     GridFixed,
     SignGrid,
-    ZeroLocus,
     classify_effects,
     emit_grid,
     extended_sign,
@@ -154,12 +153,16 @@ def _parse_stratum(text: str) -> Stratum:
         raise ParameterError(f"--stratum must look like C=1 or D=0, got {text!r}") from None
 
 
+# Output is written in slices of this many characters, so the text layer
+# encodes one slice at a time, not a second copy of a large grid.
+_WRITE_SLICE = 1 << 20
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    out = getattr(args, "out", None)
+    with open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout) as handle:
+        for start in range(0, len(text), _WRITE_SLICE):
+            handle.write(text[start:start + _WRITE_SLICE])
 
 
 def _dump_json(doc: dict) -> str:
@@ -410,13 +413,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
 # grid
 
 
-# The keys of grid_to_csv's metadata lines other than zero_locus.
-_GRID_METADATA = (
-    "family", "resolution", "p_c00", "p_c11", "p_left", "p_right",
-    *(f"p_d_given_c[{key}]" for key in EdgeCpt.KEYS),
-)
-
-
 def grid_to_csv(grid: SignGrid) -> str:
     """Deterministic CSV rendering: '#'-prefixed metadata lines, then one
     row per cell."""
@@ -445,37 +441,21 @@ def grid_to_csv(grid: SignGrid) -> str:
 
 
 def parse_grid_csv(text: str) -> SignGrid:
-    """Parse :func:`grid_to_csv` output back into a SignGrid; text that is
-    not such output raises ParameterError."""
+    """Parse :func:`grid_to_csv` output back into a SignGrid.
+
+    The metadata lines give the family, the resolution and the fixed
+    parameters, and the rows' last fields give the signs.  The text must
+    then be exactly what grid_to_csv prints for that grid, which checks the
+    header, every coordinate and the zero loci; any other text raises
+    ParameterError.
+    """
     meta: dict[str, str] = {}
-    loci: list[ZeroLocus] = []
-    rows: list[list[str]] = []
-    header: str | None = None
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("zero_locus "):
-                try:
-                    fields = dict(part.split("=", 1) for part in body[len("zero_locus "):].split())
-                    name, curve = fields.pop("name"), fields.pop("curve")
-                    coefficients = tuple((k, float(v)) for k, v in fields.items())
-                except (KeyError, ValueError):
-                    raise ParameterError(f"grid csv has a malformed line {line!r}") from None
-                loci.append(ZeroLocus(name, curve, coefficients))
-            else:
-                key, _, value = body.partition("=")
-                if key not in _GRID_METADATA:
-                    raise ParameterError(f"grid csv has an unknown metadata line {line!r}")
-                meta[key] = value
-            continue
-        if header is None:
-            header = line
-            continue
-        rows.append(line.split(","))
-    if header is None:
-        raise ParameterError("grid csv has no header row")
+    start = 0
+    while text.startswith("#", start):
+        end = text.find("\n", start) + 1 or len(text)
+        key, _, value = text[start + 1:end].strip().partition("=")
+        meta[key] = value
+        start = end
 
     def metadata(convert, name: str):
         try:
@@ -486,12 +466,6 @@ def parse_grid_csv(text: str) -> SignGrid:
             raise ParameterError(f"grid csv metadata {name}={meta[name]!r} is malformed") from None
 
     family = metadata(GridFamily, "family")
-    columns = _GRID_COLUMNS[family]
-    if header != ",".join(("p10", "p01", *columns)):
-        raise ParameterError(
-            f"grid csv header {header!r} is not p10,p01,{','.join(columns)}"
-            f" of the {family.value} family"
-        )
     resolution = metadata(int, "resolution")
     d_cpt = None
     if any(f"p_d_given_c[{k}]" in meta for k in EdgeCpt.KEYS):
@@ -500,30 +474,49 @@ def parse_grid_csv(text: str) -> SignGrid:
         **{name: metadata(float, name) for name in ("p_c00", "p_c11", "p_left", "p_right")},
         p_d_given_c=d_cpt,
     )
-    if resolution < 2 or len(rows) != resolution * resolution:
-        raise ParameterError(f"grid csv has {len(rows)} rows for resolution {resolution}")
-    cells = np.zeros((resolution, resolution, len(columns)), dtype=np.int8)
-    for index, row in enumerate(rows):
-        if len(row) != 2 + len(columns) or not {"-1", "0", "1"}.issuperset(row[2:]):
-            raise ParameterError(
-                f"grid csv row {index + 1} is not p10,p01 then {len(columns)} signs of -1, 0 or 1"
-            )
-        cells[divmod(index, resolution)] = [int(v) for v in row[2:]]
+    rows = max(text.count("\n", start) - 1, 0)  # the lines after the header
+    if resolution < 2 or rows != resolution * resolution:
+        raise ParameterError(f"grid csv has {rows} rows for resolution {resolution}")
+    cells = _decode_signs(text, start, len(family.columns))
+    grid = SignGrid(family, fixed, cells.reshape(resolution, resolution, -1))
+    expected = grid_to_csv(grid)
+    if expected != text:
+        raise ParameterError(
+            "grid csv is not what grid_to_csv prints for its metadata and signs"
+            f" (first difference on line {_first_differing_line(text, expected)})"
+        )
+    return grid
+
+
+def _decode_signs(text: str, start: int, width: int) -> np.ndarray:
+    """The last ``width`` fields of each line after the header at ``start``,
+    read from the line's end as signs -1, 0 or 1.  Text that is not signs
+    decodes to some grid that the round-trip check of parse_grid_csv
+    rejects."""
+    buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    at = np.flatnonzero(buf[start:] == ord("\n"))[1:] + (start - 1)
+    cells = np.empty((at.size, width), dtype=np.int8)
+    for k in reversed(range(width)):
+        # mode="clip" keeps every index in range whatever the text holds.
+        one = buf.take(at, mode="clip") == ord("1")
+        minus = buf.take(at - 1, mode="clip") == ord("-")
+        cells[:, k] = np.where(one, np.where(minus, -1, 1), 0)
+        at -= 2 + minus
     cells.setflags(write=False)
-    try:
-        # The first row block runs p01 over every cell center; repr round-trips.
-        axis = np.array([float(row[1]) for row in rows[:resolution]])
-    except ValueError:
-        raise ParameterError("grid csv has a p01 value that is not a number") from None
-    return SignGrid(
-        family=family,
-        fixed=fixed,
-        resolution=resolution,
-        axis=axis,
-        columns=columns,
-        cells=cells,
-        zero_loci=tuple(loci),
-    )
+    return cells
+
+
+def _first_differing_line(text: str, expected: str) -> int:
+    """Line number, from 1, of the first difference between two texts; a
+    bisection on the common prefix, so each probe is one C-level compare."""
+    low, high = 0, min(len(text), len(expected))
+    while low < high:
+        middle = (low + high + 1) // 2
+        if text[:middle] == expected[:middle]:
+            low = middle
+        else:
+            high = middle - 1
+    return text.count("\n", 0, low) + 1
 
 
 def grid_to_json(grid: SignGrid) -> str:
@@ -532,7 +525,7 @@ def grid_to_json(grid: SignGrid) -> str:
         "family": grid.family.value,
         "resolution": grid.resolution,
         "fixed": dict(grid.fixed.items()),
-        "axis": [float(v) for v in grid.axis],
+        "axis": grid.axis.tolist(),
         "columns": list(grid.columns),
         "cells": grid.cells.tolist(),
         "zero_loci": [

@@ -199,7 +199,7 @@ def _prob_one(params, roles, name, values):
     if not parents:
         return params.p_left if name == roles.left_cause else params.p_right
     t = getattr(params, _TABLE_FIELD[name])
-    if name == roles.collider:
+    if name == "C":
         left, right = parents
         table = np.array([t.given_00, t.given_01, t.given_10, t.given_11])
         # Raveled, a batch's (cells, 1) index picks rows of the (4, B) table.

@@ -204,12 +204,15 @@ class GridFamily(str, Enum):
     CHILD_STRATUM = "child-stratum"  # child-stratum signs at D=1 and D=0
     REGRESSION = "regression"        # regression-adjustment sign
 
-
-_GRID_COLUMNS = {
-    GridFamily.STRATUM: ("sign_c1", "sign_c0"),
-    GridFamily.CHILD_STRATUM: ("sign_d1", "sign_d0"),
-    GridFamily.REGRESSION: ("sign_lm",),
-}
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """Names of the family's sign columns, in the order of the last
+        axis of ``SignGrid.cells``."""
+        if self is GridFamily.STRATUM:
+            return ("sign_c1", "sign_c0")
+        if self is GridFamily.CHILD_STRATUM:
+            return ("sign_d1", "sign_d0")
+        return ("sign_lm",)
 
 
 @dataclass(frozen=True)
@@ -256,17 +259,39 @@ class ZeroLocus:
 class SignGrid:
     """Per-cell sign verdicts on a uniform lattice of cell centers.
 
-    ``axis`` holds the shared cell-center coordinates; ``cells[i, j, k]`` is
-    the integer sign (-1/0/1) of column k at p10 = axis[i], p01 = axis[j].
+    A grid stores only its inputs and its signs: ``cells[i, j, k]`` is the
+    integer sign (-1/0/1) of column k at p10 = axis[i], p01 = axis[j].
+    Everything else is derived, read-only:
+
+    - ``resolution``: cells per axis, ``cells.shape[0]``;
+    - ``axis``: the cell centers (i + 1/2)/resolution;
+    - ``columns``: the sign-column names, ``family.columns``;
+    - ``zero_loci``: the analytic zero curves of the family at ``fixed``.
     """
 
     family: GridFamily
     fixed: GridFixed
-    resolution: int
-    axis: np.ndarray
-    columns: tuple[str, ...]
     cells: np.ndarray
-    zero_loci: tuple[ZeroLocus, ...]
+
+    @property
+    def resolution(self) -> int:
+        return self.cells.shape[0]
+
+    @property
+    def axis(self) -> np.ndarray:
+        return _cell_centers(self.resolution)
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return self.family.columns
+
+    @property
+    def zero_loci(self) -> tuple[ZeroLocus, ...]:
+        return _zero_loci(self.family, self.fixed)
+
+
+def _cell_centers(resolution: int) -> np.ndarray:
+    return (np.arange(resolution) + 0.5) / resolution
 
 
 def _zero_loci(family: GridFamily, fixed: GridFixed) -> tuple[ZeroLocus, ...]:
@@ -335,8 +360,7 @@ def emit_grid(family: GridFamily, fixed: GridFixed, resolution: int) -> SignGrid
         raise InvalidResolutionError(resolution, MAX_GRID_RESOLUTION)
     if family is GridFamily.CHILD_STRATUM and fixed.p_d_given_c is None:
         raise ParameterError("child-stratum grids need p_d_given_c")
-    columns = _GRID_COLUMNS[family]
-    axis = (np.arange(resolution) + 0.5) / resolution
+    axis = _cell_centers(resolution)
     lattice = ColliderCpt(
         given_00=fixed.p_c00, given_01=axis[None, :], given_10=axis[:, None], given_11=fixed.p_c11
     )
@@ -350,16 +374,8 @@ def emit_grid(family: GridFamily, fixed: GridFixed, resolution: int) -> SignGrid
         deltas = (_child_delta(lattice, fixed.p_d_given_c, level) for level in (1, 0))
     else:
         deltas = (lm_kernel(lattice, fixed.p_left, fixed.p_right),)
-    cells = np.empty((resolution, resolution, len(columns)), dtype=np.int8)
+    cells = np.empty((resolution, resolution, len(family.columns)), dtype=np.int8)
     for k, delta in enumerate(deltas):
         cells[..., k] = band_sign(delta)
     cells.setflags(write=False)
-    return SignGrid(
-        family=family,
-        fixed=fixed,
-        resolution=resolution,
-        axis=axis,
-        columns=columns,
-        cells=cells,
-        zero_loci=_zero_loci(family, fixed),
-    )
+    return SignGrid(family=family, fixed=fixed, cells=cells)

@@ -272,32 +272,19 @@ _FIELD_TYPES: dict[str, type] = {
 
 @dataclass(frozen=True)
 class RoleMap:
-    """Variables of a structure, their parents, and their roles.
+    """Variables of a structure, their parents, and the collider's causes.
 
     ``order`` is a topological order of the DAG; ``parents`` maps each
-    variable to its parent tuple.
+    variable to its parent tuple.  In every kind the exposure is X, the
+    outcome Y and the collider C; the collider's child, where the kind has
+    one (``kind.has_child_d``), is D.
     """
 
     kind: StructureKind
     order: tuple[str, ...]
     parents: Mapping[str, tuple[str, ...]]
-    exposure: str
-    outcome: str
-    collider: str
     left_cause: str
     right_cause: str
-    collider_child: str | None
-
-    def roles_of(self, variable: str) -> frozenset[str]:
-        holders = {
-            "exposure": self.exposure,
-            "outcome": self.outcome,
-            "collider": self.collider,
-            "collider-child": self.collider_child,
-            "left-cause": self.left_cause,
-            "right-cause": self.right_cause,
-        }
-        return frozenset(role for role, holder in holders.items() if holder == variable)
 
 
 @lru_cache(maxsize=None)
@@ -325,12 +312,8 @@ def variable_roles(kind: StructureKind) -> RoleMap:
         kind=kind,
         order=tuple(parents),
         parents=MappingProxyType(parents),
-        exposure="X",
-        outcome="Y",
-        collider="C",
         left_cause=left,
         right_cause=right,
-        collider_child="D" if kind.has_child_d else None,
     )
 
 

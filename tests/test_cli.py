@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import logging
 import math
 
 import numpy as np
@@ -15,8 +16,9 @@ from colliderbias import (
     emit_grid,
     random_structure_params,
 )
+from colliderbias import cli
 from colliderbias.cli import grid_to_csv, grid_to_json, main, parse_grid_csv
-from colliderbias.signmap import _GRID_COLUMNS, SignGrid, ZeroLocus
+from colliderbias.signmap import SignGrid
 
 REFERENCE_FLAGS = [
     "--kind", "V",
@@ -340,6 +342,32 @@ def test_verify_timings_go_to_stderr_only(capsys):
     assert all(line.endswith(" s") and float(line.split()[1]) >= 0.0 for line in lines)
 
 
+LOGGED_RUNS = {
+    "compute": ["compute", *REFERENCE_FLAGS, "--stratum", "C=1"],
+    "verify": ["verify", "--all", "--draws", "5", "--seed", "3"],
+    "grid": ["grid", "--family", "stratum", "--p-c00", "0.15", "--p-c11", "0.75",
+             "--resolution", "9"],
+}
+
+
+@pytest.mark.parametrize("argv", LOGGED_RUNS.values(), ids=LOGGED_RUNS)
+def test_debug_logging_leaves_stdout_unchanged(capsys, monkeypatch, argv):
+    code, plain, plain_err = run_cli(capsys, *argv)
+    assert (code, plain_err) == (0, "")
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    monkeypatch.setenv("COLLIDER_BIAS_LOG", "debug")
+    # logging.basicConfig only configures a root logger that has no handlers.
+    root.handlers.clear()
+    try:
+        code_logged, logged, err = run_cli(capsys, *argv)
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
+    assert code_logged == 0 and logged == plain
+    assert f"INFO colliderbias: running {argv[0]}" in err
+
+
 def test_sample_deterministic_and_bounded(capsys):
     args = [
         "sample", *REFERENCE_FLAGS, "--draws", "20000", "--seed", "2",
@@ -447,28 +475,33 @@ def _reference_grid_to_csv(grid) -> str:
 def test_grid_csv_matches_per_cell_reference(family, resolution):
     # Hand-built cells: every sign combination of the family's columns,
     # then the rest of the lattice drawn at random.
-    columns = _GRID_COLUMNS[family]
+    columns = family.columns
     combos = list(itertools.product((-1, 0, 1), repeat=len(columns)))
     rng = np.random.default_rng(resolution)
     drawn = rng.integers(-1, 2, size=(resolution * resolution - len(combos), len(columns)))
     cells = np.concatenate([combos, drawn]).astype(np.int8)
     rng.shuffle(cells)
     cells = cells.reshape(resolution, resolution, len(columns))
-    grid = SignGrid(
-        family=family,
-        fixed=GridFixed(p_c00=0.15, p_c11=0.75, p_left=0.3, p_right=0.6),
-        resolution=resolution,
-        axis=(np.arange(resolution) + 0.5) / resolution,
-        columns=columns,
-        cells=cells,
-        zero_loci=(ZeroLocus("rd", "line-sum", (("sum", 0.9),)),),
-    )
+    grid = SignGrid(family, GridFixed(p_c00=0.15, p_c11=0.75, p_left=0.3, p_right=0.6), cells)
     text = grid_to_csv(grid)
     assert text == _reference_grid_to_csv(grid)
     parsed = parse_grid_csv(text)
     assert np.array_equal(parsed.cells, cells)
     assert np.array_equal(parsed.axis, grid.axis)
     assert grid_to_csv(parsed) == text
+
+
+def test_large_output_is_written_whole_to_stdout_and_file(tmp_path, capsysbinary):
+    argv = ["grid", "--family", "stratum", "--p-c00", "0.15", "--p-c11", "0.75",
+            "--resolution", "300"]
+    fixed = GridFixed(p_c00=0.15, p_c11=0.75, p_left=0.5, p_right=0.5)
+    expected = grid_to_csv(emit_grid(GridFamily.STRATUM, fixed, 300)).encode()
+    assert len(expected) > cli._WRITE_SLICE
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == expected
+    path = tmp_path / "grid.csv"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert path.read_bytes() == expected
 
 
 def test_grid_invalid_resolution(capsys):
@@ -710,12 +743,26 @@ def test_flags_and_file_give_the_same_bytes(tmp_path, capsys, kind):
         assert by_flags[0] == 0 and json.loads(by_flags[1])["params"] == doc
 
 
+# The output of `grid --family child-stratum --p-c00 0.15 --p-c11 0.75
+# --p-d-given-c 0=0.2,1=0.7 --resolution 2`.
 GRID_CSV = (
     "# family=child-stratum\n# resolution=2\n# p_c00=0.15\n# p_c11=0.75\n# p_left=0.5\n"
     "# p_right=0.5\n# p_d_given_c[0]=0.2\n# p_d_given_c[1]=0.7\n"
+    "# zero_locus name=rr_level1 curve=hyperbola product=0.11249999999999999\n"
+    "# zero_locus name=rr_level0 curve=complement-hyperbola product=0.2125\n"
     "# zero_locus name=rd curve=line-sum sum=0.9\n"
+    "# zero_locus name=or curve=odds-curve odds_product=0.5294117647058824\n"
     "p10,p01,sign_d1,sign_d0\n0.25,0.25,1,-1\n0.25,0.75,-1,1\n0.75,0.25,-1,1\n0.75,0.75,-1,1\n"
 )
+RD_LOCUS = "# zero_locus name=rd curve=line-sum sum=0.9\n"
+
+
+def not_grid_output(line: int) -> str:
+    return (
+        "grid csv is not what grid_to_csv prints for its metadata and signs"
+        f" (first difference on line {line})"
+    )
+
 
 # Each row: (text to replace in GRID_CSV, its replacement, the error message).
 MALFORMED_GRID_CSV = {
@@ -730,23 +777,23 @@ MALFORMED_GRID_CSV = {
                             "grid csv has 4 rows for resolution -2"),
     "unknown-family": ("family=child-stratum", "family=cross",
                        "grid csv metadata family='cross' is malformed"),
-    "sign-not-int": ("0.75,0.75,-1,1", "0.75,0.75,-1,x",
-                     "grid csv row 4 is not p10,p01 then 2 signs"),
-    "sign-out-of-range": ("0.75,0.75,-1,1", "0.75,0.75,-1,300",
-                          "grid csv row 4 is not p10,p01 then 2 signs"),
-    "short-row": ("0.25,0.75,-1,1", "0.25,0.75,-1", "grid csv row 2 is not p10,p01 then 2 signs"),
-    "p01-not-a-number": ("0.25,0.75,-1,1", "0.25,abc,-1,1",
-                         "grid csv has a p01 value that is not a number"),
-    "locus-without-name": (" name=rd", "", "grid csv has a malformed line"),
-    "locus-not-a-number": ("sum=0.9", "sum=x", "grid csv has a malformed line"),
+    "sign-not-int": ("0.75,0.75,-1,1", "0.75,0.75,-1,x", not_grid_output(17)),
+    "sign-out-of-range": ("0.75,0.75,-1,1", "0.75,0.75,-1,300", not_grid_output(17)),
+    "short-row": ("0.25,0.75,-1,1", "0.25,0.75,-1", not_grid_output(15)),
+    "p01-not-a-number": ("0.25,0.75,-1,1", "0.25,abc,-1,1", not_grid_output(15)),
+    "locus-without-name": (" name=rd", "", not_grid_output(11)),
+    "locus-not-a-number": ("sum=0.9", "sum=x", not_grid_output(11)),
     "too-few-rows": ("0.75,0.75,-1,1\n", "", "grid csv has 3 rows for resolution 2"),
     "lone-child-edge-1": ("# p_d_given_c[0]=0.2\n", "",
                           "grid csv has no '# p_d_given_c[0]=' metadata line"),
-    "unknown-metadata": ("# p_left=0.5\n", "# p_left=0.5\n# bogus=1\n",
-                         "grid csv has an unknown metadata line '# bogus=1'"),
+    "unknown-metadata": ("# p_left=0.5\n", "# p_left=0.5\n# bogus=1\n", not_grid_output(6)),
     "header-of-other-family": ("p10,p01,sign_d1,sign_d0", "p10,p01,sign_c1,sign_c0",
-                               "grid csv header 'p10,p01,sign_c1,sign_c0' is not"
-                               " p10,p01,sign_d1,sign_d0 of the child-stratum family"),
+                               not_grid_output(13)),
+    "tampered-p10": ("0.75,0.25,", "0.9,0.25,", not_grid_output(16)),
+    "tampered-p01-in-a-later-block": ("0.75,0.75,", "0.75,0.9,", not_grid_output(17)),
+    "changed-locus": ("sum=0.9", "sum=0.3", not_grid_output(11)),
+    "dropped-locus": (RD_LOCUS, "", not_grid_output(11)),
+    "extra-locus": ("p10,p01,", RD_LOCUS + "p10,p01,", not_grid_output(13)),
 }
 
 

@@ -64,7 +64,7 @@ def test_factorization_matches_cell_products(kind, rng):
     assignment = {name: 1 for name in roles.order}
     expected = 1.0
     for name in roles.order:
-        if name == roles.collider:
+        if name == "C":
             expected *= params.p_c_given.given(1, 1)
         elif not roles.parents[name]:
             expected *= params.p_left if name == roles.left_cause else params.p_right
