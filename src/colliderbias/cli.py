@@ -426,18 +426,24 @@ def grid_to_csv(grid: SignGrid) -> str:
         out.write(f"# zero_locus name={locus.name} curve={locus.curve} {coeffs}\n")
     out.write("p10,p01," + ",".join(grid.columns) + "\n")
     # Every row shares the tails ",p01,signs\n", one per column and sign
-    # combination, formatted once per grid; a cell's signs + 1, read as
-    # base-3 digits, index its tail.
+    # combination, formatted once per grid and indexed by the cells' codes.
     labels = [repr(value) for value in grid.axis.tolist()]
-    combos = itertools.product((-1, 0, 1), repeat=len(grid.columns))
+    combos, codes = _sign_codes(grid)
     signs = [",".join(map(str, combo)) for combo in combos]
     tails = np.array([[f",{p01},{s}\n" for s in signs] for p01 in labels], dtype=object)
-    digits = np.moveaxis(grid.cells + 1, -1, 0)
-    codes = np.ravel_multi_index(tuple(digits), (3,) * len(grid.columns))
     cols = np.arange(grid.resolution)
     for p10, row in zip(labels, codes):
         out.write(p10 + p10.join(tails[cols, row].tolist()))
     return out.getvalue()
+
+
+def _sign_codes(grid: SignGrid) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The 3**k sign combinations of a grid's k columns, and the (R, R)
+    index of each cell's combination in that list: its signs + 1 read as
+    base-3 digits.  A sign outside -1/0/1 raises ValueError."""
+    combos = list(itertools.product((-1, 0, 1), repeat=len(grid.columns)))
+    digits = np.moveaxis(grid.cells + 1, -1, 0)
+    return combos, np.ravel_multi_index(tuple(digits), (3,) * len(grid.columns))
 
 
 def parse_grid_csv(text: str) -> SignGrid:
@@ -520,6 +526,9 @@ def _first_differing_line(text: str, expected: str) -> int:
 
 
 def grid_to_json(grid: SignGrid) -> str:
+    """One JSON object; ``cells`` is the nested list ``grid.cells.tolist()``
+    as json.dumps writes it, rendered a row at a time from the 3**k cell
+    strings and spliced into the dump of the other keys."""
     doc = {
         "command": "grid",
         "family": grid.family.value,
@@ -527,13 +536,22 @@ def grid_to_json(grid: SignGrid) -> str:
         "fixed": dict(grid.fixed.items()),
         "axis": grid.axis.tolist(),
         "columns": list(grid.columns),
-        "cells": grid.cells.tolist(),
+        "cells": [],
         "zero_loci": [
             {"name": locus.name, "curve": locus.curve, "coefficients": dict(locus.coefficients)}
             for locus in grid.zero_loci
         ],
     }
-    return _dump_json(doc)
+    # No key or string of the other fields holds this text.
+    head, tail = _dump_json(doc).split('"cells": []', 1)
+    combos, codes = _sign_codes(grid)
+    cell_texts = np.array([json.dumps(list(combo)) for combo in combos], dtype=object)
+    out = io.StringIO()
+    out.write(head + '"cells": [')
+    for i, row in enumerate(codes):
+        out.write((", [" if i else "[") + ", ".join(cell_texts[row].tolist()) + "]")
+    out.write("]" + tail)
+    return out.getvalue()
 
 
 def cmd_grid(args: argparse.Namespace) -> int:

@@ -395,14 +395,25 @@ class SampleTable:
         return self.counts / self.draws
 
 
+# Draws per pass of :func:`sample`.  A pass holds a few arrays of this
+# length, so the sampler's memory does not grow with the draw count.
+_SAMPLE_CHUNK = 1 << 14
+
+
 def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
     """Ancestral Monte Carlo sampling of the structure, n draws.
 
     Deterministic per seed: a Philox counter-based generator keyed by the
-    seed produces one uniform row per variable in role-map order, and each
-    variable is thresholded against its conditional probability given the
+    seed produces one uniform row per variable in role-map order, row-major
+    (row k is ``random((len(order), n))[k]``), and each variable is
+    thresholded against its conditional probability given the
     already-sampled parent columns.  This seed-to-output mapping is part of
     the package contract and stable per release.
+
+    The rows are never drawn whole.  Philox can start at any place in its
+    stream, so each row has its own generator advanced to the row's start
+    (:func:`_stream_at`), and the draws go through in chunks of
+    ``_SAMPLE_CHUNK`` whose cell counts add up: memory stays flat as n grows.
     """
     if n < 1:
         raise ParameterError(f"draws must be >= 1, got {n}")
@@ -410,15 +421,26 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     roles = variable_roles(params.kind)
     order = roles.order
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    uniforms = rng.random((len(order), n))
-
-    values: dict[str, np.ndarray] = {}
-    for k, name in enumerate(order):
-        values[name] = uniforms[k] < _prob_one(params, roles, name, values)
-
-    cell = np.zeros(n, dtype=np.intp)
-    for name in order:
-        cell = (cell << 1) | values[name]
-    counts = np.bincount(cell, minlength=2 ** len(order))
+    rows = [_stream_at(seed, k * n) for k in range(len(order))]
+    counts = np.zeros(2 ** len(order), dtype=np.intp)
+    for start in range(0, n, _SAMPLE_CHUNK):
+        size = min(_SAMPLE_CHUNK, n - start)
+        values: dict[str, np.ndarray] = {}
+        cell = np.zeros(size, dtype=np.uint8)  # at most 6 bits
+        for rng, name in zip(rows, order):
+            values[name] = rng.random(size) < _prob_one(params, roles, name, values)
+            cell <<= 1
+            cell |= values[name]
+        counts += np.bincount(cell, minlength=counts.size)
     return SampleTable(kind=params.kind, order=order, counts=counts, draws=n)
+
+
+def _stream_at(seed: int, offset: int) -> np.random.Generator:
+    """A generator whose doubles are those of ``Philox(key=seed)`` from the
+    offset-th on.  Philox makes four doubles per counter step, so it
+    advances offset // 4 steps and discards offset % 4 doubles."""
+    bits = np.random.Philox(key=seed)
+    bits.advance(offset // 4)
+    rng = np.random.Generator(bits)
+    rng.random(offset % 4)
+    return rng

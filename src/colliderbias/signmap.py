@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -136,17 +137,21 @@ def v_stratum_sign(p_c_given: ColliderCpt, level: int) -> Sign:
     return band_sign(cross_product_difference(p_c_given, level))
 
 
-def _child_delta(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -> float:
-    """closedform.child_contrast at D=level, once the child edge is checked
-    to lie inside the open unit interval."""
+def _child_deltas(
+    p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, levels: tuple[int, ...]
+) -> Iterator[float]:
+    """closedform.child_contrast at each D=level in turn, once the child
+    edge is checked to lie inside the open unit interval; the two
+    cross-product differences are computed once for all levels."""
     check_probabilities(
         (("p_d_given_c", key, value) for key, value in p_d_given_c.items()), open_interval=True
     )
     g1 = cross_product_difference(p_c_given, 1)
     g0 = cross_product_difference(p_c_given, 0)
-    pd1 = p_d_given_c.level_given(level, 1)
-    pd0 = p_d_given_c.level_given(level, 0)
-    return child_contrast(pd1, pd0, g1, g0)
+    for level in levels:
+        pd1 = p_d_given_c.level_given(level, 1)
+        pd0 = p_d_given_c.level_given(level, 0)
+        yield child_contrast(pd1, pd0, g1, g0)
 
 
 def y_stratum_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -> Sign:
@@ -159,7 +164,8 @@ def y_stratum_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -> 
     battery, as the identity ``child_sign_cases`` of
     :mod:`colliderbias.verification`.
     """
-    return band_sign(_child_delta(p_c_given, p_d_given_c, level))
+    (delta,) = _child_deltas(p_c_given, p_d_given_c, (level,))
+    return band_sign(delta)
 
 
 def extended_sign(params: StructureParams, conditioning: Conditioning) -> Sign:
@@ -365,13 +371,14 @@ def emit_grid(family: GridFamily, fixed: GridFixed, resolution: int) -> SignGrid
         given_00=fixed.p_c00, given_01=axis[None, :], given_10=axis[:, None], given_11=fixed.p_c11
     )
     # Each column's float lattice is computed lazily and banded into cells
-    # allocated beforehand: one float lattice is alive at a time, and the
-    # long-lived cells do not pin the freed temporaries in the heap, which
-    # keeps the peak memory of large grids down.
+    # allocated beforehand: one column's lattice is alive at a time (beside
+    # the two cross-product differences the child-stratum columns share),
+    # and the long-lived cells do not pin the freed temporaries in the heap,
+    # which keeps the peak memory of large grids down.
     if family is GridFamily.STRATUM:
         deltas = (cross_product_difference(lattice, level) for level in (1, 0))
     elif family is GridFamily.CHILD_STRATUM:
-        deltas = (_child_delta(lattice, fixed.p_d_given_c, level) for level in (1, 0))
+        deltas = _child_deltas(lattice, fixed.p_d_given_c, (1, 0))
     else:
         deltas = (lm_kernel(lattice, fixed.p_left, fixed.p_right),)
     cells = np.empty((resolution, resolution, len(family.columns)), dtype=np.int8)

@@ -19,6 +19,7 @@ from colliderbias import (
 from colliderbias import cli
 from colliderbias.cli import grid_to_csv, grid_to_json, main, parse_grid_csv
 from colliderbias.signmap import SignGrid
+from colliderbias.structures import _KIND_FIELDS
 
 REFERENCE_FLAGS = [
     "--kind", "V",
@@ -389,6 +390,123 @@ def test_sample_rejects_zero_draws(capsys):
     assert "draws" in err
 
 
+# One value per parameter field; each kind takes the fields it has.
+SAMPLE_PIN_FIELDS = {
+    "p_left": "0.35",
+    "p_right": "0.6",
+    "p_c_given": "00=0.15,01=0.45,10=0.5,11=0.85",
+    "p_x_given_a": "0=0.2,1=0.7",
+    "p_y_given_b": "0=0.3,1=0.75",
+    "p_d_given_c": "0=0.25,1=0.8",
+}
+
+# Draw counts around the sampler's chunk of 2**14 draws: below, at and past
+# one chunk, and three chunks plus a ragged tail.
+SAMPLE_PIN_DRAWS = (1, 3, 16383, 16384, 16385, 3 * 16384 + 5)
+
+# sha256 of the stdout of ``sample --format json --seed 31`` per kind, one
+# digest per entry of SAMPLE_PIN_DRAWS, recorded from the sampler that drew
+# all of its uniforms in one block.
+SAMPLE_BYTES_DIGESTS = {
+    "V": (
+        "f948c08b294867c971693cee6c4cfb3ed12de829be32b33285e0949f3d90b4fd",
+        "853b525f602750f09b56829f137e171805d37b628fd71c7f84d74e65330f89b6",
+        "92a9a5fcc898d2a17718671cff96a3dbb961dc7533899d6ecde7e25874da579e",
+        "5d4c0aa8deaa29310af0070faa44cf589fdd95687b6fe43764dbec0d2a740e15",
+        "87ee9323953b5b2a2344da3910b8896803ca680e678fa5f28ccb416b8fda0604",
+        "ca8c6480f53434cd0434599d6c0a89f2c3a09327cd467135be33d3d3b6da5e8f",
+    ),
+    "Nabla": (
+        "4ce104e8ad1ef4b30b0bbc9b0ec8cb6f2001a6d6a4b102f7b0586116b9d76331",
+        "2c737dd0bb6d71a1d939ececaec0d05b997cc0934a87c183ce5016231d6b78b8",
+        "a53cbd4aa4fc4b8a119d275458a31d89c30fd3d3598134463bbe01431fb490a7",
+        "a7355db1201014f71b1f9674683bd1c4e7322058a8cfbd9bf56498f149a3779a",
+        "f714f75959f0949e485d5a9e68fd9a54d4f2d2f6340c8070c554f65e219493db",
+        "b9c561f3c4fa05308cd42ed31f2259c0ab41427194ea622b5ab55581360be0e3",
+    ),
+    "Y": (
+        "818142ecd6341627aced46948ac2fde5c1196f04f17a70a5556f6193977bf6c6",
+        "aa5c7b6b559b8092c8eca59cae5f0bac18eae96c563072618cde55826422d18a",
+        "c5746a1470a98a15460b948ad2d081524261d4192ff042a24e952c6a3a3ad684",
+        "95e0e9ab5307d419cd4348c0403c6995af3568b0f59c0ecd99c5acb9353bcbba",
+        "353237e4b5ea1eb43324a9a360496a5b270a8594337ae45c544d3863dfbd83bd",
+        "0ace9c0b5bcee2c8800e97bc7602af565b8772af1dd0ad442fa851ec4fd86f65",
+    ),
+    "M": (
+        "2bdd382e315828762f4c3c1e66a573e1533a0c3bccb8b1f01895a18af54a9a0f",
+        "050c1d6374f77c72ac7cc7c23b89b8385fde13994cded5607e87d63b1ff26a15",
+        "f05dc5dd32186f4f1734baecef226ef23f3cc7c54e05dc7134222a6a91bf6f04",
+        "5ce813de8b41b3c67acb3ac30c7534d812636119e1ae3b68320d1b9ceff6d153",
+        "d4ca361cb0d4b9aeab6e92d75ecd2f03c321c371938dc1cf98fcf012142e2939",
+        "a0bd253c208c0be21ac7b785abff15c3d6a2bcd387c28efd8391215ca67dda07",
+    ),
+    "LeftM": (
+        "993d1e86db510df30b53f5a7dabf1d0a87597e65ced7092164230b9e30506173",
+        "64012939849a90bc5a8a0177993b7352367e8ca33942ebaba4c544ddb88089bb",
+        "066f50d5728eb4887ed14aab8425c150fc2ce3cf5b9a5ff6dc7e96e4b7f17e97",
+        "0ec316f10fad2adecf4f168bf93a846ce3de3d07dd996bf80dca18a8583f4b2f",
+        "c10cdcee4492a6b9f701fce57b86070de80e99e956582c3b904baccc66a40c93",
+        "3c6a559689d918b7a768dd2eae5edb15dab701ab76e1681a8102bcaa384c7b61",
+    ),
+    "RightM": (
+        "1b2fd925f62f160bfd84821e1dbd067b53ec66625887e2f723e42a887823719e",
+        "862de171991f5eab8adada69df544d6105b6e65fff19c15253aeda188ceb4b5b",
+        "7070e560df47e3053edc5a2cac2e6d2320d469a29a8a8d3912614eefa9ce0bd6",
+        "9a28f464b319365f9223bea3260c1f07994de1b9b0d08f94649e1ebb0bcd67ce",
+        "39d58506b0de6206d989e1eed887b3e1d81d633bf87d1a4dc83e8e7998fe7eb7",
+        "de3214a11a65a2152d068abd847ada8f4509709052587a53af25ee5043819f81",
+    ),
+    "LongM": (
+        "87dc908a9ed34463395f74c7fdf352f4eed032ebf7cc3376b60c4db099ce28b9",
+        "94987b23430c1c16bf6ea6bfcaf0d8e801bb0108a27e9272bc21f7fd0e46f682",
+        "f9b80b0031aa7ff9a29581d3310decf61e44a799d0efc76a6d9c2ebc8259dd7b",
+        "46bdc8d96da6dc3b435a06535e9ef052b06e1ae886edbb9cf4936759a022840e",
+        "2b51bf93fc9fb8621b4b75fcc54121bc1fa82eccb07741c33d32c3466e0f5dce",
+        "698c8579081c1bd7e82e42f68ad97582783cffcac1bbb26289b25ce04b1f6d26",
+    ),
+    "LeftLongM": (
+        "493c922eecdef32ad65c9bbbe6b0589dd147a4a10ff4c55396c4b91b2d09e4da",
+        "c903ac6d47cabb95b8b684cb5dcae7e2f9d9c96bd10f0f84d3c673fddd656594",
+        "f44f0028eaf9c5b536b01ad954e77333a2fd20b91f07b6a2aa02f5c2facdf7fb",
+        "d3661aa21403e8e6455fd1d063f6c9c8a15b407a4ccf9c6ffed4b28974c651a1",
+        "2b66e982f6f3063b581b27636167660ec953eb4ee015d6d3c54f332d4c7030ea",
+        "22a9d54da26ad9a71c3e477c1d6ab895da64b3bccd67b39eec7d8ef8c7701b84",
+    ),
+    "RightLongM": (
+        "4f62bd4b6647fa36967cf2ecd2c13751a674a6efa7d6419b4825631766264ec9",
+        "4764df6182decd979c80fcb184039af399b2616559c4a3169b452a941baa0d05",
+        "0501cf849b94a14ba587ab91d920ffb3a36c6998befe1615a00c25f57e3d5ff7",
+        "471a1118371adcfceb35ecdf479b245c65be7134e06b3639a0caf1f7778080a2",
+        "f5e81009e1eb648168c67acde2dbe6321082a27f90e484f9df3534ad4de3ec58",
+        "d49779b5500faefeba9325ac8c48a5100fd8b48cc7e56d962d42a9af1290fcc8",
+    ),
+}
+
+# The same for LongM at one million draws.
+SAMPLE_MILLION_DIGEST = "7b411cb944a388927a50da8d34e97270c4acb44775744c7f7ad5773ff6145378"
+
+
+def _sample_pin_argv(kind: str, draws: int) -> list[str]:
+    argv = ["sample", "--kind", kind, "--draws", str(draws), "--seed", "31", "--format", "json"]
+    for name in _KIND_FIELDS[StructureKind(kind)]:
+        argv += ["--" + name.replace("_", "-"), SAMPLE_PIN_FIELDS[name]]
+    return argv
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLE_BYTES_DIGESTS))
+def test_sample_bytes_pinned_across_chunks(capsys, kind):
+    for draws, digest in zip(SAMPLE_PIN_DRAWS, SAMPLE_BYTES_DIGESTS[kind]):
+        code, out, _ = run_cli(capsys, *_sample_pin_argv(kind, draws))
+        assert code in (0, 1)  # a few draws can miss the smoke bound
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, draws
+
+
+def test_sample_bytes_pinned_at_a_million_draws(capsys):
+    code, out, _ = run_cli(capsys, *_sample_pin_argv("LongM", 1_000_000))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_MILLION_DIGEST
+
+
 def test_grid_csv_round_trip(capsys):
     code, out, _ = run_cli(
         capsys, "grid", "--family", "stratum", "--p-c00", "0.15", "--p-c11", "0.75",
@@ -470,11 +588,28 @@ def _reference_grid_to_csv(grid) -> str:
     return "".join(lines)
 
 
-@pytest.mark.parametrize("family", [GridFamily.REGRESSION, GridFamily.STRATUM])
-@pytest.mark.parametrize("resolution", [3, 7])
-def test_grid_csv_matches_per_cell_reference(family, resolution):
-    # Hand-built cells: every sign combination of the family's columns,
-    # then the rest of the lattice drawn at random.
+def _reference_grid_to_json(grid) -> str:
+    """The renderer that dumped the whole grid, cells as nested lists, with
+    one json.dumps call; kept as grid_to_json's byte-for-byte reference."""
+    doc = {
+        "command": "grid",
+        "family": grid.family.value,
+        "resolution": grid.resolution,
+        "fixed": dict(grid.fixed.items()),
+        "axis": grid.axis.tolist(),
+        "columns": list(grid.columns),
+        "cells": grid.cells.tolist(),
+        "zero_loci": [
+            {"name": locus.name, "curve": locus.curve, "coefficients": dict(locus.coefficients)}
+            for locus in grid.zero_loci
+        ],
+    }
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def _every_code_grid(family, resolution) -> SignGrid:
+    """Hand-built cells: every sign combination of the family's columns,
+    then the rest of the lattice drawn at random."""
     columns = family.columns
     combos = list(itertools.product((-1, 0, 1), repeat=len(columns)))
     rng = np.random.default_rng(resolution)
@@ -482,7 +617,23 @@ def test_grid_csv_matches_per_cell_reference(family, resolution):
     cells = np.concatenate([combos, drawn]).astype(np.int8)
     rng.shuffle(cells)
     cells = cells.reshape(resolution, resolution, len(columns))
-    grid = SignGrid(family, GridFixed(p_c00=0.15, p_c11=0.75, p_left=0.3, p_right=0.6), cells)
+    return SignGrid(family, GridFixed(p_c00=0.15, p_c11=0.75, p_left=0.3, p_right=0.6), cells)
+
+
+@pytest.mark.parametrize("family", [GridFamily.REGRESSION, GridFamily.STRATUM])
+@pytest.mark.parametrize("resolution", [3, 7])
+def test_grid_json_matches_per_cell_reference(family, resolution):
+    grid = _every_code_grid(family, resolution)
+    text = grid_to_json(grid)
+    assert text == _reference_grid_to_json(grid)
+    assert np.array_equal(json.loads(text)["cells"], grid.cells)
+
+
+@pytest.mark.parametrize("family", [GridFamily.REGRESSION, GridFamily.STRATUM])
+@pytest.mark.parametrize("resolution", [3, 7])
+def test_grid_csv_matches_per_cell_reference(family, resolution):
+    grid = _every_code_grid(family, resolution)
+    cells = grid.cells
     text = grid_to_csv(grid)
     assert text == _reference_grid_to_csv(grid)
     parsed = parse_grid_csv(text)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,3 +416,54 @@ def test_sample_covers_all_kinds(rng):
 def test_sample_rejects_negative_seed(uniform_v_params):
     with pytest.raises(ParameterError):
         sample(uniform_v_params, 10, seed=-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 4097])
+def test_row_streams_are_the_rows_of_one_block(n):
+    # Row k's generator starts at double k*n of the seed's stream, so its
+    # successive draws, in chunks of any size, spell row k of the block.
+    seed, m = 29, 6
+    block = np.random.Generator(np.random.Philox(key=seed)).random((m, n))
+    for k in range(m):
+        rng = joint_mod._stream_at(seed, k * n)
+        sizes = [1, 2, 3, 1000, n]
+        chunks, left = [], n
+        for size in sizes:
+            chunks.append(rng.random(min(size, left)))
+            left -= chunks[-1].size
+        assert np.array_equal(np.concatenate(chunks), block[k]), k
+
+
+def _reference_sample(params, n, seed):
+    """The sampler that drew all its uniforms in one block, kept as the
+    reference of the chunked one."""
+    roles = variable_roles(params.kind)
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((len(roles.order), n))
+    values = {}
+    cell = np.zeros(n, dtype=np.intp)
+    for k, name in enumerate(roles.order):
+        values[name] = uniforms[k] < joint_mod._prob_one(params, roles, name, values)
+        cell = (cell << 1) | values[name]
+    return np.bincount(cell, minlength=2 ** len(roles.order))
+
+
+@pytest.mark.parametrize("kind", [StructureKind.V, StructureKind.NABLA, StructureKind.LONG_M])
+def test_sample_matches_one_block_across_chunk_boundaries(kind):
+    chunk = joint_mod._SAMPLE_CHUNK
+    params = random_structure_params(kind, np.random.default_rng(17))
+    for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        for seed in (0, 8):
+            assert np.array_equal(sample(params, n, seed).counts, _reference_sample(params, n, seed))
+
+
+def test_sample_memory_is_flat():
+    # tracemalloc sees numpy's buffers; one block of a million LongM draws
+    # peaked at about 67 MiB.
+    params = random_structure_params(StructureKind.LONG_M, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        sample(params, 1_000_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
