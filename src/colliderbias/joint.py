@@ -109,11 +109,11 @@ class JointTable:
 
     The table owns its mass: construction copies it into a fresh read-only
     float64 array, so no caller's array, view or base can change it later.
-    Queries sum the cells of an event through index arrays cached per
-    (variable order, event) with :func:`ordered_sum`, except that
-    :meth:`prob` on one table uses ``.sum()``, which gives the same bits:
-    routing it through ``ordered_sum`` slowed the query-mix benchmark, one
-    scalar query at a time, by about 10%.
+    Queries gather the cells of an event through index arrays cached per
+    variable order and event, and add them in one of two ways that give the
+    same bits: one table sums a contiguous gather with ``ndarray.sum``; a
+    batch, and :meth:`probs`, add the last axis with :func:`ordered_sum`,
+    which follows ``ndarray.sum``'s order on each row.
     """
 
     kind: StructureKind
@@ -160,8 +160,9 @@ class JointTable:
 
 
 def build_joint(params: StructureParams) -> JointTable:
-    """Multiply the factor probabilities along the role map of the kind."""
-    return _build(params, batch=False)
+    """Multiply the factor probabilities along the role map of the kind: each
+    cell's mass is the product of its :func:`_factors` at its :func:`_factor_index`."""
+    return _build(params)
 
 
 def build_joint_batch(params: StructureParams) -> JointTable:
@@ -169,43 +170,48 @@ def build_joint_batch(params: StructureParams) -> JointTable:
     such as ``structures.random_structure_params`` gives with a draw count.
     Row b is bit-identical to ``build_joint`` of draw b: the factors
     multiply in the same order."""
-    return _build(params, batch=True)
+    return _build(params)
 
 
-def _build(params: StructureParams, batch: bool) -> JointTable:
+def _build(params: StructureParams) -> JointTable:
+    # A batch's factors are (F, B); axis 0 multiplies row by row, in role-map order.
+    mass = np.array(_factors(params))[_factor_index(params.kind)].prod(axis=0)
+    return JointTable(kind=params.kind, order=variable_roles(params.kind).order, mass=mass.T)
+
+
+def _factors(params: StructureParams) -> list:
+    """[1 - p, p] for each P(variable=1 | parent code c), c being the parents'
+    values as binary digits: variables in role-map order, each table's entries
+    in ``KEYS`` order, so P(=v | c) sits 2c + v past the variable's first."""
     roles = variable_roles(params.kind)
-    order = roles.order
-    columns = _bit_columns(len(order))
-    if batch:
-        columns = columns[:, :, None]  # cells down, draws across
-    bits = dict(zip(order, columns))
-    mass = np.ones(columns.shape[1:])
-    for name in order:
-        p1 = _prob_one(params, roles, name, bits)
-        mass = mass * np.where(bits[name], p1, 1.0 - p1)
-    return JointTable(kind=params.kind, order=order, mass=mass.T)
+    tables = dict(C=params.p_c_given, X=params.p_x_given_a, Y=params.p_y_given_b, D=params.p_d_given_c)
+    factors: list = []
+    for name in roles.order:
+        if roles.parents[name]:
+            ones = [p for _, p in tables[name].items()]
+        else:
+            ones = [params.p_left if name == roles.left_cause else params.p_right]
+        for p in ones:
+            factors += (1.0 - p, p)
+    return factors
 
 
-# The parameter table holding P(variable=1 | parents), for each variable
-# that has parents in some kind.
-_TABLE_FIELD = {"C": "p_c_given", "X": "p_x_given_a", "Y": "p_y_given_b", "D": "p_d_given_c"}
-
-
-def _prob_one(params, roles, name, values):
-    """P(name=1 | parents) given boolean arrays of the parents' values:
-    a scalar for a root variable, otherwise one probability per element.
-    Over a batch, values are (cells, 1) columns and probabilities (B,)."""
-    parents = roles.parents[name]
-    if not parents:
-        return params.p_left if name == roles.left_cause else params.p_right
-    t = getattr(params, _TABLE_FIELD[name])
-    if name == "C":
-        left, right = parents
-        table = np.array([t.given_00, t.given_01, t.given_10, t.given_11])
-        # Raveled, a batch's (cells, 1) index picks rows of the (4, B) table.
-        return table[(2 * values[left].astype(np.intp) + values[right]).ravel()]
-    (parent,) = parents
-    return np.where(values[parent], t.given_1, t.given_0)
+@lru_cache(maxsize=None)
+def _factor_index(kind: StructureKind) -> np.ndarray:
+    """(n, 2**n) positions in :func:`_factors`: row k holds, for each cell,
+    the place of P(order[k] = its value | its parents' values)."""
+    roles = variable_roles(kind)
+    bits = dict(zip(roles.order, _bit_columns(len(roles.order)).astype(np.intp)))
+    rows, start = [], 0
+    for name in roles.order:
+        code = 0
+        for parent in roles.parents[name]:
+            code = 2 * code + bits[parent]
+        rows.append(start + 2 * code + bits[name])
+        start += 2 << len(roles.parents[name])
+    index = np.array(rows)
+    index.setflags(write=False)
+    return index
 
 
 @dataclass(frozen=True)
@@ -222,8 +228,13 @@ class OracleMeasure:
             raise_first_nonfinite("oracle gave non-finite", ((self.scale.value, self.value),))
 
 
-# The (X, Y) events of the cells p11, p10, p01, p00.
-_XY_CELLS = tuple({"X": x, "Y": y} for x, y in ((1, 1), (1, 0), (0, 1), (0, 0)))
+@lru_cache(maxsize=None)
+def _stratum_index(order: tuple[str, ...], stratum: tuple[str, int] | None) -> tuple:
+    """The cells of the stratum, a (variable, level) pair or None for the
+    whole table, and the (4, k) cells of p11, p10, p01, p00 within it."""
+    keep = () if stratum is None else (stratum,)
+    xy = tuple((("X", x), ("Y", y), *keep) for x, y in ((1, 1), (1, 0), (0, 1), (0, 0)))
+    return _cell_index(order, (keep,))[0], _cell_index(order, xy)
 
 
 def _xy_stratum_cells(table: JointTable, stratum: Stratum | None) -> tuple:
@@ -231,16 +242,21 @@ def _xy_stratum_cells(table: JointTable, stratum: Stratum | None) -> tuple:
 
     Returns (p11, p10, p01, p00, p_stratum) where pxy = P(X=x, Y=y, stratum);
     a zero-mass stratum raises DegenerateStratumError.
+
+    One table sums its contiguous (4, k) gather with ``.sum(axis=-1)``: each
+    row as ``.sum()`` adds it alone.  A batch's (B, 4, k) gather is not
+    C-contiguous, numpy sums its last axis in another order, so it takes
+    :func:`ordered_sum`.  Tier-1 tests pin both orders.
     """
+    keep, xy = _stratum_index(table.order, None if stratum is None else (stratum.variable, stratum.level))
+    mass = table.mass
     if stratum is None:
-        keep: dict[str, int] = {}
         p_g = 1.0
     else:
-        keep = {stratum.variable: stratum.level}
-        p_g = table.prob(keep)
+        p_g = float(mass[keep].sum()) if mass.ndim == 1 else ordered_sum(mass[:, keep])
         raise_where(p_g <= 0.0, DegenerateStratumError, stratum.variable, stratum.level)
-    cells = table.probs(*({**xy, **keep} for xy in _XY_CELLS))
-    return (*(cells.tolist() if cells.ndim == 1 else cells.T), p_g)
+    cells = mass[xy].sum(axis=-1).tolist() if mass.ndim == 1 else ordered_sum(mass[:, xy]).T
+    return (*cells, p_g)
 
 
 def lm_coefficient(table: JointTable) -> float:
@@ -405,10 +421,10 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
 
     Deterministic per seed: a Philox counter-based generator keyed by the
     seed produces one uniform row per variable in role-map order, row-major
-    (row k is ``random((len(order), n))[k]``), and each variable is
-    thresholded against its conditional probability given the
-    already-sampled parent columns.  This seed-to-output mapping is part of
-    the package contract and stable per release.
+    (row k is ``random((len(order), n))[k]``), and each variable is thresholded
+    against its P(=1) entry in :func:`_factors` for the already-sampled parent
+    columns.  This seed-to-output mapping is part of the package contract and
+    stable per release.
 
     The rows are never drawn whole.  Philox can start at any place in its
     stream, so each row has its own generator advanced to the row's start
@@ -421,14 +437,20 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     roles = variable_roles(params.kind)
     order = roles.order
+    factors = np.array(_factors(params))
+    # In cell 0 each variable's factor is its first; P(=1 | code c) is 2c + 1 on.
+    ones = [factors[start + 1 :: 2] for start in _factor_index(params.kind)[:, 0]]
     rows = [_stream_at(seed, k * n) for k in range(len(order))]
     counts = np.zeros(2 ** len(order), dtype=np.intp)
     for start in range(0, n, _SAMPLE_CHUNK):
         size = min(_SAMPLE_CHUNK, n - start)
         values: dict[str, np.ndarray] = {}
         cell = np.zeros(size, dtype=np.uint8)  # at most 6 bits
-        for rng, name in zip(rows, order):
-            values[name] = rng.random(size) < _prob_one(params, roles, name, values)
+        for rng, name, p1 in zip(rows, order, ones):
+            code = 0
+            for parent in roles.parents[name]:
+                code = 2 * code + values[parent].view(np.uint8)
+            values[name] = rng.random(size) < p1[code]
             cell <<= 1
             cell |= values[name]
         counts += np.bincount(cell, minlength=counts.size)

@@ -18,11 +18,12 @@ probabilities positionally.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
 from types import MappingProxyType
-from typing import ClassVar, Iterable, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 

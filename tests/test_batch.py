@@ -59,6 +59,18 @@ def test_ordered_sum_matches_ndarray_sum(length):
     assert joint_mod.ordered_sum(terms.T.copy().T).tolist() == expected  # any memory order
 
 
+def test_gathered_rows_sum_as_each_row_alone():
+    # One table sums its (4, k) gather of a 1-D mass with .sum(axis=-1);
+    # each row must get the bits that its own 1-D .sum() gives.
+    rng = np.random.default_rng(64)
+    for length in range(1, 65):
+        for _ in range(50):
+            mass = rng.random(64) * rng.choice([1e-9, 1e-3, 1.0, 1e3], size=64)
+            index = np.array([rng.choice(64, size=length, replace=False) for _ in range(4)])
+            expected = [float(mass[row].sum()) for row in index]
+            assert mass[index].sum(axis=-1).tolist() == expected, length
+
+
 def test_square_matches_python_pow():
     # libm pow, which Python's ``x ** 2`` calls, is not always x * x.
     rng = np.random.default_rng(0)

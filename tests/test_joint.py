@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ import pytest
 from colliderbias import (
     LINEAR_MODEL,
     BiasQuery,
+    ColliderBiasError,
     ColliderCpt,
     DegenerateStratumError,
     EdgeCpt,
@@ -261,6 +263,113 @@ def _reference_bits(n: int) -> list[np.ndarray]:
     return [((idx >> (n - 1 - k)) & 1).astype(bool) for k in range(n)]
 
 
+# The edge table holding P(variable=1 | its one parent).
+_CHILD_TABLE = {
+    "X": lambda params: params.p_x_given_a,
+    "Y": lambda params: params.p_y_given_b,
+    "D": lambda params: params.p_d_given_c,
+}
+
+
+def _reference_mass(params, batch=False):
+    """The builder that multiplied in one ``np.where`` per variable, kept as
+    the reference of the factor gather: a (2**n,) mass, or (B, 2**n) over a
+    batch."""
+    roles = variable_roles(params.kind)
+    bits = dict(zip(roles.order, _reference_bits(len(roles.order))))
+    if batch:
+        bits = {name: column[:, None] for name, column in bits.items()}  # cells down, draws across
+    mass = np.ones(bits["X"].shape)
+    for name in roles.order:
+        parents = roles.parents[name]
+        if not parents:
+            p1 = params.p_left if name == roles.left_cause else params.p_right
+        elif name == "C":
+            t = params.p_c_given
+            table = np.array([t.given_00, t.given_01, t.given_10, t.given_11])
+            p1 = table[(2 * bits[parents[0]].astype(np.intp) + bits[parents[1]]).ravel()]
+        else:
+            cpt = _CHILD_TABLE[name](params)
+            p1 = np.where(bits[parents[0]], cpt.given_1, cpt.given_0)
+        mass = mass * np.where(bits[name], p1, 1.0 - p1)
+    return mass.T
+
+
+# Probabilities that the lenient domain allows and strict draws never reach.
+LENIENT_ALPHABET = (0.0, 1.0, 1e-300, 5e-324, 1 - 1e-16)
+
+
+def _lenient_params(kind, rnd):
+    """A lenient parameter set of ``kind``: each probability from
+    LENIENT_ALPHABET with probability 1/2, otherwise uniform on [0, 1)."""
+
+    def draw():
+        return rnd.choice(LENIENT_ALPHABET) if rnd.random() < 0.5 else rnd.random()
+
+    template = random_structure_params(kind, np.random.default_rng(0)).to_dict()
+    doc = {field: draw() if type(value) is float else {key: draw() for key in value}
+           for field, value in template.items() if field != "kind"}
+    return params_from_dict({"kind": kind.value, **doc})
+
+
+def _oracle_points(kind):
+    """Seeded strict draws, then lenient points, of one kind."""
+    rng = np.random.default_rng(41 + ALL_KINDS.index(kind))
+    rnd = random.Random(f"oracle/{kind.value}")
+    return [random_structure_params(kind, rng) for _ in range(20)] + [
+        _lenient_params(kind, rnd) for _ in range(60)
+    ]
+
+
+def _every_bias_query(kind):
+    variable = kind.conditioning_variable
+    return [
+        BiasQuery(Stratum(variable, level), scale)
+        for level in (1, 0)
+        for scale in (Scale.COV, Scale.RD, Scale.RR, Scale.OR)
+    ] + [BiasQuery(LINEAR_MODEL)]
+
+
+def _error_text(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+# sha256 over the mass bytes and every bias (value repr, or the error's type
+# and message) of _oracle_points per kind, then one batch mass per kind.
+ORACLE_DIGEST = "0a14c2924b8853c940ae6424afe3066af35e5fe87ab44b9594f08a24e6d354c0"
+
+
+def test_oracle_bits_pinned():
+    digest = hashlib.sha256()
+    for kind in ALL_KINDS:
+        for params in _oracle_points(kind):
+            try:
+                table = build_joint(params)
+            except ColliderBiasError as exc:
+                digest.update(_error_text(exc).encode())
+                continue
+            digest.update(table.mass.tobytes())
+            for query in _every_bias_query(kind):
+                try:
+                    text = repr(bias(table, query).value)
+                except ColliderBiasError as exc:
+                    text = _error_text(exc)
+                digest.update(text.encode())
+        batch = random_structure_params(kind, np.random.default_rng(43), 16)
+        digest.update(joint_mod.build_joint_batch(batch).mass.tobytes())
+    assert digest.hexdigest() == ORACLE_DIGEST
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_builds_equal_the_reference_mass(kind):
+    for params in _oracle_points(kind):
+        assert build_joint(params).mass.tobytes() == _reference_mass(params).tobytes()
+    batch = random_structure_params(kind, np.random.default_rng(43), 16)
+    expected = _reference_mass(batch, batch=True)
+    assert expected.shape == (16, 2 ** len(variable_roles(kind).order))
+    assert joint_mod.build_joint_batch(batch).mass.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_memoized_queries_equal_fresh_mask_sums(kind):
     # Loop reference: every stratum's cells and every moment summed with
@@ -436,13 +545,24 @@ def test_row_streams_are_the_rows_of_one_block(n):
 
 def _reference_sample(params, n, seed):
     """The sampler that drew all its uniforms in one block, kept as the
-    reference of the chunked one."""
+    reference of the chunked one.  Its thresholds come from the tables' own
+    ``given`` lookups, not from the sampler's factor vector."""
     roles = variable_roles(params.kind)
     uniforms = np.random.Generator(np.random.Philox(key=seed)).random((len(roles.order), n))
     values = {}
     cell = np.zeros(n, dtype=np.intp)
     for k, name in enumerate(roles.order):
-        values[name] = uniforms[k] < joint_mod._prob_one(params, roles, name, values)
+        parents = roles.parents[name]
+        if not parents:
+            p1 = params.p_left if name == roles.left_cause else params.p_right
+        elif name == "C":
+            left, right = (values[parent].astype(np.intp) for parent in parents)
+            given = [params.p_c_given.given(a, b) for a in (0, 1) for b in (0, 1)]
+            p1 = np.array(given)[2 * left + right]
+        else:
+            cpt = _CHILD_TABLE[name](params)
+            p1 = np.array([cpt.given(0), cpt.given(1)])[values[parents[0]].astype(np.intp)]
+        values[name] = uniforms[k] < p1
         cell = (cell << 1) | values[name]
     return np.bincount(cell, minlength=2 ** len(roles.order))
 
