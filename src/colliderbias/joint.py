@@ -74,6 +74,15 @@ def _cell_index(order: tuple[str, ...], events: tuple[tuple[tuple[str, int], ...
     return index
 
 
+def _gather_sum(mass: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Sum of the cells of ``mass`` at each row of ``index``, bit-identical
+    to that row's own ``mass[row].sum()``: a 1-D mass sums its contiguous
+    gather with ``ndarray.sum``, whose pairwise order holds row by row; a
+    batch's (B, ..., k) gather is not C-contiguous, numpy sums its last axis
+    in another order, so it takes :func:`ordered_sum`.  Tier-1 tests pin both."""
+    return mass[index].sum(axis=-1) if mass.ndim == 1 else ordered_sum(mass[:, index])
+
+
 def ordered_sum(terms: np.ndarray) -> np.ndarray:
     """Sum over the last axis, of at most 128 terms, in the order in which
     ``ndarray.sum`` adds a contiguous 1-D float64 array, so that each entry
@@ -110,10 +119,7 @@ class JointTable:
     The table owns its mass: construction copies it into a fresh read-only
     float64 array, so no caller's array, view or base can change it later.
     Queries gather the cells of an event through index arrays cached per
-    variable order and event, and add them in one of two ways that give the
-    same bits: one table sums a contiguous gather with ``ndarray.sum``; a
-    batch, and :meth:`probs`, add the last axis with :func:`ordered_sum`,
-    which follows ``ndarray.sum``'s order on each row.
+    variable order and event, and add them with :func:`_gather_sum`.
     """
 
     kind: StructureKind
@@ -142,17 +148,15 @@ class JointTable:
 
     def prob(self, event: dict[str, int] | None = None) -> float | np.ndarray:
         """Probability of a variable-assignment event; prob({}) is 1."""
-        mass = self.mass
-        if event:
-            (index,) = _cell_index(self.order, (tuple(event.items()),))
-            mass = mass[index] if mass.ndim == 1 else mass[:, index]
-        return float(mass.sum()) if mass.ndim == 1 else ordered_sum(mass)
+        index = _cell_index(self.order, (tuple(event.items()),))[0] if event else slice(None)
+        total = _gather_sum(self.mass, index)
+        return float(total) if self.mass.ndim == 1 else total
 
     def probs(self, *events: dict[str, int]) -> np.ndarray:
         """:meth:`prob` of each event, on the last axis; the events must each
         hold on equally many cells."""
         index = _cell_index(self.order, tuple(tuple(event.items()) for event in events))
-        return ordered_sum(self.mass[..., index])
+        return _gather_sum(self.mass, index)
 
     def expectation(self, *names: str) -> float | np.ndarray:
         """E[product of the named indicator variables]."""
@@ -242,21 +246,17 @@ def _xy_stratum_cells(table: JointTable, stratum: Stratum | None) -> tuple:
 
     Returns (p11, p10, p01, p00, p_stratum) where pxy = P(X=x, Y=y, stratum);
     a zero-mass stratum raises DegenerateStratumError.
-
-    One table sums its contiguous (4, k) gather with ``.sum(axis=-1)``: each
-    row as ``.sum()`` adds it alone.  A batch's (B, 4, k) gather is not
-    C-contiguous, numpy sums its last axis in another order, so it takes
-    :func:`ordered_sum`.  Tier-1 tests pin both orders.
     """
     keep, xy = _stratum_index(table.order, None if stratum is None else (stratum.variable, stratum.level))
-    mass = table.mass
+    one = table.mass.ndim == 1
     if stratum is None:
         p_g = 1.0
     else:
-        p_g = float(mass[keep].sum()) if mass.ndim == 1 else ordered_sum(mass[:, keep])
+        p_g = _gather_sum(table.mass, keep)
+        p_g = float(p_g) if one else p_g
         raise_where(p_g <= 0.0, DegenerateStratumError, stratum.variable, stratum.level)
-    cells = mass[xy].sum(axis=-1).tolist() if mass.ndim == 1 else ordered_sum(mass[:, xy]).T
-    return (*cells, p_g)
+    cells = _gather_sum(table.mass, xy)
+    return (*(cells.tolist() if one else cells.T), p_g)
 
 
 def lm_coefficient(table: JointTable) -> float:
@@ -438,8 +438,10 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
     roles = variable_roles(params.kind)
     order = roles.order
     factors = np.array(_factors(params))
-    # In cell 0 each variable's factor is its first; P(=1 | code c) is 2c + 1 on.
-    ones = [factors[start + 1 :: 2] for start in _factor_index(params.kind)[:, 0]]
+    # Cell 0 holds each variable's first factor, so its table runs from there
+    # to the next variable's; P(=1 | parent code c) sits 2c + 1 past its start.
+    starts = [*_factor_index(params.kind)[:, 0], len(factors)]
+    ones = [factors[a + 1 : b : 2] for a, b in zip(starts, starts[1:])]
     rows = [_stream_at(seed, k * n) for k in range(len(order))]
     counts = np.zeros(2 ** len(order), dtype=np.intp)
     for start in range(0, n, _SAMPLE_CHUNK):

@@ -60,15 +60,20 @@ def test_ordered_sum_matches_ndarray_sum(length):
 
 
 def test_gathered_rows_sum_as_each_row_alone():
-    # One table sums its (4, k) gather of a 1-D mass with .sum(axis=-1);
-    # each row must get the bits that its own 1-D .sum() gives.
+    # joint._gather_sum sums an (E, k) gather of a 1-D mass with
+    # .sum(axis=-1); each row must get the bits that its own 1-D .sum() gives.
     rng = np.random.default_rng(64)
     for length in range(1, 65):
         for _ in range(50):
             mass = rng.random(64) * rng.choice([1e-9, 1e-3, 1.0, 1e3], size=64)
-            index = np.array([rng.choice(64, size=length, replace=False) for _ in range(4)])
+            rows = int(rng.integers(1, 16))
+            index = np.array([rng.choice(64, size=length, replace=False) for _ in range(rows)])
             expected = [float(mass[row].sum()) for row in index]
             assert mass[index].sum(axis=-1).tolist() == expected, length
+            assert joint_mod._gather_sum(mass, index).tolist() == expected, length
+            assert float(joint_mod._gather_sum(mass, index[0])) == expected[0], length
+            batch = np.stack([mass, mass[::-1]])
+            assert joint_mod._gather_sum(batch, index)[0].tolist() == expected, length
 
 
 def test_square_matches_python_pow():
