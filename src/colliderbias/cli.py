@@ -127,7 +127,7 @@ def _params_from_args(args: argparse.Namespace) -> StructureParams:
                 doc = json.load(handle)
         except OSError as exc:
             raise ParameterError(f"cannot read {args.file}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to read
             raise ParameterError(f"{args.file} is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ParameterError(f"{args.file} must contain a JSON object")

@@ -26,6 +26,8 @@ from .errors import (
     raise_where,
 )
 from .structures import (
+    _FIELD_WIDTHS,
+    _KIND_FIELDS,
     LINEAR_MODEL,
     BiasQuery,
     Conditioning,
@@ -134,10 +136,10 @@ class JointTable:
         if mass.shape[-1:] != (2**n,) or mass.ndim > 2:
             raise ParameterError(f"mass must have shape (2**{n},) or (B, 2**{n}), got {mass.shape}")
         object.__setattr__(self, "mass", mass)
-        # Any NaN or infinite entry makes the sum NaN or infinite.
-        total = self.prob()
-        bad = (abs(total - 1.0) > 1e-12) | (total != total) | (mass.min(axis=-1) < 0.0)
-        raise_where(bad, ParameterError, "mass must be finite, nonnegative and sum to 1")
+        # Any NaN or infinite entry makes the sum NaN or infinite, and a NaN
+        # fails every comparison.
+        ok = (abs(_gather_sum(mass, slice(None)) - 1.0) <= 1e-12) & (mass.min(axis=-1) >= 0.0)
+        raise_where(~ok, ParameterError, "mass must be finite, nonnegative and sum to 1")
         mass.setflags(write=False)
 
     def column(self, name: str) -> np.ndarray:
@@ -178,41 +180,47 @@ def build_joint_batch(params: StructureParams) -> JointTable:
 
 
 def _build(params: StructureParams) -> JointTable:
-    # A batch's factors are (F, B); axis 0 multiplies row by row, in role-map order.
-    mass = np.array(_factors(params))[_factor_index(params.kind)].prod(axis=0)
+    # A batch's factors are (2F, B); axis 0 multiplies row by row, in role-map order.
+    mass = _factors(params)[_factor_index(params.kind)].prod(axis=0)
     return JointTable(kind=params.kind, order=variable_roles(params.kind).order, mass=mass.T)
 
 
-def _factors(params: StructureParams) -> list:
-    """[1 - p, p] for each P(variable=1 | parent code c), c being the parents'
-    values as binary digits: variables in role-map order, each table's entries
-    in ``KEYS`` order, so P(=v | c) sits 2c + v past the variable's first."""
-    roles = variable_roles(params.kind)
-    tables = dict(C=params.p_c_given, X=params.p_x_given_a, Y=params.p_y_given_b, D=params.p_d_given_c)
-    factors: list = []
-    for name in roles.order:
-        if roles.parents[name]:
-            ones = [p for _, p in tables[name].items()]
-        else:
-            ones = [params.p_left if name == roles.left_cause else params.p_right]
-        for p in ones:
-            factors += (1.0 - p, p)
-    return factors
+def _factors(params: StructureParams) -> np.ndarray:
+    """``concatenate((1 - p, p))`` for p the F schema-ordered probabilities
+    (``params.probabilities``): entry j of p is some P(variable=1 | parents),
+    j holds P(=0 | parents) and F + j holds P(=1 | parents)."""
+    p = np.array(params.probabilities, dtype=np.float64)
+    return np.concatenate((1.0 - p, p))
+
+
+# The schema field of each variable that has parents.  A variable without
+# parents is a cause of the collider, read from p_left or p_right.
+_TABLE_FIELDS = {"C": "p_c_given", "X": "p_x_given_a", "Y": "p_y_given_b", "D": "p_d_given_c"}
 
 
 @lru_cache(maxsize=None)
 def _factor_index(kind: StructureKind) -> np.ndarray:
     """(n, 2**n) positions in :func:`_factors`: row k holds, for each cell,
-    the place of P(order[k] = its value | its parents' values)."""
+    the place of P(order[k] = its value | its parents' values).  This is the
+    one map from role order to schema order: order[k]'s field starts at entry
+    s of the F probabilities, and P(=v | parent code c), c being the parents'
+    values as binary digits, sits at v * F + s + c."""
     roles = variable_roles(kind)
+    starts, width = {}, 0
+    for field_name in _KIND_FIELDS[kind]:
+        starts[field_name] = width
+        width += _FIELD_WIDTHS[field_name]
     bits = dict(zip(roles.order, _bit_columns(len(roles.order)).astype(np.intp)))
-    rows, start = [], 0
+    rows = []
     for name in roles.order:
+        if roles.parents[name]:
+            field_name = _TABLE_FIELDS[name]
+        else:
+            field_name = "p_left" if name == roles.left_cause else "p_right"
         code = 0
         for parent in roles.parents[name]:
             code = 2 * code + bits[parent]
-        rows.append(start + 2 * code + bits[name])
-        start += 2 << len(roles.parents[name])
+        rows.append(width * bits[name] + starts[field_name] + code)
     index = np.array(rows)
     index.setflags(write=False)
     return index
@@ -248,15 +256,19 @@ def _xy_stratum_cells(table: JointTable, stratum: Stratum | None) -> tuple:
     a zero-mass stratum raises DegenerateStratumError.
     """
     keep, xy = _stratum_index(table.order, None if stratum is None else (stratum.variable, stratum.level))
-    one = table.mass.ndim == 1
     if stratum is None:
         p_g = 1.0
     else:
         p_g = _gather_sum(table.mass, keep)
-        p_g = float(p_g) if one else p_g
+        p_g = float(p_g) if table.mass.ndim == 1 else p_g
         raise_where(p_g <= 0.0, DegenerateStratumError, stratum.variable, stratum.level)
-    cells = _gather_sum(table.mass, xy)
-    return (*(cells.tolist() if one else cells.T), p_g)
+    return (*_split(_gather_sum(table.mass, xy)), p_g)
+
+
+def _split(values: np.ndarray) -> list | np.ndarray:
+    """One table's answers on the last axis as floats, or a batch's (B, k)
+    answers as k (B,) arrays."""
+    return values.tolist() if values.ndim == 1 else values.T
 
 
 def lm_coefficient(table: JointTable) -> float:
@@ -267,14 +279,15 @@ def lm_coefficient(table: JointTable) -> float:
     table; raises SingularDesignError when X and G are perfectly collinear.
     """
     g_name = table.kind.conditioning_variable
-    e_x = table.expectation("X")
-    e_g = table.expectation(g_name)
-    e_y = table.expectation("Y")
+    e_x, e_g, e_y = _split(table.probs({"X": 1}, {g_name: 1}, {"Y": 1}))
+    e_xg, e_xy, e_gy = _split(
+        table.probs({"X": 1, g_name: 1}, {"X": 1, "Y": 1}, {g_name: 1, "Y": 1})
+    )
     var_x = e_x - e_x * e_x
     var_g = e_g - e_g * e_g
-    cov_xg = table.expectation("X", g_name) - e_x * e_g
-    cov_xy = table.expectation("X", "Y") - e_x * e_y
-    cov_gy = table.expectation(g_name, "Y") - e_g * e_y
+    cov_xg = e_xg - e_x * e_g
+    cov_xy = e_xy - e_x * e_y
+    cov_gy = e_gy - e_g * e_y
     # Transposing stacks a batch as (B, 2, 2) and leaves one symmetric matrix
     # as it is; batched det and solve give each matrix's own bits (a tier-1
     # test checks that).
@@ -296,9 +309,9 @@ def lm_normalizer_terms(table: JointTable) -> tuple[float, float]:
     adjusted coefficient.
     """
     g_name = table.kind.conditioning_variable
-    return normalizer_terms(
-        table.expectation("X"), table.expectation(g_name), table.expectation("X", g_name)
-    )
+    e_x, e_g = _split(table.probs({"X": 1}, {g_name: 1}))
+    (e_xg,) = _split(table.probs({"X": 1, g_name: 1}))
+    return normalizer_terms(e_x, e_g, e_xg)
 
 
 def normalizer_terms(f1, g1, fg1) -> tuple[float, float]:
@@ -422,9 +435,10 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
     Deterministic per seed: a Philox counter-based generator keyed by the
     seed produces one uniform row per variable in role-map order, row-major
     (row k is ``random((len(order), n))[k]``), and each variable is thresholded
-    against its P(=1) entry in :func:`_factors` for the already-sampled parent
-    columns.  This seed-to-output mapping is part of the package contract and
-    stable per release.
+    against its P(=1 | the already-sampled parent columns), sliced from
+    ``params.probabilities`` where :func:`_factor_index` places its field.
+    This seed-to-output mapping is part of the package contract and stable
+    per release.
 
     The rows are never drawn whole.  Philox can start at any place in its
     stream, so each row has its own generator advanced to the row's start
@@ -437,11 +451,11 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     roles = variable_roles(params.kind)
     order = roles.order
-    factors = np.array(_factors(params))
-    # Cell 0 holds each variable's first factor, so its table runs from there
-    # to the next variable's; P(=1 | parent code c) sits 2c + 1 past its start.
-    starts = [*_factor_index(params.kind)[:, 0], len(factors)]
-    ones = [factors[a + 1 : b : 2] for a, b in zip(starts, starts[1:])]
+    p = np.array(params.probabilities, dtype=np.float64)
+    # In cell 0 every variable and parent is 0, so the factor index there is
+    # where each variable's field starts; P(=1 | parent code c) sits c past it.
+    starts = _factor_index(params.kind)[:, 0]
+    ones = [p[s : s + (1 << len(roles.parents[name]))] for s, name in zip(starts, order)]
     rows = [_stream_at(seed, k * n) for k in range(len(order))]
     counts = np.zeros(2 ** len(order), dtype=np.intp)
     for start in range(0, n, _SAMPLE_CHUNK):

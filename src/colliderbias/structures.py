@@ -187,6 +187,13 @@ class _Cpt:
         """The table whose entry for each of ``KEYS`` is ``keyed[key]``."""
         return cls(*[keyed[key] for key in cls.KEYS])
 
+    def values(self) -> tuple:
+        """The entries, in the order of ``KEYS``."""
+        raise NotImplementedError
+
+    def items(self) -> Iterator[tuple[str, float]]:
+        return zip(self.KEYS, self.values())
+
 
 @dataclass(frozen=True)
 class ColliderCpt(_Cpt):
@@ -218,8 +225,8 @@ class ColliderCpt(_Cpt):
         p1 = self.given(left, right)
         return p1 if c == 1 else 1.0 - p1
 
-    def items(self) -> Iterator[tuple[str, float]]:
-        return zip(self.KEYS, (self.given_00, self.given_01, self.given_10, self.given_11))
+    def values(self) -> tuple:
+        return self.given_00, self.given_01, self.given_10, self.given_11
 
 
 @dataclass(frozen=True)
@@ -242,8 +249,8 @@ class EdgeCpt(_Cpt):
     def risk_difference(self) -> float:
         return self.given_1 - self.given_0
 
-    def items(self) -> Iterator[tuple[str, float]]:
-        return zip(self.KEYS, (self.given_0, self.given_1))
+    def values(self) -> tuple:
+        return self.given_0, self.given_1
 
 
 # Every parameter field of each kind, in the one order that validation,
@@ -269,6 +276,15 @@ _FIELD_TYPES: dict[str, type] = {
     "p_left": float, "p_right": float, "p_c_given": ColliderCpt,
     "p_x_given_a": EdgeCpt, "p_y_given_b": EdgeCpt, "p_d_given_c": EdgeCpt,
 }
+
+# How many probabilities each field holds.
+_FIELD_WIDTHS = {name: 1 if t is float else len(t.KEYS) for name, t in _FIELD_TYPES.items()}
+
+# The keys of each kind's parameter document, and of each table, as sets:
+# the parser compares a document's keys with these, and looks for the field
+# an error names only when they differ.
+_DOC_KEYS = {kind: frozenset({"kind", *fields}) for kind, fields in _KIND_FIELDS.items()}
+_TABLE_KEYS = {table_type: frozenset(table_type.KEYS) for table_type in (ColliderCpt, EdgeCpt)}
 
 
 @dataclass(frozen=True)
@@ -349,6 +365,10 @@ class StructureParams:
     probabilities and non-degenerate C and D strata.  A batch, such as
     :func:`random_structure_params` draws with a draw count, holds one kind's
     draws with every probability an array over them, checked elementwise.
+
+    Construction also sets ``probabilities``: every probability in schema
+    order (the kind's fields in ``_KIND_FIELDS`` order, each table's entries
+    in ``KEYS`` order), the one vector the joint table and the sampler read.
     """
 
     kind: StructureKind
@@ -361,11 +381,23 @@ class StructureParams:
 
     def __post_init__(self) -> None:
         fields = _KIND_FIELDS[self.kind]
-        for field_name in _FIELD_TYPES:
-            absent = getattr(self, field_name) is None
-            if absent == (field_name in fields):
-                raise (MissingFieldError if absent else ExtraFieldError)(self.kind.value, field_name)
-        check_probabilities(self._probability_items())
+        probabilities: list = []
+        for field_name, field_type in _FIELD_TYPES.items():
+            value = getattr(self, field_name)
+            if (value is None) == (field_name in fields):
+                raise (MissingFieldError if value is None else ExtraFieldError)(self.kind.value, field_name)
+            if value is None:
+                continue
+            if field_type is float:
+                probabilities.append(value)
+            else:
+                probabilities += value.values()
+        object.__setattr__(self, "probabilities", tuple(probabilities))
+        for value in probabilities:
+            if type(value) is not float or not 0.0 <= value <= 1.0:
+                # Name the field, or check a batch's arrays elementwise.
+                check_probabilities(self._probability_items())
+                break
 
     def _probability_items(self) -> Iterator[tuple[str, str | None, float]]:
         """(field, table key or None, value) for every probability, in
@@ -421,18 +453,24 @@ class StructureParams:
     def from_json(text: str) -> "StructureParams":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer too long to read
             raise ParameterError(f"parameters are not valid JSON: {exc}") from None
         return params_from_dict(doc)
 
 
 def _float_field(doc: Mapping, key: str, table: str | None = None) -> float:
     """``doc[key]`` as a float; the error names it ``key``, or ``table[key]``
-    for an entry of that table."""
+    for an entry of that table.  An integer too large for a double is out of
+    range."""
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise OutOfRangeError(key if table is None else f"{table}[{key}]", value)
-    return float(value)
+    if type(value) is float:
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise OutOfRangeError(key if table is None else f"{table}[{key}]", value)
 
 
 def _table_fields(doc: Mapping, field: str, kind: str, table_type: type[_Cpt]) -> _Cpt:
@@ -440,13 +478,14 @@ def _table_fields(doc: Mapping, field: str, kind: str, table_type: type[_Cpt]) -
     table, keys = doc[field], table_type.KEYS
     if not isinstance(table, Mapping):
         raise ParameterError(f"{field} must be an object with keys {'/'.join(keys)}")
-    missing = set(keys) - set(table)
-    if missing:
-        raise MissingFieldError(kind, f"{field}[{sorted(missing)[0]}]")
-    extra = set(table) - set(keys)
-    if extra:
-        raise ExtraFieldError(kind, f"{field}[{sorted(extra, key=str)[0]}]")
-    return table_type.from_keyed({key: _float_field(table, key, field) for key in keys})
+    if table.keys() != _TABLE_KEYS[table_type]:
+        missing = set(keys) - set(table)
+        if missing:
+            raise MissingFieldError(kind, f"{field}[{sorted(missing)[0]}]")
+        extra = set(table) - set(keys)
+        if extra:
+            raise ExtraFieldError(kind, f"{field}[{sorted(extra, key=str)[0]}]")
+    return table_type(*[_float_field(table, key, field) for key in keys])
 
 
 def params_from_dict(doc: Mapping) -> StructureParams:
@@ -459,13 +498,14 @@ def params_from_dict(doc: Mapping) -> StructureParams:
         kind = StructureKind(doc["kind"])
     except ValueError:
         raise ParameterError(f"unknown structure kind {doc['kind']!r}") from None
-    fields = _KIND_FIELDS[kind]
-    extra = set(doc) - {"kind", *fields}
-    if extra:
-        raise ExtraFieldError(kind.value, sorted(extra, key=str)[0])
-    missing = set(fields) - set(doc)
-    if missing:
-        raise MissingFieldError(kind.value, sorted(missing)[0])
+    fields, keys = _KIND_FIELDS[kind], _DOC_KEYS[kind]
+    if doc.keys() != keys:
+        extra = set(doc) - keys
+        if extra:
+            raise ExtraFieldError(kind.value, sorted(extra, key=str)[0])
+        missing = keys - set(doc)
+        if missing:
+            raise MissingFieldError(kind.value, sorted(missing)[0])
     kwargs: dict = {"kind": kind}
     for field_name in fields:
         field_type = _FIELD_TYPES[field_name]
@@ -516,9 +556,7 @@ def random_structure_params(
     fields are floats; a batch's are contiguous (draws,) arrays.
     """
     fields = _KIND_FIELDS[kind]
-    width = sum(
-        1 if _FIELD_TYPES[name] is float else len(_FIELD_TYPES[name].KEYS) for name in fields
-    )
+    width = sum(_FIELD_WIDTHS[name] for name in fields)
     if draws is None:
         columns = iter(rng.uniform(0.05, 0.95, size=width).tolist())
     elif not isinstance(draws, int) or draws < 1:

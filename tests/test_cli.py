@@ -697,6 +697,13 @@ MALFORMED_RUNS = {
     "file-unreadable": (["compute", "--file", "{missing}", "--lm"], "cannot read"),
     "file-invalid-json": (["compute", "--file", "{bad_json}", "--lm"], "is not valid JSON"),
     "file-not-object": (["compute", "--file", "{list_json}", "--lm"], "must contain a JSON object"),
+    "file-not-utf8": (["compute", "--file", "{latin1_json}", "--lm"], "is not valid JSON"),
+    # Too large for a double: out of range, like any other value above 1.
+    "file-oversized-integer": (["compute", "--file", "{huge_int_json}", "--lm"],
+                               "error: p_left = 1" + "0" * 400 + " is outside [0.0, 1.0]"),
+    # Too long for Python to read as an integer at all.
+    "file-overlong-integer": (["compute", "--file", "{long_int_json}", "--lm"],
+                              "is not valid JSON: Exceeds the limit"),
     "stratum-malformed": (["compute", *REFERENCE_FLAGS, "--stratum", "C=2"], "--stratum"),
     "tolerance-nan": (["compute", *REFERENCE_FLAGS, "--stratum", "C=1", "--tolerance=nan"],
                       "--tolerance must be finite and >= 0, got nan"),
@@ -731,11 +738,17 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, fragment):
     v_doc = {"kind": "V", "p_left": 0.5, "p_right": 0.5,
              "p_c_given": {"00": 0.15, "01": 0.25, "10": 0.25, "11": 0.75}}
     (tmp_path / "v.json").write_text(json.dumps(v_doc), encoding="utf-8")
+    (tmp_path / "latin1.json").write_bytes(b'{"kind": "V\xff"}')
+    (tmp_path / "huge.json").write_text(json.dumps({**v_doc, "p_left": 10**400}), encoding="utf-8")
+    (tmp_path / "long.json").write_text('{"p_left": 1' + "0" * 5000 + "}", encoding="utf-8")
     paths = {
         "{missing}": str(tmp_path / "missing.json"),
         "{bad_json}": str(tmp_path / "bad.json"),
         "{list_json}": str(tmp_path / "list.json"),
         "{v_json}": str(tmp_path / "v.json"),
+        "{latin1_json}": str(tmp_path / "latin1.json"),
+        "{huge_int_json}": str(tmp_path / "huge.json"),
+        "{long_int_json}": str(tmp_path / "long.json"),
     }
     code, out, err = run_cli(capsys, *(paths.get(arg, arg) for arg in argv))
     assert code == 2

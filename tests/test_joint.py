@@ -216,6 +216,45 @@ def test_joint_table_rejects_nan_mass():
         JointTable(kind=StructureKind.V, order=("X", "Y", "C"), mass=np.full(8, np.nan))
 
 
+MASS_MESSAGE = "mass must be finite, nonnegative and sum to 1"
+
+
+def _bad_mass(fault: str) -> np.ndarray:
+    """A V mass of 8 cells, uniform but for one fault."""
+    mass = np.full(8, 0.125)
+    if fault == "negative":
+        mass[2], mass[5] = -0.125, 0.375  # still sums to 1
+    elif fault == "sum":
+        mass[0] = 0.25
+    else:
+        mass[3] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[fault]
+    return mass
+
+
+@pytest.mark.parametrize("fault", ["negative", "inf", "-inf"])
+def test_joint_table_rejects_each_bad_entry(fault):
+    with pytest.raises(ParameterError) as info:
+        JointTable(kind=StructureKind.V, order=("X", "Y", "C"), mass=_bad_mass(fault))
+    assert str(info.value) == MASS_MESSAGE
+
+
+@pytest.mark.parametrize("fault", ["negative", "sum", "nan", "inf", "-inf"])
+def test_joint_table_batch_names_the_first_bad_draw(fault):
+    mass = np.full((5, 8), 0.125)
+    mass[2] = _bad_mass(fault)
+    mass[4] = _bad_mass("negative")
+    with pytest.raises(ParameterError) as info:
+        JointTable(kind=StructureKind.V, order=("X", "Y", "C"), mass=mass)
+    assert str(info.value) == f"draw 2: {MASS_MESSAGE}"
+    assert info.value.draw == 2
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 8), (4,), (2, 16)])
+def test_joint_table_rejects_a_mass_of_the_wrong_shape(shape):
+    with pytest.raises(ParameterError, match=r"^mass must have shape \(2\*\*3,\) or \(B, 2\*\*3\)"):
+        JointTable(kind=StructureKind.V, order=("X", "Y", "C"), mass=np.full(shape, 1 / 8))
+
+
 def test_joint_table_takes_no_bit_columns(uniform_v_params):
     table = build_joint(uniform_v_params)
     with pytest.raises(TypeError):
@@ -412,6 +451,25 @@ def test_memoized_queries_equal_fresh_mask_sums(kind):
                 assert joint_mod._xy_stratum_cells(table, arg) == reference_cells(arg), arg
             else:
                 assert table.expectation(*arg) == reference_moment(arg), arg
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_lm_moments_equal_one_expectation_at_a_time(kind):
+    # Loop reference: each moment read by its own expectation(), then the
+    # same arithmetic; the two gathers must give every bit of it.
+    table = build_joint(random_structure_params(kind, np.random.default_rng(11)))
+    g = kind.conditioning_variable
+    e_x, e_g, e_y = (table.expectation(name) for name in ("X", g, "Y"))
+    var_x, var_g = e_x - e_x * e_x, e_g - e_g * e_g
+    cov_xg = table.expectation("X", g) - e_x * e_g
+    cov_xy = table.expectation("X", "Y") - e_x * e_y
+    cov_gy = table.expectation(g, "Y") - e_g * e_y
+    coef = np.linalg.solve([[var_x, cov_xg], [cov_xg, var_g]], [cov_xy, cov_gy])[0]
+    got = lm_coefficient(table)
+    assert (type(got), got) == (float, float(coef))
+    terms = joint_mod.lm_normalizer_terms(table)
+    assert terms == joint_mod.normalizer_terms(e_x, e_g, table.expectation("X", g))
+    assert [type(term) for term in terms] == [float, float]
 
 
 @pytest.mark.parametrize(

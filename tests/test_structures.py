@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import MappingProxyType
 
 import pytest
 
@@ -324,3 +325,130 @@ def test_package_exports_its_api_and_no_helper():
     assert {"StructureParams", "build_joint", "verify_many", "closed_form"} <= exported
     assert not exported & {"types", "ModuleType", "np", "closedform", "joint"}
     assert all(hasattr(colliderbias, name) for name in exported)
+
+
+# -- parse errors ------------------------------------------------------------
+
+_LONG_M_DOC = {
+    "kind": "LongM", "p_left": 0.4, "p_right": 0.6,
+    "p_c_given": {"00": 0.15, "01": 0.25, "10": 0.25, "11": 0.75},
+    "p_x_given_a": {"0": 0.3, "1": 0.8}, "p_y_given_b": {"0": 0.2, "1": 0.7},
+    "p_d_given_c": {"0": 0.2, "1": 0.7},
+}
+
+
+def _edited(drop=(), entries=(), **fields):
+    """The LongM document without the ``drop`` fields, with ``fields`` set,
+    and with each (table, key, value) of ``entries`` set in its table; a
+    value of ``...`` deletes that entry."""
+    doc = {name: dict(value) if isinstance(value, dict) else value
+           for name, value in _LONG_M_DOC.items() if name not in drop}
+    doc.update(fields)
+    for table, key, value in entries:
+        if value is ...:
+            del doc[table][key]
+        else:
+            doc[table][key] = value
+    return doc
+
+
+# Each malformed document with the type and message of its error, as the
+# parser has given them since key sets were compared by set difference.
+PARSE_ERRORS = {
+    "extra-field": (_edited(p_extra=0.5), "ExtraFieldError",
+                    "structure kind LongM does not take field p_extra"),
+    "extra-non-string-field": (_edited() | {7: 0.5}, "ExtraFieldError",
+                               "structure kind LongM does not take field 7"),
+    "missing-field": (_edited(drop=("p_d_given_c",)), "MissingFieldError",
+                      "structure kind LongM requires field p_d_given_c"),
+    "missing-two-fields": (_edited(drop=("p_y_given_b", "p_right")), "MissingFieldError",
+                           "structure kind LongM requires field p_right"),
+    "extra-and-missing-field": (_edited(drop=("p_left",), zz=0.5), "ExtraFieldError",
+                                "structure kind LongM does not take field zz"),
+    "missing-kind": (_edited(drop=("kind",)), "MissingFieldError",
+                     "structure kind ? requires field kind"),
+    "unknown-kind": (_edited(kind="W"), "ParameterError", "unknown structure kind 'W'"),
+    "extra-table-key": (_edited(entries=[("p_c_given", "12", 0.5)]), "ExtraFieldError",
+                        "structure kind LongM does not take field p_c_given[12]"),
+    "missing-table-key": (_edited(entries=[("p_c_given", "11", ...)]), "MissingFieldError",
+                          "structure kind LongM requires field p_c_given[11]"),
+    "extra-and-missing-table-key": (
+        _edited(entries=[("p_c_given", "11", ...), ("p_c_given", "5", 0.5)]), "MissingFieldError",
+        "structure kind LongM requires field p_c_given[11]",
+    ),
+    "non-string-table-key": (_edited(entries=[("p_x_given_a", 0, 0.5)]), "ExtraFieldError",
+                             "structure kind LongM does not take field p_x_given_a[0]"),
+    "non-string-table-key-for-a-key": (
+        _edited(entries=[("p_d_given_c", "1", ...), ("p_d_given_c", 1, 0.7)]), "MissingFieldError",
+        "structure kind LongM requires field p_d_given_c[1]",
+    ),
+    "table-is-a-list": (_edited(p_c_given=[0.15, 0.25, 0.25, 0.75]), "ParameterError",
+                        "p_c_given must be an object with keys 00/01/10/11"),
+    "table-is-a-number": (_edited(p_d_given_c=0.5), "ParameterError",
+                          "p_d_given_c must be an object with keys 0/1"),
+    "table-is-none": (_edited(p_y_given_b=None), "ParameterError",
+                      "p_y_given_b must be an object with keys 0/1"),
+    "bool": (_edited(p_left=True), "OutOfRangeError", "p_left = True is outside [0.0, 1.0]"),
+    "bool-entry": (_edited(entries=[("p_c_given", "01", False)]), "OutOfRangeError",
+                   "p_c_given[01] = False is outside [0.0, 1.0]"),
+    "string": (_edited(p_right="0.6"), "OutOfRangeError", "p_right = '0.6' is outside [0.0, 1.0]"),
+    "string-entry": (_edited(entries=[("p_x_given_a", "1", "0.8")]), "OutOfRangeError",
+                     "p_x_given_a[1] = '0.8' is outside [0.0, 1.0]"),
+    "none": (_edited(p_left=None), "OutOfRangeError", "p_left = None is outside [0.0, 1.0]"),
+    "none-entry": (_edited(entries=[("p_d_given_c", "0", None)]), "OutOfRangeError",
+                   "p_d_given_c[0] = None is outside [0.0, 1.0]"),
+    "nan": (_edited(p_right=math.nan), "OutOfRangeError", "p_right = nan is outside [0.0, 1.0]"),
+    "nan-entry": (_edited(entries=[("p_y_given_b", "0", math.nan)]), "OutOfRangeError",
+                  "p_y_given_b[0] = nan is outside [0.0, 1.0]"),
+    "inf": (_edited(p_left=math.inf), "OutOfRangeError", "p_left = inf is outside [0.0, 1.0]"),
+    "minus-inf-entry": (_edited(entries=[("p_c_given", "10", -math.inf)]), "OutOfRangeError",
+                        "p_c_given[10] = -inf is outside [0.0, 1.0]"),
+    "above-one": (_edited(p_right=1.5), "OutOfRangeError", "p_right = 1.5 is outside [0.0, 1.0]"),
+    "below-zero-entry": (_edited(entries=[("p_d_given_c", "1", -0.25)]), "OutOfRangeError",
+                         "p_d_given_c[1] = -0.25 is outside [0.0, 1.0]"),
+    "integer-above-one": (_edited(entries=[("p_x_given_a", "0", 2)]), "OutOfRangeError",
+                          "p_x_given_a[0] = 2.0 is outside [0.0, 1.0]"),
+    # A value that is not a number fails while parsing, before any range check.
+    "nan-then-bool-entry": (_edited(p_left=math.nan, entries=[("p_y_given_b", "1", True)]),
+                            "OutOfRangeError", "p_y_given_b[1] = True is outside [0.0, 1.0]"),
+    "nan-then-inf-entry": (_edited(p_right=math.nan, entries=[("p_c_given", "00", math.inf)]),
+                           "OutOfRangeError", "p_right = nan is outside [0.0, 1.0]"),
+}
+
+
+def _proxied(doc):
+    """``doc`` and each of its tables as read-only MappingProxyType views."""
+    return MappingProxyType({key: _proxied(value) if isinstance(value, dict) else value
+                             for key, value in doc.items()})
+
+
+@pytest.mark.parametrize("wrap", [dict, _proxied], ids=["dict", "proxy"])
+@pytest.mark.parametrize("doc, error, message", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+def test_parse_errors_are_pinned(doc, error, message, wrap):
+    with pytest.raises(ParameterError) as info:
+        params_from_dict(wrap(doc))
+    assert (type(info.value).__name__, str(info.value)) == (error, message)
+
+
+@pytest.mark.parametrize("wrap", [dict, _proxied], ids=["dict", "proxy"])
+@pytest.mark.parametrize("field, key", [("p_left", None), ("p_c_given", "11")])
+def test_oversized_integer_is_out_of_range(field, key, wrap):
+    huge = 10**400
+    doc = _edited(**{field: huge}) if key is None else _edited(entries=[(field, key, huge)])
+    with pytest.raises(OutOfRangeError) as info:
+        params_from_dict(wrap(doc))
+    name = field if key is None else f"{field}[{key}]"
+    assert str(info.value) == f"{name} = {huge!r} is outside [0.0, 1.0]"
+    assert info.value.field == name
+
+
+def test_overlong_integer_in_json_text_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="^parameters are not valid JSON: "):
+        StructureParams.from_json('{"kind": "V", "p_left": 1' + "0" * 5000 + "}")
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_probabilities_follow_the_schema(kind, rng):
+    params = random_structure_params(kind, rng)
+    assert params.probabilities == tuple(value for _, _, value in params._probability_items())
+    assert all(type(value) is float for value in params.probabilities)
