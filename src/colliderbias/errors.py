@@ -21,7 +21,11 @@ class OutOfRangeError(ParameterError):
         self.field = field
         self.value = value
         interval = "(0.0, 1.0)" if open_interval else "[0.0, 1.0]"
-        super().__init__(f"{field} = {value!r} is outside {interval}")
+        try:
+            shown = repr(value)
+        except ValueError:  # an integer with more digits than Python prints
+            shown = f"an integer of {value.bit_length()} bits"
+        super().__init__(f"{field} = {shown} is outside {interval}")
 
 
 class MissingFieldError(ParameterError):

@@ -352,8 +352,9 @@ def _edited(drop=(), entries=(), **fields):
     return doc
 
 
-# Each malformed document with the type and message of its error, as the
-# parser has given them since key sets were compared by set difference.
+# Each malformed document with the type and message of its error.  The
+# parser looks for the field an error names only when a key set differs, so
+# these pin that it still names the same field, in a dict or in a proxy.
 PARSE_ERRORS = {
     "extra-field": (_edited(p_extra=0.5), "ExtraFieldError",
                     "structure kind LongM does not take field p_extra"),
@@ -440,6 +441,15 @@ def test_oversized_integer_is_out_of_range(field, key, wrap):
     name = field if key is None else f"{field}[{key}]"
     assert str(info.value) == f"{name} = {huge!r} is outside [0.0, 1.0]"
     assert info.value.field == name
+
+
+def test_integer_too_long_to_print_is_out_of_range():
+    huge = 10**5000
+    with pytest.raises(OutOfRangeError) as info:
+        params_from_dict(_edited(p_left=huge))
+    assert str(info.value) == (
+        f"p_left = an integer of {huge.bit_length()} bits is outside [0.0, 1.0]"
+    )
 
 
 def test_overlong_integer_in_json_text_is_a_parameter_error():
