@@ -23,8 +23,7 @@ import os
 import sys
 from contextlib import nullcontext
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .closedform import closed_form
@@ -59,6 +58,9 @@ from .verification import (
     relative_discrepancy,
     verify_many,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger("colliderbias")
 
@@ -369,7 +371,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     freq = sample(params, args.draws, args.seed)
     exact = build_joint(params).mass
     observed = freq.frequencies
-    max_abs = float(np.max(np.abs(observed - exact)))
+    max_abs = float(abs(observed - exact).max())
     # Per-cell standard error is at most 0.5/sqrt(n); five of those is a
     # generous smoke bound, not a statistical test.
     bound = 5 * 0.5 / math.sqrt(args.draws)
@@ -416,6 +418,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def grid_to_csv(grid: SignGrid) -> str:
     """Deterministic CSV rendering: '#'-prefixed metadata lines, then one
     row per cell."""
+    import numpy as np
+
     out = io.StringIO()
     out.write(f"# family={grid.family.value}\n")
     out.write(f"# resolution={grid.resolution}\n")
@@ -441,6 +445,8 @@ def _sign_codes(grid: SignGrid) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The 3**k sign combinations of a grid's k columns, and the (R, R)
     index of each cell's combination in that list: its signs + 1 read as
     base-3 digits.  A sign outside -1/0/1 raises ValueError."""
+    import numpy as np
+
     combos = list(itertools.product((-1, 0, 1), repeat=len(grid.columns)))
     digits = np.moveaxis(grid.cells + 1, -1, 0)
     return combos, np.ravel_multi_index(tuple(digits), (3,) * len(grid.columns))
@@ -499,6 +505,8 @@ def _decode_signs(text: str, start: int, width: int) -> np.ndarray:
     read from the line's end as signs -1, 0 or 1.  Text that is not signs
     decodes to some grid that the round-trip check of parse_grid_csv
     rejects."""
+    import numpy as np
+
     buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
     at = np.flatnonzero(buf[start:] == ord("\n"))[1:] + (start - 1)
     cells = np.empty((at.size, width), dtype=np.int8)
@@ -529,6 +537,8 @@ def grid_to_json(grid: SignGrid) -> str:
     """One JSON object; ``cells`` is the nested list ``grid.cells.tolist()``
     as json.dumps writes it, rendered a row at a time from the 3**k cell
     strings and spliced into the dump of the other keys."""
+    import numpy as np
+
     doc = {
         "command": "grid",
         "family": grid.family.value,

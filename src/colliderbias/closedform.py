@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from .errors import (
     DegenerateStratumError,
     ParameterError,
@@ -60,21 +58,29 @@ _EXTENDED_KINDS = tuple(kind for kind in StructureKind if kind.is_extended)
 _INDEPENDENT_KINDS = tuple(kind for kind in StructureKind if kind is not StructureKind.NABLA)
 
 
-def band_sign(delta: float, tol: float = SIGN_TOL) -> Sign:
+def band_sign(delta: float, tol: float = SIGN_TOL, out=None) -> Sign:
     """Sign of ``delta``, reported as Zero when it lies within ``tol`` of 0
-    and as Negative when it is NaN.  Elementwise on an array, as integer sign
-    codes (-1/0/1)."""
-    if isinstance(delta, np.ndarray):
-        return np.where(abs(delta) <= tol, 0, np.where(delta > 0, 1, -1))
-    if abs(delta) <= tol:
-        return Sign.ZERO
-    return Sign.POSITIVE if delta > 0 else Sign.NEGATIVE
+    and as Negative when it is NaN.  Elementwise on an array, as int8 sign
+    codes (-1/0/1), written into ``out`` when given."""
+    if not getattr(delta, "ndim", 0):
+        if abs(delta) <= tol:
+            return Sign.ZERO
+        return Sign.POSITIVE if delta > 0 else Sign.NEGATIVE
+    import numpy as np
+
+    codes = np.empty(delta.shape, dtype=np.int8) if out is None else out
+    # (delta >= -tol) + (delta > tol) - 1, which a NaN fails twice: -1.  The
+    # one temporary is a byte per entry.
+    np.greater_equal(delta, -tol, out=codes.view(np.bool_))
+    codes += delta > tol
+    codes -= 1
+    return codes
 
 
 def classify_sign(value: float, scale: Scale) -> Sign:
     """Negative/Zero/Positive relative to the scale's null point."""
     if scale.is_ratio:
-        return band_sign(value - 1.0, SIGN_TOL_OR)
+        return band_sign(value - 1, SIGN_TOL_OR)
     return band_sign(value)
 
 

@@ -3,7 +3,7 @@ that raises one for a single value or for a batch of draws."""
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 
 class ColliderBiasError(Exception):
@@ -95,6 +95,13 @@ def raise_first_nonfinite(label: str, named: tuple[tuple[str, object], ...]) -> 
     pass checks every value and the error names the first bad draw of the
     first bad name.  The last value spans the batch; any other value may be
     one number, which stands for every draw."""
+    if not getattr(named[-1][1], "ndim", 0):
+        for name, value in named:
+            if not math.isfinite(value):
+                raise PrecisionLossError(f"{label} {name} = {value!r}")
+        return
+    import numpy as np
+
     stacked = np.empty((len(named), *getattr(named[-1][1], "shape", ())))
     for row, (_, value) in enumerate(named):
         stacked[row] = value

@@ -5,15 +5,18 @@ cells) by multiplying the factor probabilities along its role map, then
 answers any marginal/conditional query from that table alone.  Nothing in
 this module knows about the closed-form bias expressions, which keeps it an
 independent cross-check for them.
+
+One table's cells are Python numbers, built and summed in plain arithmetic,
+so its queries load no numpy; a batch of tables (:func:`build_joint_batch`),
+the sampler and a table's ``mass`` and ``column`` arrays do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateStratumError,
@@ -39,6 +42,9 @@ from .structures import (
     variable_roles,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # Null-association checks inside bias(): marginal cov/RD of X and Y must be 0
 # (OR/RR must be 1) for every kind except Nabla, up to accumulated rounding.
 _NULL_TOL = 1e-12
@@ -46,43 +52,72 @@ _NULL_TOL = 1e-12
 # Singular-design threshold for the two-regressor normal equations.
 _SINGULAR_TOL = 1e-15
 
-
-@lru_cache(maxsize=None)
-def _bit_columns(n: int) -> np.ndarray:
-    """Boolean matrix of shape (n, 2**n); row k is bit k of each cell index,
-    with index 0 the most significant bit."""
-    idx = np.arange(2**n, dtype=np.uint32)
-    out = np.stack([((idx >> (n - 1 - k)) & 1).astype(bool) for k in range(n)])
-    out.setflags(write=False)
-    return out
+_MASS_MESSAGE = "mass must be finite, nonnegative and sum to 1"
 
 
 @lru_cache(maxsize=None)
-def _cell_index(order: tuple[str, ...], events: tuple[tuple[tuple[str, int], ...], ...]) -> np.ndarray:
-    """Cell indices of a table over ``order``, one row per event: row i
-    lists, ascending, the cells where every (name, value) of events[i]
-    holds.  The events must each hold on equally many cells."""
-    columns = dict(zip(order, _bit_columns(len(order))))
+def _cell_index(order: tuple[str, ...], events: tuple[tuple[tuple[str, int], ...], ...]) -> _EventCells:
+    """The cells of each event, a tuple of (name, value) pairs, in a table
+    over ``order``.  Bit k of a cell index, counted from the most
+    significant of len(order) bits, is the value of order[k]."""
+    n = len(order)
     rows = []
     for event in events:
-        keep = np.ones(2 ** len(order), dtype=bool)
+        keep = range(2**n)
         for name, value in event:
-            if name not in columns:
+            if name not in order:
                 raise UnknownVariableError(name)
-            keep &= columns[name] if value else ~columns[name]
-        rows.append(np.flatnonzero(keep))
-    index = np.array(rows)
-    index.setflags(write=False)
-    return index
+            shift, bit = n - 1 - order.index(name), 1 if value else 0
+            keep = [i for i in keep if (i >> shift) & 1 == bit]
+        rows.append(tuple(keep))
+    return _EventCells(tuple(rows))
 
 
-def _gather_sum(mass: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Sum of the cells of ``mass`` at each row of ``index``, bit-identical
-    to that row's own ``mass[row].sum()``: a 1-D mass sums its contiguous
-    gather with ``ndarray.sum``, whose pairwise order holds row by row; a
-    batch's (B, ..., k) gather is not C-contiguous, numpy sums its last axis
-    in another order, so it takes :func:`ordered_sum`.  Tier-1 tests pin both."""
-    return mass[index].sum(axis=-1) if mass.ndim == 1 else ordered_sum(mass[:, index])
+class _EventCells:
+    """The cells of each of some events (:func:`_cell_index`): ``rows[i]``
+    lists, ascending, the cells where event i holds.  Each way of adding
+    them up is made on first use, once per variable order and events."""
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        self.rows = rows
+
+    @cached_property
+    def add(self):
+        """A function from one table's cells to the list of each event's
+        probability, compiled from source that adds each row's cells in
+        :func:`ordered_sum`'s order (:func:`_sum_source`): one table's sums
+        carry the bits of a batch's entries, and run no loop."""
+        sums = ", ".join(_sum_source([f"c[{i}]" for i in row]) for row in self.rows)
+        return eval(f"lambda c: [{sums}]")  # the source holds only cell indexes
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """The rows as one read-only array, the gather of a batch; the
+        events must each hold on equally many cells."""
+        import numpy as np
+
+        index = np.array(self.rows)
+        index.setflags(write=False)
+        return index
+
+
+def _sum_source(terms: list[str]) -> str:
+    """Python source adding the expressions ``terms`` as :func:`ordered_sum`
+    adds a row of numbers, step for step."""
+    k = len(terms)
+    if k < 8:
+        total, tail = terms[0], 1
+    else:
+        r = terms[:8]
+        tail = k - k % 8
+        for i in range(8, tail, 8):
+            r = [f"({a} + {b})" for a, b in zip(r, terms[i : i + 8])]
+        r = [f"({a} + {b})" for a, b in zip(r[0::2], r[1::2])]
+        r = [f"({a} + {b})" for a, b in zip(r[0::2], r[1::2])]
+        total = f"({r[0]} + {r[1]})"
+    for term in terms[tail:]:
+        total = f"({total} + {term})"
+    return total
 
 
 def ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -108,67 +143,114 @@ def ordered_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True, eq=False)
 class JointTable:
     """Exact joint distribution over the structure's binary variables.
 
     ``mass[i]`` is the probability of the assignment whose bits (with
-    ``order[0]`` as the most significant bit) spell the integer ``i``.  A
-    batch of B tables of one kind (:func:`build_joint_batch`) has mass of
-    shape (B, 2**n); every query then answers with a (B,) array whose entries
-    are bit-identical to the floats each row's own table gives.
+    ``order[0]`` as the most significant bit) spell the integer ``i``.  One
+    table keeps its cells as Python numbers and answers every query in plain
+    arithmetic; its ``mass`` is a read-only float64 array of them, made on
+    first access.  A batch of B tables of one kind (:func:`build_joint_batch`)
+    has mass of shape (B, 2**n); every query then answers with a (B,) array
+    whose entries are bit-identical to the numbers each row's own table
+    gives.
 
-    The table owns its mass: construction copies it into a fresh read-only
-    float64 array, so no caller's array, view or base can change it later.
-    Queries gather the cells of an event through index arrays cached per
-    variable order and event, and add them with :func:`_gather_sum`.
+    The table owns its mass: construction copies it, so no caller's list,
+    array, view or base can change it later.  Queries gather the cells of
+    an event through index rows cached per variable order and event, and
+    add them with :meth:`_sums`.
     """
 
-    kind: StructureKind
-    order: tuple[str, ...]
-    mass: np.ndarray
+    __slots__ = ("kind", "order", "_cells", "_mass")
 
-    def __post_init__(self) -> None:
-        n = len(self.order)
+    def __init__(self, kind: StructureKind, order: tuple[str, ...], mass) -> None:
+        n = len(order)
         if not 1 <= n <= 6:
             raise ParameterError(f"supported structures have 1..6 variables, got {n}")
-        mass = np.array(self.mass, dtype=np.float64)
-        if mass.shape[-1:] != (2**n,) or mass.ndim > 2:
-            raise ParameterError(f"mass must have shape (2**{n},) or (B, 2**{n}), got {mass.shape}")
-        object.__setattr__(self, "mass", mass)
+        self.kind, self.order = kind, order
+        if getattr(mass, "ndim", 1) == 1:
+            # A caller's array becomes float64 numbers, as a batch's entries are.
+            cells = tuple(mass.astype(float).tolist() if hasattr(mass, "astype") else mass)
+            self._cells, self._mass, shape = cells, None, (len(cells),)
+        else:
+            import numpy as np
+
+            self._cells, self._mass = None, np.array(mass, dtype=np.float64)
+            shape = self._mass.shape
+        if shape[-1:] != (2**n,) or len(shape) > 2:
+            raise ParameterError(f"mass must have shape (2**{n},) or (B, 2**{n}), got {shape}")
         # Any NaN or infinite entry makes the sum NaN or infinite, and a NaN
         # fails every comparison.
-        ok = (abs(_gather_sum(mass, slice(None)) - 1.0) <= 1e-12) & (mass.min(axis=-1) >= 0.0)
-        raise_where(~ok, ParameterError, "mass must be finite, nonnegative and sum to 1")
-        mass.setflags(write=False)
+        if self._mass is None:
+            if not (abs(self.prob() - 1) <= 1e-12 and min(cells) >= 0):
+                raise ParameterError(_MASS_MESSAGE)
+        else:
+            ok = (abs(ordered_sum(self._mass) - 1.0) <= 1e-12) & (self._mass.min(axis=-1) >= 0.0)
+            raise_where(~ok, ParameterError, _MASS_MESSAGE)
+            self._mass.setflags(write=False)
+
+    @property
+    def mass(self) -> np.ndarray:
+        """The cells as a read-only float64 array: (2**n,), or (B, 2**n) for
+        a batch."""
+        if self._mass is None:
+            import numpy as np
+
+            self._mass = np.array(self._cells, dtype=np.float64)
+            self._mass.setflags(write=False)
+        return self._mass
+
+    def _sums(self, events: _EventCells):
+        """The probability of each of the events, in turn: a list of numbers
+        for one table, a (len(events.rows), B) array for a batch.  Either
+        way, each is the sum of the event's cells in :func:`ordered_sum`'s
+        order."""
+        if self._cells is None:
+            return ordered_sum(self._mass[:, events.index]).T
+        return events.add(self._cells)
 
     def column(self, name: str) -> np.ndarray:
         """Boolean per-cell indicator that ``name`` equals 1."""
-        if name not in self.order:
-            raise UnknownVariableError(name)
-        return _bit_columns(len(self.order))[self.order.index(name)]
+        import numpy as np
 
-    def prob(self, event: dict[str, int] | None = None) -> float | np.ndarray:
+        (ones,) = _cell_index(self.order, (((name, 1),),)).rows
+        column = np.zeros(2 ** len(self.order), dtype=bool)
+        column[list(ones)] = True
+        return column
+
+    def prob(self, event: dict[str, int] | None = None):
         """Probability of a variable-assignment event; prob({}) is 1."""
-        index = _cell_index(self.order, (tuple(event.items()),))[0] if event else slice(None)
-        total = _gather_sum(self.mass, index)
-        return float(total) if self.mass.ndim == 1 else total
+        (total,) = self._sums(_cell_index(self.order, (tuple((event or {}).items()),)))
+        return total
 
-    def probs(self, *events: dict[str, int]) -> np.ndarray:
-        """:meth:`prob` of each event, on the last axis; the events must each
-        hold on equally many cells."""
-        index = _cell_index(self.order, tuple(tuple(event.items()) for event in events))
-        return _gather_sum(self.mass, index)
+    def probs(self, *events: dict[str, int]):
+        """:meth:`prob` of each event, in turn; the events must each hold on
+        equally many cells."""
+        return self._sums(_cell_index(self.order, tuple(tuple(event.items()) for event in events)))
 
-    def expectation(self, *names: str) -> float | np.ndarray:
+    def expectation(self, *names: str):
         """E[product of the named indicator variables]."""
         return self.prob(dict.fromkeys(names, 1))
 
 
 def build_joint(params: StructureParams) -> JointTable:
-    """Multiply the factor probabilities along the role map of the kind: each
-    cell's mass is the product of its :func:`_factors` at its :func:`_factor_index`."""
-    return _build(params)
+    """Multiply the factor probabilities along the role map of the kind, in
+    plain arithmetic.  The cells grow one variable at a time, in role order:
+    each partial product over the variables so far splits into its product
+    with P(next = 0 | parents) and with P(next = 1 | parents), read from
+    ``params.probabilities`` where :func:`_factor_places` puts them.  So each
+    cell is the left fold of its factors in role order, as a batch's axis-0
+    product is."""
+    p = params.probabilities
+    cells = [1]
+    for places in _factor_places(params.kind):
+        grown = []
+        for prefix, at in zip(cells, places):
+            one = p[at]
+            grown.append(prefix * (1 - one))
+            grown.append(prefix * one)
+        cells = grown
+    return JointTable(kind=params.kind, order=variable_roles(params.kind).order, mass=cells)
 
 
 def build_joint_batch(params: StructureParams) -> JointTable:
@@ -176,21 +258,12 @@ def build_joint_batch(params: StructureParams) -> JointTable:
     such as ``structures.random_structure_params`` gives with a draw count.
     Row b is bit-identical to ``build_joint`` of draw b: the factors
     multiply in the same order."""
-    return _build(params)
+    import numpy as np
 
-
-def _build(params: StructureParams) -> JointTable:
-    # A batch's factors are (2F, B); axis 0 multiplies row by row, in role-map order.
-    mass = _factors(params)[_factor_index(params.kind)].prod(axis=0)
-    return JointTable(kind=params.kind, order=variable_roles(params.kind).order, mass=mass.T)
-
-
-def _factors(params: StructureParams) -> np.ndarray:
-    """``concatenate((1 - p, p))`` for p the F schema-ordered probabilities
-    (``params.probabilities``): entry j of p is some P(variable=1 | parents),
-    j holds P(=0 | parents) and F + j holds P(=1 | parents)."""
     p = np.array(params.probabilities, dtype=np.float64)
-    return np.concatenate((1.0 - p, p))
+    # The (2F, B) factors [1 - p, p]; axis 0 multiplies row by row, in role order.
+    mass = np.concatenate((1.0 - p, p))[_factor_index(params.kind)].prod(axis=0)
+    return JointTable(kind=params.kind, order=variable_roles(params.kind).order, mass=mass.T)
 
 
 # The schema field of each variable that has parents.  A variable without
@@ -199,29 +272,49 @@ _TABLE_FIELDS = {"C": "p_c_given", "X": "p_x_given_a", "Y": "p_y_given_b", "D": 
 
 
 @lru_cache(maxsize=None)
-def _factor_index(kind: StructureKind) -> np.ndarray:
-    """(n, 2**n) positions in :func:`_factors`: row k holds, for each cell,
-    the place of P(order[k] = its value | its parents' values).  This is the
-    one map from role order to schema order: order[k]'s field starts at entry
-    s of the F probabilities, and P(=v | parent code c), c being the parents'
-    values as binary digits, sits at v * F + s + c."""
+def _factor_places(kind: StructureKind) -> tuple[tuple[int, ...], ...]:
+    """The one map from role order to schema order.  Entry k lists, for each
+    assignment of the variables before order[k] (read as a cell index over
+    them), the place in ``params.probabilities`` of P(order[k] = 1 | its
+    parents' values there): order[k]'s field starts at place s, and P(=1 |
+    parent code c), c being the parents' values as binary digits, sits at
+    s + c."""
     roles = variable_roles(kind)
     starts, width = {}, 0
     for field_name in _KIND_FIELDS[kind]:
         starts[field_name] = width
         width += _FIELD_WIDTHS[field_name]
-    bits = dict(zip(roles.order, _bit_columns(len(roles.order)).astype(np.intp)))
-    rows = []
-    for name in roles.order:
+    places = []
+    for k, name in enumerate(roles.order):
         if roles.parents[name]:
             field_name = _TABLE_FIELDS[name]
         else:
             field_name = "p_left" if name == roles.left_cause else "p_right"
-        code = 0
-        for parent in roles.parents[name]:
-            code = 2 * code + bits[parent]
-        rows.append(width * bits[name] + starts[field_name] + code)
-    index = np.array(rows)
+        shifts = [k - 1 - roles.order.index(parent) for parent in roles.parents[name]]
+        row = []
+        for prefix in range(2**k):
+            code = 0
+            for shift in shifts:
+                code = 2 * code + ((prefix >> shift) & 1)
+            row.append(starts[field_name] + code)
+        places.append(tuple(row))
+    return tuple(places)
+
+
+@lru_cache(maxsize=None)
+def _factor_index(kind: StructureKind) -> np.ndarray:
+    """(n, 2**n) positions in a batch's factors ``[1 - p, p]``, F entries
+    each: row k holds, for each cell, the place of P(order[k] = its value |
+    its parents' values), that is F times the value plus the
+    :func:`_factor_places` entry of the cell's first k variables."""
+    import numpy as np
+
+    places = _factor_places(kind)
+    n, width = len(places), sum(_FIELD_WIDTHS[name] for name in _KIND_FIELDS[kind])
+    index = np.array([
+        [width * ((cell >> (n - 1 - k)) & 1) + row[cell >> (n - k)] for cell in range(2**n)]
+        for k, row in enumerate(places)
+    ])
     index.setflags(write=False)
     return index
 
@@ -243,10 +336,10 @@ class OracleMeasure:
 @lru_cache(maxsize=None)
 def _stratum_index(order: tuple[str, ...], stratum: tuple[str, int] | None) -> tuple:
     """The cells of the stratum, a (variable, level) pair or None for the
-    whole table, and the (4, k) cells of p11, p10, p01, p00 within it."""
+    whole table, and those of p11, p10, p01, p00 within it."""
     keep = () if stratum is None else (stratum,)
     xy = tuple((("X", x), ("Y", y), *keep) for x, y in ((1, 1), (1, 0), (0, 1), (0, 0)))
-    return _cell_index(order, (keep,))[0], _cell_index(order, xy)
+    return _cell_index(order, (keep,)), _cell_index(order, xy)
 
 
 def _xy_stratum_cells(table: JointTable, stratum: Stratum | None) -> tuple:
@@ -257,18 +350,11 @@ def _xy_stratum_cells(table: JointTable, stratum: Stratum | None) -> tuple:
     """
     keep, xy = _stratum_index(table.order, None if stratum is None else (stratum.variable, stratum.level))
     if stratum is None:
-        p_g = 1.0
+        p_g = 1
     else:
-        p_g = _gather_sum(table.mass, keep)
-        p_g = float(p_g) if table.mass.ndim == 1 else p_g
+        (p_g,) = table._sums(keep)
         raise_where(p_g <= 0.0, DegenerateStratumError, stratum.variable, stratum.level)
-    return (*_split(_gather_sum(table.mass, xy)), p_g)
-
-
-def _split(values: np.ndarray) -> list | np.ndarray:
-    """One table's answers on the last axis as floats, or a batch's (B, k)
-    answers as k (B,) arrays."""
-    return values.tolist() if values.ndim == 1 else values.T
+    return (*table._sums(xy), p_g)
 
 
 def lm_coefficient(table: JointTable) -> float:
@@ -281,10 +367,8 @@ def lm_coefficient(table: JointTable) -> float:
     collinear.
     """
     g_name = table.kind.conditioning_variable
-    e_x, e_g, e_y = _split(table.probs({"X": 1}, {g_name: 1}, {"Y": 1}))
-    e_xg, e_xy, e_gy = _split(
-        table.probs({"X": 1, g_name: 1}, {"X": 1, "Y": 1}, {g_name: 1, "Y": 1})
-    )
+    e_x, e_g, e_y = table.probs({"X": 1}, {g_name: 1}, {"Y": 1})
+    e_xg, e_xy, e_gy = table.probs({"X": 1, g_name: 1}, {"X": 1, "Y": 1}, {g_name: 1, "Y": 1})
     var_x = e_x - e_x * e_x
     var_g = e_g - e_g * e_g
     cov_xg = e_xg - e_x * e_g
@@ -307,16 +391,16 @@ def lm_normalizer_terms(table: JointTable) -> tuple[float, float]:
     adjusted coefficient.
     """
     g_name = table.kind.conditioning_variable
-    e_x, e_g = _split(table.probs({"X": 1}, {g_name: 1}))
-    (e_xg,) = _split(table.probs({"X": 1, g_name: 1}))
+    e_x, e_g = table.probs({"X": 1}, {g_name: 1})
+    (e_xg,) = table.probs({"X": 1, g_name: 1})
     return normalizer_terms(e_x, e_g, e_xg)
 
 
 def normalizer_terms(f1, g1, fg1) -> tuple[float, float]:
     """:func:`lm_normalizer_terms` with X and G in the roles of any two
     variables F and G, from the moments E[F], E[G] and E[FG]."""
-    raw1 = (1.0 - g1) * fg1 * (g1 - fg1)
-    raw0 = g1 * (f1 - fg1) * (1.0 - f1 - g1 + fg1)
+    raw1 = (1 - g1) * fg1 * (g1 - fg1)
+    raw0 = g1 * (f1 - fg1) * (1 - f1 - g1 + fg1)
     return raw1, raw0
 
 
@@ -391,7 +475,7 @@ def bias(table: JointTable, query: BiasQuery) -> OracleMeasure:
 
     ratio_scale = query.scale.is_ratio and not isinstance(query.conditioning, LinearModel)
     if table.kind is not StructureKind.NABLA:
-        null = 1.0 if ratio_scale else 0.0
+        null = 1 if ratio_scale else 0
         raise_where(
             abs(marginal.value - null) > _NULL_TOL,
             lambda v: PrecisionLossError(
@@ -434,7 +518,7 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
     seed produces one uniform row per variable in role-map order, row-major
     (row k is ``random((len(order), n))[k]``), and each variable is thresholded
     against its P(=1 | the already-sampled parent columns), sliced from
-    ``params.probabilities`` where :func:`_factor_index` places its field.
+    ``params.probabilities`` where :func:`_factor_places` places its field.
     This seed-to-output mapping is part of the package contract and stable
     per release.
 
@@ -443,6 +527,8 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
     (:func:`_stream_at`), and the draws go through in chunks of
     ``_SAMPLE_CHUNK`` whose cell counts add up: memory stays flat as n grows.
     """
+    import numpy as np
+
     if n < 1:
         raise ParameterError(f"draws must be >= 1, got {n}")
     if seed < 0:
@@ -450,9 +536,9 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
     roles = variable_roles(params.kind)
     order = roles.order
     p = np.array(params.probabilities, dtype=np.float64)
-    # In cell 0 every variable and parent is 0, so the factor index there is
-    # where each variable's field starts; P(=1 | parent code c) sits c past it.
-    starts = _factor_index(params.kind)[:, 0]
+    # With every earlier variable 0 the parent code is 0, so each variable's
+    # first place is where its field starts; P(=1 | parent code c) sits c past it.
+    starts = [places[0] for places in _factor_places(params.kind)]
     ones = [p[s : s + (1 << len(roles.parents[name]))] for s, name in zip(starts, order)]
     rows = [_stream_at(seed, k * n) for k in range(len(order))]
     counts = np.zeros(2 ** len(order), dtype=np.intp)
@@ -475,6 +561,8 @@ def _stream_at(seed: int, offset: int) -> np.random.Generator:
     """A generator whose doubles are those of ``Philox(key=seed)`` from the
     offset-th on.  Philox makes four doubles per counter step, so it
     advances offset // 4 steps and discards offset % 4 doubles."""
+    import numpy as np
+
     bits = np.random.Philox(key=seed)
     bits.advance(offset // 4)
     rng = np.random.Generator(bits)

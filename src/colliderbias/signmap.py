@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .closedform import (
     _INDEPENDENT_KINDS,
@@ -37,6 +35,9 @@ from .structures import (
     StructureParams,
     check_probabilities,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest cells per axis of a sign grid: 100 times the cells of the default
 # resolution of 200, checked before anything is allocated.
@@ -80,7 +81,7 @@ class EffectPattern:
 
 # Pattern.DEGENERATE_TIE first, then the pattern of each rule in
 # effect_pattern's order; the last is the default.
-_PATTERN_RULES = np.array(list(Pattern)[-1:] + list(Pattern)[:-1], dtype=object)
+_PATTERN_RULES = (*list(Pattern)[-1:], *list(Pattern)[:-1])
 
 
 def effect_pattern(p_c_given: ColliderCpt) -> Pattern:
@@ -103,11 +104,15 @@ def effect_pattern(p_c_given: ColliderCpt) -> Pattern:
         y_consistent,  # QUALITATIVE_IN_X
         x_consistent,  # QUALITATIVE_IN_Y
     ]
+    if not getattr(rules[0], "ndim", 0):
+        return next((pattern for rule, pattern in zip(rules, _PATTERN_RULES) if rule), _PATTERN_RULES[-1])
+    import numpy as np
+
     # The index of the first rule that holds, or len(rules) if none does.
     first = len(rules)
     for index in reversed(range(len(rules))):
         first = np.where(rules[index], index, first)
-    return _PATTERN_RULES[first]
+    return np.array(_PATTERN_RULES, dtype=object)[first]
 
 
 def classify_effects(p_c_given: ColliderCpt) -> EffectPattern:
@@ -297,6 +302,8 @@ class SignGrid:
 
 
 def _cell_centers(resolution: int) -> np.ndarray:
+    import numpy as np
+
     return (np.arange(resolution) + 0.5) / resolution
 
 
@@ -362,6 +369,8 @@ def emit_grid(family: GridFamily, fixed: GridFixed, resolution: int) -> SignGrid
     inputs; repeated calls produce identical grids.  ``resolution`` must lie
     in [2, MAX_GRID_RESOLUTION].
     """
+    import numpy as np
+
     if not 2 <= resolution <= MAX_GRID_RESOLUTION:
         raise InvalidResolutionError(resolution, MAX_GRID_RESOLUTION)
     if family is GridFamily.CHILD_STRATUM and fixed.p_d_given_c is None:
@@ -370,19 +379,21 @@ def emit_grid(family: GridFamily, fixed: GridFixed, resolution: int) -> SignGrid
     lattice = ColliderCpt(
         given_00=fixed.p_c00, given_01=axis[None, :], given_10=axis[:, None], given_11=fixed.p_c11
     )
-    # Each column's float lattice is computed lazily and banded into cells
-    # allocated beforehand: one column's lattice is alive at a time (beside
-    # the two cross-product differences the child-stratum columns share),
-    # and the long-lived cells do not pin the freed temporaries in the heap,
-    # which keeps the peak memory of large grids down.
+    # Each column's float lattice is computed lazily and banded straight
+    # into cells allocated beforehand.  No name holds it (a loop variable
+    # would keep it alive while the next one is made), so one column's
+    # lattice is alive at a time, beside the two cross-product differences
+    # the child-stratum columns share; and the long-lived cells do not pin
+    # the freed temporaries in the heap.  This keeps the peak memory of
+    # large grids down.
     if family is GridFamily.STRATUM:
         deltas = (cross_product_difference(lattice, level) for level in (1, 0))
     elif family is GridFamily.CHILD_STRATUM:
         deltas = _child_deltas(lattice, fixed.p_d_given_c, (1, 0))
     else:
-        deltas = (lm_kernel(lattice, fixed.p_left, fixed.p_right),)
+        deltas = iter((lm_kernel(lattice, fixed.p_left, fixed.p_right),))
     cells = np.empty((resolution, resolution, len(family.columns)), dtype=np.int8)
-    for k, delta in enumerate(deltas):
-        cells[..., k] = band_sign(delta)
+    for k in range(len(family.columns)):
+        band_sign(next(deltas), out=cells[..., k])
     cells.setflags(write=False)
     return SignGrid(family=family, fixed=fixed, cells=cells)

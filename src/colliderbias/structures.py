@@ -23,9 +23,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
 from types import MappingProxyType
-from typing import ClassVar, Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator
 
 from .errors import (
     DegenerateStratumError,
@@ -35,6 +33,9 @@ from .errors import (
     ParameterError,
     raise_where,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class StructureKind(str, Enum):
@@ -346,7 +347,8 @@ def check_probabilities(
             continue  # the common case, without the elementwise form below
         inside = (0.0 < value) & (value < 1.0) if open_interval else (0.0 <= value) & (value <= 1.0)
         name = field if key is None else f"{field}[{key}]"
-        raise_where(~np.asarray(inside), lambda v: OutOfRangeError(name, v, open_interval), value)
+        bad = ~inside if getattr(inside, "ndim", 0) else not inside
+        raise_where(bad, lambda v: OutOfRangeError(name, v, open_interval), value)
 
 
 @dataclass(frozen=True)
@@ -562,6 +564,8 @@ def random_structure_params(
     elif not isinstance(draws, int) or draws < 1:
         raise ParameterError(f"draws must be an int >= 1, got {draws!r}")
     else:
+        import numpy as np
+
         columns = iter(np.ascontiguousarray(rng.uniform(0.05, 0.95, size=(draws, width)).T))
     kwargs: dict = {"kind": kind}
     for field_name in fields:

@@ -2,6 +2,7 @@
 as the scalar call on that draw alone."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from colliderbias import (
     LINEAR_MODEL,
     BiasQuery,
+    ColliderBiasError,
     ColliderCpt,
     DegenerateStratumError,
     ParameterError,
@@ -23,12 +25,14 @@ from colliderbias import (
     build_joint,
     cond_measure,
     lm_coefficient,
+    params_from_dict,
     random_structure_params,
 )
 from colliderbias import closedform as cf
 from colliderbias import joint as joint_mod
 from colliderbias import signmap as sm
 from colliderbias import verification
+from colliderbias.structures import _FIELD_TYPES
 
 ALL_KINDS = list(StructureKind)
 DRAWS = 25
@@ -61,20 +65,20 @@ def test_ordered_sum_matches_ndarray_sum(length):
 
 
 def test_gathered_rows_sum_as_each_row_alone():
-    # joint._gather_sum sums an (E, k) gather of a 1-D mass with
-    # .sum(axis=-1); each row must get the bits that its own 1-D .sum() gives.
+    # One table adds the numbers of each gathered row with the source that
+    # joint._sum_source writes, a batch its (B, E, k) gather with
+    # joint.ordered_sum; each row must get the bits its own 1-D .sum() gives.
     rng = np.random.default_rng(64)
     for length in range(1, 65):
+        add_row = eval("lambda c: " + joint_mod._sum_source([f"c[{i}]" for i in range(length)]))
         for _ in range(50):
             mass = rng.random(64) * rng.choice([1e-9, 1e-3, 1.0, 1e3], size=64)
             rows = int(rng.integers(1, 16))
             index = np.array([rng.choice(64, size=length, replace=False) for _ in range(rows)])
             expected = [float(mass[row].sum()) for row in index]
-            assert mass[index].sum(axis=-1).tolist() == expected, length
-            assert joint_mod._gather_sum(mass, index).tolist() == expected, length
-            assert float(joint_mod._gather_sum(mass, index[0])) == expected[0], length
+            assert [add_row(mass[row].tolist()) for row in index] == expected, length
             batch = np.stack([mass, mass[::-1]])
-            assert joint_mod._gather_sum(batch, index)[0].tolist() == expected, length
+            assert joint_mod.ordered_sum(batch[:, index])[0].tolist() == expected, length
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -108,6 +112,80 @@ def test_batch_oracle_matches_single_tables(kind):
     raw = joint_mod.lm_normalizer_terms(batch)
     singles = [joint_mod.lm_normalizer_terms(t) for t in tables]
     assert _same_bits(raw[0], [r[0] for r in singles]) and _same_bits(raw[1], [r[1] for r in singles])
+
+
+# The lenient domain's edges, which strict draws never reach.
+LENIENT_ALPHABET = (0.0, 1.0, 1e-300, 5e-324, 1 - 1e-16)
+
+
+def _lenient_draws(kind, count):
+    """Each probability from LENIENT_ALPHABET with probability 1/2, otherwise
+    uniform on [0, 1)."""
+    rnd = random.Random(f"lenient/{kind.value}")
+    template = random_structure_params(kind, np.random.default_rng(0)).to_dict()
+
+    def draw():
+        return rnd.choice(LENIENT_ALPHABET) if rnd.random() < 0.5 else rnd.random()
+
+    return [
+        params_from_dict({
+            field: value if field == "kind" else draw() if type(value) is float
+            else {key: draw() for key in value}
+            for field, value in template.items()
+        })
+        for _ in range(count)
+    ]
+
+
+def _stack(draws):
+    """One batch whose row b is draws[b]."""
+    fields = {}
+    for name, field_type in _FIELD_TYPES.items():
+        values = [getattr(params, name) for params in draws]
+        if values[0] is None:
+            continue
+        if field_type is float:
+            fields[name] = np.array(values)
+        else:
+            fields[name] = field_type(*np.array([table.values() for table in values]).T)
+    return StructureParams(kind=draws[0].kind, **fields)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_batch_oracle_matches_single_tables_on_the_lenient_domain(kind):
+    # Every row of a batch answers with its own table's bits; where single
+    # tables raise, a batch raises the same error at the first of them.
+    draws = _lenient_draws(kind, 60)
+    tables = [build_joint(params) for params in draws]
+    assert joint_mod.build_joint_batch(_stack(draws)).mass.tobytes() == b"".join(
+        table.mass.tobytes() for table in tables
+    )
+    variable = kind.conditioning_variable
+    queries = [BiasQuery(LINEAR_MODEL)] + [
+        BiasQuery(Stratum(variable, level), scale)
+        for level in (1, 0)
+        for scale in (Scale.COV, Scale.RD, Scale.RR, Scale.OR)
+    ]
+    raised = set()
+    for query in queries:
+        singles = []
+        for table in tables:
+            try:
+                singles.append(bias(table, query).value)
+            except ColliderBiasError as exc:
+                singles.append(type(exc))
+        ok = [b for b, value in enumerate(singles) if type(value) is float]
+        bad = [b for b, value in enumerate(singles) if type(value) is not float]
+        assert ok, query
+        values = bias(joint_mod.build_joint_batch(_stack([draws[b] for b in ok])), query).value
+        assert _same_bits(values, [singles[b] for b in ok]), query
+        if not bad:
+            continue
+        with pytest.raises(singles[bad[0]]) as info:
+            bias(joint_mod.build_joint_batch(_stack(draws[: bad[0] + 1])), query)
+        assert type(info.value) is singles[bad[0]] and info.value.draw == bad[0], query
+        raised.add(singles[bad[0]])
+    assert len(raised) >= 2  # the draws reach more than one guard
 
 
 def _report_bits(report):

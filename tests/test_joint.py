@@ -24,6 +24,7 @@ from colliderbias import (
     Stratum,
     StructureKind,
     StructureParams,
+    UndefinedRatioError,
     UnknownVariableError,
     bias,
     build_joint,
@@ -552,6 +553,32 @@ def test_zero_mass_stratum_raises_on_every_call(doc, stratum):
     assert joint_mod._xy_stratum_cells(table, None)[4] == 1.0
 
 
+# A V table whose stratum C=1 has mass but one exact zero that a ratio's guard
+# must catch: a zero denominator would raise ZeroDivisionError from one
+# table's floats, and a zero numerator would pass as a value of 0.
+@pytest.mark.parametrize(
+    "p_c_given, scale, message",
+    [
+        ({"00": 0.5, "01": 0.5, "10": 0.0, "11": 0.0}, Scale.RD, r"P\(X=x, stratum\) = 0"),
+        ({"00": 0.0, "01": 0.0, "10": 0.5, "11": 0.5}, Scale.RD, r"P\(X=x, stratum\) = 0"),
+        ({"00": 0.5, "01": 0.5, "10": 0.0, "11": 0.0}, Scale.RR, r"P\(X=x, stratum\) = 0"),
+        ({"00": 0.0, "01": 0.0, "10": 0.5, "11": 0.5}, Scale.RR, r"P\(X=x, stratum\) = 0"),
+        ({"00": 0.5, "01": 0.0, "10": 0.5, "11": 0.5}, Scale.RR, r"P\(Y=1 \| X=x, stratum\) = 0"),
+        ({"00": 0.5, "01": 0.5, "10": 0.5, "11": 0.0}, Scale.RR, r"P\(Y=1 \| X=x, stratum\) = 0"),
+        ({"00": 0.5, "01": 0.5, "10": 0.0, "11": 0.5}, Scale.OR, "a zero cell"),
+        ({"00": 0.0, "01": 0.5, "10": 0.5, "11": 0.5}, Scale.OR, "a zero cell"),
+    ],
+    ids=["rd-x1", "rd-x0", "rr-x1", "rr-x0", "rr-risk0", "rr-risk1", "or-p10", "or-p00"],
+)
+def test_each_ratio_guard_holds_at_exactly_zero(p_c_given, scale, message):
+    table = build_joint(params_from_dict(
+        {"kind": "V", "p_left": 0.5, "p_right": 0.5, "p_c_given": p_c_given}
+    ))
+    assert table.prob({"C": 1}) > 0
+    with pytest.raises(UndefinedRatioError, match=message):
+        cond_measure(table, scale, Stratum("C", 1))
+
+
 def test_lm_scale_requires_lm_conditioning(reference_v_params):
     table = build_joint(reference_v_params)
     with pytest.raises(ParameterError):
@@ -565,6 +592,12 @@ def test_sample_rejects_empty():
     )
     with pytest.raises(ParameterError):
         sample(params, 0, seed=1)
+
+
+def test_sample_takes_one_draw_and_seed_zero(uniform_v_params):
+    # The smallest draw count and seed the sampler accepts.
+    counts = sample(uniform_v_params, 1, seed=0).counts
+    assert counts.sum() == 1 and sorted(counts.tolist()) == [0] * 7 + [1]
 
 
 def test_sample_is_deterministic(reference_v_params):

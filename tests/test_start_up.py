@@ -1,0 +1,91 @@
+"""The single-query path needs no numpy: ``import colliderbias``, ``--help``,
+``compute``, ``sign`` and malformed input run with numpy blocked and print
+what they print with numpy available."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import colliderbias
+from colliderbias import Scale, StructureKind, random_structure_params
+
+PACKAGE_ROOT = str(Path(colliderbias.__file__).resolve().parents[1])
+
+# Runs each argv of the JSON list on stdin through cli.main in this one
+# process and prints every (exit code, stdout, stderr), and whether numpy
+# was loaded.  With the argument "blocked", importing numpy raises.
+RUNNER = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from colliderbias.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"numpy_loaded": sys.modules.get("numpy") is not None, "results": results}))
+"""
+
+
+def _python(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    env.pop("COLLIDER_BIAS_LOG", None)
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+def _single_query_argvs(tmp_path: Path) -> list[list[str]]:
+    argvs = [["--help"], ["compute", "--scale", "bogus"]]
+    rng = np.random.default_rng(2016)
+    for kind in StructureKind:
+        doc = tmp_path / f"{kind.value}.json"
+        doc.write_text(random_structure_params(kind, rng).to_json(), encoding="utf-8")
+        variable = kind.conditioning_variable
+        for fmt in ("text", "json"):
+            base = ["--file", str(doc), "--format", fmt]
+            for level in (1, 0):
+                for scale in (Scale.COV, Scale.RD, Scale.RR, Scale.OR):
+                    argvs.append(["compute", *base, "--stratum", f"{variable}={level}",
+                                  "--scale", scale.value])
+            argvs.append(["compute", *base, "--lm"])
+            argvs.append(["sign", *base])
+    malformed = {
+        "not-json": "{",
+        "missing": '{"kind": "V", "p_left": 0.5}',
+        "out-of-range": '{"kind": "V", "p_left": 1.5, "p_right": 0.5,'
+                        ' "p_c_given": {"00": 0.1, "01": 0.2, "10": 0.3, "11": 0.4}}',
+    }
+    for name, text in malformed.items():
+        doc = tmp_path / f"{name}.json"
+        doc.write_text(text, encoding="utf-8")
+        argvs.append(["compute", "--file", str(doc), "--lm"])
+    return argvs
+
+
+def test_import_loads_no_numpy():
+    proc = _python("-c", "import sys, colliderbias; print('numpy' in sys.modules)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_single_queries_run_without_numpy(tmp_path):
+    argvs = _single_query_argvs(tmp_path)
+    runs = {}
+    for mode in ("blocked", "available"):
+        proc = _python("-c", RUNNER, mode, stdin=json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout)
+    assert not runs["available"]["numpy_loaded"]
+    assert runs["blocked"]["results"] == runs["available"]["results"]
+    codes = [code for code, _, _ in runs["available"]["results"]]
+    assert codes[:2] == [0, 2] and codes[-3:] == [2, 2, 2]
+    assert set(codes[2:-3]) == {0}
