@@ -224,8 +224,8 @@ class JointTable:
         return total
 
     def probs(self, *events: dict[str, int]):
-        """:meth:`prob` of each event, in turn; the events must each hold on
-        equally many cells."""
+        """:meth:`prob` of each event, in turn; on a batch the events must
+        each hold on equally many cells."""
         return self._sums(_cell_index(self.order, tuple(tuple(event.items()) for event in events)))
 
     def expectation(self, *names: str):

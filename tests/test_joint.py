@@ -518,6 +518,23 @@ def test_lm_coefficient_matches_exact_rationals(kind):
         assert abs(lm_coefficient(build_joint(params)) - float(exact)) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_oracle_arithmetic_keeps_fractions_exact(kind):
+    # One table's arithmetic has no float literal to coerce a Fraction, so
+    # the same code gives exact values on the float inputs read as Fractions.
+    params = random_structure_params(kind, np.random.default_rng(23 + ALL_KINDS.index(kind)))
+    exact_params = StructureParams(kind=kind, **{
+        field: Fraction(value) if type(value) is float else type(value)(*map(Fraction, value.values()))
+        for field, value in vars(params).items()
+        if field not in ("kind", "probabilities") and value is not None
+    })
+    exact_table, table = build_joint(exact_params), build_joint(params)
+    for query in _every_bias_query(kind):
+        exact = bias(exact_table, query).value
+        assert type(exact) is Fraction, query
+        assert math.isclose(bias(table, query).value, exact, rel_tol=1e-10, abs_tol=1e-12), query
+
+
 def test_collinear_design_raises_singular_design_error():
     # C copies X: the regressors X and C of the lm design are collinear.
     table = build_joint(params_from_dict({
