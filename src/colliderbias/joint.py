@@ -514,57 +514,55 @@ _SAMPLE_CHUNK = 1 << 14
 def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
     """Ancestral Monte Carlo sampling of the structure, n draws.
 
-    Deterministic per seed: a Philox counter-based generator keyed by the
-    seed produces one uniform row per variable in role-map order, row-major
-    (row k is ``random((len(order), n))[k]``), and each variable is thresholded
-    against its P(=1 | the already-sampled parent columns), sliced from
-    ``params.probabilities`` where :func:`_factor_places` places its field.
-    This seed-to-output mapping is part of the package contract and stable
-    per release.
+    Deterministic per seed in [0, 2**128): a Philox counter-based generator
+    keyed by the seed makes one uniform row per variable, row-major in role
+    order (row k is ``random((len(order), n))[k]``), and order[k] is 1 where
+    its uniform is below P(order[k] = 1 | parents), read from
+    ``params.probabilities`` at the :func:`_factor_places` entry of the cell
+    code of order[:k].  This seed-to-output mapping is part of the package
+    contract and stable per release.
 
-    The rows are never drawn whole.  Philox can start at any place in its
-    stream, so each row has its own generator advanced to the row's start
-    (:func:`_stream_at`), and the draws go through in chunks of
-    ``_SAMPLE_CHUNK`` whose cell counts add up: memory stays flat as n grows.
+    Philox's uniform is ``(raw >> 11) * 2**-53`` for a raw 64-bit word, and
+    ``p * 2**53`` is exact for every p in [0, 1], subnormals included.  So
+    ``u < p`` exactly when ``raw >> 11 < ceil(p * 2**53)``, and each variable
+    compares raw words with one integer table, indexed by that cell code.
+    Each row's bit generator starts at its place (:func:`_stream_at`), and
+    the draws go through in chunks of ``_SAMPLE_CHUNK``: memory stays flat.
     """
     import numpy as np
 
     if n < 1:
         raise ParameterError(f"draws must be >= 1, got {n}")
-    if seed < 0:
-        raise ParameterError(f"seed must be non-negative, got {seed}")
-    roles = variable_roles(params.kind)
-    order = roles.order
-    p = np.array(params.probabilities, dtype=np.float64)
-    # With every earlier variable 0 the parent code is 0, so each variable's
-    # first place is where its field starts; P(=1 | parent code c) sits c past it.
-    starts = [places[0] for places in _factor_places(params.kind)]
-    ones = [p[s : s + (1 << len(roles.parents[name]))] for s, name in zip(starts, order)]
+    if not 0 <= seed < 2**128:
+        raise ParameterError(f"seed must lie in [0, 2**128), got {seed}")
+    order = variable_roles(params.kind).order
+    scaled = np.array(params.probabilities, dtype=np.float64) * 2.0**53  # exact
+    tables = [np.ceil(scaled[list(at)]).astype(np.uint64) for at in _factor_places(params.kind)]
     rows = [_stream_at(seed, k * n) for k in range(len(order))]
     counts = np.zeros(2 ** len(order), dtype=np.intp)
+    size = min(n, _SAMPLE_CHUNK)
+    cells, limits, below = (np.empty(size, dtype) for dtype in (np.uint8, np.uint64, bool))
     for start in range(0, n, _SAMPLE_CHUNK):
         size = min(_SAMPLE_CHUNK, n - start)
-        values: dict[str, np.ndarray] = {}
-        cell = np.zeros(size, dtype=np.uint8)  # at most 6 bits
-        for rng, name, p1 in zip(rows, order, ones):
-            code = 0
-            for parent in roles.parents[name]:
-                code = 2 * code + values[parent].view(np.uint8)
-            values[name] = rng.random(size) < p1[code]
+        cell, limit, bit = cells[:size], limits[:size], below[:size]
+        cell.fill(0)  # the code of order[:k], at most 6 bits
+        for bits, table in zip(rows, tables):
+            raw = bits.random_raw(size)
+            raw >>= 11
+            np.less(raw, np.take(table, cell, out=limit, mode="clip"), out=bit)
             cell <<= 1
-            cell |= values[name]
+            cell |= bit
         counts += np.bincount(cell, minlength=counts.size)
     return SampleTable(kind=params.kind, order=order, counts=counts, draws=n)
 
 
-def _stream_at(seed: int, offset: int) -> np.random.Generator:
-    """A generator whose doubles are those of ``Philox(key=seed)`` from the
-    offset-th on.  Philox makes four doubles per counter step, so it
-    advances offset // 4 steps and discards offset % 4 doubles."""
+def _stream_at(seed: int, offset: int) -> np.random.Philox:
+    """A bit generator whose raw words are those of ``Philox(key=seed)`` from
+    the offset-th on.  Philox makes four words per counter step, so it
+    advances offset // 4 steps and discards offset % 4 words."""
     import numpy as np
 
     bits = np.random.Philox(key=seed)
     bits.advance(offset // 4)
-    rng = np.random.Generator(bits)
-    rng.random(offset % 4)
-    return rng
+    bits.random_raw(offset % 4)
+    return bits

@@ -730,6 +730,9 @@ MALFORMED_RUNS = {
     "verify-no-target": (["verify", "--draws", "5"], "--kind"),
     "verify-zero-draws": (["verify", "--kind", "V", "--draws", "0"], "draws"),
     "sample-zero-draws": (["sample", *REFERENCE_FLAGS, "--draws", "0"], "draws"),
+    # Philox's key has 128 bits.
+    "sample-seed-too-large": (["sample", *REFERENCE_FLAGS, "--seed", str(2**128)],
+                              "seed must lie in [0, 2**128), got " + str(2**128)),
     "grid-probability-out-of-range": ([*GRID_FLAGS, "--p-left", "1.5"], "p_left"),
     "grid-child-edge-out-of-range": (
         [*GRID_FLAGS[:2], "child-stratum", *GRID_FLAGS[3:], "--p-d-given-c", "0=-0.1,1=0.7"],

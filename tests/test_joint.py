@@ -341,12 +341,12 @@ def _reference_mass(params, batch=False):
 LENIENT_ALPHABET = (0.0, 1.0, 1e-300, 5e-324, 1 - 1e-16)
 
 
-def _lenient_params(kind, rnd):
+def _lenient_params(kind, rnd, alphabet=LENIENT_ALPHABET):
     """A lenient parameter set of ``kind``: each probability from
-    LENIENT_ALPHABET with probability 1/2, otherwise uniform on [0, 1)."""
+    ``alphabet`` with probability 1/2, otherwise uniform on [0, 1)."""
 
     def draw():
-        return rnd.choice(LENIENT_ALPHABET) if rnd.random() < 0.5 else rnd.random()
+        return rnd.choice(alphabet) if rnd.random() < 0.5 else rnd.random()
 
     template = random_structure_params(kind, np.random.default_rng(0)).to_dict()
     doc = {field: draw() if type(value) is float else {key: draw() for key in value}
@@ -690,14 +690,23 @@ def test_sample_rejects_negative_seed(uniform_v_params):
         sample(uniform_v_params, 10, seed=-1)
 
 
+def test_sample_rejects_seed_beyond_the_philox_key():
+    # Philox's key has 128 bits: the largest key is a seed, the next integer
+    # is a ParameterError rather than numpy's ValueError.
+    params = random_structure_params(StructureKind.V, np.random.default_rng(3))
+    assert sample(params, 1, seed=2**128 - 1).counts.sum() == 1
+    with pytest.raises(ParameterError, match=r"seed must lie in \[0, 2\*\*128\)"):
+        sample(params, 1, seed=2**128)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 4097])
 def test_row_streams_are_the_rows_of_one_block(n):
-    # Row k's generator starts at double k*n of the seed's stream, so its
-    # successive draws, in chunks of any size, spell row k of the block.
+    # Row k's bit generator starts at word k*n of the seed's stream, so the
+    # doubles it makes, in chunks of any size, spell row k of the block.
     seed, m = 29, 6
     block = np.random.Generator(np.random.Philox(key=seed)).random((m, n))
     for k in range(m):
-        rng = joint_mod._stream_at(seed, k * n)
+        rng = np.random.Generator(joint_mod._stream_at(seed, k * n))
         sizes = [1, 2, 3, 1000, n]
         chunks, left = [], n
         for size in sizes:
@@ -708,12 +717,19 @@ def test_row_streams_are_the_rows_of_one_block(n):
 
 def _reference_sample(params, n, seed):
     """The sampler that drew all its uniforms in one block, kept as the
-    reference of the chunked one.  Its thresholds come from the tables' own
-    ``given`` lookups, not from the sampler's factor vector."""
+    reference of the chunked one."""
+    rows = len(variable_roles(params.kind).order)
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((rows, n))
+    return _reference_counts(params, uniforms)
+
+
+def _reference_counts(params, uniforms):
+    """Cell counts of draws whose variable k is 1 where ``uniforms[k]`` is
+    below P(=1 | parents), compared as doubles.  The probabilities come from
+    the tables' own ``given`` lookups, not from the sampler's factor vector."""
     roles = variable_roles(params.kind)
-    uniforms = np.random.Generator(np.random.Philox(key=seed)).random((len(roles.order), n))
     values = {}
-    cell = np.zeros(n, dtype=np.intp)
+    cell = np.zeros(uniforms.shape[1], dtype=np.intp)
     for k, name in enumerate(roles.order):
         parents = roles.parents[name]
         if not parents:
@@ -737,6 +753,90 @@ def test_sample_matches_one_block_across_chunk_boundaries(kind):
     for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
         for seed in (0, 8):
             assert np.array_equal(sample(params, n, seed).counts, _reference_sample(params, n, seed))
+
+
+# The lenient edges, plus the uniforms' grid points next to 0 and 1, where an
+# integer threshold one off would part from the comparison on doubles.
+SAMPLER_ALPHABET = LENIENT_ALPHABET + (2.0**-53, 1 - 2.0**-53)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_sample_matches_one_block_on_the_lenient_domain(kind):
+    chunk = joint_mod._SAMPLE_CHUNK
+    rnd = random.Random(f"sample/{kind.value}")
+    for n in (1, 3, 4, 5, chunk - 1, chunk + 1):
+        for _ in range(4):
+            params = _lenient_params(kind, rnd, SAMPLER_ALPHABET)
+            for seed in (0, 6, 2**128 - 1):
+                counts = sample(params, n, seed).counts
+                assert np.array_equal(counts, _reference_sample(params, n, seed)), (n, seed)
+
+
+@pytest.mark.parametrize("key", [0, 29, 2**64 + 3, 2**128 - 1])
+def test_philox_doubles_are_its_shifted_raw_words(key):
+    # The sampler compares raw words because Philox's doubles are
+    # (raw >> 11) * 2**-53, from the first word and from any later place.
+    n = 37
+    block = np.random.Generator(np.random.Philox(key=key)).random(8 + n)
+    first = np.random.Philox(key=key).random_raw(n)
+    assert ((first >> 11) * 2.0**-53).tobytes() == block[:n].tobytes()
+    for offset in range(8):
+        raw = joint_mod._stream_at(key, offset).random_raw(n)
+        assert ((raw >> 11) * 2.0**-53).tobytes() == block[offset : offset + n].tobytes(), offset
+
+
+def test_integer_thresholds_agree_with_double_comparisons():
+    # k * 2**-53 < p exactly when k < ceil(p * 2**53), on either side of each
+    # threshold the sampler computes.
+    points = set(SAMPLER_ALPHABET)
+    for p in SAMPLER_ALPHABET:
+        points.update((float(np.nextafter(p, 0.0)), float(np.nextafter(p, 1.0))))
+    for p in sorted(points):
+        threshold = int(np.ceil(np.array([p]) * 2.0**53).astype(np.uint64)[0])
+        assert 0 <= threshold <= 2**53
+        for k in (threshold - 1, threshold, threshold + 1):
+            if 0 <= k < 2**53:
+                assert (k < threshold) == (k * 2.0**-53 < p), (p, k)
+
+
+class _ScriptedWords:
+    """Stands in for a row's Philox bit generator: hands out given raw words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def random_raw(self, size):
+        taken, self.words = self.words[:size], self.words[size:]
+        return taken.copy()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_sample_thresholds_are_exact_at_each_boundary(kind, monkeypatch):
+    # Feed the sampler raw words whose top 53 bits sit at k = T - 1, T and
+    # T + 1 for the exact threshold T = ceil(p * 2**53) of every probability,
+    # under random low bits: its counts must be those of the comparison on
+    # the doubles (raw >> 11) * 2**-53.
+    rnd = random.Random(f"thresholds/{kind.value}")
+    points = sorted({
+        float(q) for p in SAMPLER_ALPHABET for q in (p, np.nextafter(p, 0.0), np.nextafter(p, 1.0))
+    })
+    for _ in range(3):
+        params = _lenient_params(kind, rnd, points)
+        grid = set()
+        for p in params.probabilities:
+            threshold = math.ceil(Fraction(p) * 2**53)
+            grid.update(k for k in (threshold - 1, threshold, threshold + 1) if 0 <= k < 2**53)
+        grid = sorted(grid)
+        rows, n = len(variable_roles(kind).order), 3 * len(grid)
+        words = np.array([
+            [(rnd.choice(grid) << 11) | rnd.randrange(2048) for _ in range(n)] for _ in range(rows)
+        ], dtype=np.uint64)
+        monkeypatch.setattr(
+            joint_mod, "_stream_at",
+            lambda seed, offset: _ScriptedWords(words[offset // n]),
+        )
+        counts = sample(params, n, seed=0).counts
+        assert np.array_equal(counts, _reference_counts(params, (words >> 11) * 2.0**-53))
 
 
 def test_sample_memory_is_flat():
