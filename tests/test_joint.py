@@ -758,6 +758,10 @@ def test_sample_matches_one_block_across_chunk_boundaries(kind):
 # The lenient edges, plus the uniforms' grid points next to 0 and 1, where an
 # integer threshold one off would part from the comparison on doubles.
 SAMPLER_ALPHABET = LENIENT_ALPHABET + (2.0**-53, 1 - 2.0**-53)
+# Each of these and its neighbouring doubles in [0, 1].
+BOUNDARY_POINTS = sorted({
+    float(q) for p in SAMPLER_ALPHABET for q in (p, np.nextafter(p, 0.0), np.nextafter(p, 1.0))
+})
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -788,10 +792,7 @@ def test_philox_doubles_are_its_shifted_raw_words(key):
 def test_integer_thresholds_agree_with_double_comparisons():
     # k * 2**-53 < p exactly when k < ceil(p * 2**53), on either side of each
     # threshold the sampler computes.
-    points = set(SAMPLER_ALPHABET)
-    for p in SAMPLER_ALPHABET:
-        points.update((float(np.nextafter(p, 0.0)), float(np.nextafter(p, 1.0))))
-    for p in sorted(points):
+    for p in BOUNDARY_POINTS:
         threshold = int(np.ceil(np.array([p]) * 2.0**53).astype(np.uint64)[0])
         assert 0 <= threshold <= 2**53
         for k in (threshold - 1, threshold, threshold + 1):
@@ -817,11 +818,8 @@ def test_sample_thresholds_are_exact_at_each_boundary(kind, monkeypatch):
     # under random low bits: its counts must be those of the comparison on
     # the doubles (raw >> 11) * 2**-53.
     rnd = random.Random(f"thresholds/{kind.value}")
-    points = sorted({
-        float(q) for p in SAMPLER_ALPHABET for q in (p, np.nextafter(p, 0.0), np.nextafter(p, 1.0))
-    })
     for _ in range(3):
-        params = _lenient_params(kind, rnd, points)
+        params = _lenient_params(kind, rnd, BOUNDARY_POINTS)
         grid = set()
         for p in params.probabilities:
             threshold = math.ceil(Fraction(p) * 2**53)
@@ -832,8 +830,7 @@ def test_sample_thresholds_are_exact_at_each_boundary(kind, monkeypatch):
             [(rnd.choice(grid) << 11) | rnd.randrange(2048) for _ in range(n)] for _ in range(rows)
         ], dtype=np.uint64)
         monkeypatch.setattr(
-            joint_mod, "_stream_at",
-            lambda seed, offset: _ScriptedWords(words[offset // n]),
+            joint_mod, "_stream_at", lambda seed, offset: _ScriptedWords(words[offset // n])
         )
         counts = sample(params, n, seed=0).counts
         assert np.array_equal(counts, _reference_counts(params, (words >> 11) * 2.0**-53))
