@@ -161,10 +161,18 @@ _WRITE_SLICE = 1 << 20
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
+    """Write ``text`` to ``--out``, or to stdout; an ``--out`` that cannot be
+    written is malformed input."""
     out = getattr(args, "out", None)
-    with open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout) as handle:
-        for start in range(0, len(text), _WRITE_SLICE):
-            handle.write(text[start:start + _WRITE_SLICE])
+    try:
+        target = open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout)
+        with target as handle:
+            for start in range(0, len(text), _WRITE_SLICE):
+                handle.write(text[start:start + _WRITE_SLICE])
+    except OSError as exc:
+        if not out:
+            raise
+        raise ParameterError(f"cannot write {out}: {exc}") from None
 
 
 def _dump_json(doc: dict) -> str:

@@ -159,9 +159,15 @@ class JointTable:
     array, view or base can change it later.  Queries gather the cells of
     an event through index rows cached per variable order and event, and
     add them with :meth:`_sums`.
+
+    A batch answers each event sum and each :func:`cond_measure` once: it
+    keeps them, read-only, in a private memo that lives as long as the
+    batch.  A query that raises stores nothing, so its guard runs, and
+    raises, on every call.  One table keeps no memo (``_memo`` is None): it
+    answers a query or two and is dropped.
     """
 
-    __slots__ = ("kind", "order", "_cells", "_mass")
+    __slots__ = ("kind", "order", "_cells", "_mass", "_memo")
 
     def __init__(self, kind: StructureKind, order: tuple[str, ...], mass) -> None:
         n = len(order)
@@ -171,11 +177,11 @@ class JointTable:
         if getattr(mass, "ndim", 1) == 1:
             # A caller's array becomes float64 numbers, as a batch's entries are.
             cells = tuple(mass.astype(float).tolist() if hasattr(mass, "astype") else mass)
-            self._cells, self._mass, shape = cells, None, (len(cells),)
+            self._cells, self._mass, self._memo, shape = cells, None, None, (len(cells),)
         else:
             import numpy as np
 
-            self._cells, self._mass = None, np.array(mass, dtype=np.float64)
+            self._cells, self._mass, self._memo = None, np.array(mass, dtype=np.float64), {}
             shape = self._mass.shape
         if shape[-1:] != (2**n,) or len(shape) > 2:
             raise ParameterError(f"mass must have shape (2**{n},) or (B, 2**{n}), got {shape}")
@@ -204,9 +210,15 @@ class JointTable:
         """The probability of each of the events, in turn: a list of numbers
         for one table, a (len(events.rows), B) array for a batch.  Either
         way, each is the sum of the event's cells in :func:`ordered_sum`'s
-        order."""
+        order.  A batch adds the cells of given events once and keeps the
+        read-only result, keyed by the events object itself
+        (:func:`_cell_index` makes one per variable order and events)."""
         if self._cells is None:
-            return ordered_sum(self._mass[:, events.index]).T
+            sums = self._memo.get(events)
+            if sums is None:
+                sums = self._memo[events] = ordered_sum(self._mass[:, events.index]).T
+                sums.setflags(write=False)
+            return sums
         return events.add(self._cells)
 
     def column(self, name: str) -> np.ndarray:
@@ -426,8 +438,24 @@ def cond_measure(
 
     Cov is E[XY|.] - E[X|.]E[Y|.]; RD is P(Y=1|X=1,.) - P(Y=1|X=0,.); RR and
     OR are the corresponding conditional ratios.  The bias relative to the
-    marginal association is formed by :func:`bias`, not here.
+    marginal association is formed by :func:`bias`, not here.  A batch
+    evaluates each (scale, conditioning) once and keeps the measure, its
+    value read-only; a measure that raises is not kept.
     """
+    memo = table._memo
+    if memo is None:
+        return _measure(table, scale, conditioning)
+    key = scale, conditioning
+    measure = memo.get(key)
+    if measure is None:
+        measure = _measure(table, scale, conditioning)
+        measure.value.setflags(write=False)
+        memo[key] = measure
+    return measure
+
+
+def _measure(table: JointTable, scale: Scale, conditioning: Conditioning | None) -> OracleMeasure:
+    """:func:`cond_measure`, evaluated."""
     if isinstance(conditioning, LinearModel):
         return OracleMeasure(lm_coefficient(table), Scale.LM_COEF, conditioning)
     p11, p10, p01, p00, p_g = _xy_stratum_cells(table, conditioning)

@@ -12,7 +12,11 @@ everything hold?" and "with how much room?".
 The draws run in fixed-size batches, each drawn by one
 structures.random_structure_params call: every check below evaluates the
 closed forms, the oracle and the sign rules once per batch, on arrays whose
-entries are bit-identical to each draw's own floats.
+entries are bit-identical to each draw's own floats.  The checks ask the
+batch's joint table for the same event sums and measures many times over;
+the table answers each once and keeps the answer (errors are never kept,
+and a single table keeps nothing), so each check can ask for what it needs
+without threading results between checks.
 """
 
 from __future__ import annotations
@@ -216,15 +220,16 @@ def _check_oracle_identities(params: StructureParams, table, rec: _Recorder) -> 
     averaged = (raw1 * rd1 + raw0 * rd0) / (raw1 + raw0)
     rec.absolute("lm_weighted_average_identity", joint_mod.lm_coefficient(table), averaged)
 
-    # Symmetry of the weight normalizer in its two variables, from every
-    # first and pairwise moment, each summed once.
-    pairs = list(itertools.combinations(table.order, 2))
-    means = dict(zip(table.order, table.probs(*({name: 1} for name in table.order))))
-    products = table.probs(*({f: 1, g: 1} for f, g in pairs))
-    for (f, g), fg in zip(pairs, products):
-        raw1, raw0 = joint_mod.normalizer_terms(means[f], means[g], fg)
-        swapped1, swapped0 = joint_mod.normalizer_terms(means[g], means[f], fg)
-        rec.absolute("design_symmetry_identity", raw1 + raw0, swapped1 + swapped0)
+    # Symmetry of the weight normalizer in its two variables, over every pair
+    # at once: (pairs, B) arrays of the first and pairwise moments.
+    order = table.order
+    left, right = zip(*itertools.combinations(range(len(order)), 2))
+    means = table.probs(*({name: 1} for name in order))
+    products = table.probs(*({order[f]: 1, order[g]: 1} for f, g in zip(left, right)))
+    f1, g1 = means[list(left)], means[list(right)]
+    raw1, raw0 = joint_mod.normalizer_terms(f1, g1, products)
+    swapped1, swapped0 = joint_mod.normalizer_terms(g1, f1, products)
+    rec.absolute("design_symmetry_identity", raw1 + raw0, swapped1 + swapped0)
 
 
 def _check_supplementary(params: StructureParams, table, rec: _Recorder) -> None:

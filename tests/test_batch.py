@@ -319,3 +319,94 @@ def test_nan_discrepancy_counts_as_a_failure():
     assert not result.passed
     result.record(np.array([math.nan, 2e-12, 1e-13]))
     assert (result.checked, result.failures, result.max_discrepancy) == (5, 3, 2e-12)
+
+
+def _batch_queries(kind):
+    """Every oracle query a batch of ``kind`` keeps in its memo, by name: each
+    stratum (and the whole table) on each scale, lm, event sums and the lm
+    normalizer terms."""
+    strata = [None] + [
+        Stratum(variable, level)
+        for variable in ("C", "D") if variable == "C" or kind.has_child_d
+        for level in (1, 0)
+    ]
+    queries = {
+        f"{stratum}/{scale.value}": lambda t, s=scale, g=stratum: cond_measure(t, s, g).value
+        for stratum in strata
+        for scale in (Scale.COV, Scale.RD, Scale.RR, Scale.OR)
+    }
+    queries["lm"] = lambda t: cond_measure(t, Scale.LM_COEF, LINEAR_MODEL).value
+    queries["lm_coefficient"] = lm_coefficient
+    queries["prob"] = lambda t: t.prob()
+    queries["probs"] = lambda t: t.probs(*({name: 1} for name in t.order))
+    queries["pair_probs"] = lambda t: t.probs({"X": 1, "Y": 1}, {"X": 0, "Y": 1})
+    queries["lm_normalizer_terms"] = lambda t: np.array(joint_mod.lm_normalizer_terms(t))
+    return queries
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_memoized_batch_queries_keep_the_bits_of_a_fresh_batch(kind):
+    # One batch asked every query twice over, in shuffled order, answers each
+    # with the bits a fresh batch gives when asked that query alone.
+    _, params = _draws(kind, seed=17)
+    queries = _batch_queries(kind)
+    fresh = {
+        name: query(joint_mod.build_joint_batch(params)).tobytes() for name, query in queries.items()
+    }
+    order = list(queries) * 2
+    random.Random(kind.value).shuffle(order)
+    batch = joint_mod.build_joint_batch(params)
+    for name in order:
+        assert queries[name](batch).tobytes() == fresh[name], name
+
+
+def test_memoized_batch_arrays_are_read_only():
+    _, params = _draws(StructureKind.LONG_M)
+    batch = joint_mod.build_joint_batch(params)
+    stratum = Stratum("D", 1)
+    kept = [
+        batch.prob(),
+        batch.probs({"X": 1}, {"Y": 1}),
+        cond_measure(batch, Scale.OR, stratum).value,
+        cond_measure(batch, Scale.LM_COEF, LINEAR_MODEL).value,
+    ]
+    before = [array.tobytes() for array in kept]
+    for array in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            array[..., 0] = 0.5
+    assert batch.prob().tobytes() == before[0]
+    assert batch.probs({"X": 1}, {"Y": 1}).tobytes() == before[1]
+    assert cond_measure(batch, Scale.OR, stratum).value.tobytes() == before[2]
+    assert cond_measure(batch, Scale.LM_COEF, LINEAR_MODEL).value.tobytes() == before[3]
+
+
+def test_memoized_batch_raises_on_every_call():
+    # No error is kept: a batch whose draw 3 has no mass at C=1 raises, naming
+    # draw 3, each time it is asked, and its other answers still come.
+    collider = np.random.default_rng(9).uniform(0.05, 0.95, size=(4, 6))
+    collider[:, 3] = 0.0
+    params = StructureParams(
+        kind=StructureKind.V, p_left=np.full(6, 0.4), p_right=np.full(6, 0.7),
+        p_c_given=ColliderCpt(*collider),
+    )
+    batch = joint_mod.build_joint_batch(params)
+    stratum = Stratum("C", 1)
+    for _ in range(3):
+        for scale in (Scale.COV, Scale.RD, Scale.OR):
+            with pytest.raises(DegenerateStratumError) as info:
+                cond_measure(batch, scale, stratum)
+            assert info.value.draw == 3
+            assert str(info.value) == "draw 3: stratum C=1 has zero probability"
+            with pytest.raises(DegenerateStratumError, match="^draw 3: "):
+                bias(batch, BiasQuery(stratum, scale))
+        assert cond_measure(batch, Scale.COV, Stratum("C", 0)).value.shape == (6,)
+    assert not any(key[1] == stratum for key in batch._memo if isinstance(key, tuple))
+
+
+def test_single_tables_keep_no_memo():
+    params = random_structure_params(StructureKind.LONG_M, np.random.default_rng(2))
+    table = build_joint(params)
+    bias(table, BiasQuery(Stratum("D", 1), Scale.OR))
+    bias(table, BiasQuery(LINEAR_MODEL))
+    table.probs({"X": 1}, {"Y": 1})
+    assert table._memo is None

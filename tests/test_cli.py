@@ -743,6 +743,17 @@ MALFORMED_RUNS = {
                                  "--p-c-given: expected key=value entries, got ''"),
     "grid-empty-child-edge": ([*GRID_FLAGS, "--p-d-given-c", ""],
                               "--p-d-given-c: expected key=value entries, got ''"),
+    # An --out that cannot be opened for writing is malformed input too.
+    "verify-out-missing-directory": (
+        ["verify", "--kind", "V", "--draws", "3", "--out", "{missing_dir_out}"], "cannot write "
+    ),
+    "sample-out-missing-directory": (
+        ["sample", *REFERENCE_FLAGS, "--draws", "10", "--out", "{missing_dir_out}"], "cannot write "
+    ),
+    "grid-out-directory": ([*GRID_FLAGS, "--resolution", "5", "--out", "{dir_out}"],
+                           "cannot write "),
+    "compute-out-directory": (["compute", *REFERENCE_FLAGS, "--lm", "--out", "{dir_out}"],
+                              "cannot write "),
 }
 
 
@@ -764,6 +775,8 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, fragment):
         "{latin1_json}": str(tmp_path / "latin1.json"),
         "{huge_int_json}": str(tmp_path / "huge.json"),
         "{long_int_json}": str(tmp_path / "long.json"),
+        "{missing_dir_out}": str(tmp_path / "missing" / "x.json"),
+        "{dir_out}": str(tmp_path),
     }
     code, out, err = run_cli(capsys, *(paths.get(arg, arg) for arg in argv))
     assert code == 2
