@@ -443,45 +443,41 @@ def cond_measure(
     value read-only; a measure that raises is not kept.
     """
     memo = table._memo
-    if memo is None:
-        return _measure(table, scale, conditioning)
-    key = scale, conditioning
-    measure = memo.get(key)
-    if measure is None:
-        measure = _measure(table, scale, conditioning)
+    if memo is not None:
+        key = scale, conditioning
+        if key in memo:
+            return memo[key]
+    if isinstance(conditioning, LinearModel):
+        measure = OracleMeasure(lm_coefficient(table), Scale.LM_COEF, conditioning)
+    else:
+        p11, p10, p01, p00, p_g = _xy_stratum_cells(table, conditioning)
+        if scale is Scale.COV:
+            e_xy = p11 / p_g
+            e_x = (p11 + p10) / p_g
+            e_y = (p11 + p01) / p_g
+            value = e_xy - e_x * e_y
+        elif scale in (Scale.RD, Scale.RR):
+            bad = (p11 + p10 <= 0.0) | (p01 + p00 <= 0.0)
+            raise_where(bad, UndefinedRatioError, "P(X=x, stratum) = 0 for some x")
+            risk1 = p11 / (p11 + p10)
+            risk0 = p01 / (p01 + p00)
+            if scale is Scale.RD:
+                value = risk1 - risk0
+            else:
+                bad = (risk0 <= 0.0) | (risk1 <= 0.0)
+                raise_where(bad, UndefinedRatioError, "P(Y=1 | X=x, stratum) = 0 for some x")
+                value = risk1 / risk0
+        elif scale is Scale.OR:
+            bad = (p10 * p01 <= 0.0) | (p11 * p00 <= 0.0)
+            raise_where(bad, UndefinedRatioError, "a zero cell makes the odds ratio undefined")
+            value = (p11 * p00) / (p10 * p01)
+        else:
+            raise ParameterError(f"scale {scale} requires linear-model conditioning")
+        measure = OracleMeasure(value, scale, conditioning)
+    if memo is not None:
         measure.value.setflags(write=False)
         memo[key] = measure
     return measure
-
-
-def _measure(table: JointTable, scale: Scale, conditioning: Conditioning | None) -> OracleMeasure:
-    """:func:`cond_measure`, evaluated."""
-    if isinstance(conditioning, LinearModel):
-        return OracleMeasure(lm_coefficient(table), Scale.LM_COEF, conditioning)
-    p11, p10, p01, p00, p_g = _xy_stratum_cells(table, conditioning)
-    if scale is Scale.COV:
-        e_xy = p11 / p_g
-        e_x = (p11 + p10) / p_g
-        e_y = (p11 + p01) / p_g
-        value = e_xy - e_x * e_y
-    elif scale in (Scale.RD, Scale.RR):
-        bad = (p11 + p10 <= 0.0) | (p01 + p00 <= 0.0)
-        raise_where(bad, UndefinedRatioError, "P(X=x, stratum) = 0 for some x")
-        risk1 = p11 / (p11 + p10)
-        risk0 = p01 / (p01 + p00)
-        if scale is Scale.RD:
-            value = risk1 - risk0
-        else:
-            bad = (risk0 <= 0.0) | (risk1 <= 0.0)
-            raise_where(bad, UndefinedRatioError, "P(Y=1 | X=x, stratum) = 0 for some x")
-            value = risk1 / risk0
-    elif scale is Scale.OR:
-        bad = (p10 * p01 <= 0.0) | (p11 * p00 <= 0.0)
-        raise_where(bad, UndefinedRatioError, "a zero cell makes the odds ratio undefined")
-        value = (p11 * p00) / (p10 * p01)
-    else:
-        raise ParameterError(f"scale {scale} requires linear-model conditioning")
-    return OracleMeasure(value, scale, conditioning)
 
 
 def bias(table: JointTable, query: BiasQuery) -> OracleMeasure:
