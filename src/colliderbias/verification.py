@@ -13,10 +13,9 @@ The draws run in fixed-size batches, each drawn by one
 structures.random_structure_params call: every check below evaluates the
 closed forms, the oracle and the sign rules once per batch, on arrays whose
 entries are bit-identical to each draw's own floats.  The checks ask the
-batch's joint table for the same event sums and measures many times over;
-the table answers each once and keeps the answer (errors are never kept,
-and a single table keeps nothing), so each check can ask for what it needs
-without threading results between checks.
+batch's joint table for many of the same event sums and measures; the
+table answers each once and keeps the answer (errors are never kept, and
+a single table keeps nothing).
 """
 
 from __future__ import annotations
