@@ -161,18 +161,25 @@ _WRITE_SLICE = 1 << 20
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    """Write ``text`` to ``--out``, or to stdout; an ``--out`` that cannot be
-    written is malformed input."""
+    """Write ``text`` to ``--out``, or to stdout.  A target that cannot be
+    written, such as a missing directory, a full disk or a closed pipe, exits
+    2 like malformed input: exit 1 means a failed check."""
     out = getattr(args, "out", None)
     try:
         target = open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout)
         with target as handle:
             for start in range(0, len(text), _WRITE_SLICE):
                 handle.write(text[start:start + _WRITE_SLICE])
+            handle.flush()
     except OSError as exc:
-        if not out:
-            raise
-        raise ParameterError(f"cannot write {out}: {exc}") from None
+        if out:
+            raise ParameterError(f"cannot write {out}: {exc}") from None
+        # The interpreter flushes stdout again on exit, which would fail the
+        # same way and exit 120: send what is left to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ParameterError(f"cannot write stdout: {exc}") from None
 
 
 def _dump_json(doc: dict) -> str:

@@ -6,9 +6,10 @@ answers any marginal/conditional query from that table alone.  Nothing in
 this module knows about the closed-form bias expressions, which keeps it an
 independent cross-check for them.
 
-One table's cells are Python numbers, built and summed in plain arithmetic,
-so its queries load no numpy; a batch of tables (:func:`build_joint_batch`),
-the sampler and a table's ``mass`` and ``column`` arrays do.
+A table's cells are Python numbers for one draw, or float64 arrays over
+the draws of a batch; one loop builds both, and one compiled sum adds both.
+One table's queries load no numpy; a batch, the sampler and a table's
+``mass`` and ``column`` arrays do.
 """
 
 from __future__ import annotations
@@ -75,35 +76,30 @@ def _cell_index(order: tuple[str, ...], events: tuple[tuple[tuple[str, int], ...
 
 class _EventCells:
     """The cells of each of some events (:func:`_cell_index`): ``rows[i]``
-    lists, ascending, the cells where event i holds.  Each way of adding
-    them up is made on first use, once per variable order and events."""
+    lists, ascending, the cells where event i holds."""
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
         self.rows = rows
 
     @cached_property
     def add(self):
-        """A function from one table's cells to the list of each event's
-        probability, compiled from source that adds each row's cells in
-        :func:`ordered_sum`'s order (:func:`_sum_source`): one table's sums
-        carry the bits of a batch's entries, and run no loop."""
+        """A function from a table's cells, numbers or a batch's arrays, to
+        the list of each event's probability, compiled from source that adds
+        each row's cells in :func:`_sum_source`'s order, with no loop."""
         sums = ", ".join(_sum_source([f"c[{i}]" for i in row]) for row in self.rows)
         return eval(f"lambda c: [{sums}]")  # the source holds only cell indexes
 
-    @cached_property
-    def index(self) -> np.ndarray:
-        """The rows as one read-only array, the gather of a batch; the
-        events must each hold on equally many cells."""
-        import numpy as np
-
-        index = np.array(self.rows)
-        index.setflags(write=False)
-        return index
-
 
 def _sum_source(terms: list[str]) -> str:
-    """Python source adding the expressions ``terms`` as :func:`ordered_sum`
-    adds a row of numbers, step for step."""
+    """Python source adding the expressions ``terms``, at most 128 of them,
+    in the order in which ``ndarray.sum`` adds a contiguous 1-D float64
+    array, so that each sum is bit-identical to that of its own cells'
+    ``.sum()``: a left fold below 8 terms; otherwise eight running sums
+    started at the first 8 terms, each further block of 8 added in, combined
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the tail folded in.  A batch
+    adds its cells' arrays elementwise in the same order, so each draw's sum
+    carries the bits of its own table's.  Tier-1 tests pin this order
+    against ``ndarray.sum``."""
     k = len(terms)
     if k < 8:
         total, tail = terms[0], 1
@@ -120,45 +116,21 @@ def _sum_source(terms: list[str]) -> str:
     return total
 
 
-def ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, of at most 128 terms, in the order in which
-    ``ndarray.sum`` adds a contiguous 1-D float64 array, so that each entry
-    is bit-identical to its row's own ``.sum()``: a left fold below 8 terms;
-    otherwise eight running sums started at the first 8 terms, each further
-    block of 8 added in, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and
-    the tail folded in.  A tier-1 test pins this against ``ndarray.sum``."""
-    k = terms.shape[-1]
-    if k < 8:
-        total, tail = terms[..., 0], 1
-    else:
-        r = terms[..., :8]
-        tail = k - k % 8
-        for i in range(8, tail, 8):
-            r = r + terms[..., i : i + 8]
-        r = r[..., 0::2] + r[..., 1::2]
-        r = r[..., 0::2] + r[..., 1::2]
-        total = r[..., 0] + r[..., 1]
-    for j in range(tail, k):
-        total = total + terms[..., j]
-    return total
-
-
 class JointTable:
     """Exact joint distribution over the structure's binary variables.
 
     ``mass[i]`` is the probability of the assignment whose bits (with
-    ``order[0]`` as the most significant bit) spell the integer ``i``.  One
-    table keeps its cells as Python numbers and answers every query in plain
-    arithmetic; its ``mass`` is a read-only float64 array of them, made on
-    first access.  A batch of B tables of one kind (:func:`build_joint_batch`)
-    has mass of shape (B, 2**n); every query then answers with a (B,) array
-    whose entries are bit-identical to the numbers each row's own table
-    gives.
+    ``order[0]`` as the most significant bit) spell the integer ``i``.  The
+    table holds a tuple of its 2**n cells.  One table's cells are Python
+    numbers, so it answers every query in plain arithmetic; its ``mass`` is
+    a read-only float64 array of them, made on first access.  A batch of B
+    tables of one kind has mass of shape (B, 2**n), each cell a float64
+    array over the draws; every query then answers with a (B,) array whose
+    entries are bit-identical to the numbers each draw's own table gives.
 
     The table owns its mass: construction copies it, so no caller's list,
-    array, view or base can change it later.  Queries gather the cells of
-    an event through index rows cached per variable order and event, and
-    add them with :meth:`_sums`.
+    array, view or base can change it later.  Queries add the cells of an
+    event, listed per variable order and event, with :meth:`_sums`.
 
     A batch answers each event sum and each :func:`cond_measure` once: it
     keeps them, read-only, in a private memo that lives as long as the
@@ -177,23 +149,26 @@ class JointTable:
         if getattr(mass, "ndim", 1) == 1:
             # A caller's array becomes float64 numbers, as a batch's entries are.
             cells = tuple(mass.astype(float).tolist() if hasattr(mass, "astype") else mass)
-            self._cells, self._mass, self._memo, shape = cells, None, None, (len(cells),)
+            self._mass, self._memo, shape = None, None, (len(cells),)
         else:
             import numpy as np
 
-            self._cells, self._mass, self._memo = None, np.array(mass, dtype=np.float64), {}
+            self._mass, self._memo = np.array(mass, dtype=np.float64), {}
+            self._mass.setflags(write=False)
             shape = self._mass.shape
         if shape[-1:] != (2**n,) or len(shape) > 2:
             raise ParameterError(f"mass must have shape (2**{n},) or (B, 2**{n}), got {shape}")
         # Any NaN or infinite entry makes the sum NaN or infinite, and a NaN
         # fails every comparison.
-        if self._mass is None:
+        if self._memo is None:
+            self._cells = cells
             if not (abs(self.prob() - 1) <= 1e-12 and min(cells) >= 0):
                 raise ParameterError(_MASS_MESSAGE)
         else:
-            ok = (abs(ordered_sum(self._mass) - 1.0) <= 1e-12) & (self._mass.min(axis=-1) >= 0.0)
+            # A batch's cells are the columns of its mass, each over the draws.
+            self._cells = tuple(self._mass.T)
+            ok = (abs(self.prob() - 1.0) <= 1e-12) & (self._mass.min(axis=-1) >= 0.0)
             raise_where(~ok, ParameterError, _MASS_MESSAGE)
-            self._mass.setflags(write=False)
 
     @property
     def mass(self) -> np.ndarray:
@@ -208,18 +183,19 @@ class JointTable:
 
     def _sums(self, events: _EventCells):
         """The probability of each of the events, in turn: a list of numbers
-        for one table, a (len(events.rows), B) array for a batch.  Either
-        way, each is the sum of the event's cells in :func:`ordered_sum`'s
-        order.  A batch adds the cells of given events once and keeps the
-        read-only result, keyed by the events object itself
-        (:func:`_cell_index` makes one per variable order and events)."""
-        if self._cells is None:
-            sums = self._memo.get(events)
-            if sums is None:
-                sums = self._memo[events] = ordered_sum(self._mass[:, events.index]).T
-                sums.setflags(write=False)
-            return sums
-        return events.add(self._cells)
+        for one table, a (len(events.rows), B) array for a batch, which adds
+        the cells of given events once and keeps the read-only result, keyed
+        by the events object (one per variable order and events)."""
+        memo = self._memo
+        if memo is None:
+            return events.add(self._cells)
+        sums = memo.get(events)
+        if sums is None:
+            import numpy as np
+
+            sums = memo[events] = np.array(events.add(self._cells))
+            sums.setflags(write=False)
+        return sums
 
     def column(self, name: str) -> np.ndarray:
         """Boolean per-cell indicator that ``name`` equals 1."""
@@ -236,8 +212,7 @@ class JointTable:
         return total
 
     def probs(self, *events: dict[str, int]):
-        """:meth:`prob` of each event, in turn; on a batch the events must
-        each hold on equally many cells."""
+        """:meth:`prob` of each event, in turn."""
         return self._sums(_cell_index(self.order, tuple(tuple(event.items()) for event in events)))
 
     def expectation(self, *names: str):
@@ -246,36 +221,35 @@ class JointTable:
 
 
 def build_joint(params: StructureParams) -> JointTable:
-    """Multiply the factor probabilities along the role map of the kind, in
-    plain arithmetic.  The cells grow one variable at a time, in role order:
-    each partial product over the variables so far splits into its product
-    with P(next = 0 | parents) and with P(next = 1 | parents), read from
+    """Multiply the factor probabilities along the role map of the kind.  The
+    cells grow one variable at a time, in role order: each partial product
+    over the variables so far splits into its product with P(next = 0 |
+    parents) and with P(next = 1 | parents), read from
     ``params.probabilities`` where :func:`_factor_places` puts them.  So each
-    cell is the left fold of its factors in role order, as a batch's axis-0
-    product is."""
+    cell is the left fold of its factors in role order.
+
+    One draw's cells are numbers, multiplied in plain arithmetic.  A batch of
+    draws of one kind, such as ``structures.random_structure_params`` gives
+    with a draw count, grows float64 arrays over its draws in the same loop:
+    its probabilities are cast to float64 first, whatever their dtype, so
+    row b of its mass is bit-identical to the table of draw b alone."""
     p = params.probabilities
+    batch = getattr(params.p_left, "ndim", 0)
+    if batch:
+        import numpy as np
+
+        p = list(np.array(p, dtype=np.float64))
+    q = [1 - one for one in p]
     cells = [1]
     for places in _factor_places(params.kind):
         grown = []
         for prefix, at in zip(cells, places):
-            one = p[at]
-            grown.append(prefix * (1 - one))
-            grown.append(prefix * one)
+            grown.append(prefix * q[at])
+            grown.append(prefix * p[at])
         cells = grown
-    return JointTable(kind=params.kind, order=variable_roles(params.kind).order, mass=cells)
-
-
-def build_joint_batch(params: StructureParams) -> JointTable:
-    """One JointTable of mass (B, 2**n) for a batch of draws of one kind,
-    such as ``structures.random_structure_params`` gives with a draw count.
-    Row b is bit-identical to ``build_joint`` of draw b: the factors
-    multiply in the same order."""
-    import numpy as np
-
-    p = np.array(params.probabilities, dtype=np.float64)
-    # The (2F, B) factors [1 - p, p]; axis 0 multiplies row by row, in role order.
-    mass = np.concatenate((1.0 - p, p))[_factor_index(params.kind)].prod(axis=0)
-    return JointTable(kind=params.kind, order=variable_roles(params.kind).order, mass=mass.T)
+    # A batch's cells stack into (2**n, B); its mass is the (B, 2**n) view.
+    mass = np.array(cells).T if batch else cells
+    return JointTable(kind=params.kind, order=variable_roles(params.kind).order, mass=mass)
 
 
 # The schema field of each variable that has parents.  A variable without
@@ -311,24 +285,6 @@ def _factor_places(kind: StructureKind) -> tuple[tuple[int, ...], ...]:
             row.append(starts[field_name] + code)
         places.append(tuple(row))
     return tuple(places)
-
-
-@lru_cache(maxsize=None)
-def _factor_index(kind: StructureKind) -> np.ndarray:
-    """(n, 2**n) positions in a batch's factors ``[1 - p, p]``, F entries
-    each: row k holds, for each cell, the place of P(order[k] = its value |
-    its parents' values), that is F times the value plus the
-    :func:`_factor_places` entry of the cell's first k variables."""
-    import numpy as np
-
-    places = _factor_places(kind)
-    n, width = len(places), sum(_FIELD_WIDTHS[name] for name in _KIND_FIELDS[kind])
-    index = np.array([
-        [width * ((cell >> (n - 1 - k)) & 1) + row[cell >> (n - k)] for cell in range(2**n)]
-        for k, row in enumerate(places)
-    ])
-    index.setflags(write=False)
-    return index
 
 
 @dataclass(frozen=True)

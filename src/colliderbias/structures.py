@@ -401,6 +401,13 @@ class StructureParams:
                 check_probabilities(self._probability_items())
                 break
 
+    def __hash__(self) -> int:
+        # One draw hashes by value.  A batch's arrays have no hash, so a
+        # batch hashes by identity: it can key a dict or a set all the same.
+        if getattr(self.p_left, "ndim", 0):
+            return object.__hash__(self)
+        return hash((self.kind, self.probabilities))
+
     def _probability_items(self) -> Iterator[tuple[str, str | None, float]]:
         """(field, table key or None, value) for every probability, in
         schema order."""

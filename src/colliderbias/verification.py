@@ -384,12 +384,12 @@ def verify_kind(kind: StructureKind, draws: int, seed: int) -> KindVerification:
     for first in range(0, draws, _BATCH):
         size = min(_BATCH, draws - first)
         params = random_structure_params(kind, rng, size)
-        table = joint_mod.build_joint_batch(params)
+        table = joint_mod.build_joint(params)
         biases = _stratum_biases(table)
         # The embedded V or Y structure's; a V, Nabla or Y structure is its
         # own core.
         if kind.is_extended:
-            core_biases = _stratum_biases(joint_mod.build_joint_batch(cf.embedded_core(params)))
+            core_biases = _stratum_biases(joint_mod.build_joint(cf.embedded_core(params)))
         else:
             core_biases = biases
         _check_joint_basics(params, table, rec)

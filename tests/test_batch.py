@@ -1,6 +1,7 @@
 """The batched array core: every entry a batch gives must carry the same bits
 as the scalar call on that draw alone."""
 
+import hashlib
 import math
 import random
 
@@ -53,24 +54,31 @@ def _same_bits(batch, scalars):
     return [float(g).hex() for g in got] == [float(s).hex() for s in scalars]
 
 
+def _compiled_sum(length):
+    """The sum of cells 0..length-1 that joint._sum_source writes."""
+    return eval("lambda c: " + joint_mod._sum_source([f"c[{i}]" for i in range(length)]))
+
+
 @pytest.mark.parametrize("length", [*range(1, 33), 64])
 def test_ordered_sum_matches_ndarray_sum(length):
     # Pins numpy's own summation order: a numpy release that changes it
-    # fails here before any batch result can drift from a scalar one.
+    # fails here before any batch result can drift from a scalar one.  A
+    # batch adds its cells, (B,) arrays, with the compiled sum.
     rng = np.random.default_rng(length)
     terms = rng.random((500, length)) * rng.choice([1e-9, 1e-3, 1.0, 1e3], size=(500, length))
     expected = [float(row.sum()) for row in terms]
-    assert joint_mod.ordered_sum(terms).tolist() == expected
-    assert joint_mod.ordered_sum(terms.T.copy().T).tolist() == expected  # any memory order
+    add = _compiled_sum(length)
+    assert add(tuple(terms.T)).tolist() == expected
+    assert add(tuple(terms.T.copy())).tolist() == expected  # any memory order
 
 
 def test_gathered_rows_sum_as_each_row_alone():
     # One table adds the numbers of each gathered row with the source that
-    # joint._sum_source writes, a batch its (B, E, k) gather with
-    # joint.ordered_sum; each row must get the bits its own 1-D .sum() gives.
+    # joint._sum_source writes, a batch the (B,) arrays of those cells; each
+    # row must get the bits its own 1-D .sum() gives.
     rng = np.random.default_rng(64)
     for length in range(1, 65):
-        add_row = eval("lambda c: " + joint_mod._sum_source([f"c[{i}]" for i in range(length)]))
+        add_row = _compiled_sum(length)
         for _ in range(50):
             mass = rng.random(64) * rng.choice([1e-9, 1e-3, 1.0, 1e3], size=64)
             rows = int(rng.integers(1, 16))
@@ -78,19 +86,22 @@ def test_gathered_rows_sum_as_each_row_alone():
             expected = [float(mass[row].sum()) for row in index]
             assert [add_row(mass[row].tolist()) for row in index] == expected, length
             batch = np.stack([mass, mass[::-1]])
-            assert joint_mod.ordered_sum(batch[:, index])[0].tolist() == expected, length
+            assert [add_row(tuple(batch[:, row].T))[0] for row in index] == expected, length
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_batch_oracle_matches_single_tables(kind):
     draws, params = _draws(kind)
     tables = [build_joint(one) for one in draws]
-    batch = joint_mod.build_joint_batch(params)
+    batch = build_joint(params)
     assert batch.mass.shape == (DRAWS, tables[0].mass.shape[0])
     assert batch.mass.tobytes() == np.stack([t.mass for t in tables]).tobytes()
     assert _same_bits(batch.prob(), [t.prob() for t in tables])
     for names in [(name,) for name in batch.order] + [("X", "Y"), ("X", "C", "Y")]:
         assert _same_bits(batch.expectation(*names), [t.expectation(*names) for t in tables])
+    events = ({"X": 1}, {"X": 1, "Y": 0}, {})  # events of different sizes, at once
+    for k, row in enumerate(batch.probs(*events)):
+        assert _same_bits(row, [t.probs(*events)[k] for t in tables])
     variable = kind.conditioning_variable
     strata = [None] + [Stratum(v, level) for v in ("C", variable) for level in (1, 0)]
     for stratum in strata:
@@ -157,7 +168,7 @@ def test_batch_oracle_matches_single_tables_on_the_lenient_domain(kind):
     # tables raise, a batch raises the same error at the first of them.
     draws = _lenient_draws(kind, 60)
     tables = [build_joint(params) for params in draws]
-    assert joint_mod.build_joint_batch(_stack(draws)).mass.tobytes() == b"".join(
+    assert build_joint(_stack(draws)).mass.tobytes() == b"".join(
         table.mass.tobytes() for table in tables
     )
     variable = kind.conditioning_variable
@@ -177,12 +188,12 @@ def test_batch_oracle_matches_single_tables_on_the_lenient_domain(kind):
         ok = [b for b, value in enumerate(singles) if type(value) is float]
         bad = [b for b, value in enumerate(singles) if type(value) is not float]
         assert ok, query
-        values = bias(joint_mod.build_joint_batch(_stack([draws[b] for b in ok])), query).value
+        values = bias(build_joint(_stack([draws[b] for b in ok])), query).value
         assert _same_bits(values, [singles[b] for b in ok]), query
         if not bad:
             continue
         with pytest.raises(singles[bad[0]]) as info:
-            bias(joint_mod.build_joint_batch(_stack(draws[: bad[0] + 1])), query)
+            bias(build_joint(_stack(draws[: bad[0] + 1])), query)
         assert type(info.value) is singles[bad[0]] and info.value.draw == bad[0], query
         raised.add(singles[bad[0]])
     assert len(raised) >= 2  # the draws reach more than one guard
@@ -250,7 +261,7 @@ def test_batch_guard_names_the_first_bad_draw():
     assert info.value.draw == 2
     assert str(info.value) == "draw 2: stratum C=1 has zero probability"
     with pytest.raises(DegenerateStratumError) as info:
-        cond_measure(joint_mod.build_joint_batch(batch), Scale.COV, Stratum("C", 1))
+        cond_measure(build_joint(batch), Scale.COV, Stratum("C", 1))
     assert info.value.draw == 2
 
 
@@ -262,7 +273,7 @@ def test_batch_singular_design_names_the_first_bad_draw():
         p_c_given=ColliderCpt(*collider),
     )
     with pytest.raises(SingularDesignError) as info:
-        lm_coefficient(joint_mod.build_joint_batch(batch))
+        lm_coefficient(build_joint(batch))
     assert info.value.draw == 1
     assert str(info.value) == "draw 1: X and C are collinear under the joint distribution"
 
@@ -280,6 +291,44 @@ def test_batch_nonfinite_check_names_the_first_bad_factor_and_draw():
     with pytest.raises(PrecisionLossError, match="^draw 2: oracle gave non-finite cov = -inf$"):
         joint_mod.OracleMeasure(np.array([0.0, 1.0, -math.inf]), Scale.COV)
     cf.BiasReport(value=np.zeros(5), factors={"rd_child": 1.0, "g": np.ones(5)}, **report)
+
+
+def _map_probabilities(params, convert):
+    """``params`` with ``convert`` applied to every probability array."""
+    fields = {}
+    for name, field_type in _FIELD_TYPES.items():
+        value = getattr(params, name)
+        if value is not None:
+            fields[name] = (convert(value) if field_type is float
+                            else field_type(*map(convert, value.values())))
+    return StructureParams(kind=params.kind, **fields)
+
+
+# Probability arrays of other real dtypes: float32 and longdouble values, and
+# integer 0 or 1.
+DTYPE_CONVERSIONS = (
+    lambda v: v.astype(np.float32),
+    lambda v: v.astype(np.longdouble),
+    lambda v: (v > 0.5).astype(np.int64),
+)
+
+# sha256 over the mass bytes of each kind's batch under each conversion; the
+# builder casts a batch's probabilities to float64 before it multiplies.
+TYPED_MASS_DIGEST = "b344c2f3a0eab5eab5b7e8d54fbc8ee394e625ce72e02dc46fd57fb0e1b2c5a8"
+
+
+def test_batches_of_other_dtypes_build_float64_mass():
+    digest = hashlib.sha256()
+    for kind in ALL_KINDS:
+        draws = random_structure_params(kind, np.random.default_rng(5), 8)
+        for convert in DTYPE_CONVERSIONS:
+            typed = _map_probabilities(draws, convert)
+            mass = build_joint(typed).mass
+            as_float64 = _map_probabilities(typed, lambda v: v.astype(np.float64))
+            assert mass.dtype == np.float64
+            assert mass.tobytes() == build_joint(as_float64).mass.tobytes()
+            digest.update(mass.tobytes())
+    assert digest.hexdigest() == TYPED_MASS_DIGEST
 
 
 @pytest.mark.parametrize("size", [1, 7])
@@ -351,18 +400,18 @@ def test_memoized_batch_queries_keep_the_bits_of_a_fresh_batch(kind):
     _, params = _draws(kind, seed=17)
     queries = _batch_queries(kind)
     fresh = {
-        name: query(joint_mod.build_joint_batch(params)).tobytes() for name, query in queries.items()
+        name: query(build_joint(params)).tobytes() for name, query in queries.items()
     }
     order = list(queries) * 2
     random.Random(kind.value).shuffle(order)
-    batch = joint_mod.build_joint_batch(params)
+    batch = build_joint(params)
     for name in order:
         assert queries[name](batch).tobytes() == fresh[name], name
 
 
 def test_memoized_batch_arrays_are_read_only():
     _, params = _draws(StructureKind.LONG_M)
-    batch = joint_mod.build_joint_batch(params)
+    batch = build_joint(params)
     stratum = Stratum("D", 1)
     kept = [
         batch.prob(),
@@ -389,7 +438,7 @@ def test_memoized_batch_raises_on_every_call():
         kind=StructureKind.V, p_left=np.full(6, 0.4), p_right=np.full(6, 0.7),
         p_c_given=ColliderCpt(*collider),
     )
-    batch = joint_mod.build_joint_batch(params)
+    batch = build_joint(params)
     stratum = Stratum("C", 1)
     for _ in range(3):
         for scale in (Scale.COV, Scale.RD, Scale.OR):

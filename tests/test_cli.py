@@ -3,6 +3,10 @@ import itertools
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -783,6 +787,33 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, fragment):
     assert out == ""
     assert err.startswith("error:")
     assert fragment in err
+
+
+def _cli_process(*argv: str, **streams) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("COLLIDER_BIAS_LOG", None)
+    return subprocess.Popen([sys.executable, "-m", "colliderbias", *argv], env=env,
+                            stderr=subprocess.PIPE, **streams)
+
+
+def test_closed_stdout_exits_2_with_one_error_line():
+    # A reader that stops early, as `grid ... | head -c 100` does.  The grid
+    # is several write slices long, so a write comes after the pipe closed.
+    with _cli_process(*GRID_FLAGS, "--resolution", "600", stdout=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 2
+    assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_full_stdout_exits_2_with_one_error_line():
+    with open("/dev/full", "wb") as full:
+        with _cli_process("compute", *REFERENCE_FLAGS, "--lm", stdout=full) as proc:
+            err = proc.stderr.read().decode()
+    assert proc.returncode == 2
+    assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 def test_grid_resolution_cap_rejects_before_allocating(capsys):

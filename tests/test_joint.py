@@ -315,7 +315,7 @@ _CHILD_TABLE = {
 
 def _reference_mass(params, batch=False):
     """The builder that multiplied in one ``np.where`` per variable, kept as
-    the reference of the factor gather: a (2**n,) mass, or (B, 2**n) over a
+    the reference of ``build_joint``: a (2**n,) mass, or (B, 2**n) over a
     batch."""
     roles = variable_roles(params.kind)
     bits = dict(zip(roles.order, _reference_bits(len(roles.order))))
@@ -398,7 +398,7 @@ def test_oracle_bits_pinned():
                     text = _error_text(exc)
                 digest.update(text.encode())
         batch = random_structure_params(kind, np.random.default_rng(43), 16)
-        digest.update(joint_mod.build_joint_batch(batch).mass.tobytes())
+        digest.update(build_joint(batch).mass.tobytes())
     assert digest.hexdigest() == ORACLE_DIGEST
 
 
@@ -409,7 +409,7 @@ def test_builds_equal_the_reference_mass(kind):
     batch = random_structure_params(kind, np.random.default_rng(43), 16)
     expected = _reference_mass(batch, batch=True)
     assert expected.shape == (16, 2 ** len(variable_roles(kind).order))
-    assert joint_mod.build_joint_batch(batch).mass.tobytes() == expected.tobytes()
+    assert build_joint(batch).mass.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

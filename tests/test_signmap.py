@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -81,6 +82,46 @@ def test_classify_tie():
     # interaction verdicts are still reported for tied tables
     assert effects.rr_interaction_canonical is Sign.ZERO
     assert effects.rd_interaction is Sign.ZERO
+
+
+def _logit_interaction(cpt):
+    """logit q11 + logit q00 - logit q10 - logit q01, with q the collider
+    table at the canonical level: the level c with P(C=c|1,1) >= P(C=c|0,0)."""
+    canonical = 1 if cpt.given_11 >= cpt.given_00 else 0
+
+    def logit(p):
+        q = p if canonical else 1.0 - p
+        return math.log(q / (1.0 - q))
+
+    return logit(cpt.given_11) + logit(cpt.given_00) - logit(cpt.given_10) - logit(cpt.given_01)
+
+
+def test_or_interaction_is_the_sign_of_the_logit_contrast():
+    rng = np.random.default_rng(2016)
+    checked = 0
+    for entries in rng.uniform(0.01, 0.99, size=(2000, 4)):
+        cpt = ColliderCpt(*entries)
+        contrast = _logit_interaction(cpt)
+        if abs(contrast) < 1e-6:
+            continue
+        expected = Sign.POSITIVE if contrast > 0 else Sign.NEGATIVE
+        assert classify_effects(cpt).or_interaction is expected, cpt
+        checked += 1
+    assert checked >= 1990
+
+
+def test_or_interaction_is_zero_on_the_zero_locus():
+    # Entries k/16 whose odds satisfy o11 o00 = o10 o01 exactly, at either
+    # level: every product in the odds-ratio contrast is exact in binary.
+    on_locus = [
+        ks for ks in itertools.product(range(1, 16), repeat=4)
+        if ks[3] * ks[0] * (16 - ks[2]) * (16 - ks[1]) == ks[2] * ks[1] * (16 - ks[3]) * (16 - ks[0])
+    ]
+    assert len(on_locus) > 300
+    for ks in on_locus:
+        cpt = ColliderCpt(*(k / 16 for k in ks))
+        assert abs(_logit_interaction(cpt)) < 1e-12, cpt
+        assert classify_effects(cpt).or_interaction is Sign.ZERO, cpt
 
 
 def test_extended_sign_rejects_wrong_stratum_variable():

@@ -2,6 +2,7 @@ import dataclasses
 import math
 from types import MappingProxyType
 
+import numpy as np
 import pytest
 
 from colliderbias import (
@@ -211,6 +212,16 @@ def test_nabla_requires_outcome_edge():
 def test_json_round_trip_is_bit_identical(kind, rng):
     params = random_structure_params(kind, rng)
     assert StructureParams.from_json(params.to_json()) == params
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_params_hash_by_value_and_a_batch_by_identity(kind, rng):
+    params = random_structure_params(kind, rng)
+    again = StructureParams.from_json(params.to_json())
+    assert again is not params and hash(again) == hash(params)
+    assert {params, again} == {params}
+    batches = [random_structure_params(kind, np.random.default_rng(3), 4) for _ in range(2)]
+    assert len({batch: None for batch in batches * 2}) == 2
 
 
 def test_schema_covers_every_field_in_one_order():
