@@ -174,12 +174,17 @@ def _emit(args: argparse.Namespace, text: str) -> None:
     except OSError as exc:
         if out:
             raise ParameterError(f"cannot write {out}: {exc}") from None
-        # The interpreter flushes stdout again on exit, which would fail the
-        # same way and exit 120: send what is left to the null device.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        raise ParameterError(f"cannot write stdout: {exc}") from None
+        raise _lost_stdout(exc) from None
+
+
+def _lost_stdout(exc: OSError) -> ParameterError:
+    """The error for a stdout that cannot be written.  The interpreter
+    flushes stdout again on exit, which would fail the same way and exit
+    120, so what is left goes to the null device."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return ParameterError(f"cannot write stdout: {exc}")
 
 
 def _dump_json(doc: dict) -> str:
@@ -604,8 +609,23 @@ def cmd_grid(args: argparse.Namespace) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help, usage and version text, on a stdout
+    that cannot take it, raises the error of every subcommand's output;
+    argparse itself ignores the failed write and exits 0."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if not message or file is None or file is not sys.stdout:
+            return super()._print_message(message, file)
+        try:
+            file.write(message)
+            file.flush()
+        except OSError as exc:
+            raise _lost_stdout(exc) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="collider-bias",
         description="Exact magnitude and sign of collider bias for binary-variable structures.",
     )
@@ -668,9 +688,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
-    args = _parser().parse_args(argv)
-    log.info("running %s", args.command)
     try:
+        args = _parser().parse_args(argv)
+        log.info("running %s", args.command)
         return args.func(args)
     except ColliderBiasError as exc:
         print(f"error: {exc}", file=sys.stderr)

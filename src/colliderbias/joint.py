@@ -490,6 +490,9 @@ class SampleTable:
 # length, so the sampler's memory does not grow with the draw count.
 _SAMPLE_CHUNK = 1 << 14
 
+# Most threads one :func:`sample` call draws on, the caller's included.
+_SAMPLE_THREADS = 8
+
 
 def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
     """Ancestral Monte Carlo sampling of the structure, n draws.
@@ -505,10 +508,16 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
     Philox's uniform is ``(raw >> 11) * 2**-53`` for a raw 64-bit word, and
     ``p * 2**53`` is exact for every p in [0, 1], subnormals included.  So
     ``u < p`` exactly when ``raw >> 11 < ceil(p * 2**53)``, and each variable
-    compares raw words with one integer table, indexed by that cell code.
-    Each row's bit generator starts at its place (:func:`_stream_at`), and
-    the draws go through in chunks of ``_SAMPLE_CHUNK``: memory stays flat.
+    compares raw words with one integer table, indexed by that cell code, or
+    with its one threshold if it has no parents.  The draws go through in
+    chunks of ``_SAMPLE_CHUNK``, so memory stays flat, and the chunks are
+    split into contiguous ranges, one per thread (:func:`_sample_threads`).
+    Each range's rows start at their place in the stream (:func:`_stream_at`)
+    and the ranges' counts are added, so the counts do not depend on the
+    number of threads.
     """
+    import threading
+
     import numpy as np
 
     if n < 1:
@@ -517,23 +526,78 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
         raise ParameterError(f"seed must lie in [0, 2**128), got {seed}")
     order = variable_roles(params.kind).order
     scaled = np.array(params.probabilities, dtype=np.float64) * 2.0**53  # exact
-    tables = [np.ceil(scaled[list(at)]).astype(np.uint64) for at in _factor_places(params.kind)]
-    rows = [_stream_at(seed, k * n) for k in range(len(order))]
-    counts = np.zeros(2 ** len(order), dtype=np.intp)
-    size = min(n, _SAMPLE_CHUNK)
+    tables = []
+    for at in _factor_places(params.kind):
+        table = np.ceil(scaled[list(at)]).astype(np.uint64)
+        tables.append(table[0] if len(set(at)) == 1 else table)
+    chunks = range(0, n, _SAMPLE_CHUNK)
+    workers = min(_sample_threads(), len(chunks))
+    ranges = [chunks[len(chunks) * w // workers : len(chunks) * (w + 1) // workers]
+              for w in range(workers)]
+    results: list = [None] * workers
+
+    def draw(w: int) -> None:
+        try:
+            results[w] = _sample_range(tables, seed, n, ranges[w])
+        except Exception as exc:  # raised on the caller's thread below
+            results[w] = exc
+
+    # The caller's thread draws the first range, and one worker starts no thread.
+    threads = [threading.Thread(target=draw, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        draw(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    counts = results[0]
+    for more in results[1:]:
+        counts += more
+    return SampleTable(kind=params.kind, order=order, counts=counts, draws=n)
+
+
+def _sample_threads() -> int:
+    """Most threads a sample draws on: one per CPU this process may run on,
+    at most ``_SAMPLE_THREADS``."""
+    import os
+
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call off Linux
+        usable = os.cpu_count() or 1
+    return min(usable, _SAMPLE_THREADS)
+
+
+def _sample_range(tables: list, seed: int, n: int, starts: range) -> np.ndarray:
+    """Cell counts of the draws in the chunks that begin at ``starts``, a
+    contiguous run of multiples of ``_SAMPLE_CHUNK`` below n.  Row k's bit
+    generator starts at word k*n + starts[0] of the seed's stream; numpy's
+    bit generators and ufuncs let go of the GIL on each chunk, so ranges on
+    other threads draw at the same time."""
+    import numpy as np
+
+    rows = [_stream_at(seed, k * n + starts[0]) for k in range(len(tables))]
+    counts = np.zeros(2 ** len(tables), dtype=np.intp)
+    size = min(n - starts[0], _SAMPLE_CHUNK)
     cells, limits, below = (np.empty(size, dtype) for dtype in (np.uint8, np.uint64, bool))
-    for start in range(0, n, _SAMPLE_CHUNK):
+    for start in starts:
         size = min(_SAMPLE_CHUNK, n - start)
         cell, limit, bit = cells[:size], limits[:size], below[:size]
         cell.fill(0)  # the code of order[:k], at most 6 bits
         for bits, table in zip(rows, tables):
             raw = bits.random_raw(size)
             raw >>= 11
-            np.less(raw, np.take(table, cell, out=limit, mode="clip"), out=bit)
-            cell <<= 1
+            if table.ndim:
+                table = np.take(table, cell, out=limit, mode="clip")
+            np.less(raw, table, out=bit)
+            np.add(cell, cell, out=cell)  # cell <<= 1, several times faster
             cell |= bit
         counts += np.bincount(cell, minlength=counts.size)
-    return SampleTable(kind=params.kind, order=order, counts=counts, draws=n)
+    return counts
 
 
 def _stream_at(seed: int, offset: int) -> np.random.Philox:

@@ -408,6 +408,14 @@ class StructureParams:
             return object.__hash__(self)
         return hash((self.kind, self.probabilities))
 
+    def __eq__(self, other: object) -> bool:
+        # As the hash: one draw by value, a batch by identity.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if getattr(self.p_left, "ndim", 0) or getattr(other.p_left, "ndim", 0):
+            return self is other
+        return self.kind is other.kind and self.probabilities == other.probabilities
+
     def _probability_items(self) -> Iterator[tuple[str, str | None, float]]:
         """(field, table key or None, value) for every probability, in
         schema order."""

@@ -816,6 +816,17 @@ def test_full_stdout_exits_2_with_one_error_line():
     assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("argv", [["--help"], ["sample", "--help"], ["--version"]])
+def test_help_on_a_full_stdout_exits_2_with_one_error_line(argv):
+    # argparse ignores a failed write of its own text and exits 0.
+    with open("/dev/full", "wb") as full:
+        with _cli_process(*argv, stdout=full) as proc:
+            err = proc.stderr.read().decode()
+    assert proc.returncode == 2
+    assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
 def test_grid_resolution_cap_rejects_before_allocating(capsys):
     code, out, err = run_cli(capsys, *GRID_FLAGS, "--resolution", str(10**9))
     assert code == 2

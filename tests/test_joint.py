@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -753,6 +755,48 @@ def test_sample_matches_one_block_across_chunk_boundaries(kind):
     for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
         for seed in (0, 8):
             assert np.array_equal(sample(params, n, seed).counts, _reference_sample(params, n, seed))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 5])
+def test_sample_counts_do_not_depend_on_the_thread_count(threads, monkeypatch):
+    # Up to more threads than chunks, and ranges of unequal length: every
+    # split of the chunks draws the one-block counts.
+    # A short switch interval makes the threads interleave often.
+    monkeypatch.setattr(joint_mod, "_sample_threads", lambda: threads)
+    chunk = joint_mod._SAMPLE_CHUNK
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for kind in (StructureKind.V, StructureKind.LONG_M):
+            params = random_structure_params(kind, np.random.default_rng(23))
+            for n in (1, chunk - 1, chunk + 1, 2 * chunk + 3, 5 * chunk + 7):
+                counts = sample(params, n, seed=4).counts
+                assert np.array_equal(counts, _reference_sample(params, n, 4)), (kind, n)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_sample_raises_a_worker_thread_error_and_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(joint_mod, "_sample_threads", lambda: 3)
+    params = random_structure_params(StructureKind.M, np.random.default_rng(2))
+    n = 3 * joint_mod._SAMPLE_CHUNK
+    before = threading.active_count()
+    assert sample(params, n, seed=1).counts.sum() == n
+    assert threading.active_count() == before
+    # Rows of the caller's range start at word k*n; the others do not.
+    error = RuntimeError("worker failed")
+    stream_at = joint_mod._stream_at
+
+    def failing(seed, offset):
+        if offset % n:
+            raise error
+        return stream_at(seed, offset)
+
+    monkeypatch.setattr(joint_mod, "_stream_at", failing)
+    with pytest.raises(RuntimeError) as raised:
+        sample(params, n, seed=1)
+    assert raised.value is error
+    assert threading.active_count() == before
 
 
 # The lenient edges, plus the uniforms' grid points next to 0 and 1, where an

@@ -224,6 +224,19 @@ def test_params_hash_by_value_and_a_batch_by_identity(kind, rng):
     assert len({batch: None for batch in batches * 2}) == 2
 
 
+@pytest.mark.parametrize("draws", [1, 3])
+def test_params_equality_agrees_with_the_hash(draws):
+    # A batch compares by identity, as it hashes, even when its draws are
+    # equal; one draw compares by value.
+    a, b = (random_structure_params(StructureKind.V, np.random.default_rng(1), draws)
+            for _ in range(2))
+    assert a == a and a != b and not a == b
+    assert len({a, b}) == 2 and len({a, a}) == 1
+    one = random_structure_params(StructureKind.V, np.random.default_rng(1))
+    assert one == StructureParams.from_json(one.to_json()) and one != a
+    assert len({one, StructureParams.from_json(one.to_json())}) == 1
+
+
 def test_schema_covers_every_field_in_one_order():
     order = list(_FIELD_TYPES)
     assert set(order) == {f.name for f in dataclasses.fields(StructureParams)} - {"kind"}
