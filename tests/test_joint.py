@@ -799,6 +799,75 @@ def test_sample_raises_a_worker_thread_error_and_leaves_no_thread(monkeypatch):
     assert threading.active_count() == before
 
 
+class _CountedWords:
+    """Wraps a row's bit generator and counts the chunks it hands out."""
+
+    def __init__(self, bits, drawn):
+        self.bits, self.drawn = bits, drawn
+
+    def random_raw(self, size):
+        self.drawn.append(size)
+        return self.bits.random_raw(size)
+
+
+class _Interrupted:
+    """A row whose first chunk meets Ctrl-C."""
+
+    def random_raw(self, size):
+        raise KeyboardInterrupt
+
+
+def test_sample_stops_every_thread_on_an_interrupt(monkeypatch):
+    monkeypatch.setattr(joint_mod, "_sample_threads", lambda: 3)
+    params = random_structure_params(StructureKind.M, np.random.default_rng(2))
+    rows = len(variable_roles(StructureKind.M).order)
+    per_range = 200
+    n = 3 * per_range * joint_mod._SAMPLE_CHUNK
+    drawn = []
+    stream_at = joint_mod._stream_at
+
+    def streams(seed, offset):
+        # Rows of the caller's range start at word k*n; the others do not.
+        return _CountedWords(stream_at(seed, offset), drawn) if offset % n else _Interrupted()
+
+    monkeypatch.setattr(joint_mod, "_stream_at", streams)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        sample(params, n, seed=1)
+    assert threading.active_count() == before
+    # The other two ranges quit at their next chunk, far short of their end.
+    assert len(drawn) < rows * per_range
+
+
+def test_sample_joins_its_threads_when_one_will_not_start(monkeypatch):
+    monkeypatch.setattr(joint_mod, "_sample_threads", lambda: 3)
+    params = random_structure_params(StructureKind.M, np.random.default_rng(2))
+    started = []
+
+    class StartsOnce(threading.Thread):
+        def start(self):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", StartsOnce)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        sample(params, 3 * 200 * joint_mod._SAMPLE_CHUNK, seed=1)
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == before
+
+
+def test_sample_threads_stop_at_the_cap(monkeypatch):
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert joint_mod._sample_threads() == joint_mod._SAMPLE_THREADS
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert joint_mod._sample_threads() == 1
+
+
 # The lenient edges, plus the uniforms' grid points next to 0 and 1, where an
 # integer threshold one off would part from the comparison on doubles.
 SAMPLER_ALPHABET = LENIENT_ALPHABET + (2.0**-53, 1 - 2.0**-53)
@@ -880,14 +949,17 @@ def test_sample_thresholds_are_exact_at_each_boundary(kind, monkeypatch):
         assert np.array_equal(counts, _reference_counts(params, (words >> 11) * 2.0**-53))
 
 
-def test_sample_memory_is_flat():
+def test_sample_memory_is_flat(monkeypatch):
     # tracemalloc sees numpy's buffers; one block of a million LongM draws
-    # peaked at about 67 MiB.
+    # peaked at about 67 MiB.  Each thread has its own chunk buffers, so the
+    # bound holds with one thread and with the most a sample may start.
     params = random_structure_params(StructureKind.LONG_M, np.random.default_rng(5))
-    tracemalloc.start()
-    try:
-        sample(params, 1_000_000, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    for threads in (1, joint_mod._SAMPLE_THREADS):
+        monkeypatch.setattr(joint_mod, "_sample_threads", lambda: threads)
+        tracemalloc.start()
+        try:
+            sample(params, 1_000_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, threads
