@@ -479,7 +479,8 @@ def parse_grid_csv(text: str) -> SignGrid:
     parameters, and the rows' last fields give the signs.  The text must
     then be exactly what grid_to_csv prints for that grid, which checks the
     header, every coordinate and the zero loci; any other text raises
-    ParameterError.
+    ParameterError.  Public API, with grid_to_csv: the benchmark's grid
+    check and CI read grids back with it.
     """
     meta: dict[str, str] = {}
     start = 0

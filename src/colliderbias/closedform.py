@@ -22,7 +22,7 @@ Vocabulary used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import (
@@ -37,6 +37,7 @@ from .structures import (
     BiasQuery,
     ColliderCpt,
     Conditioning,
+    EdgeCpt,
     Scale,
     Sign,
     Stratum,
@@ -88,12 +89,12 @@ def classify_sign(value: float, scale: Scale) -> Sign:
 class BiasReport:
     """Value, sign and decomposition factors of one closed-form bias, each an
     array over a batch of draws; a non-finite value or factor raises
-    PrecisionLossError."""
+    PrecisionLossError.  The sign is derived from the value on its scale."""
 
     value: float
     scale: Scale
     conditioning: Conditioning
-    sign: Sign
+    sign: Sign = field(init=False)
     factors: Mapping[str, float]
 
     def __post_init__(self) -> None:
@@ -101,6 +102,7 @@ class BiasReport:
         if not (isinstance(self.value, float) and all(map(math.isfinite, numbers))):
             named = (*self.factors.items(), ("value", self.value))
             raise_first_nonfinite("closed form gave non-finite", named)
+        object.__setattr__(self, "sign", classify_sign(self.value, self.scale))
 
 
 def _require_kind(params: StructureParams, *kinds: StructureKind) -> None:
@@ -131,21 +133,15 @@ def _given_left(params: StructureParams, level: int, left: int, child: bool) -> 
     p_r1 = params.p_right
     assert p_r1 is not None
     p_r0 = 1.0 - p_r1
-    if child:
-        return p_r1 * _child_mixture(params, level, left, 1) + p_r0 * _child_mixture(
-            params, level, left, 0
-        )
     t = params.p_c_given
-    return p_r1 * t.level_given(level, left, 1) + p_r0 * t.level_given(level, left, 0)
-
-
-def _child_mixture(params: StructureParams, d: int, left: int, right: int) -> float:
-    """P(D=d | collider parents = (left, right)), mixing over C."""
-    assert params.p_d_given_c is not None
-    t = params.p_c_given
-    return t.level_given(1, left, right) * params.p_d_given_c.level_given(d, 1) + t.level_given(
-        0, left, right
-    ) * params.p_d_given_c.level_given(d, 0)
+    if not child:
+        return p_r1 * t.level_given(level, left, 1) + p_r0 * t.level_given(level, left, 0)
+    d_cpt = params.p_d_given_c
+    assert d_cpt is not None
+    # P(D=level | left, right) mixes the child edge over C at each right value.
+    return p_r1 * d_cpt.mixture(level, t.level_given(1, left, 1), t.level_given(0, left, 1)) + (
+        p_r0 * d_cpt.mixture(level, t.level_given(1, left, 0), t.level_given(0, left, 0))
+    )
 
 
 def _stratum_odds_ratio(t: ColliderCpt, level: int) -> float:
@@ -165,6 +161,12 @@ def v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
     or:   P(C=c|00)P(C=c|11) / {P(C=c|10)P(C=c|01)}.
     """
     _require_kind(params, StructureKind.V)
+    return _v_stratum_bias(params, level, scale)
+
+
+def _v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasReport:
+    """:func:`v_stratum_bias` of the V structure embedded in ``params``, which
+    may be of any kind with a ``p_right``: it reads only the V fields."""
     assert params.p_right is not None
     g = cross_product_difference(params.p_c_given, level)
     p_x1, p_y1 = params.p_left, params.p_right
@@ -186,13 +188,7 @@ def v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
         value = _stratum_odds_ratio(params.p_c_given, level)
     else:
         raise ParameterError(f"no closed stratum form on scale {scale.value}")
-    return BiasReport(
-        value=value,
-        scale=scale,
-        conditioning=Stratum("C", level),
-        sign=classify_sign(value, scale),
-        factors=factors,
-    )
+    return BiasReport(value=value, scale=scale, conditioning=Stratum("C", level), factors=factors)
 
 
 def nabla_or_bias_factor(params: StructureParams, level: int) -> BiasReport:
@@ -215,7 +211,6 @@ def nabla_or_bias_factor(params: StructureParams, level: int) -> BiasReport:
         value=value,
         scale=Scale.OR,
         conditioning=Stratum("C", level),
-        sign=classify_sign(value, Scale.OR),
         factors={"marginal_or": marginal, "conditional_or": marginal * value},
     )
 
@@ -229,6 +224,13 @@ def y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
     the bias vanishes on every scale.
     """
     _require_kind(params, StructureKind.Y)
+    return _y_stratum_bias(params, level, scale)
+
+
+def _y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasReport:
+    """:func:`y_stratum_bias` of the Y structure embedded in ``params``, which
+    may be of any kind with a ``p_right`` and a child D: it reads only the Y
+    fields."""
     assert params.p_right is not None and params.p_d_given_c is not None
     t = params.p_c_given
     d = level
@@ -258,25 +260,23 @@ def y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
         raise_where(bad, UndefinedRatioError, f"P(D={d} | X=x) = 0 for some x")
         value = p_y1 * p_y0 * core / (d_given_x1 * d_given_x0)
     elif scale is Scale.OR:
-        num = (pd1 - pd0) * (
-            pd1 * t.level_given(1, 0, 0) * t.level_given(1, 1, 1)
-            - pd0 * t.level_given(0, 0, 0) * t.level_given(0, 1, 1)
-        ) + pd1 * pd0
-        den = (pd1 - pd0) * (
-            pd1 * t.level_given(1, 1, 0) * t.level_given(1, 0, 1)
-            - pd0 * t.level_given(0, 1, 0) * t.level_given(0, 0, 1)
-        ) + pd1 * pd0
+        num = _y_odds_term(t, pd1, pd0, (0, 0), (1, 1))
+        den = _y_odds_term(t, pd1, pd0, (1, 0), (0, 1))
         raise_where(den <= 0.0, UndefinedRatioError, f"odds-ratio denominator vanishes at D={d}")
         value = num / den
     else:
         raise ParameterError(f"no closed stratum form on scale {scale.value}")
-    return BiasReport(
-        value=value,
-        scale=scale,
-        conditioning=Stratum("D", d),
-        sign=classify_sign(value, scale),
-        factors=factors,
-    )
+    return BiasReport(value=value, scale=scale, conditioning=Stratum("D", d), factors=factors)
+
+
+def _y_odds_term(t: ColliderCpt, pd1: float, pd0: float, a: tuple, b: tuple) -> float:
+    """(pd1 - pd0)(pd1 P(C=1|a) P(C=1|b) - pd0 P(C=0|a) P(C=0|b)) + pd1 pd0 for
+    collider-parent cells a and b: the Y structure's odds ratio at D=d is this
+    term on cells 00, 11 over the term on cells 10, 01."""
+    return (pd1 - pd0) * (
+        pd1 * t.level_given(1, *a) * t.level_given(1, *b)
+        - pd0 * t.level_given(0, *a) * t.level_given(0, *b)
+    ) + pd1 * pd0
 
 
 def y_bias_from_embedded_v(params: StructureParams, level: int) -> float:
@@ -296,14 +296,13 @@ def y_bias_from_embedded_v(params: StructureParams, level: int) -> float:
     p_d = params.prob_child(d)
     p_d_sq = p_d * p_d  # zero when P(D=d) is zero or underflows on squaring
     raise_where(p_d_sq <= 0.0, DegenerateStratumError, "D", d)
-    embedded = _embedded_core(params, StructureKind.V)
     pd1 = params.p_d_given_c.level_given(d, 1)
     pd0 = params.p_d_given_c.level_given(d, 0)
     pc1 = params.prob_collider(1)
     pc0 = params.prob_collider(0)
     return (pd1 - pd0) / p_d_sq * (
-        pd1 * pc1 * pc1 * v_stratum_bias(embedded, 1, Scale.COV).value
-        - pd0 * pc0 * pc0 * v_stratum_bias(embedded, 0, Scale.COV).value
+        pd1 * pc1 * pc1 * _v_stratum_bias(params, 1, Scale.COV).value
+        - pd0 * pc0 * pc0 * _v_stratum_bias(params, 0, Scale.COV).value
     )
 
 
@@ -311,23 +310,23 @@ def embedded_core(params: StructureParams) -> StructureParams:
     """The V or Y structure sitting inside an extended structure.
 
     The core keeps the collider table and the cause marginals; the causes
-    are simply renamed to the exposure/outcome slots of the core.
+    are simply renamed to the exposure/outcome slots of the core.  The closed
+    forms read the core's fields in place; this builds it for the oracle.
     """
     _require_kind(params, *_EXTENDED_KINDS)
-    return _embedded_core(params, StructureKind.Y if params.kind.has_child_d else StructureKind.V)
-
-
-def _embedded_core(params: StructureParams, kind: StructureKind) -> StructureParams:
-    """The ``kind`` structure on those fields of ``params`` that it takes."""
+    kind = StructureKind.Y if params.kind.has_child_d else StructureKind.V
     return StructureParams(kind=kind, **{name: getattr(params, name) for name in _KIND_FIELDS[kind]})
+
+
+def _rd_or_one(edge: EdgeCpt | None) -> float:
+    """The edge's risk difference, or 1 where the structure has no such edge."""
+    return 1.0 if edge is None else edge.risk_difference
 
 
 def extension_rds(params: StructureParams) -> tuple[float, float]:
     """(left, right) extension-path risk differences; 1 where there is no
     extension edge on that side."""
-    rd_left = params.p_x_given_a.risk_difference if params.p_x_given_a is not None else 1.0
-    rd_right = params.p_y_given_b.risk_difference if params.p_y_given_b is not None else 1.0
-    return rd_left, rd_right
+    return _rd_or_one(params.p_x_given_a), _rd_or_one(params.p_y_given_b)
 
 
 def extension_variance_ratio(params: StructureParams, level: int) -> float:
@@ -370,11 +369,8 @@ def extended_stratum_bias(params: StructureParams, level: int, scale: Scale) -> 
         raise ParameterError(
             f"no closed stratum form on scale {scale.value} for extended structures"
         )
-    core = embedded_core(params)
-    if core.kind is StructureKind.Y:
-        inner = y_stratum_bias(core, level, scale)
-    else:
-        inner = v_stratum_bias(core, level, scale)
+    embedded = _y_stratum_bias if params.kind.has_child_d else _v_stratum_bias
+    inner = embedded(params, level, scale)
     rd_left, rd_right = extension_rds(params)
     factors = dict(inner.factors)
     factors.update(
@@ -386,13 +382,7 @@ def extended_stratum_bias(params: StructureParams, level: int, scale: Scale) -> 
         value *= vr
         factors["variance_ratio"] = vr
     conditioning = Stratum(params.kind.conditioning_variable, level)
-    return BiasReport(
-        value=value,
-        scale=scale,
-        conditioning=conditioning,
-        sign=classify_sign(value, scale),
-        factors=factors,
-    )
+    return BiasReport(value=value, scale=scale, conditioning=conditioning, factors=factors)
 
 
 def _left_effect(t: ColliderCpt, p_right: float) -> float:
@@ -469,7 +459,6 @@ def v_lm_bias(params: StructureParams) -> BiasReport:
         value=value,
         scale=Scale.LM_COEF,
         conditioning=LINEAR_MODEL,
-        sign=classify_sign(value, Scale.LM_COEF),
         factors={"lm_kernel": kernel, "weight_1": w1, "weight_0": w0},
     )
 
@@ -517,8 +506,8 @@ def lm_weight_normalizer(params: StructureParams) -> float:
         return p_x1 * p_x0 * pc1 * pc0 - correction
     assert params.p_d_given_c is not None
     d_cpt = params.p_d_given_c
-    pd1 = d_cpt.given_1 * pc1 + d_cpt.given_0 * pc0
-    pd0 = (1.0 - d_cpt.given_1) * pc1 + (1.0 - d_cpt.given_0) * pc0
+    pd1 = d_cpt.mixture(1, pc1, pc0)
+    pd0 = d_cpt.mixture(0, pc1, pc0)
     return p_x1 * p_x0 * pd1 * pd0 - correction * (d_cpt.risk_difference * d_cpt.risk_difference)
 
 
@@ -537,9 +526,7 @@ def lm_bias(params: StructureParams) -> BiasReport:
     kernel = lm_bias_kernel(params)
     assert params.p_right is not None
     rd_left, rd_right = extension_rds(params)
-    rd_child = (
-        params.p_d_given_c.risk_difference if params.p_d_given_c is not None else 1.0
-    )
+    rd_child = _rd_or_one(params.p_d_given_c)
     var_left = params.p_left * (1.0 - params.p_left)
     var_right = params.p_right * (1.0 - params.p_right)
     phi = lm_weight_normalizer(params)
@@ -549,7 +536,6 @@ def lm_bias(params: StructureParams) -> BiasReport:
         value=value,
         scale=Scale.LM_COEF,
         conditioning=LINEAR_MODEL,
-        sign=classify_sign(value, Scale.LM_COEF),
         factors={
             "lm_kernel": kernel,
             "rd_left": rd_left,

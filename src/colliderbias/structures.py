@@ -222,9 +222,12 @@ class ColliderCpt(_Cpt):
         )
 
     def level_given(self, c: int, left: int, right: int) -> float:
-        """P(C=c | left, right)."""
-        p1 = self.given(left, right)
-        return p1 if c == 1 else 1.0 - p1
+        """P(C=c | left, right); a level other than 0 or 1 is a ParameterError."""
+        if c == 1:
+            return self.given(left, right)
+        if c == 0:
+            return 1.0 - self.given(left, right)
+        raise ParameterError(f"level must be 0 or 1, got {c!r}")
 
     def values(self) -> tuple:
         return self.given_00, self.given_01, self.given_10, self.given_11
@@ -243,8 +246,16 @@ class EdgeCpt(_Cpt):
         return self.given_1 if parent else self.given_0
 
     def level_given(self, value: int, parent: int) -> float:
-        p1 = self.given(parent)
-        return p1 if value == 1 else 1.0 - p1
+        """P(child=value | parent); a value other than 0 or 1 is a ParameterError."""
+        if value == 1:
+            return self.given(parent)
+        if value == 0:
+            return 1.0 - self.given(parent)
+        raise ParameterError(f"level must be 0 or 1, got {value!r}")
+
+    def mixture(self, value: int, w1: float, w0: float) -> float:
+        """P(child=value) with the parent at 1 by weight w1 and at 0 by weight w0."""
+        return w1 * self.level_given(value, 1) + w0 * self.level_given(value, 0)
 
     @property
     def risk_difference(self) -> float:
@@ -452,7 +463,7 @@ class StructureParams:
         if self.p_d_given_c is None:
             raise MissingFieldError(self.kind.value, "p_d_given_c")
         pc1 = self.prob_collider(1)
-        return pc1 * self.p_d_given_c.level_given(d, 1) + (1.0 - pc1) * self.p_d_given_c.level_given(d, 0)
+        return self.p_d_given_c.mixture(d, pc1, 1.0 - pc1)
 
     # -- serialization -----------------------------------------------------
 

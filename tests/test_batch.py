@@ -281,7 +281,7 @@ def test_batch_singular_design_names_the_first_bad_draw():
 def test_batch_nonfinite_check_names_the_first_bad_factor_and_draw():
     factors = {"rd_child": 1.0, "second": np.ones(5), "third": np.full(5, math.inf)}
     factors["second"][3] = math.nan
-    report = dict(scale=Scale.COV, conditioning=Stratum("C", 1), sign=Sign.ZERO)
+    report = dict(scale=Scale.COV, conditioning=Stratum("C", 1))
     with pytest.raises(PrecisionLossError) as info:
         cf.BiasReport(value=np.full(5, math.nan), factors=factors, **report)
     assert info.value.draw == 3
@@ -459,3 +459,53 @@ def test_single_tables_keep_no_memo():
     bias(table, BiasQuery(LINEAR_MODEL))
     table.probs({"X": 1}, {"Y": 1})
     assert table._memo is None
+
+
+# sha256 over the bits of every closed-form value, sign and factor, and of
+# each auxiliary closed form, that a batch of PINNED_DRAWS draws per kind
+# gives; regrouping any product or sum changes a last bit of some draw.
+PINNED_DRAWS = 300
+BATCH_CLOSED_FORM_DIGEST = "493bee4a20eeac8b2730b285a7ef7e0cd69aaff7989aed8be366a9b6746fd2f8"
+
+
+def test_batch_closed_form_bits_pinned():
+    digest = hashlib.sha256()
+
+    def pin(name, value):
+        digest.update(name.encode())
+        digest.update(np.broadcast_to(np.asarray(value, dtype=np.float64), PINNED_DRAWS).tobytes())
+
+    for kind in ALL_KINDS:
+        params = random_structure_params(kind, np.random.default_rng(2016), PINNED_DRAWS)
+        variable = kind.conditioning_variable
+        queries = [BiasQuery(LINEAR_MODEL)] + [
+            BiasQuery(Stratum(variable, level), scale)
+            for level in (1, 0)
+            for scale in (Scale.COV, Scale.RD, Scale.RR, Scale.OR)
+        ]
+        for query in queries:
+            report = cf.closed_form(params, query)
+            if report is None:
+                continue
+            where = f"{kind.value}/{query.conditioning}/{query.scale.value}"
+            pin(f"{where}/value", report.value)
+            pin(f"{where}/sign", report.sign)
+            for name in sorted(report.factors):
+                pin(f"{where}/{name}", report.factors[name])
+        for level in (1, 0):
+            pin(f"{kind.value}/P(C={level})", params.prob_collider(level))
+            if kind.has_child_d:
+                pin(f"{kind.value}/P(D={level})", params.prob_child(level))
+            if kind.has_left_a:
+                pin(f"{kind.value}/variance_ratio/{level}", cf.extension_variance_ratio(params, level))
+            if kind is StructureKind.Y:
+                pin(f"Y/embedded_v/{level}", cf.y_bias_from_embedded_v(params, level))
+        if kind is not StructureKind.NABLA:
+            pin(f"{kind.value}/lm_kernel", cf.lm_bias_kernel(params))
+            pin(f"{kind.value}/lm_normalizer", cf.lm_weight_normalizer(params))
+        if kind is StructureKind.V:
+            report = cf.v_lm_bias(params)
+            pin("V/v_lm/value", report.value)
+            for name in sorted(report.factors):
+                pin(f"V/v_lm/{name}", report.factors[name])
+    assert digest.hexdigest() == BATCH_CLOSED_FORM_DIGEST

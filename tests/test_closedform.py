@@ -546,6 +546,75 @@ def test_closed_forms_never_build_the_joint(monkeypatch, rng):
             y_bias_from_embedded_v(params, 1)
 
 
+# The factors extended_stratum_bias adds to those of its embedded V or Y.
+EXTENSION_FACTORS = {"embedded_value", "rd_left", "rd_right", "variance_ratio"}
+
+
+def _bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("draws", [None, 40])
+@pytest.mark.parametrize("kind", EXTENDED)
+def test_extended_forms_read_the_embedded_core_in_place(kind, draws):
+    # The embedded bias read from the extended params equals, bit for bit,
+    # the V or Y stratum bias of the core built as its own StructureParams.
+    params = random_structure_params(kind, np.random.default_rng(22), draws)
+    core = embedded_core(params)
+    core_bias = y_stratum_bias if kind.has_child_d else v_stratum_bias
+    for level in (1, 0):
+        for scale in (Scale.COV, Scale.RD):
+            report = extended_stratum_bias(params, level, scale)
+            inner = core_bias(core, level, scale)
+            assert _bits(report.factors["embedded_value"]) == _bits(inner.value), (level, scale)
+            assert set(report.factors) - EXTENSION_FACTORS == set(inner.factors)
+            for name, value in inner.factors.items():
+                assert _bits(report.factors[name]) == _bits(value), (level, scale, name)
+
+
+@pytest.mark.parametrize("draws", [None, 40])
+def test_y_bias_from_embedded_v_matches_the_built_v_core(draws):
+    params = random_structure_params(StructureKind.Y, np.random.default_rng(23), draws)
+    v_core = StructureParams(
+        kind=StructureKind.V, p_left=params.p_left, p_right=params.p_right,
+        p_c_given=params.p_c_given,
+    )
+    pc1, pc0 = params.prob_collider(1), params.prob_collider(0)
+    for d in (1, 0):
+        pd1 = params.p_d_given_c.level_given(d, 1)
+        pd0 = params.p_d_given_c.level_given(d, 0)
+        p_d = params.prob_child(d)
+        built = (pd1 - pd0) / (p_d * p_d) * (
+            pd1 * pc1 * pc1 * v_stratum_bias(v_core, 1, Scale.COV).value
+            - pd0 * pc0 * pc0 * v_stratum_bias(v_core, 0, Scale.COV).value
+        )
+        assert _bits(y_bias_from_embedded_v(params, d)) == _bits(built), d
+
+
+def test_closed_forms_on_a_batch_build_no_params(monkeypatch):
+    batches = [random_structure_params(kind, np.random.default_rng(24), 30) for kind in EXTENDED]
+    y_batch = random_structure_params(StructureKind.Y, np.random.default_rng(24), 30)
+    built = []
+    post_init = StructureParams.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(StructureParams, "__post_init__", counting_post_init)
+    for params in batches:
+        variable = params.kind.conditioning_variable
+        closed_form(params, BiasQuery(LINEAR_MODEL))
+        for level in (1, 0):
+            for scale in (Scale.COV, Scale.RD, Scale.RR, Scale.OR):
+                closed_form(params, BiasQuery(Stratum(variable, level), scale))
+    for level in (1, 0):
+        y_bias_from_embedded_v(y_batch, level)
+    assert built == []
+    embedded_core(batches[0])  # the probe counts a build
+    assert built == [StructureKind.V]
+
+
 # Digest of the exact bits every closed form gives at one fixed draw per
 # kind; moving any operand order changes a last bit and so the digest.
 CLOSED_FORM_DIGEST = "1aad54408e12add8b7eceb12e32c7d756c09ea75a966cda28d59a1a7897708d6"
@@ -617,6 +686,5 @@ def test_bias_report_rejects_non_finite(value, factor):
             value=value,
             scale=Scale.COV,
             conditioning=Stratum("C", 1),
-            sign=Sign.ZERO,
             factors={"p_stratum": factor},
         )

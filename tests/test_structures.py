@@ -329,6 +329,19 @@ def test_collider_cpt_accessors():
     assert cpt.level_given(0, 1, 1) == 1.0 - 0.4
 
 
+@pytest.mark.parametrize("level", [2, -1, 0.5])
+def test_level_outside_zero_one_is_rejected(level):
+    cpt = ColliderCpt(given_00=0.1, given_01=0.2, given_10=0.3, given_11=0.4)
+    edge = EdgeCpt(given_0=0.25, given_1=0.75)
+    with pytest.raises(ParameterError, match=f"^level must be 0 or 1, got {level}$"):
+        cpt.level_given(level, 1, 0)
+    with pytest.raises(ParameterError, match=f"^level must be 0 or 1, got {level}$"):
+        edge.level_given(level, 1)
+    with pytest.raises(ParameterError, match="^level must be 0 or 1"):
+        edge.mixture(level, 0.5, 0.5)
+    assert (edge.level_given(1, 1), edge.level_given(0, 1)) == (0.75, 1.0 - 0.75)
+
+
 def test_implied_marginals(reference_v_params, reference_y_params):
     assert math.isclose(reference_v_params.prob_collider(1), 0.35, abs_tol=1e-15)
     # P(D=1) = P(C=1) P(D=1|C=1) + P(C=0) P(D=1|C=0) = 0.35*0.7 + 0.65*0.2
