@@ -466,7 +466,7 @@ def _grid_csv_blocks(grid: SignGrid) -> Iterator[str]:
     the first ``next``."""
     import numpy as np
 
-    combos, codes = _sign_codes(grid)
+    combos = _sign_combos(grid)
     head = [f"# family={grid.family.value}\n", f"# resolution={grid.resolution}\n"]
     head += [f"# {name}={value!r}\n" for name, value in grid.fixed.items()]
     for locus in grid.zero_loci:
@@ -484,20 +484,28 @@ def _grid_csv_blocks(grid: SignGrid) -> Iterator[str]:
     # The header goes out with the first rows, and no row's text outlives its
     # block's join: peak memory stays that of one block.
     for rows in _row_blocks(grid.resolution):
-        block = zip(labels[rows], tails[codes[rows] + offsets].tolist())
+        block = zip(labels[rows], tails[_sign_codes(grid.cells[rows]) + offsets].tolist())
         yield "".join(head + [p10 + p10.join(row) for p10, row in block])
         head = []
 
 
-def _sign_codes(grid: SignGrid) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The 3**k sign combinations of a grid's k columns, and the (R, R)
-    index of each cell's combination in that list: its signs + 1 read as
-    base-3 digits.  A sign outside -1/0/1 raises ValueError."""
+def _sign_combos(grid: SignGrid) -> list[tuple[int, ...]]:
+    """The 3**k sign combinations of a grid's k columns, in the order that
+    :func:`_sign_codes` indexes.  A sign outside -1/0/1 anywhere in the grid
+    raises ValueError, so a renderer that calls this first raises before
+    its first block."""
+    if not -1 <= grid.cells.min() <= grid.cells.max() <= 1:
+        raise ValueError("a grid sign must be -1, 0 or 1")
+    return list(itertools.product((-1, 0, 1), repeat=len(grid.columns)))
+
+
+def _sign_codes(cells: np.ndarray) -> np.ndarray:
+    """The index of each cell's combination in :func:`_sign_combos`, for a
+    block of a grid's cells: its signs + 1 read as base-3 digits."""
     import numpy as np
 
-    combos = list(itertools.product((-1, 0, 1), repeat=len(grid.columns)))
-    digits = np.moveaxis(grid.cells + 1, -1, 0)
-    return combos, np.ravel_multi_index(tuple(digits), (3,) * len(grid.columns))
+    digits = np.moveaxis(cells + 1, -1, 0)
+    return np.ravel_multi_index(tuple(digits), (3,) * cells.shape[-1])
 
 
 def parse_grid_csv(text: str) -> SignGrid:
@@ -601,7 +609,7 @@ def _grid_json_blocks(grid: SignGrid) -> Iterator[str]:
     The signs are checked before the first block, as there."""
     import numpy as np
 
-    combos, codes = _sign_codes(grid)
+    combos = _sign_combos(grid)
     doc = {
         "command": "grid",
         "family": grid.family.value,
@@ -622,7 +630,7 @@ def _grid_json_blocks(grid: SignGrid) -> Iterator[str]:
     for rows in _row_blocks(grid.resolution):
         if rows.start:
             yield ", "
-        block = cell_texts[codes[rows]].tolist()
+        block = cell_texts[_sign_codes(grid.cells[rows])].tolist()
         yield ", ".join(["[" + ", ".join(row) + "]" for row in block])
     yield "]" + tail
 

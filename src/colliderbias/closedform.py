@@ -127,21 +127,28 @@ def child_contrast(pd1: float, pd0: float, g1: float, g0: float) -> float:
     return (pd1 - pd0) * (pd1 * g1 - pd0 * g0)
 
 
-def _given_left(params: StructureParams, level: int, left: int, child: bool) -> float:
-    """P(G=level | left cause = left), mixing over the right cause, with G
-    the collider's child D when ``child`` is set and the collider C if not."""
+def _given_left(params: StructureParams, level: int, child: bool) -> list[float]:
+    """[P(G=level | left cause = 1), P(G=level | left cause = 0)], each mixing
+    over the right cause, with G the collider's child D when ``child`` is set
+    and the collider C if not."""
     p_r1 = params.p_right
     assert p_r1 is not None
     p_r0 = 1.0 - p_r1
     t = params.p_c_given
     if not child:
-        return p_r1 * t.level_given(level, left, 1) + p_r0 * t.level_given(level, left, 0)
+        return [
+            p_r1 * t.level_given(level, 1, 1) + p_r0 * t.level_given(level, 1, 0),
+            p_r1 * t.level_given(level, 0, 1) + p_r0 * t.level_given(level, 0, 0),
+        ]
     d_cpt = params.p_d_given_c
     assert d_cpt is not None
-    # P(D=level | left, right) mixes the child edge over C at each right value.
-    return p_r1 * d_cpt.mixture(level, t.level_given(1, left, 1), t.level_given(0, left, 1)) + (
-        p_r0 * d_cpt.mixture(level, t.level_given(1, left, 0), t.level_given(0, left, 0))
-    )
+    pair = []
+    for left in (1, 0):
+        # P(D=level | left, right) mixes the child edge over C at each right value.
+        at_r1 = d_cpt.mixture(level, t.level_given(1, left, 1), t.level_given(0, left, 1))
+        at_r0 = d_cpt.mixture(level, t.level_given(1, left, 0), t.level_given(0, left, 0))
+        pair.append(p_r1 * at_r1 + p_r0 * at_r0)
+    return pair
 
 
 def _stratum_odds_ratio(t: ColliderCpt, level: int) -> float:
@@ -179,8 +186,7 @@ def _v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRe
         raise_where(p_c_sq <= 0.0, DegenerateStratumError, "C", level)
         value = p_x1 * p_x0 * p_y1 * p_y0 * g / p_c_sq
     elif scale is Scale.RD:
-        c_given_x1 = _given_left(params, level, 1, child=False)
-        c_given_x0 = _given_left(params, level, 0, child=False)
+        c_given_x1, c_given_x0 = _given_left(params, level, child=False)
         bad = c_given_x1 * c_given_x0 <= 0.0
         raise_where(bad, UndefinedRatioError, f"P(C={level} | X=x) = 0 for some x")
         value = p_y1 * p_y0 * g / (c_given_x1 * c_given_x0)
@@ -254,8 +260,7 @@ def _y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRe
         raise_where(p_d_sq <= 0.0, DegenerateStratumError, "D", d)
         value = p_x1 * p_x0 * p_y1 * p_y0 / p_d_sq * core
     elif scale is Scale.RD:
-        d_given_x1 = _given_left(params, d, 1, child=True)
-        d_given_x0 = _given_left(params, d, 0, child=True)
+        d_given_x1, d_given_x0 = _given_left(params, d, child=True)
         bad = d_given_x1 * d_given_x0 <= 0.0
         raise_where(bad, UndefinedRatioError, f"P(D={d} | X=x) = 0 for some x")
         value = p_y1 * p_y0 * core / (d_given_x1 * d_given_x0)
@@ -344,8 +349,7 @@ def extension_variance_ratio(params: StructureParams, level: int) -> float:
     assert params.p_x_given_a is not None
     p_a1 = params.p_left
     p_a0 = 1.0 - p_a1
-    g_a1 = _given_left(params, level, 1, child=params.kind.has_child_d)
-    g_a0 = _given_left(params, level, 0, child=params.kind.has_child_d)
+    g_a1, g_a0 = _given_left(params, level, child=params.kind.has_child_d)
     x1 = params.p_x_given_a.given_1
     x0 = params.p_x_given_a.given_0
     num = p_a1 * g_a1 * p_a0 * g_a0
@@ -440,10 +444,9 @@ def v_lm_bias(params: StructureParams) -> BiasReport:
     p_x0, p_y0 = 1.0 - p_x1, 1.0 - p_y1
     kernel = lm_bias_kernel(params)
     # m<x><c> = P(X=x, C=c), from P(C=c | X=x) mixed over Y.
-    m11 = p_x1 * _given_left(params, 1, 1, child=False)
-    m01 = p_x0 * _given_left(params, 1, 0, child=False)
-    c0_x1 = _given_left(params, 0, 1, child=False)
-    c0_x0 = _given_left(params, 0, 0, child=False)
+    c1_x1, c1_x0 = _given_left(params, 1, child=False)
+    c0_x1, c0_x0 = _given_left(params, 0, child=False)
+    m11, m01 = p_x1 * c1_x1, p_x0 * c1_x0
     denominator = m11 * c0_x1 + m01 * c0_x0
     raise_where(denominator <= 0.0, DegenerateStratumError, "C", 1)
     value = kernel * p_y1 * p_y0 / denominator
@@ -477,29 +480,21 @@ def lm_weight_normalizer(params: StructureParams) -> float:
         # Exposure X is itself the left cause of the collider.
         p_x1 = params.p_left
         p_x0 = 1.0 - p_x1
-        child = kind.has_child_d
-        return p_x1 * p_x0 * (
-            p_x1 * _given_left(params, 1, 1, child=child) * _given_left(params, 0, 1, child=child)
-            + p_x0 * _given_left(params, 1, 0, child=child) * _given_left(params, 0, 0, child=child)
-        )
+        g1_x1, g1_x0 = _given_left(params, 1, child=kind.has_child_d)
+        g0_x1, g0_x0 = _given_left(params, 0, child=kind.has_child_d)
+        return p_x1 * p_x0 * (p_x1 * g1_x1 * g0_x1 + p_x0 * g1_x0 * g0_x0)
 
     # Exposure X is a child of the left cause A.
-    assert params.p_x_given_a is not None and params.p_right is not None
+    x_cpt = params.p_x_given_a
+    assert x_cpt is not None and params.p_right is not None
     p_a1 = params.p_left
     p_a0 = 1.0 - p_a1
-    x1 = params.p_x_given_a.given_1
-    x0 = params.p_x_given_a.given_0
-    p_x1 = p_a1 * x1 + p_a0 * x0
-    p_x0 = p_a1 * (1.0 - x1) + p_a0 * (1.0 - x0)
-    pc1 = (
-        p_a1 * _given_left(params, 1, 1, child=False)
-        + p_a0 * _given_left(params, 1, 0, child=False)
-    )
-    pc0 = (
-        p_a1 * _given_left(params, 0, 1, child=False)
-        + p_a0 * _given_left(params, 0, 0, child=False)
-    )
-    rd_x = params.p_x_given_a.risk_difference
+    p_x1, p_x0 = x_cpt.mixture(1, p_a1, p_a0), x_cpt.mixture(0, p_a1, p_a0)
+    c1_a1, c1_a0 = _given_left(params, 1, child=False)
+    c0_a1, c0_a0 = _given_left(params, 0, child=False)
+    pc1 = p_a1 * c1_a1 + p_a0 * c1_a0
+    pc0 = p_a1 * c0_a1 + p_a0 * c0_a0
+    rd_x = x_cpt.risk_difference
     effect = p_a1 * p_a0 * rd_x * _left_effect(params.p_c_given, params.p_right)
     correction = effect * effect
     if not kind.has_child_d:

@@ -50,10 +50,10 @@ class DegenerateStratumError(ColliderBiasError):
     """A conditioning stratum is degenerate (zero mass, or the quantities
     defined on it collapse)."""
 
-    def __init__(self, variable: str, level: int, detail: str | None = None):
+    def __init__(self, variable: str, level: int):
         self.variable = variable
         self.level = level
-        super().__init__(detail or f"stratum {variable}={level} has zero probability")
+        super().__init__(f"stratum {variable}={level} has zero probability")
 
 
 class UnknownVariableError(ColliderBiasError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -56,38 +56,30 @@ _SINGULAR_TOL = 1e-15
 _MASS_MESSAGE = "mass must be finite, nonnegative and sum to 1"
 
 
+def _shift(order: tuple[str, ...], name: str) -> int:
+    """The bit of a cell index over ``order`` that holds the value of
+    ``name``: bit k, counted from the most significant of len(order) bits,
+    is the value of order[k]."""
+    if name not in order:
+        raise UnknownVariableError(name)
+    return len(order) - 1 - order.index(name)
+
+
 @lru_cache(maxsize=None)
-def _cell_index(order: tuple[str, ...], events: tuple[tuple[tuple[str, int], ...], ...]) -> _EventCells:
-    """The cells of each event, a tuple of (name, value) pairs, in a table
-    over ``order``.  Bit k of a cell index, counted from the most
-    significant of len(order) bits, is the value of order[k]."""
-    n = len(order)
-    rows = []
+def _cell_index(order: tuple[str, ...], events: tuple[tuple[tuple[str, int], ...], ...]):
+    """A function from a table's cells over ``order``, numbers or a batch's
+    arrays, to the list of the probabilities of the events, each a tuple of
+    (name, value) pairs.  The function is compiled from source that adds
+    each event's cells, ascending, in :func:`_sum_source`'s order, with no
+    loop."""
+    sums = []
     for event in events:
-        keep = range(2**n)
+        keep = range(2 ** len(order))
         for name, value in event:
-            if name not in order:
-                raise UnknownVariableError(name)
-            shift, bit = n - 1 - order.index(name), 1 if value else 0
+            shift, bit = _shift(order, name), 1 if value else 0
             keep = [i for i in keep if (i >> shift) & 1 == bit]
-        rows.append(tuple(keep))
-    return _EventCells(tuple(rows))
-
-
-class _EventCells:
-    """The cells of each of some events (:func:`_cell_index`): ``rows[i]``
-    lists, ascending, the cells where event i holds."""
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
-        self.rows = rows
-
-    @cached_property
-    def add(self):
-        """A function from a table's cells, numbers or a batch's arrays, to
-        the list of each event's probability, compiled from source that adds
-        each row's cells in :func:`_sum_source`'s order, with no loop."""
-        sums = ", ".join(_sum_source([f"c[{i}]" for i in row]) for row in self.rows)
-        return eval(f"lambda c: [{sums}]")  # the source holds only cell indexes
+        sums.append(_sum_source([f"c[{i}]" for i in keep]))
+    return eval(f"lambda c: [{', '.join(sums)}]")  # the source holds only cell indexes
 
 
 def _sum_source(terms: list[str]) -> str:
@@ -181,19 +173,20 @@ class JointTable:
             self._mass.setflags(write=False)
         return self._mass
 
-    def _sums(self, events: _EventCells):
-        """The probability of each of the events, in turn: a list of numbers
-        for one table, a (len(events.rows), B) array for a batch, which adds
-        the cells of given events once and keeps the read-only result, keyed
-        by the events object (one per variable order and events)."""
+    def _sums(self, add):
+        """The probability of each of the events that the :func:`_cell_index`
+        function ``add`` adds, in turn: a list of numbers for one table, a
+        (events, B) array for a batch, which adds them once and keeps the
+        read-only result, keyed by ``add`` (one per variable order and
+        events)."""
         memo = self._memo
         if memo is None:
-            return events.add(self._cells)
-        sums = memo.get(events)
+            return add(self._cells)
+        sums = memo.get(add)
         if sums is None:
             import numpy as np
 
-            sums = memo[events] = np.array(events.add(self._cells))
+            sums = memo[add] = np.array(add(self._cells))
             sums.setflags(write=False)
         return sums
 
@@ -201,10 +194,8 @@ class JointTable:
         """Boolean per-cell indicator that ``name`` equals 1."""
         import numpy as np
 
-        (ones,) = _cell_index(self.order, (((name, 1),),)).rows
-        column = np.zeros(2 ** len(self.order), dtype=bool)
-        column[list(ones)] = True
-        return column
+        shift = _shift(self.order, name)
+        return (np.arange(2 ** len(self.order)) >> shift) & 1 == 1
 
     def prob(self, event: dict[str, int] | None = None):
         """Probability of a variable-assignment event; prob({}) is 1."""
@@ -303,8 +294,8 @@ class OracleMeasure:
 
 @lru_cache(maxsize=None)
 def _stratum_index(order: tuple[str, ...], stratum: tuple[str, int] | None) -> tuple:
-    """The cells of the stratum, a (variable, level) pair or None for the
-    whole table, and those of p11, p10, p01, p00 within it."""
+    """The :func:`_cell_index` adders of the stratum, a (variable, level)
+    pair or None for the whole table, and of p11, p10, p01, p00 within it."""
     keep = () if stratum is None else (stratum,)
     xy = tuple((("X", x), ("Y", y), *keep) for x, y in ((1, 1), (1, 0), (0, 1), (0, 0)))
     return _cell_index(order, (keep,)), _cell_index(order, xy)

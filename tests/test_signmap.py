@@ -367,6 +367,7 @@ def test_grid_rejects_tiny_resolution():
 
 def test_grid_rejects_resolution_above_cap():
     fixed = GridFixed(p_c00=0.15, p_c11=0.75, p_left=0.5, p_right=0.5)
+    assert emit_grid(GridFamily.STRATUM, fixed, 2000).resolution == 2000
     for resolution in (2001, 10**9):
         with pytest.raises(InvalidResolutionError, match="2000"):
             emit_grid(GridFamily.STRATUM, fixed, resolution)
