@@ -506,12 +506,14 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
     compares raw words with one integer table, indexed by that cell code, or
     with its one threshold if it has no parents.  The draws go through in
     chunks of ``_SAMPLE_CHUNK``, so memory stays flat, and the chunks are
-    split into contiguous ranges, one per thread (:func:`_sample_threads`).
-    Each range's rows start at their place in the stream (:func:`_stream_at`)
-    and the ranges' counts are added, so the counts do not depend on the
-    number of threads.
+    split into contiguous ranges, one per thread (:func:`_sample_threads`):
+    the caller's thread draws the first, and a
+    ``concurrent.futures.ThreadPoolExecutor`` the others.  Each range's rows
+    start at their place in the stream (:func:`_stream_at`) and the ranges'
+    counts are added, so the counts do not depend on the number of threads.
     """
     import threading
+    from concurrent.futures import ThreadPoolExecutor
 
     import numpy as np
 
@@ -529,36 +531,20 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
     workers = min(_sample_threads(), len(chunks))
     ranges = [chunks[len(chunks) * w // workers : len(chunks) * (w + 1) // workers]
               for w in range(workers)]
-    results: list = [None] * workers
     stop = threading.Event()  # set on a failure or an interrupt: every range quits at its next chunk
-
-    def draw(w: int) -> None:
+    # The caller's thread draws the first range; the pool starts a thread for
+    # each other range, so one range starts none.  Leaving it joins them all.
+    with ThreadPoolExecutor(workers) as pool:
         try:
-            results[w] = _sample_range(tables, seed, n, ranges[w], stop)
-        except Exception as exc:  # raised on the caller's thread below
-            results[w] = exc
+            futures = [pool.submit(_sample_range, tables, seed, n, starts, stop) for starts in ranges[1:]]
+            for future in futures:  # a failed range stops the others, the caller's too
+                future.add_done_callback(lambda done: done.exception() and stop.set())
+            counts = _sample_range(tables, seed, n, ranges[0], stop)
+            for future in futures:
+                counts += future.result()
+        except BaseException:  # a failed range, a thread that would not start, or an interrupt
             stop.set()
-
-    # The caller's thread draws the first range, and one worker starts no thread.
-    threads = []
-    try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=draw, args=(w,))
-            thread.start()
-            threads.append(thread)
-        draw(0)
-    except BaseException:  # a thread that would not start, or an interrupt
-        stop.set()
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    counts = results[0]
-    for more in results[1:]:
-        counts += more
+            raise
     return SampleTable(kind=params.kind, order=order, counts=counts, draws=n)
 
 

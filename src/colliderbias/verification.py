@@ -299,7 +299,8 @@ def _child_case_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -
        both are negative, positive for pd1/pd0 strictly between g0/g1 and 1
        and negative outside; when both are positive, the reverse.
 
-    The effect in cases 1 and 2 is banded at closedform.SIGN_TOL.
+    The effect in cases 1 and 2 is banded at closedform.SIGN_TOL, and so are
+    case 3's boundaries, as pd1 - pd0 and pd1 g1 - pd0 g0.
     """
     import numpy as np
 
@@ -312,7 +313,7 @@ def _child_case_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -
     ratio = pd1 / pd0
     threshold = g0 / np.where(case1 | case2, 1.0, g1)  # g1 is nonzero in case 3
     inside = (np.minimum(threshold, 1.0) < ratio) & (ratio < np.maximum(threshold, 1.0))
-    on_boundary = (ratio == threshold) | (ratio == 1.0)
+    on_boundary = (cf.band_sign(pd1 - pd0) == 0) | (cf.band_sign(pd1 * g1 - pd0 * g0) == 0)
     case3 = np.where(on_boundary, 0, np.where(inside == (g1 < 0.0), 1, -1))
     codes = np.where(case1, cf.band_sign(pd1 - pd0), np.where(case2, cf.band_sign(pd0 - pd1), case3))
     return codes if codes.ndim else Sign(int(codes))

@@ -219,10 +219,14 @@ ZERO_AT_ZERO_NEGATIVE_AT_ONE = ColliderCpt(0.75, 0.5, 0.5, 0.0)
 BOTH_POSITIVE = ColliderCpt(0.5, 0.875, 0.125, 0.625)
 BOTH_NEGATIVE = ColliderCpt(0.125, 0.5, 0.5, 0.75)
 
-# P(D=1 | C=1) - P(D=1 | C=0) is 2**-50: inside the sign band, so cases 1
-# and 2 call it Zero, where case 3's exact ratio test would not.
+# P(D=1 | C=1) - P(D=1 | C=0) is 2**-50: inside the sign band, so every case
+# calls it Zero, where an exact test of pd1 == pd0 or pd1/pd0 == 1 would not.
 BARELY_INFORMATIVE = EdgeCpt(given_0=0.5, given_1=0.5 + 2**-50)
 UNINFORMATIVE = EdgeCpt(given_0=0.5, given_1=0.5)
+# pd1/pd0 is 2**-50 / pd0 above g0/g1 (5/13 for BOTH_POSITIVE, 1/5 for
+# BOTH_NEGATIVE), so pd1 g1 - pd0 g0 lies inside the sign band.
+NEAR_FIVE_THIRTEENTHS = EdgeCpt(given_0=0.8125, given_1=0.3125 + 2**-50)
+NEAR_ONE_FIFTH = EdgeCpt(given_0=0.625, given_1=0.125 + 2**-50)
 INFORMATIVE = EdgeCpt(given_0=0.25, given_1=0.75)
 
 CASE_RULE_POINTS = [
@@ -234,6 +238,10 @@ CASE_RULE_POINTS = [
     (ZERO_AT_ZERO_NEGATIVE_AT_ONE, BARELY_INFORMATIVE, (-0.25, 0.0), Sign.ZERO),
     (BOTH_POSITIVE, UNINFORMATIVE, (0.203125, 0.078125), Sign.ZERO),
     (BOTH_NEGATIVE, UNINFORMATIVE, (-0.15625, -0.03125), Sign.ZERO),
+    (BOTH_POSITIVE, BARELY_INFORMATIVE, (0.203125, 0.078125), Sign.ZERO),
+    (BOTH_NEGATIVE, BARELY_INFORMATIVE, (-0.15625, -0.03125), Sign.ZERO),
+    (BOTH_POSITIVE, NEAR_FIVE_THIRTEENTHS, (0.203125, 0.078125), Sign.ZERO),
+    (BOTH_NEGATIVE, NEAR_ONE_FIFTH, (-0.15625, -0.03125), Sign.ZERO),
 ]
 
 
@@ -249,6 +257,14 @@ def test_child_case_rules_on_their_boundaries_as_a_batch():
     cpt = ColliderCpt(*np.array([table.values() for table in cpts]).T)
     child = EdgeCpt(*np.array([table.values() for table in children]).T)
     assert verification._child_case_sign(cpt, child, 1).tolist() == [int(s) for s in expected]
+
+
+def test_child_case_rules_put_a_zero_g0_in_case_one_or_two():
+    # |pd1 g1| is 2**-43 or 2**-42 here, inside the sign band, so case 3 would
+    # say Zero; cases 1 and 2 band only pd1 - pd0, about -0.5.
+    rare = EdgeCpt(given_0=0.5, given_1=2**-40)
+    assert verification._child_case_sign(ZERO_AT_ZERO_POSITIVE_AT_ONE, rare, 1) is Sign.NEGATIVE
+    assert verification._child_case_sign(ZERO_AT_ZERO_NEGATIVE_AT_ONE, rare, 1) is Sign.POSITIVE
 
 
 # -- the verify battery ----------------------------------------------------

@@ -839,6 +839,52 @@ def test_sample_stops_every_thread_on_an_interrupt(monkeypatch):
     assert len(drawn) < rows * per_range
 
 
+class _Failing:
+    """A row whose first chunk fails."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def random_raw(self, size):
+        raise self.error
+
+
+def test_sample_stops_the_callers_range_when_a_worker_thread_fails(monkeypatch):
+    monkeypatch.setattr(joint_mod, "_sample_threads", lambda: 2)
+    params = random_structure_params(StructureKind.M, np.random.default_rng(2))
+    rows = len(variable_roles(StructureKind.M).order)
+    per_range = 200
+    n = 2 * per_range * joint_mod._SAMPLE_CHUNK
+    drawn = []
+    error = RuntimeError("worker failed")
+    stream_at = joint_mod._stream_at
+
+    def streams(seed, offset):
+        # Rows of the caller's range start at word k*n; the worker's do not.
+        return _Failing(error) if offset % n else _CountedWords(stream_at(seed, offset), drawn)
+
+    monkeypatch.setattr(joint_mod, "_stream_at", streams)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        sample(params, n, seed=1)
+    assert raised.value is error
+    assert threading.active_count() == before
+    # The caller's range quits at its next chunk, far short of its end.
+    assert len(drawn) < rows * per_range
+
+
+def test_sample_on_one_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(joint_mod, "_sample_threads", lambda: 1)
+
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    params = random_structure_params(StructureKind.M, np.random.default_rng(2))
+    n = 3 * joint_mod._SAMPLE_CHUNK + 5
+    assert np.array_equal(sample(params, n, seed=1).counts, _reference_sample(params, n, 1))
+
+
 def test_sample_joins_its_threads_when_one_will_not_start(monkeypatch):
     monkeypatch.setattr(joint_mod, "_sample_threads", lambda: 3)
     params = random_structure_params(StructureKind.M, np.random.default_rng(2))

@@ -77,6 +77,12 @@ def test_import_loads_no_numpy():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+def test_cli_import_loads_no_thread_pool():
+    # The sampler imports its pool when it runs, so start-up does not pay for it.
+    proc = _python("-c", "import sys, colliderbias.cli; print('concurrent.futures' in sys.modules)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_single_queries_run_without_numpy(tmp_path):
     argvs = _single_query_argvs(tmp_path)
     runs = {}
