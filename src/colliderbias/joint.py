@@ -7,7 +7,8 @@ this module knows about the closed-form bias expressions, which keeps it an
 independent cross-check for them.
 
 A table's cells are Python numbers for one draw, or float64 arrays over
-the draws of a batch; one loop builds both, and one compiled sum adds both.
+the draws of a batch; one product function, compiled once per kind, builds
+both, and one compiled sum adds both.
 One table's queries load no numpy; a batch, the sampler and a table's
 ``mass`` and ``column`` arrays do.
 """
@@ -212,16 +213,17 @@ class JointTable:
 
 
 def build_joint(params: StructureParams) -> JointTable:
-    """Multiply the factor probabilities along the role map of the kind.  The
-    cells grow one variable at a time, in role order: each partial product
-    over the variables so far splits into its product with P(next = 0 |
-    parents) and with P(next = 1 | parents), read from
-    ``params.probabilities`` where :func:`_factor_places` puts them.  So each
-    cell is the left fold of its factors in role order.
+    """Multiply the factor probabilities along the role map of the kind, in
+    the straight-line code that :func:`_grow_cells` compiles for it once: the
+    cells grow one variable at a time, in role order, each product so far
+    splitting into its product with P(next = 0 | parents) and with P(next =
+    1 | parents), read from ``params.probabilities`` where
+    :func:`_factor_places` puts them.  So each cell is the left fold of its
+    factors in role order.
 
     One draw's cells are numbers, multiplied in plain arithmetic.  A batch of
     draws of one kind, such as ``structures.random_structure_params`` gives
-    with a draw count, grows float64 arrays over its draws in the same loop:
+    with a draw count, grows float64 arrays over its draws in the same code:
     its probabilities are cast to float64 first, whatever their dtype, so
     row b of its mass is bit-identical to the table of draw b alone."""
     p = params.probabilities
@@ -230,17 +232,35 @@ def build_joint(params: StructureParams) -> JointTable:
         import numpy as np
 
         p = list(np.array(p, dtype=np.float64))
-    q = [1 - one for one in p]
-    cells = [1]
-    for places in _factor_places(params.kind):
-        grown = []
-        for prefix, at in zip(cells, places):
-            grown.append(prefix * q[at])
-            grown.append(prefix * p[at])
-        cells = grown
+    cells = _grow_cells(params.kind)(p, [1 - one for one in p])
     # A batch's cells stack into (2**n, B); its mass is the (B, 2**n) view.
     mass = np.array(cells).T if batch else cells
     return JointTable(kind=params.kind, order=variable_roles(params.kind).order, mass=mass)
+
+
+@lru_cache(maxsize=None)
+def _grow_cells(kind: StructureKind):
+    """A function from the probabilities p of a kind, in schema order, and
+    q = 1 - p to the tuple of its table's cells, numbers or a batch's arrays.
+    It is compiled from :func:`_grow_source` the first time the kind is
+    built."""
+    namespace: dict = {}
+    exec(_grow_source(_factor_places(kind)), namespace)  # the source holds only places
+    return namespace["grow"]
+
+
+def _grow_source(places: tuple[tuple[int, ...], ...]) -> str:
+    """Python source of a function ``grow(p, q)`` that multiplies out the
+    cells with no loop: each row of ``places`` splits every product so far,
+    kept as a local, into its product with q[at] and with p[at], at the
+    place each prefix has there; the last row's products are returned."""
+    body, cells = [], ["1"]
+    for row in places:
+        products = [f"{prefix} * {factor}[{at}]" for prefix, at in zip(cells, row) for factor in "qp"]
+        cells = [f"c{len(body) + i}" for i in range(len(products))]
+        body += [f"{cell} = {product}" for cell, product in zip(cells, products)]
+    body[-len(cells):] = [f"return ({', '.join(products)},)"]
+    return "def grow(p, q):\n    " + "\n    ".join(body) + "\n"
 
 
 # The schema field of each variable that has parents.  A variable without

@@ -488,23 +488,25 @@ class StructureParams:
 
 def _float_field(doc: Mapping, key: str, table: str | None = None) -> float:
     """``doc[key]`` as a float; the error names it ``key``, or ``table[key]``
-    for an entry of that table.  An integer too large for a double is out of
-    range."""
+    for an entry of that table.  A value that is not an int or a float (a
+    string, a bool or null in JSON) is not a number; an integer too large
+    for a double is out of range."""
     value = doc[key]
     if type(value) is float:
         return value
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise OutOfRangeError(key if table is None else f"{table}[{key}]", value)
+    name = key if table is None else f"{table}[{key}]"
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise OutOfRangeError(name, value) from None
 
 
 def _table_fields(doc: Mapping, field: str, kind: str, table_type: type[_Cpt]) -> _Cpt:
     """The keyed probability table ``doc[field]`` as a ``table_type``."""
     table, keys = doc[field], table_type.KEYS
-    if not isinstance(table, Mapping):
+    if type(table) is not dict and not isinstance(table, Mapping):
         raise ParameterError(f"{field} must be an object with keys {'/'.join(keys)}")
     if table.keys() != _TABLE_KEYS[table_type]:
         missing = set(keys) - set(table)
@@ -517,8 +519,10 @@ def _table_fields(doc: Mapping, field: str, kind: str, table_type: type[_Cpt]) -
 
 
 def params_from_dict(doc: Mapping) -> StructureParams:
-    """Parse the JSON parameter schema into a validated StructureParams."""
-    if not isinstance(doc, Mapping):
+    """Parse the JSON parameter schema into a validated StructureParams.  A
+    plain dict, what ``json`` gives, is told from other mappings without the
+    ``Mapping`` ABC's check."""
+    if type(doc) is not dict and not isinstance(doc, Mapping):
         raise ParameterError(f"parameters must be a JSON object, got {type(doc).__name__}")
     if "kind" not in doc:
         raise MissingFieldError("?", "kind")
@@ -526,21 +530,21 @@ def params_from_dict(doc: Mapping) -> StructureParams:
         kind = StructureKind(doc["kind"])
     except ValueError:
         raise ParameterError(f"unknown structure kind {doc['kind']!r}") from None
-    fields, keys = _KIND_FIELDS[kind], _DOC_KEYS[kind]
+    fields, keys, name = _KIND_FIELDS[kind], _DOC_KEYS[kind], kind.value
     if doc.keys() != keys:
         extra = set(doc) - keys
         if extra:
-            raise ExtraFieldError(kind.value, sorted(extra, key=str)[0])
+            raise ExtraFieldError(name, sorted(extra, key=str)[0])
         missing = keys - set(doc)
         if missing:
-            raise MissingFieldError(kind.value, sorted(missing)[0])
+            raise MissingFieldError(name, sorted(missing)[0])
     kwargs: dict = {"kind": kind}
     for field_name in fields:
         field_type = _FIELD_TYPES[field_name]
         if field_type is float:
             kwargs[field_name] = _float_field(doc, field_name)
         else:
-            kwargs[field_name] = _table_fields(doc, field_name, kind.value, field_type)
+            kwargs[field_name] = _table_fields(doc, field_name, name, field_type)
     return StructureParams(**kwargs)
 
 

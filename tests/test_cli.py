@@ -789,6 +789,11 @@ MALFORMED_RUNS = {
     # Too large for a double: out of range, like any other value above 1.
     "file-oversized-integer": (["compute", "--file", "{huge_int_json}", "--lm"],
                                "error: p_left = 1" + "0" * 400 + " is outside [0.0, 1.0]"),
+    # A value of the wrong JSON type is not a number, whatever its range.
+    "file-string-field": (["compute", "--file", "{string_json}", "--lm"],
+                          "error: p_left must be a number, got '0.5'"),
+    "file-bool-entry": (["compute", "--file", "{bool_json}", "--lm"],
+                        "error: p_c_given[11] must be a number, got True"),
     # Too long for Python to read as an integer at all.
     "file-overlong-integer": (["compute", "--file", "{long_int_json}", "--lm"],
                               "is not valid JSON: Exceeds the limit"),
@@ -842,6 +847,9 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, fragment):
     (tmp_path / "v.json").write_text(json.dumps(v_doc), encoding="utf-8")
     (tmp_path / "latin1.json").write_bytes(b'{"kind": "V\xff"}')
     (tmp_path / "huge.json").write_text(json.dumps({**v_doc, "p_left": 10**400}), encoding="utf-8")
+    (tmp_path / "string.json").write_text(json.dumps({**v_doc, "p_left": "0.5"}), encoding="utf-8")
+    bool_doc = {**v_doc, "p_c_given": {**v_doc["p_c_given"], "11": True}}
+    (tmp_path / "bool.json").write_text(json.dumps(bool_doc), encoding="utf-8")
     (tmp_path / "long.json").write_text('{"p_left": 1' + "0" * 5000 + "}", encoding="utf-8")
     paths = {
         "{missing}": str(tmp_path / "missing.json"),
@@ -850,6 +858,8 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, fragment):
         "{v_json}": str(tmp_path / "v.json"),
         "{latin1_json}": str(tmp_path / "latin1.json"),
         "{huge_int_json}": str(tmp_path / "huge.json"),
+        "{string_json}": str(tmp_path / "string.json"),
+        "{bool_json}": str(tmp_path / "bool.json"),
         "{long_int_json}": str(tmp_path / "long.json"),
         "{missing_dir_out}": str(tmp_path / "missing" / "x.json"),
         "{dir_out}": str(tmp_path),

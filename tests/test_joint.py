@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import math
@@ -414,6 +415,42 @@ def test_builds_equal_the_reference_mass(kind):
     assert build_joint(batch).mass.tobytes() == expected.tobytes()
 
 
+def test_each_kind_compiles_its_product_kernel_once():
+    joint_mod._grow_cells.cache_clear()
+    for _ in range(2):
+        for kind in ALL_KINDS:
+            build_joint(random_structure_params(kind, np.random.default_rng(3)))
+    info = joint_mod._grow_cells.cache_info()
+    assert (info.misses, info.hits) == (9, 9)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_product_kernel_source_reads_probabilities_only_at_places(kind):
+    # The kernel is straight-line code, one product per line: row k of
+    # _factor_places turns each cell of row k - 1, a local (or the 1 it
+    # starts from), into its product with q and with p at that cell's place,
+    # an integer; the last row's products are returned.
+    places = joint_mod._factor_places(kind)
+    (grow,) = ast.parse(joint_mod._grow_source(places)).body
+    assert [arg.arg for arg in grow.args.args] == ["p", "q"]
+    *assigns, ret = grow.body
+    products = [assign.value for assign in assigns] + ret.value.elts
+    names = [target.id for assign in assigns for target in assign.targets]
+    assert len(products) == len(names) + 2 ** len(places)
+    width = len(random_structure_params(kind, np.random.default_rng(0)).probabilities)
+    cells, start = [ast.Constant(1)], 0
+    for row in places:
+        assert len(cells) == len(row)
+        for i, product in enumerate(products[start : start + 2 * len(row)]):
+            prefix, factor = product.left, product.right
+            assert isinstance(product, ast.BinOp) and isinstance(product.op, ast.Mult)
+            assert ast.dump(prefix) == ast.dump(cells[i // 2])
+            assert isinstance(factor, ast.Subscript) and factor.value.id == "qp"[i % 2]
+            assert type(factor.slice.value) is int and factor.slice.value == row[i // 2] < width
+        cells = [ast.Name(name, ast.Load()) for name in names[start : start + 2 * len(row)]]
+        start += 2 * len(row)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_memoized_queries_equal_fresh_mask_sums(kind):
     # Loop reference: every stratum's cells and every moment summed with
@@ -531,6 +568,8 @@ def test_oracle_arithmetic_keeps_fractions_exact(kind):
         if field not in ("kind", "probabilities") and value is not None
     })
     exact_table, table = build_joint(exact_params), build_joint(params)
+    assert exact_table._cells == tuple(mass for _, mass in _exact_cells(params))
+    assert all(type(cell) is Fraction for cell in exact_table._cells)
     for query in _every_bias_query(kind):
         exact = bias(exact_table, query).value
         assert type(exact) is Fraction, query

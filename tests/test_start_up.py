@@ -83,6 +83,13 @@ def test_cli_import_loads_no_thread_pool():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+def test_cli_import_compiles_no_product_kernel():
+    # A kind's product kernel is compiled when that kind is first built.
+    proc = _python("-c", "import colliderbias.cli, colliderbias.joint as j; "
+                         "print(j._grow_cells.cache_info().currsize)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
 def test_single_queries_run_without_numpy(tmp_path):
     argvs = _single_query_argvs(tmp_path)
     runs = {}

@@ -426,15 +426,15 @@ PARSE_ERRORS = {
                           "p_d_given_c must be an object with keys 0/1"),
     "table-is-none": (_edited(p_y_given_b=None), "ParameterError",
                       "p_y_given_b must be an object with keys 0/1"),
-    "bool": (_edited(p_left=True), "OutOfRangeError", "p_left = True is outside [0.0, 1.0]"),
-    "bool-entry": (_edited(entries=[("p_c_given", "01", False)]), "OutOfRangeError",
-                   "p_c_given[01] = False is outside [0.0, 1.0]"),
-    "string": (_edited(p_right="0.6"), "OutOfRangeError", "p_right = '0.6' is outside [0.0, 1.0]"),
-    "string-entry": (_edited(entries=[("p_x_given_a", "1", "0.8")]), "OutOfRangeError",
-                     "p_x_given_a[1] = '0.8' is outside [0.0, 1.0]"),
-    "none": (_edited(p_left=None), "OutOfRangeError", "p_left = None is outside [0.0, 1.0]"),
-    "none-entry": (_edited(entries=[("p_d_given_c", "0", None)]), "OutOfRangeError",
-                   "p_d_given_c[0] = None is outside [0.0, 1.0]"),
+    "bool": (_edited(p_left=True), "ParameterError", "p_left must be a number, got True"),
+    "bool-entry": (_edited(entries=[("p_c_given", "01", False)]), "ParameterError",
+                   "p_c_given[01] must be a number, got False"),
+    "string": (_edited(p_right="0.6"), "ParameterError", "p_right must be a number, got '0.6'"),
+    "string-entry": (_edited(entries=[("p_x_given_a", "1", "0.8")]), "ParameterError",
+                     "p_x_given_a[1] must be a number, got '0.8'"),
+    "none": (_edited(p_left=None), "ParameterError", "p_left must be a number, got None"),
+    "none-entry": (_edited(entries=[("p_d_given_c", "0", None)]), "ParameterError",
+                   "p_d_given_c[0] must be a number, got None"),
     "nan": (_edited(p_right=math.nan), "OutOfRangeError", "p_right = nan is outside [0.0, 1.0]"),
     "nan-entry": (_edited(entries=[("p_y_given_b", "0", math.nan)]), "OutOfRangeError",
                   "p_y_given_b[0] = nan is outside [0.0, 1.0]"),
@@ -448,7 +448,7 @@ PARSE_ERRORS = {
                           "p_x_given_a[0] = 2.0 is outside [0.0, 1.0]"),
     # A value that is not a number fails while parsing, before any range check.
     "nan-then-bool-entry": (_edited(p_left=math.nan, entries=[("p_y_given_b", "1", True)]),
-                            "OutOfRangeError", "p_y_given_b[1] = True is outside [0.0, 1.0]"),
+                            "ParameterError", "p_y_given_b[1] must be a number, got True"),
     "nan-then-inf-entry": (_edited(p_right=math.nan, entries=[("p_c_given", "00", math.inf)]),
                            "OutOfRangeError", "p_right = nan is outside [0.0, 1.0]"),
 }
