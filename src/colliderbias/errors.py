@@ -91,26 +91,18 @@ class InvalidResolutionError(ParameterError):
 
 def raise_first_nonfinite(label: str, named: tuple[tuple[str, object], ...]) -> None:
     """Raise PrecisionLossError "<label> <name> = <value>" for the first
-    (name, value) pair whose value is NaN or infinite.  Over a batch, one
-    pass checks every value and the error names the first bad draw of the
-    first bad name.  The last value spans the batch; any other value may be
-    one number, which stands for every draw."""
-    if not getattr(named[-1][1], "ndim", 0):
-        for name, value in named:
-            if not math.isfinite(value):
-                raise PrecisionLossError(f"{label} {name} = {value!r}")
-        return
-    import numpy as np
+    (name, value) pair whose value is NaN or infinite.  A value is one
+    number, or an array over a batch of draws, whose first bad draw
+    :func:`raise_where` names; a number stands for every draw and names
+    none."""
+    for name, value in named:
+        if getattr(value, "ndim", 0):
+            import numpy as np
 
-    stacked = np.empty((len(named), *getattr(named[-1][1], "shape", ())))
-    for row, (_, value) in enumerate(named):
-        stacked[row] = value
-    finite = np.isfinite(stacked).ravel()  # each name's draws in turn
-    first = finite.argmin()
-    if not finite[first]:
-        name, value = named[first * len(named) // finite.size]
-        message = f"{label} {name}"
-        raise_where(~np.isfinite(value), lambda v: PrecisionLossError(f"{message} = {v!r}"), value)
+            bad = ~np.isfinite(value)
+        else:
+            bad = not math.isfinite(value)
+        raise_where(bad, lambda v: PrecisionLossError(f"{label} {name} = {v!r}"), value)
 
 
 def raise_where(bad, error, *args) -> None:

@@ -114,16 +114,16 @@ class JointTable:
 
     ``mass[i]`` is the probability of the assignment whose bits (with
     ``order[0]`` as the most significant bit) spell the integer ``i``.  The
-    table holds a tuple of its 2**n cells.  One table's cells are Python
-    numbers, so it answers every query in plain arithmetic; its ``mass`` is
-    a read-only float64 array of them, made on first access.  A batch of B
-    tables of one kind has mass of shape (B, 2**n), each cell a float64
-    array over the draws; every query then answers with a (B,) array whose
-    entries are bit-identical to the numbers each draw's own table gives.
+    table stores only a tuple of its 2**n cells: Python numbers for one
+    table, which answers every query in plain arithmetic, or for a batch of
+    B tables of one kind C-contiguous (B,) float64 arrays over the draws, so
+    that every query answers with a (B,) array whose entries are
+    bit-identical to the numbers each draw's own table gives.  ``mass`` is
+    derived from the cells on first access.
 
-    The table owns its mass: construction copies it, so no caller's list,
-    array, view or base can change it later.  Queries add the cells of an
-    event, listed per variable order and event, with :meth:`_sums`.
+    The table owns its cells: construction converts a caller's mass to
+    cells once, a copy that no caller's list, array, view or base can change
+    later.  Queries add the cells of an event with :meth:`_sums`.
 
     A batch answers each event sum and each :func:`cond_measure` once: it
     keeps them, read-only, in a private memo that lives as long as the
@@ -138,30 +138,33 @@ class JointTable:
         n = len(order)
         if not 1 <= n <= 6:
             raise ParameterError(f"supported structures have 1..6 variables, got {n}")
-        self.kind, self.order = kind, order
-        if getattr(mass, "ndim", 1) == 1:
+        shape = mass.shape if hasattr(mass, "shape") else (len(mass),)
+        if shape[-1:] != (2**n,) or len(shape) > 2:
+            raise ParameterError(f"mass must have shape (2**{n},) or (B, 2**{n}), got {shape}")
+        if len(shape) == 1:
             # A caller's array becomes float64 numbers, as a batch's entries are.
             cells = tuple(mass.astype(float).tolist() if hasattr(mass, "astype") else mass)
-            self._mass, self._memo, shape = None, None, (len(cells),)
         else:
             import numpy as np
 
-            self._mass, self._memo = np.array(mass, dtype=np.float64), {}
-            self._mass.setflags(write=False)
-            shape = self._mass.shape
-        if shape[-1:] != (2**n,) or len(shape) > 2:
-            raise ParameterError(f"mass must have shape (2**{n},) or (B, 2**{n}), got {shape}")
-        # Any NaN or infinite entry makes the sum NaN or infinite, and a NaN
-        # fails every comparison.
-        if self._memo is None:
-            self._cells = cells
-            if not (abs(self.prob() - 1) <= 1e-12 and min(cells) >= 0):
-                raise ParameterError(_MASS_MESSAGE)
+            cells = np.asarray(mass, dtype=np.float64).T.copy()  # row i of the copy is cell i
+        self._hold(kind, order, cells, None if len(shape) == 1 else {})
+
+    def _hold(self, kind: StructureKind, order: tuple[str, ...], cells, memo: dict | None) -> JointTable:
+        """Keep ``cells``, which no caller holds, and ``memo`` (None for one
+        table, {} for a batch); check that the cells are a mass; return self."""
+        self.kind, self.order, self._cells, self._mass, self._memo = kind, order, tuple(cells), None, memo
+        if memo is None:
+            low = min(self._cells)
         else:
-            # A batch's cells are the columns of its mass, each over the draws.
-            self._cells = tuple(self._mass.T)
-            ok = (abs(self.prob() - 1.0) <= 1e-12) & (self._mass.min(axis=-1) >= 0.0)
-            raise_where(~ok, ParameterError, _MASS_MESSAGE)
+            import numpy as np
+
+            low = np.min(self._cells, axis=0)
+        # Any NaN or infinite cell makes the sum NaN or infinite, and a NaN
+        # fails every comparison.
+        ok = (abs(self.prob() - 1) <= 1e-12) & (low >= 0)
+        raise_where(not ok if memo is None else ~ok, ParameterError, _MASS_MESSAGE)
+        return self
 
     @property
     def mass(self) -> np.ndarray:
@@ -170,7 +173,7 @@ class JointTable:
         if self._mass is None:
             import numpy as np
 
-            self._mass = np.array(self._cells, dtype=np.float64)
+            self._mass = np.array(self._cells, dtype=np.float64).T.copy()
             self._mass.setflags(write=False)
         return self._mass
 
@@ -231,11 +234,10 @@ def build_joint(params: StructureParams) -> JointTable:
     if batch:
         import numpy as np
 
-        p = list(np.array(p, dtype=np.float64))
+        p = [np.asarray(one, dtype=np.float64) for one in p]
     cells = _grow_cells(params.kind)(p, [1 - one for one in p])
-    # A batch's cells stack into (2**n, B); its mass is the (B, 2**n) view.
-    mass = np.array(cells).T if batch else cells
-    return JointTable(kind=params.kind, order=variable_roles(params.kind).order, mass=mass)
+    order = variable_roles(params.kind).order
+    return JointTable.__new__(JointTable)._hold(params.kind, order, cells, {} if batch else None)
 
 
 @lru_cache(maxsize=None)

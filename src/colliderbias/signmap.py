@@ -277,7 +277,8 @@ class SignGrid:
     - ``resolution``: cells per axis, ``cells.shape[0]``;
     - ``axis``: the cell centers (i + 1/2)/resolution;
     - ``columns``: the sign-column names, ``family.columns``;
-    - ``zero_loci``: the analytic zero curves of the family at ``fixed``.
+    - ``zero_loci``: the analytic zero curves of the family at ``fixed``
+      (a child-stratum grid gets the collider stratum's, not its own).
     """
 
     family: GridFamily

@@ -18,6 +18,7 @@ probabilities positionally.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -487,12 +488,13 @@ class StructureParams:
 
 
 def _float_field(doc: Mapping, key: str, table: str | None = None) -> float:
-    """``doc[key]`` as a float; the error names it ``key``, or ``table[key]``
-    for an entry of that table.  A value that is not an int or a float (a
-    string, a bool or null in JSON) is not a number; an integer too large
-    for a double is out of range."""
+    """``doc[key]`` as a float, or a ``fractions.Fraction`` kept exact; the
+    error names it ``key``, or ``table[key]`` for an entry of that table.  A
+    value that is not an int, a float or a Fraction (a string, a bool or null
+    in JSON) is not a number; an integer too large for a double is out of
+    range.  Fraction is looked up in ``sys.modules``, so start-up imports none."""
     value = doc[key]
-    if type(value) is float:
+    if type(value) is float or isinstance(value, getattr(sys.modules.get("fractions"), "Fraction", ())):
         return value
     name = key if table is None else f"{table}[{key}]"
     if not isinstance(value, (int, float)) or isinstance(value, bool):

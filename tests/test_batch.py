@@ -96,6 +96,8 @@ def test_batch_oracle_matches_single_tables(kind):
     batch = build_joint(params)
     assert batch.mass.shape == (DRAWS, tables[0].mass.shape[0])
     assert batch.mass.tobytes() == np.stack([t.mass for t in tables]).tobytes()
+    assert all(cell.shape == (DRAWS,) and cell.dtype == np.float64 and cell.flags.c_contiguous
+               for cell in batch._cells)
     assert _same_bits(batch.prob(), [t.prob() for t in tables])
     for names in [(name,) for name in batch.order] + [("X", "Y"), ("X", "C", "Y")]:
         assert _same_bits(batch.expectation(*names), [t.expectation(*names) for t in tables])
@@ -291,6 +293,16 @@ def test_batch_nonfinite_check_names_the_first_bad_factor_and_draw():
     with pytest.raises(PrecisionLossError, match="^draw 2: oracle gave non-finite cov = -inf$"):
         joint_mod.OracleMeasure(np.array([0.0, 1.0, -math.inf]), Scale.COV)
     cf.BiasReport(value=np.zeros(5), factors={"rd_child": 1.0, "g": np.ones(5)}, **report)
+
+
+def test_batch_nonfinite_scalar_factor_names_no_draw():
+    # A number stands for every draw of the batch, so its error has no draw.
+    report = dict(scale=Scale.COV, conditioning=Stratum("C", 1))
+    factors = {"g": np.ones(5), "rd_child": math.inf, "third": np.full(5, math.nan)}
+    with pytest.raises(PrecisionLossError) as info:
+        cf.BiasReport(value=np.zeros(5), factors=factors, **report)
+    assert str(info.value) == "closed form gave non-finite rd_child = inf"
+    assert not hasattr(info.value, "draw")
 
 
 def _map_probabilities(params, convert):

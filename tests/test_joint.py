@@ -301,6 +301,22 @@ def test_joint_table_owns_its_mass():
     assert table.mass.tolist() == [0.125] * 8
     assert not table.mass.flags.writeable
     assert view.flags.writeable  # the caller's array is left as it was
+    # A batch: a (B, 2**n) view of a caller's writable base.
+    base = np.zeros((3, 16))
+    base[:, :8] = 0.125
+    view = base[:, :8]
+    batch = JointTable(kind=StructureKind.V, order=("X", "Y", "C"), mass=view)
+    base[:, 0] = 0.5
+    assert batch.prob({"X": 0, "Y": 0, "C": 0}).tolist() == [0.125] * 3
+    assert batch.prob().tolist() == [1.0] * 3
+    assert batch.mass.tolist() == [[0.125] * 8] * 3
+    assert not batch.mass.flags.writeable
+    assert view.flags.writeable
+    # A built batch: a later write to the caller's probability arrays.
+    draws, same = (random_structure_params(StructureKind.V, np.random.default_rng(3), 3) for _ in "ab")
+    built = build_joint(draws)
+    draws.p_left[:] = 0.5
+    assert built.mass.tobytes() == build_joint(same).mass.tobytes()
 
 
 def _reference_bits(n: int) -> list[np.ndarray]:
@@ -560,13 +576,16 @@ def test_lm_coefficient_matches_exact_rationals(kind):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_oracle_arithmetic_keeps_fractions_exact(kind):
     # One table's arithmetic has no float literal to coerce a Fraction, so
-    # the same code gives exact values on the float inputs read as Fractions.
+    # the same code gives exact values on the float inputs read as Fractions,
+    # which a parameter document keeps exact.
     params = random_structure_params(kind, np.random.default_rng(23 + ALL_KINDS.index(kind)))
-    exact_params = StructureParams(kind=kind, **{
-        field: Fraction(value) if type(value) is float else type(value)(*map(Fraction, value.values()))
-        for field, value in vars(params).items()
-        if field not in ("kind", "probabilities") and value is not None
+    exact_params = params_from_dict({
+        field: value if field == "kind" else Fraction(value) if type(value) is float
+        else {key: Fraction(entry) for key, entry in value.items()}
+        for field, value in params.to_dict().items()
     })
+    assert all(type(p) is Fraction for p in exact_params.probabilities)
+    assert exact_params.probabilities == tuple(map(Fraction, params.probabilities))
     exact_table, table = build_joint(exact_params), build_joint(params)
     assert exact_table._cells == tuple(mass for _, mass in _exact_cells(params))
     assert all(type(cell) is Fraction for cell in exact_table._cells)

@@ -90,6 +90,15 @@ def test_cli_import_compiles_no_product_kernel():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
+def test_parameter_entry_loads_no_fractions():
+    # A Fraction entry is told apart without importing its module; 1 is an
+    # int, so the document takes the path past the float check.
+    doc = {"kind": "V", "p_left": 1, "p_right": 0.5, "p_c_given": {"00": 0.1, "01": 0.2, "10": 0.3, "11": 0.4}}
+    proc = _python("-c", f"import sys, colliderbias as c; c.params_from_dict({doc!r}); "
+                         "print('fractions' in sys.modules)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_single_queries_run_without_numpy(tmp_path):
     argvs = _single_query_argvs(tmp_path)
     runs = {}

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
@@ -446,6 +447,11 @@ PARSE_ERRORS = {
                          "p_d_given_c[1] = -0.25 is outside [0.0, 1.0]"),
     "integer-above-one": (_edited(entries=[("p_x_given_a", "0", 2)]), "OutOfRangeError",
                           "p_x_given_a[0] = 2.0 is outside [0.0, 1.0]"),
+    # A Fraction is a number, kept exact and range-checked as any other.
+    "fraction-above-one": (_edited(p_left=Fraction(3, 2)), "OutOfRangeError",
+                           "p_left = Fraction(3, 2) is outside [0.0, 1.0]"),
+    "fraction-below-zero-entry": (_edited(entries=[("p_c_given", "00", Fraction(-1, 4))]), "OutOfRangeError",
+                                  "p_c_given[00] = Fraction(-1, 4) is outside [0.0, 1.0]"),
     # A value that is not a number fails while parsing, before any range check.
     "nan-then-bool-entry": (_edited(p_left=math.nan, entries=[("p_y_given_b", "1", True)]),
                             "ParameterError", "p_y_given_b[1] must be a number, got True"),
