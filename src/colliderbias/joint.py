@@ -31,8 +31,7 @@ from .errors import (
     raise_where,
 )
 from .structures import (
-    _FIELD_WIDTHS,
-    _KIND_FIELDS,
+    _PROBABILITY_NAMES,
     LINEAR_MODEL,
     BiasQuery,
     Conditioning,
@@ -138,7 +137,14 @@ class JointTable:
         n = len(order)
         if not 1 <= n <= 6:
             raise ParameterError(f"supported structures have 1..6 variables, got {n}")
-        shape = mass.shape if hasattr(mass, "shape") else (len(mass),)
+        if hasattr(mass, "shape"):
+            shape = mass.shape
+        elif any(hasattr(cell, "__len__") for cell in mass):  # rows, or a batch's cell arrays
+            import numpy as np
+
+            shape = np.array(mass, dtype=object).shape
+        else:
+            shape = (len(mass),)
         if shape[-1:] != (2**n,) or len(shape) > 2:
             raise ParameterError(f"mass must have shape (2**{n},) or (B, 2**{n}), got {shape}")
         if len(shape) == 1:
@@ -275,14 +281,10 @@ def _factor_places(kind: StructureKind) -> tuple[tuple[int, ...], ...]:
     """The one map from role order to schema order.  Entry k lists, for each
     assignment of the variables before order[k] (read as a cell index over
     them), the place in ``params.probabilities`` of P(order[k] = 1 | its
-    parents' values there): order[k]'s field starts at place s, and P(=1 |
-    parent code c), c being the parents' values as binary digits, sits at
-    s + c."""
-    roles = variable_roles(kind)
-    starts, width = {}, 0
-    for field_name in _KIND_FIELDS[kind]:
-        starts[field_name] = width
-        width += _FIELD_WIDTHS[field_name]
+    parents' values there): the place of its field's name in
+    ``structures._PROBABILITY_NAMES``, keyed by the parents' values as
+    binary digits where it has parents."""
+    roles, names = variable_roles(kind), _PROBABILITY_NAMES[kind]
     places = []
     for k, name in enumerate(roles.order):
         if roles.parents[name]:
@@ -292,10 +294,8 @@ def _factor_places(kind: StructureKind) -> tuple[tuple[int, ...], ...]:
         shifts = [k - 1 - roles.order.index(parent) for parent in roles.parents[name]]
         row = []
         for prefix in range(2**k):
-            code = 0
-            for shift in shifts:
-                code = 2 * code + ((prefix >> shift) & 1)
-            row.append(starts[field_name] + code)
+            key = "".join(str((prefix >> shift) & 1) for shift in shifts)
+            row.append(names.index(f"{field_name}[{key}]" if key else field_name))
         places.append(tuple(row))
     return tuple(places)
 

@@ -149,7 +149,7 @@ def _child_deltas(
     edge is checked to lie inside the open unit interval; the two
     cross-product differences are computed once for all levels."""
     check_probabilities(
-        (("p_d_given_c", key, value) for key, value in p_d_given_c.items()), open_interval=True
+        ((f"p_d_given_c[{key}]", value) for key, value in p_d_given_c.items()), open_interval=True
     )
     g1 = cross_product_difference(p_c_given, 1)
     g0 = cross_product_difference(p_c_given, 0)
@@ -242,7 +242,7 @@ class GridFixed:
     p_d_given_c: EdgeCpt | None = None
 
     def __post_init__(self) -> None:
-        check_probabilities((name, None, value) for name, value in self.items())
+        check_probabilities(self.items())
 
     def items(self) -> list[tuple[str, float]]:
         pairs = [

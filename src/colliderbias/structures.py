@@ -6,8 +6,9 @@ directly).  The exposure X and outcome Y either are those causes or are
 children of them; four structures add a child D of the collider.
 
 As data the kinds differ only in their parameter fields: ``_KIND_FIELDS``
-lists each kind's fields in one order and ``_FIELD_TYPES`` gives each
-field's type, and every consumer of the fields loops over these two tables.
+lists each kind's fields in one order, ``_FIELD_TYPES`` gives each field's
+type, and ``_PROBABILITY_NAMES`` names each probability of a kind in that
+order; every consumer of the fields reads these three tables.
 
 Index convention for the collider table: ``p_c_given`` entries are keyed
 (left parent value, right parent value), so ``given_01`` is
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from functools import lru_cache
 from types import MappingProxyType
@@ -290,8 +291,17 @@ _FIELD_TYPES: dict[str, type] = {
     "p_x_given_a": EdgeCpt, "p_y_given_b": EdgeCpt, "p_d_given_c": EdgeCpt,
 }
 
-# How many probabilities each field holds.
-_FIELD_WIDTHS = {name: 1 if t is float else len(t.KEYS) for name, t in _FIELD_TYPES.items()}
+# The name of every probability of each kind, in schema order: a float
+# field is named as itself, a table's entries ``field[key]`` in KEYS order.
+# Range errors give these names, and the joint table finds places by them.
+_PROBABILITY_NAMES: dict[StructureKind, tuple[str, ...]] = {
+    kind: tuple(
+        f"{field}[{key}]" if key else field
+        for field in fields
+        for key in getattr(_FIELD_TYPES[field], "KEYS", ("",))
+    )
+    for kind, fields in _KIND_FIELDS.items()
+}
 
 # The keys of each kind's parameter document, and of each table, as sets:
 # the parser compares a document's keys with these, and looks for the field
@@ -347,18 +357,14 @@ def variable_roles(kind: StructureKind) -> RoleMap:
     )
 
 
-def check_probabilities(
-    items: Iterable[tuple[str, str | None, float]], open_interval: bool = False
-) -> None:
-    """Raise OutOfRangeError for the first (field, key, value) whose value is
-    outside [0, 1], or outside (0, 1) with ``open_interval``; NaN fails both.
-    The error names ``field``, or ``field[key]`` for a table entry, built
-    only when raising.  A value may be an array over a batch of draws."""
-    for field, key, value in items:
+def check_probabilities(items: Iterable[tuple[str, float]], open_interval: bool = False) -> None:
+    """Raise OutOfRangeError, naming ``name``, for the first (name, value)
+    whose value is outside [0, 1], or outside (0, 1) with ``open_interval``;
+    NaN fails both.  A value may be an array over a batch of draws."""
+    for name, value in items:
         if type(value) is float and (0.0 < value < 1.0 if open_interval else 0.0 <= value <= 1.0):
             continue  # the common case, without the elementwise form below
         inside = (0.0 < value) & (value < 1.0) if open_interval else (0.0 <= value) & (value <= 1.0)
-        name = field if key is None else f"{field}[{key}]"
         bad = ~inside if getattr(inside, "ndim", 0) else not inside
         raise_where(bad, lambda v: OutOfRangeError(name, v, open_interval), value)
 
@@ -382,7 +388,8 @@ class StructureParams:
 
     Construction also sets ``probabilities``: every probability in schema
     order (the kind's fields in ``_KIND_FIELDS`` order, each table's entries
-    in ``KEYS`` order), the one vector the joint table and the sampler read.
+    in ``KEYS`` order, named in ``_PROBABILITY_NAMES``), the one vector the
+    joint table and the sampler read.
     """
 
     kind: StructureKind
@@ -407,11 +414,7 @@ class StructureParams:
             else:
                 probabilities += value.values()
         object.__setattr__(self, "probabilities", tuple(probabilities))
-        for value in probabilities:
-            if type(value) is not float or not 0.0 <= value <= 1.0:
-                # Name the field, or check a batch's arrays elementwise.
-                check_probabilities(self._probability_items())
-                break
+        check_probabilities(zip(_PROBABILITY_NAMES[self.kind], probabilities))
 
     def __hash__(self) -> int:
         # One draw hashes by value.  A batch's arrays have no hash, so a
@@ -427,17 +430,6 @@ class StructureParams:
         if getattr(self.p_left, "ndim", 0) or getattr(other.p_left, "ndim", 0):
             return self is other
         return self.kind is other.kind and self.probabilities == other.probabilities
-
-    def _probability_items(self) -> Iterator[tuple[str, str | None, float]]:
-        """(field, table key or None, value) for every probability, in
-        schema order."""
-        for field_name in _KIND_FIELDS[self.kind]:
-            value = getattr(self, field_name)
-            if _FIELD_TYPES[field_name] is float:
-                yield field_name, None, value
-            else:
-                for key, entry in value.items():
-                    yield field_name, key, entry
 
     # -- implied marginals -------------------------------------------------
 
@@ -553,15 +545,15 @@ def params_from_dict(doc: Mapping) -> StructureParams:
 def validate(params: StructureParams, strict: bool = False) -> StructureParams:
     """Check parameter invariants, returning the params unchanged on success.
 
-    Lenient mode repeats the construction-time checks (range and field
-    presence).  Strict mode additionally requires every probability to lie in
-    the open interval (0, 1) and both collider strata -- and child strata,
-    where applicable -- to have positive implied probability, so that all
-    conditional quantities used by the ratio scales exist.
+    Lenient mode constructs the params again from their fields, so that it
+    runs every construction-time check (field presence and range) on a
+    field replaced after construction too.  Strict mode additionally
+    requires every probability to lie in the open interval (0, 1) and both
+    collider strata -- and child strata, where applicable -- to have
+    positive implied probability, so that all conditional quantities used by
+    the ratio scales exist.
     """
-    # Frozen dataclass construction already ran the lenient checks; re-run the
-    # range scan so hand-built subclasses or replaced fields cannot slip by.
-    check_probabilities(params._probability_items())
+    probabilities = replace(params).probabilities  # constructed again, which runs __post_init__
     if not strict:
         return params
     for c in (0, 1):
@@ -571,7 +563,7 @@ def validate(params: StructureParams, strict: bool = False) -> StructureParams:
         for d in (0, 1):
             if params.prob_child(d) <= 0.0:
                 raise DegenerateStratumError("D", d)
-    check_probabilities(params._probability_items(), open_interval=True)
+    check_probabilities(zip(_PROBABILITY_NAMES[params.kind], probabilities), open_interval=True)
     return params
 
 
@@ -590,7 +582,7 @@ def random_structure_params(
     fields are floats; a batch's are contiguous (draws,) arrays.
     """
     fields = _KIND_FIELDS[kind]
-    width = sum(_FIELD_WIDTHS[name] for name in fields)
+    width = len(_PROBABILITY_NAMES[kind])
     if draws is None:
         columns = iter(rng.uniform(0.05, 0.95, size=width).tolist())
     elif not isinstance(draws, int) or draws < 1:

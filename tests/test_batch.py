@@ -347,10 +347,10 @@ def test_batches_of_other_dtypes_build_float64_mass():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_batch_draw_rows_are_the_single_draws(kind, size):
     batch_rng, single_rng = np.random.default_rng(6), np.random.default_rng(6)
-    columns = [v for _, _, v in random_structure_params(kind, batch_rng, size)._probability_items()]
+    columns = random_structure_params(kind, batch_rng, size).probabilities
     assert all(column.shape == (size,) and column.flags.c_contiguous for column in columns)
     for b in range(size):
-        values = [v for _, _, v in random_structure_params(kind, single_rng)._probability_items()]
+        values = random_structure_params(kind, single_rng).probabilities
         assert all(type(value) is float for value in values)
         assert [value.hex() for value in values] == [float(column[b]).hex() for column in columns]
     assert batch_rng.random() == single_rng.random()

@@ -190,9 +190,9 @@ def test_strict_validation_names_an_empty_child_stratum():
 # a batch's array and as another number type (both checked elementwise).
 @pytest.mark.parametrize("value", [0.0, 1.0, np.array([0.5, 0.0]), np.array([0.5, 1.0]), 0, 1])
 def test_the_open_interval_excludes_both_bounds(value):
-    check_probabilities([("p_left", None, value)])
+    check_probabilities([("p_left", value)])
     with pytest.raises(OutOfRangeError):
-        check_probabilities([("p_left", None, value)], open_interval=True)
+        check_probabilities([("p_left", value)], open_interval=True)
 
 
 # -- sign grids -------------------------------------------------------------

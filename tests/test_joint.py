@@ -261,6 +261,33 @@ def test_joint_table_rejects_a_mass_of_the_wrong_shape(shape):
         JointTable(kind=StructureKind.V, order=("X", "Y", "C"), mass=np.full(shape, 1 / 8))
 
 
+# A batch's 8 cell arrays, or 8 rows, given where a mass belongs: the error
+# names the shape they make.
+@pytest.mark.parametrize("mass", [[np.full(3, 0.125)] * 8, [[0.125] * 3] * 8])
+def test_joint_table_names_the_shape_of_nested_cells(mass):
+    with pytest.raises(ParameterError) as info:
+        JointTable(kind=StructureKind.V, order=("X", "Y", "C"), mass=mass)
+    assert str(info.value) == "mass must have shape (2**3,) or (B, 2**3), got (8, 3)"
+
+
+def test_joint_table_takes_a_list_of_rows_as_a_batch():
+    rows = [[0.125] * 8, [0.25, 0.0, 0.0, 0.25, 0.0, 0.25, 0.25, 0.0]]
+    batch = JointTable(kind=StructureKind.V, order=("X", "Y", "C"), mass=rows)
+    assert batch.mass.tobytes() == np.array(rows).tobytes()
+
+
+def test_joint_table_takes_one_to_six_variables():
+    # build_joint skips the constructor, so give the constructor LongM's six
+    # variables here; none or seven are refused.
+    longm = build_joint(random_structure_params(StructureKind.LONG_M, np.random.default_rng(0)))
+    table = JointTable(kind=longm.kind, order=longm.order, mass=longm.mass)
+    assert table.mass.tobytes() == longm.mass.tobytes()
+    for order in ((), (*longm.order, "E")):
+        message = f"^supported structures have 1..6 variables, got {len(order)}$"
+        with pytest.raises(ParameterError, match=message):
+            JointTable(kind=longm.kind, order=order, mass=[1.0 / 2 ** len(order)] * 2 ** len(order))
+
+
 def test_joint_table_takes_no_bit_columns(uniform_v_params):
     table = build_joint(uniform_v_params)
     with pytest.raises(TypeError):

@@ -1,6 +1,7 @@
 """The single-query path needs no numpy: ``import colliderbias``, ``--help``,
 ``compute``, ``sign`` and malformed input run with numpy blocked and print
-what they print with numpy available."""
+what they print with numpy available.  No module of the package needs a
+package it does not declare."""
 
 import json
 import os
@@ -111,3 +112,42 @@ def test_single_queries_run_without_numpy(tmp_path):
     codes = [code for code, _, _ in runs["available"]["results"]]
     assert codes[:2] == [0, 2] and codes[-3:] == [2, 2, 2]
     assert set(codes[2:-3]) == {0}
+
+
+def test_flat_mass_loads_no_numpy():
+    proc = _python("-c", "import sys; from colliderbias import JointTable, StructureKind; "
+                         "t = JointTable(StructureKind.V, ('X', 'Y', 'C'), [0.125] * 8); "
+                         "print(t.prob({'C': 1}), 'numpy' in sys.modules)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0.5 False\n", "")
+
+
+# Packages the tests or the tools may use but the package does not declare.
+UNDECLARED = ("hypothesis", "sympy", "mpmath", "scipy")
+
+
+def test_package_imports_no_undeclared_package():
+    # With each undeclared package blocked (importing it raises), the CLI
+    # and the verify battery import, and a verify run and a grid print what
+    # they print with nothing blocked.
+    argvs = [["verify", "--kind", "V", "--draws", "3"],
+             ["grid", "--family", "stratum", "--p-c00", "0.2", "--p-c11", "0.7", "--resolution", "4"]]
+    script = (
+        "import contextlib, io, sys\n"
+        "if sys.argv[1] == 'blocked':\n"
+        f"    sys.modules.update(dict.fromkeys({UNDECLARED!r}))\n"
+        "import colliderbias.verification\n"
+        "from colliderbias.cli import main\n"
+        "codes = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        codes.append(main(argv))\n"
+        "    print(out.getvalue())\n"
+        "print(codes)\n"
+    )
+    runs = {mode: _python("-c", script, mode) for mode in ("blocked", "available")}
+    blocked, available = runs["blocked"], runs["available"]
+    assert (blocked.returncode, blocked.stderr) == (0, ""), blocked.stderr
+    assert blocked.stdout == available.stdout
+    assert blocked.stdout.startswith("V: draws=3 seed=0 pass\n")
+    assert blocked.stdout.endswith("\n[0, 0]\n")

@@ -21,7 +21,7 @@ from colliderbias import (
     validate,
     variable_roles,
 )
-from colliderbias.structures import _FIELD_TYPES, _KIND_FIELDS
+from colliderbias.structures import _FIELD_TYPES, _KIND_FIELDS, _PROBABILITY_NAMES
 
 ALL_KINDS = list(StructureKind)
 
@@ -161,10 +161,24 @@ def test_strict_mode_rejects_boundary_probability(uniform_v_params):
 
 
 def test_lenient_validate_rescans_replaced_fields(uniform_v_params):
+    assert validate(uniform_v_params) is uniform_v_params
     object.__setattr__(uniform_v_params, "p_right", 1.5)
     with pytest.raises(OutOfRangeError) as info:
         validate(uniform_v_params)
     assert str(info.value) == "p_right = 1.5 is outside [0.0, 1.0]"
+    # A field the kind does not take, or a required field taken away, is
+    # the error construction gives, not a TypeError from a range check.
+    for field, value, error in (
+        ("p_x_given_a", EdgeCpt(0.3, 0.6), ExtraFieldError),
+        ("p_right", None, MissingFieldError),
+    ):
+        params = StructureParams(
+            kind=StructureKind.V, p_left=0.5, p_right=0.5, p_c_given=ColliderCpt(0.5, 0.5, 0.5, 0.5)
+        )
+        object.__setattr__(params, field, value)
+        with pytest.raises(error) as info:
+            validate(params)
+        assert (info.value.kind, info.value.field) == ("V", field)
 
 
 def test_extra_field_rejected():
@@ -248,8 +262,9 @@ def test_schema_covers_every_field_in_one_order():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_every_route_follows_the_kind_schema(kind, rng):
     params = random_structure_params(kind, rng)
-    fields = [field for field, _, _ in params._probability_items()]
+    fields = [name.partition("[")[0] for name in _PROBABILITY_NAMES[kind]]
     assert list(dict.fromkeys(fields)) == list(_KIND_FIELDS[kind])
+    assert len(fields) == len(params.probabilities)
     assert list(params.to_dict()) == ["kind", *_KIND_FIELDS[kind]]
     assert params_from_dict(params.to_dict()) == params
 
@@ -503,5 +518,13 @@ def test_overlong_integer_in_json_text_is_a_parameter_error():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_probabilities_follow_the_schema(kind, rng):
     params = random_structure_params(kind, rng)
-    assert params.probabilities == tuple(value for _, _, value in params._probability_items())
+    # The vector and its names, rebuilt from the JSON document: its fields
+    # in schema order, each table's entries in the order of its KEYS.
+    names, values = [], []
+    for field, value in list(params.to_dict().items())[1:]:
+        table = value if isinstance(value, dict) else {None: value}
+        names += [field if key is None else f"{field}[{key}]" for key in table]
+        values += table.values()
+    assert params.probabilities == tuple(values)
+    assert _PROBABILITY_NAMES[kind] == tuple(names)
     assert all(type(value) is float for value in params.probabilities)
