@@ -358,6 +358,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.timings:
         for run in runs:
             print(f"{run.kind.value}: {run.elapsed_seconds:.3f} s", file=sys.stderr)
+            for stage, seconds in run.stage_seconds.items():
+                print(f"{run.kind.value} {stage}: {seconds:.3f} s", file=sys.stderr)
     doc = _verification_doc(runs)
 
     if args.format == "json":
@@ -710,7 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--draws", type=int, default=1000)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--timings", action="store_true",
-                        help="print each kind's wall-clock seconds to stderr")
+                        help="print each kind's wall-clock seconds, and those of each of its "
+                        "stages, to stderr")
 
     sample_cmd = command("sample", cmd_sample, "Monte Carlo frequencies vs exact masses")
     _add_params_flags(sample_cmd)

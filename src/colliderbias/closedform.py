@@ -44,6 +44,7 @@ from .structures import (
     StructureKind,
     StructureParams,
     _KIND_FIELDS,
+    batch_memo,
 )
 
 # Sign classification bands: a value within SIGN_TOL of the null point is
@@ -111,6 +112,7 @@ def _require_kind(params: StructureParams, *kinds: StructureKind) -> None:
         raise ParameterError(f"operation requires kind in {{{wanted}}}, got {params.kind.value}")
 
 
+@batch_memo
 def cross_product_difference(p_c_given: ColliderCpt, level: int) -> float:
     """P(C=c|00)P(C=c|11) - P(C=c|10)P(C=c|01) at c = level."""
     t = p_c_given
@@ -127,8 +129,9 @@ def child_contrast(pd1: float, pd0: float, g1: float, g0: float) -> float:
     return (pd1 - pd0) * (pd1 * g1 - pd0 * g0)
 
 
-def _given_left(params: StructureParams, level: int, child: bool) -> list[float]:
-    """[P(G=level | left cause = 1), P(G=level | left cause = 0)], each mixing
+@batch_memo
+def _given_left(params: StructureParams, level: int, child: bool) -> tuple[float, float]:
+    """(P(G=level | left cause = 1), P(G=level | left cause = 0)), each mixing
     over the right cause, with G the collider's child D when ``child`` is set
     and the collider C if not."""
     p_r1 = params.p_right
@@ -136,10 +139,10 @@ def _given_left(params: StructureParams, level: int, child: bool) -> list[float]
     p_r0 = 1.0 - p_r1
     t = params.p_c_given
     if not child:
-        return [
+        return (
             p_r1 * t.level_given(level, 1, 1) + p_r0 * t.level_given(level, 1, 0),
             p_r1 * t.level_given(level, 0, 1) + p_r0 * t.level_given(level, 0, 0),
-        ]
+        )
     d_cpt = params.p_d_given_c
     assert d_cpt is not None
     pair = []
@@ -148,7 +151,7 @@ def _given_left(params: StructureParams, level: int, child: bool) -> list[float]
         at_r1 = d_cpt.mixture(level, t.level_given(1, left, 1), t.level_given(0, left, 1))
         at_r0 = d_cpt.mixture(level, t.level_given(1, left, 0), t.level_given(0, left, 0))
         pair.append(p_r1 * at_r1 + p_r0 * at_r0)
-    return pair
+    return tuple(pair)
 
 
 def _stratum_odds_ratio(t: ColliderCpt, level: int) -> float:
@@ -171,6 +174,7 @@ def v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
     return _v_stratum_bias(params, level, scale)
 
 
+@batch_memo
 def _v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasReport:
     """:func:`v_stratum_bias` of the V structure embedded in ``params``, which
     may be of any kind with a ``p_right``: it reads only the V fields."""
@@ -233,6 +237,7 @@ def y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
     return _y_stratum_bias(params, level, scale)
 
 
+@batch_memo
 def _y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasReport:
     """:func:`y_stratum_bias` of the Y structure embedded in ``params``, which
     may be of any kind with a ``p_right`` and a child D: it reads only the Y
@@ -311,6 +316,7 @@ def y_bias_from_embedded_v(params: StructureParams, level: int) -> float:
     )
 
 
+@batch_memo
 def embedded_core(params: StructureParams) -> StructureParams:
     """The V or Y structure sitting inside an extended structure.
 
@@ -334,6 +340,7 @@ def extension_rds(params: StructureParams) -> tuple[float, float]:
     return _rd_or_one(params.p_x_given_a), _rd_or_one(params.p_y_given_b)
 
 
+@batch_memo
 def extension_variance_ratio(params: StructureParams, level: int) -> float:
     """var(A | G=g) / var(X | G=g) for structures whose exposure hangs off a
     left cause A, with G the conditioning variable; 1 for right-only
@@ -418,6 +425,7 @@ def lm_kernel(p_c_given: ColliderCpt, p_left: float, p_right: float) -> float:
     return -right_effect * _left_effect(t, p_right)
 
 
+@batch_memo
 def lm_bias_kernel(params: StructureParams) -> float:
     """The lm kernel (:func:`lm_kernel`) of a structure with marginally
     independent collider causes."""
@@ -466,6 +474,7 @@ def v_lm_bias(params: StructureParams) -> BiasReport:
     )
 
 
+@batch_memo
 def lm_weight_normalizer(params: StructureParams) -> float:
     """Closed form of the normalizing constant of the lm stratum weights.
 
@@ -506,6 +515,7 @@ def lm_weight_normalizer(params: StructureParams) -> float:
     return p_x1 * p_x0 * pd1 * pd0 - correction * (d_cpt.risk_difference * d_cpt.risk_difference)
 
 
+@batch_memo
 def lm_bias(params: StructureParams) -> BiasReport:
     """Bias due to linear-regression adjustment, in one formula for all
     eight structures with marginally independent collider causes:

@@ -94,7 +94,17 @@ def raise_first_nonfinite(label: str, named: tuple[tuple[str, object], ...]) -> 
     (name, value) pair whose value is NaN or infinite.  A value is one
     number, or an array over a batch of draws, whose first bad draw
     :func:`raise_where` names; a number stands for every draw and names
-    none."""
+    none.  Where a value is an array, every entry of every value is tested
+    at once first, and searched by name and draw only when one is bad."""
+    arrays, numbers = [], []
+    for _, value in named:
+        (arrays if getattr(value, "ndim", 0) else numbers).append(value)
+    if arrays and all(map(math.isfinite, numbers)):
+        import numpy as np
+
+        every = np.concatenate(arrays, axis=None) if arrays[1:] else arrays[0]
+        if np.count_nonzero(np.isfinite(every)) == every.size:
+            return
     for name, value in named:
         if getattr(value, "ndim", 0):
             import numpy as np

@@ -160,15 +160,18 @@ class JointTable:
         """Keep ``cells``, which no caller holds, and ``memo`` (None for one
         table, {} for a batch); check that the cells are a mass; return self."""
         self.kind, self.order, self._cells, self._mass, self._memo = kind, order, tuple(cells), None, memo
-        if memo is None:
-            low = min(self._cells)
-        else:
-            import numpy as np
+        try:
+            if memo is None:
+                low = min(self._cells)
+            else:
+                import numpy as np
 
-            low = np.min(self._cells, axis=0)
-        # Any NaN or infinite cell makes the sum NaN or infinite, and a NaN
-        # fails every comparison.
-        ok = (abs(self.prob() - 1) <= 1e-12) & (low >= 0)
+                low = np.min(self._cells, axis=0)
+            # Any NaN or infinite cell makes the sum NaN or infinite, and a
+            # NaN fails every comparison.
+            ok = (abs(self.prob() - 1) <= 1e-12) & (low >= 0)
+        except TypeError:  # a cell that is not a number: a string, a list
+            raise ParameterError("mass cells must be numbers") from None
         raise_where(not ok if memo is None else ~ok, ParameterError, _MASS_MESSAGE)
         return self
 

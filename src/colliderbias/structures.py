@@ -23,7 +23,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 from types import MappingProxyType
 from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator
 
@@ -38,6 +38,52 @@ from .errors import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+# The wrapper that batch_memo compiles for a function with the positional
+# parameters ``params``: ``first`` and then ``others``.
+_MEMO_SOURCE = """\
+def memoized({params}):
+    memo = {first}._memo
+    if memo is None:
+        return function({params})
+    key = (function, {others})
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = _read_only(function({params}))
+    return value
+"""
+
+
+def batch_memo(function):
+    """Keep each result of ``function`` on a batch, in the memo of its first
+    argument: a StructureParams or a probability table, whose ``_memo`` is a
+    dict on a batch and None on one draw.  The key is the function and its
+    other arguments.  Every array a kept result holds is made read-only; a
+    call that raises keeps nothing, so it raises again on every call.  One
+    draw keeps nothing and pays one attribute test: the wrapper, compiled
+    here, takes the function's own positional parameters, so that no call
+    packs or unpacks its arguments."""
+    code = function.__code__
+    names = code.co_varnames[: code.co_argcount]
+    others = "".join(f"{name}, " for name in names[1:])
+    source = _MEMO_SOURCE.format(params=names[0] + ", " + others, first=names[0], others=others)
+    namespace = {"function": function, "_read_only": _read_only}
+    exec(source, namespace)  # the source holds only the function's parameter names
+    return update_wrapper(namespace["memoized"], function)
+
+
+def _read_only(value):
+    """``value``, with every array in it made read-only: an array, a tuple
+    of them, or a closed-form report's value, sign and factors."""
+    if isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    elif hasattr(value, "setflags"):
+        value.setflags(write=False)
+    elif hasattr(value, "factors"):
+        _read_only((value.value, value.sign, *value.factors.values()))
+    return value
 
 
 class StructureKind(str, Enum):
@@ -181,9 +227,11 @@ class BiasQuery:
 
 class _Cpt:
     """P(child=1 | parents): one field per parent assignment, in the order
-    of ``KEYS``, the table's JSON keys."""
+    of ``KEYS``, the table's JSON keys.  A table of a batch StructureParams
+    keeps a memo (:func:`batch_memo`); any other keeps none."""
 
     KEYS: ClassVar[tuple[str, ...]]
+    _memo = None
 
     @classmethod
     def from_keyed(cls, keyed: Mapping[str, float]):
@@ -364,9 +412,27 @@ def check_probabilities(items: Iterable[tuple[str, float]], open_interval: bool 
     for name, value in items:
         if type(value) is float and (0.0 < value < 1.0 if open_interval else 0.0 <= value <= 1.0):
             continue  # the common case, without the elementwise form below
-        inside = (0.0 < value) & (value < 1.0) if open_interval else (0.0 <= value) & (value <= 1.0)
+        try:
+            inside = (0.0 < value) & (value < 1.0) if open_interval else (0.0 <= value) & (value <= 1.0)
+        except TypeError:  # a string, None, a list: no number compares with it
+            raise ParameterError(f"{name} must be a number, got {value!r}") from None
         bad = ~inside if getattr(inside, "ndim", 0) else not inside
         raise_where(bad, lambda v: OutOfRangeError(name, v, open_interval), value)
+
+
+def _check_batch_probabilities(names: tuple[str, ...], values: list) -> None:
+    """:func:`check_probabilities` of a batch's probabilities ``values``, named
+    ``names``: the values are stacked and tested against [0, 1] at once, and
+    searched name by name only when that fails (a NaN fails it) or when they
+    do not stack into one float array."""
+    import numpy as np
+
+    try:
+        stacked = np.array(values)
+    except ValueError:  # arrays of different shapes, or arrays beside numbers
+        stacked = None
+    if stacked is None or stacked.dtype != np.float64 or not (0.0 <= stacked.min() and stacked.max() <= 1.0):
+        check_probabilities(zip(names, values))
 
 
 @dataclass(frozen=True)
@@ -385,6 +451,8 @@ class StructureParams:
     probabilities and non-degenerate C and D strata.  A batch, such as
     :func:`random_structure_params` draws with a draw count, holds one kind's
     draws with every probability an array over them, checked elementwise.
+    A batch, and each of its tables, keeps the closed-form pieces asked of
+    it (:func:`batch_memo`), so its arrays must not change once it is built.
 
     Construction also sets ``probabilities``: every probability in schema
     order (the kind's fields in ``_KIND_FIELDS`` order, each table's entries
@@ -400,6 +468,8 @@ class StructureParams:
     p_y_given_b: EdgeCpt | None = None
     p_d_given_c: EdgeCpt | None = None
 
+    _memo = None  # a dict on a batch, set by construction: see batch_memo
+
     def __post_init__(self) -> None:
         fields = _KIND_FIELDS[self.kind]
         probabilities: list = []
@@ -411,10 +481,22 @@ class StructureParams:
                 continue
             if field_type is float:
                 probabilities.append(value)
-            else:
+            elif type(value) is field_type:
                 probabilities += value.values()
+            else:
+                raise ParameterError(f"{field_name} must be a {field_type.__name__}, got {value!r}")
         object.__setattr__(self, "probabilities", tuple(probabilities))
-        check_probabilities(zip(_PROBABILITY_NAMES[self.kind], probabilities))
+        if type(self.p_left) is float or not getattr(self.p_left, "ndim", 0):
+            check_probabilities(zip(_PROBABILITY_NAMES[self.kind], probabilities))
+            return
+        _check_batch_probabilities(_PROBABILITY_NAMES[self.kind], probabilities)
+        # A batch, and each of its tables, keeps a memo; a table that another
+        # batch holds too keeps the one it has, as its entries are the same.
+        object.__setattr__(self, "_memo", {})
+        for field_name in fields:
+            value = getattr(self, field_name)
+            if _FIELD_TYPES[field_name] is not float and value._memo is None:
+                object.__setattr__(value, "_memo", {})
 
     def __hash__(self) -> int:
         # One draw hashes by value.  A batch's arrays have no hash, so a
@@ -433,6 +515,7 @@ class StructureParams:
 
     # -- implied marginals -------------------------------------------------
 
+    @batch_memo
     def prob_collider(self, c: int) -> float:
         """P(C=c) implied by the parameterization.
 
@@ -451,6 +534,7 @@ class StructureParams:
                 total += pl * pr * self.p_c_given.level_given(c, left, right)
         return total
 
+    @batch_memo
     def prob_child(self, d: int) -> float:
         """P(D=d) implied by the parameterization (kinds with a child D)."""
         if self.p_d_given_c is None:

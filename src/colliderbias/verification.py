@@ -15,7 +15,9 @@ closed forms, the oracle and the sign rules once per batch, on arrays whose
 entries are bit-identical to each draw's own floats.  The checks ask the
 batch's joint table for many of the same event sums and measures; the
 table answers each once and keeps the answer (errors are never kept, and
-a single table keeps nothing).
+a single table keeps nothing).  The batch's parameters keep each
+closed-form piece they are asked for in the same way
+(structures.batch_memo).
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ DEFAULT_REL_TOL_OR = 1e-10
 _EXACT_TOL = 1e-14
 # Draws per batch: memory stays fixed whatever the number of draws.
 _BATCH = 500
+# The stages of a batch that verify_kind times: drawing the parameters,
+# building the joint tables, the oracle's checks, the closed forms' checks
+# and the sign rules' checks.
+STAGES = ("draw", "build", "oracle", "closed forms", "signs")
 
 
 @dataclass
@@ -91,6 +97,8 @@ class KindVerification:
     seed: int
     identities: list[IdentityResult] = field(default_factory=list)
     elapsed_seconds: float = 0.0
+    # Seconds of each stage of the battery, in the order of STAGES.
+    stage_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -379,32 +387,47 @@ def verify_kind(kind: StructureKind, draws: int, seed: int) -> KindVerification:
         raise ParameterError(f"draws must be >= 1, got {draws}")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
-    started = time.perf_counter()
+    started = mark = time.perf_counter()
+    seconds = dict.fromkeys(STAGES, 0.0)
+
+    def charge(stage: str) -> None:
+        # Add the seconds since the last charge to ``stage``.
+        nonlocal mark
+        now = time.perf_counter()
+        seconds[stage] += now - mark
+        mark = now
+
     rng = np.random.default_rng(seed)
     rec = _Recorder()
     for first in range(0, draws, _BATCH):
         size = min(_BATCH, draws - first)
         params = random_structure_params(kind, rng, size)
+        charge("draw")
         table = joint_mod.build_joint(params)
-        biases = _stratum_biases(table)
         # The embedded V or Y structure's; a V, Nabla or Y structure is its
         # own core.
-        if kind.is_extended:
-            core_biases = _stratum_biases(joint_mod.build_joint(cf.embedded_core(params)))
-        else:
-            core_biases = biases
+        core_table = joint_mod.build_joint(cf.embedded_core(params)) if kind.is_extended else table
+        charge("build")
+        biases = _stratum_biases(table)
+        core_biases = _stratum_biases(core_table) if kind.is_extended else biases
         _check_joint_basics(params, table, rec)
+        charge("oracle")
         _check_closed_vs_oracle(params, table, biases, rec)
+        charge("closed forms")
         _check_oracle_identities(params, table, rec)
+        charge("oracle")
         _check_supplementary(params, table, rec)
         _check_extension_factorization(params, biases, core_biases, rec)
+        charge("closed forms")
         _check_sign_rules(params, biases, core_biases, rec)
+        charge("signs")
     return KindVerification(
         kind=kind,
         draws=draws,
         seed=seed,
         identities=rec.results(),
-        elapsed_seconds=time.perf_counter() - started,
+        elapsed_seconds=mark - started,
+        stage_seconds=seconds,
     )
 
 

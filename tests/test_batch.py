@@ -1,6 +1,7 @@
 """The batched array core: every entry a batch gives must carry the same bits
 as the scalar call on that draw alone."""
 
+import collections
 import hashlib
 import math
 import random
@@ -14,6 +15,7 @@ from colliderbias import (
     ColliderBiasError,
     ColliderCpt,
     DegenerateStratumError,
+    OutOfRangeError,
     ParameterError,
     PrecisionLossError,
     Scale,
@@ -29,9 +31,11 @@ from colliderbias import (
     params_from_dict,
     random_structure_params,
 )
+from colliderbias import cli
 from colliderbias import closedform as cf
 from colliderbias import joint as joint_mod
 from colliderbias import signmap as sm
+from colliderbias import structures
 from colliderbias import verification
 from colliderbias.structures import _FIELD_TYPES
 
@@ -267,6 +271,28 @@ def test_batch_guard_names_the_first_bad_draw():
     assert info.value.draw == 2
 
 
+@pytest.mark.parametrize("p_right", [np.full(5, 0.5), 0.5])
+def test_batch_range_check_names_the_first_bad_field_and_draw(p_right, monkeypatch):
+    # A batch is tested all at once, and searched by field and draw only when
+    # that fails; entries of exactly 0 and 1 pass the one test, and a NaN
+    # fails it.  With a number beside the arrays, the values do not stack,
+    # and are searched.
+    collider = np.random.default_rng(5).uniform(0.05, 0.95, size=(4, 5))
+    collider[0, 1], collider[3, 4] = 0.0, 1.0
+    fields = dict(kind=StructureKind.V, p_left=np.full(5, 0.5), p_right=p_right)
+    searches = []
+    search = structures.check_probabilities
+    monkeypatch.setattr(structures, "check_probabilities", lambda items: searches.append(search(items)))
+    StructureParams(**fields, p_c_given=ColliderCpt(*collider))
+    assert len(searches) == (0 if isinstance(p_right, np.ndarray) else 1)
+    for bad, message in ((1.5, "p_c_given[10] = 1.5 is outside"), (math.nan, "p_c_given[10] = nan is outside")):
+        collider[2, 3] = bad
+        with pytest.raises(OutOfRangeError) as info:
+            StructureParams(**fields, p_c_given=ColliderCpt(*collider))
+        assert info.value.draw == 3
+        assert str(info.value) == f"draw 3: {message} [0.0, 1.0]"
+
+
 def test_batch_singular_design_names_the_first_bad_draw():
     collider = np.random.default_rng(8).uniform(0.05, 0.95, size=(4, 3))
     collider[:, 1] = [0.0, 0.0, 1.0, 1.0]  # in draw 1, C copies X
@@ -297,12 +323,14 @@ def test_batch_nonfinite_check_names_the_first_bad_factor_and_draw():
 
 def test_batch_nonfinite_scalar_factor_names_no_draw():
     # A number stands for every draw of the batch, so its error has no draw.
+    # It is found whether or not an array beside it is bad as well.
     report = dict(scale=Scale.COV, conditioning=Stratum("C", 1))
-    factors = {"g": np.ones(5), "rd_child": math.inf, "third": np.full(5, math.nan)}
-    with pytest.raises(PrecisionLossError) as info:
-        cf.BiasReport(value=np.zeros(5), factors=factors, **report)
-    assert str(info.value) == "closed form gave non-finite rd_child = inf"
-    assert not hasattr(info.value, "draw")
+    for third in (np.full(5, math.nan), np.ones(5)):
+        factors = {"g": np.ones(5), "rd_child": math.inf, "third": third}
+        with pytest.raises(PrecisionLossError) as info:
+            cf.BiasReport(value=np.zeros(5), factors=factors, **report)
+        assert str(info.value) == "closed form gave non-finite rd_child = inf"
+        assert not hasattr(info.value, "draw")
 
 
 def _map_probabilities(params, convert):
@@ -362,14 +390,17 @@ def test_bad_draw_count_is_a_parameter_error(draws):
         random_structure_params(StructureKind.V, np.random.default_rng(0), draws)
 
 
-def test_verify_does_not_depend_on_the_batch_size(monkeypatch):
-    def summary(runs):
-        return [[(r.name, r.checked, r.max_discrepancy.hex(), r.failures) for r in sorted(
-            run.identities, key=lambda r: r.name)] for run in runs]
+def test_verify_does_not_depend_on_the_batch_size(monkeypatch, capsys):
+    # The same bytes, whether one batch of 23 draws or five of at most 5
+    # answer each query, closed form and oracle alike, from its memo.
+    def output():
+        for fmt in ("json", "text"):
+            assert cli.main(["verify", "--all", "--draws", "23", "--seed", "4", "--format", fmt]) == 0
+        return capsys.readouterr().out
 
-    default = summary(verification.verify_many(ALL_KINDS, draws=23, seed=4))
+    default = output()
     monkeypatch.setattr(verification, "_BATCH", 5)
-    assert summary(verification.verify_many(ALL_KINDS, draws=23, seed=4)) == default
+    assert output() == default
 
 
 def test_nan_discrepancy_counts_as_a_failure():
@@ -471,6 +502,126 @@ def test_single_tables_keep_no_memo():
     bias(table, BiasQuery(LINEAR_MODEL))
     table.probs({"X": 1}, {"Y": 1})
     assert table._memo is None
+
+
+# Every piece of the closed forms that a batch keeps in its memo.
+MEMOIZED = (
+    StructureParams.prob_collider,
+    StructureParams.prob_child,
+    cf.cross_product_difference,
+    cf._given_left,
+    cf._v_stratum_bias,
+    cf._y_stratum_bias,
+    cf.extension_variance_ratio,
+    cf.lm_bias_kernel,
+    cf.lm_weight_normalizer,
+    cf.lm_bias,
+    cf.embedded_core,
+)
+
+
+# Nabla's one closed form, its or factor, uses none of the pieces.
+@pytest.mark.parametrize("kind", [kind for kind in ALL_KINDS if kind is not StructureKind.NABLA])
+def test_each_memoized_piece_runs_once_per_batch(kind, monkeypatch):
+    # The verify battery asks for the same pieces many times over; on its
+    # one batch each piece runs once for each first argument and the rest.
+    runs, asks = collections.Counter(), collections.Counter()
+    for piece in MEMOIZED:
+        def counted(first, *args, raw=piece.__wrapped__):
+            runs[raw.__name__, id(first), args] += 1
+            return raw(first, *args)
+
+        def asked(*args, piece=piece, **kwargs):
+            asks[piece.__name__] += 1
+            return piece(*args, **kwargs)
+
+        monkeypatch.setitem(piece.__globals__, "function", counted)
+        if piece.__name__ in vars(cf):
+            monkeypatch.setattr(cf, piece.__name__, asked)
+    verification.verify_kind(kind, draws=DRAWS, seed=5)
+    assert runs and max(runs.values()) == 1
+    assert sum(asks.values()) > len(runs)
+
+
+def test_memoized_pieces_keep_read_only_arrays():
+    _, params = _draws(StructureKind.LONG_M)
+    kept = {
+        "prob_collider": params.prob_collider(1),
+        "prob_child": params.prob_child(0),
+        "cross_product_difference": cf.cross_product_difference(params.p_c_given, 1),
+        "_given_left": cf._given_left(params, 1, True),
+        "extension_variance_ratio": cf.extension_variance_ratio(params, 0),
+        "lm_bias_kernel": cf.lm_bias_kernel(params),
+        "lm_weight_normalizer": cf.lm_weight_normalizer(params),
+    }
+    for name in ("_v_stratum_bias", "_y_stratum_bias"):
+        report = getattr(cf, name)(params, 1, Scale.RD)
+        kept[name] = (report.value, report.sign, *report.factors.values())
+    report = cf.lm_bias(params)
+    kept["lm_bias"] = (report.value, report.sign, *report.factors.values())
+    arrays = [(name, array) for name, value in kept.items()
+              for array in (value if isinstance(value, tuple) else (value,)) if isinstance(array, np.ndarray)]
+    assert {name for name, _ in arrays} == set(kept)
+    for name, array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+    # Asked again, each piece hands out what it kept.
+    assert params.prob_collider(1) is kept["prob_collider"]
+    assert cf.cross_product_difference(params.p_c_given, 1) is kept["cross_product_difference"]
+    assert cf.lm_bias(params) is report
+    assert cf.embedded_core(params) is cf.embedded_core(params)
+
+
+def test_memoized_piece_raises_on_every_call():
+    # No error is kept: a V batch whose draw 3 has no mass at C=1 raises,
+    # naming draw 3, each time its C=1 form is asked, and the pieces that
+    # do not raise are kept.
+    collider = np.random.default_rng(9).uniform(0.05, 0.95, size=(4, 6))
+    collider[:, 3] = 0.0
+    params = StructureParams(
+        kind=StructureKind.V, p_left=np.full(6, 0.4), p_right=np.full(6, 0.7),
+        p_c_given=ColliderCpt(*collider),
+    )
+    for _ in range(3):
+        for scale in (Scale.COV, Scale.RD):
+            with pytest.raises(ColliderBiasError, match="^draw 3: "):
+                cf.v_stratum_bias(params, 1, scale)
+        assert cf.v_stratum_bias(params, 0, Scale.COV).value.shape == (6,)
+    assert not any(key[1:] in ((1, Scale.COV), (1, Scale.RD)) for key in params._memo)
+    assert params.prob_collider(1) is params._memo[params.prob_collider.__wrapped__, 1]
+
+
+def test_single_draws_and_grids_keep_no_memo(monkeypatch):
+    params = random_structure_params(StructureKind.LONG_M, np.random.default_rng(2))
+    cf.closed_form(params, BiasQuery(Stratum("D", 1), Scale.RD))
+    cf.closed_form(params, BiasQuery(LINEAR_MODEL))
+    sm.extended_sign(params, LINEAR_MODEL)
+    assert params._memo is None
+    assert all(getattr(params, name)._memo is None for name in ("p_c_given", "p_x_given_a", "p_d_given_c"))
+    lattices = []
+
+    def seen(t, level):
+        lattices.append(t)
+        return cf.cross_product_difference(t, level)
+
+    monkeypatch.setattr(sm, "cross_product_difference", seen)
+    sm.emit_grid(sm.GridFamily.STRATUM, sm.GridFixed(0.15, 0.75, 0.5, 0.5), 9)
+    assert lattices and all(t._memo is None for t in lattices)
+
+
+def test_a_batch_shares_no_memo_with_another():
+    _, first = _draws(StructureKind.Y, seed=3)
+    _, second = _draws(StructureKind.Y, seed=4)
+    values = [cf.y_stratum_bias(params, 1, Scale.COV).value for params in (first, second)]
+    assert values[0].tobytes() != values[1].tobytes()
+    assert first._memo is not second._memo
+    assert first.p_c_given._memo is not second.p_c_given._memo
+    assert not set(map(id, first._memo.values())) & set(map(id, second._memo.values()))
+    # The embedded core holds its batch's own tables, and their memos.
+    _, extended = _draws(StructureKind.LONG_M)
+    core = cf.embedded_core(extended)
+    assert core._memo is not extended._memo
+    assert core.p_c_given._memo is extended.p_c_given._memo
 
 
 # sha256 over the bits of every closed-form value, sign and factor, and of

@@ -25,6 +25,7 @@ from colliderbias import cli
 from colliderbias.cli import grid_to_csv, grid_to_json, main, parse_grid_csv
 from colliderbias.signmap import SignGrid
 from colliderbias.structures import _KIND_FIELDS
+from colliderbias.verification import STAGES, verify_kind
 
 REFERENCE_FLAGS = [
     "--kind", "V",
@@ -360,8 +361,16 @@ def _check_timings_go_to_stderr_only(capsys, args, stages):
 
 
 def test_verify_timings_go_to_stderr_only(capsys):
-    _check_timings_go_to_stderr_only(capsys, ["verify", "--all", "--draws", "3", "--seed", "2"],
-                                     [kind.value for kind in StructureKind])
+    # Each kind's total, then its seconds in each stage of the battery.
+    stages = [f"{kind.value}{suffix}" for kind in StructureKind for suffix in ("", *(f" {s}" for s in STAGES))]
+    _check_timings_go_to_stderr_only(capsys, ["verify", "--all", "--draws", "3", "--seed", "2"], stages)
+
+
+def test_verify_stage_seconds_add_up_to_the_total():
+    run = verify_kind(StructureKind.LONG_M, draws=7, seed=1)
+    assert list(run.stage_seconds) == list(STAGES)
+    assert all(seconds > 0.0 for seconds in run.stage_seconds.values())
+    assert sum(run.stage_seconds.values()) == pytest.approx(run.elapsed_seconds, rel=1e-9)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -270,6 +270,13 @@ def test_joint_table_names_the_shape_of_nested_cells(mass):
     assert str(info.value) == "mass must have shape (2**3,) or (B, 2**3), got (8, 3)"
 
 
+# Eight entries that are not all numbers: a ragged list, and strings.
+@pytest.mark.parametrize("mass", [[[0.1, 0.2]] + [0.125] * 7, ["0.125"] * 8])
+def test_joint_table_refuses_cells_that_are_not_numbers(mass):
+    with pytest.raises(ParameterError, match="^mass cells must be numbers$"):
+        JointTable(kind=StructureKind.V, order=("X", "Y", "C"), mass=mass)
+
+
 def test_joint_table_takes_a_list_of_rows_as_a_batch():
     rows = [[0.125] * 8, [0.25, 0.0, 0.0, 0.25, 0.0, 0.25, 0.25, 0.0]]
     batch = JointTable(kind=StructureKind.V, order=("X", "Y", "C"), mass=rows)

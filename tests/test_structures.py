@@ -137,6 +137,29 @@ def test_nan_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"p_c_given": 0.5}, "p_c_given must be a ColliderCpt, got 0.5"),
+        ({"p_left": "0.5"}, "p_left must be a number, got '0.5'"),
+        ({"p_c_given": ColliderCpt(None, 0.5, 0.5, 0.5)}, "p_c_given[00] must be a number, got None"),
+    ],
+)
+def test_a_field_of_the_wrong_type_is_a_parameter_error(fields, message):
+    # As params_from_dict says it, not an AttributeError or a TypeError; and
+    # lenient validate, which constructs again, says the same.
+    good = dict(kind=StructureKind.V, p_left=0.5, p_right=0.5, p_c_given=ColliderCpt(0.5, 0.5, 0.5, 0.5))
+    with pytest.raises(ParameterError) as info:
+        StructureParams(**{**good, **fields})
+    assert str(info.value) == message
+    params = StructureParams(**good)
+    for name, value in fields.items():
+        object.__setattr__(params, name, value)
+    with pytest.raises(ParameterError) as info:
+        validate(params)
+    assert str(info.value) == message
+
+
 def test_degenerate_collider_rejected_in_strict_mode():
     params = StructureParams(
         kind=StructureKind.Y,
