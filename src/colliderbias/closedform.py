@@ -174,7 +174,6 @@ def v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
     return _v_stratum_bias(params, level, scale)
 
 
-@batch_memo
 def _v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasReport:
     """:func:`v_stratum_bias` of the V structure embedded in ``params``, which
     may be of any kind with a ``p_right``: it reads only the V fields."""
@@ -237,7 +236,6 @@ def y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
     return _y_stratum_bias(params, level, scale)
 
 
-@batch_memo
 def _y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasReport:
     """:func:`y_stratum_bias` of the Y structure embedded in ``params``, which
     may be of any kind with a ``p_right`` and a child D: it reads only the Y
@@ -316,7 +314,6 @@ def y_bias_from_embedded_v(params: StructureParams, level: int) -> float:
     )
 
 
-@batch_memo
 def embedded_core(params: StructureParams) -> StructureParams:
     """The V or Y structure sitting inside an extended structure.
 

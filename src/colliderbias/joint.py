@@ -40,6 +40,7 @@ from .structures import (
     Stratum,
     StructureKind,
     StructureParams,
+    batch_memo,
     variable_roles,
 )
 
@@ -71,13 +72,15 @@ def _cell_index(order: tuple[str, ...], events: tuple[tuple[tuple[str, int], ...
     arrays, to the list of the probabilities of the events, each a tuple of
     (name, value) pairs.  The function is compiled from source that adds
     each event's cells, ascending, in :func:`_sum_source`'s order, with no
-    loop."""
+    loop.  A value other than 0 or 1 is a ParameterError."""
     sums = []
     for event in events:
         keep = range(2 ** len(order))
         for name, value in event:
-            shift, bit = _shift(order, name), 1 if value else 0
-            keep = [i for i in keep if (i >> shift) & 1 == bit]
+            shift = _shift(order, name)
+            if value not in (0, 1):
+                raise ParameterError(f"level of {name} must be 0 or 1, got {value!r}")
+            keep = [i for i in keep if (i >> shift) & 1 == value]
         sums.append(_sum_source([f"c[{i}]" for i in keep]))
     return eval(f"lambda c: [{', '.join(sums)}]")  # the source holds only cell indexes
 
@@ -124,11 +127,9 @@ class JointTable:
     cells once, a copy that no caller's list, array, view or base can change
     later.  Queries add the cells of an event with :meth:`_sums`.
 
-    A batch answers each event sum and each :func:`cond_measure` once: it
-    keeps them, read-only, in a private memo that lives as long as the
-    batch.  A query that raises stores nothing, so its guard runs, and
-    raises, on every call.  One table keeps no memo (``_memo`` is None): it
-    answers a query or two and is dropped.
+    A batch keeps each event sum and each :func:`cond_measure` it is asked
+    for in a private memo (:func:`structures.batch_memo`); one table keeps
+    no memo (``_memo`` is None): it answers a query or two and is dropped.
     """
 
     __slots__ = ("kind", "order", "_cells", "_mass", "_memo")
@@ -186,22 +187,17 @@ class JointTable:
             self._mass.setflags(write=False)
         return self._mass
 
+    @batch_memo
     def _sums(self, add):
         """The probability of each of the events that the :func:`_cell_index`
-        function ``add`` adds, in turn: a list of numbers for one table, a
-        (events, B) array for a batch, which adds them once and keeps the
-        read-only result, keyed by ``add`` (one per variable order and
-        events)."""
-        memo = self._memo
-        if memo is None:
-            return add(self._cells)
-        sums = memo.get(add)
-        if sums is None:
-            import numpy as np
+        function ``add`` adds, in turn: a list of numbers for one table, an
+        (events, B) array for a batch."""
+        sums = add(self._cells)
+        if self._memo is None:
+            return sums
+        import numpy as np
 
-            sums = memo[add] = np.array(add(self._cells))
-            sums.setflags(write=False)
-        return sums
+        return np.array(sums)
 
     def column(self, name: str) -> np.ndarray:
         """Boolean per-cell indicator that ``name`` equals 1."""
@@ -400,6 +396,7 @@ def lm_stratum_weights(table: JointTable) -> tuple[float, float]:
     return raw1 / total, raw0 / total
 
 
+@batch_memo
 def cond_measure(
     table: JointTable,
     scale: Scale,
@@ -411,45 +408,34 @@ def cond_measure(
     Cov is E[XY|.] - E[X|.]E[Y|.]; RD is P(Y=1|X=1,.) - P(Y=1|X=0,.); RR and
     OR are the corresponding conditional ratios.  The bias relative to the
     marginal association is formed by :func:`bias`, not here.  A batch
-    evaluates each (scale, conditioning) once and keeps the measure, its
-    value read-only; a measure that raises is not kept.
+    keeps each measure (:func:`structures.batch_memo`).
     """
-    memo = table._memo
-    if memo is not None:
-        key = scale, conditioning
-        if key in memo:
-            return memo[key]
     if isinstance(conditioning, LinearModel):
-        measure = OracleMeasure(lm_coefficient(table), Scale.LM_COEF, conditioning)
-    else:
-        p11, p10, p01, p00, p_g = _xy_stratum_cells(table, conditioning)
-        if scale is Scale.COV:
-            e_xy = p11 / p_g
-            e_x = (p11 + p10) / p_g
-            e_y = (p11 + p01) / p_g
-            value = e_xy - e_x * e_y
-        elif scale in (Scale.RD, Scale.RR):
-            bad = (p11 + p10 <= 0.0) | (p01 + p00 <= 0.0)
-            raise_where(bad, UndefinedRatioError, "P(X=x, stratum) = 0 for some x")
-            risk1 = p11 / (p11 + p10)
-            risk0 = p01 / (p01 + p00)
-            if scale is Scale.RD:
-                value = risk1 - risk0
-            else:
-                bad = (risk0 <= 0.0) | (risk1 <= 0.0)
-                raise_where(bad, UndefinedRatioError, "P(Y=1 | X=x, stratum) = 0 for some x")
-                value = risk1 / risk0
-        elif scale is Scale.OR:
-            bad = (p10 * p01 <= 0.0) | (p11 * p00 <= 0.0)
-            raise_where(bad, UndefinedRatioError, "a zero cell makes the odds ratio undefined")
-            value = (p11 * p00) / (p10 * p01)
+        return OracleMeasure(lm_coefficient(table), Scale.LM_COEF, conditioning)
+    p11, p10, p01, p00, p_g = _xy_stratum_cells(table, conditioning)
+    if scale is Scale.COV:
+        e_xy = p11 / p_g
+        e_x = (p11 + p10) / p_g
+        e_y = (p11 + p01) / p_g
+        value = e_xy - e_x * e_y
+    elif scale in (Scale.RD, Scale.RR):
+        bad = (p11 + p10 <= 0.0) | (p01 + p00 <= 0.0)
+        raise_where(bad, UndefinedRatioError, "P(X=x, stratum) = 0 for some x")
+        risk1 = p11 / (p11 + p10)
+        risk0 = p01 / (p01 + p00)
+        if scale is Scale.RD:
+            value = risk1 - risk0
         else:
-            raise ParameterError(f"scale {scale} requires linear-model conditioning")
-        measure = OracleMeasure(value, scale, conditioning)
-    if memo is not None:
-        measure.value.setflags(write=False)
-        memo[key] = measure
-    return measure
+            bad = (risk0 <= 0.0) | (risk1 <= 0.0)
+            raise_where(bad, UndefinedRatioError, "P(Y=1 | X=x, stratum) = 0 for some x")
+            value = risk1 / risk0
+    elif scale is Scale.OR:
+        bad = (p10 * p01 <= 0.0) | (p11 * p00 <= 0.0)
+        raise_where(bad, UndefinedRatioError, "a zero cell makes the odds ratio undefined")
+        value = (p11 * p00) / (p10 * p01)
+    else:
+        raise ParameterError(f"scale {scale} requires linear-model conditioning")
+    return OracleMeasure(value, scale, conditioning)
 
 
 def bias(table: JointTable, query: BiasQuery) -> OracleMeasure:

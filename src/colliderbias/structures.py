@@ -57,25 +57,28 @@ def memoized({params}):
 
 def batch_memo(function):
     """Keep each result of ``function`` on a batch, in the memo of its first
-    argument: a StructureParams or a probability table, whose ``_memo`` is a
-    dict on a batch and None on one draw.  The key is the function and its
-    other arguments.  Every array a kept result holds is made read-only; a
-    call that raises keeps nothing, so it raises again on every call.  One
-    draw keeps nothing and pays one attribute test: the wrapper, compiled
-    here, takes the function's own positional parameters, so that no call
-    packs or unpacks its arguments."""
+    argument: a StructureParams, a probability table or a joint table, whose
+    ``_memo`` is a dict on a batch and None on one draw.  The key is the
+    function and its other arguments.  Every array a kept result holds is
+    made read-only; a call that raises keeps nothing, so it raises again on
+    every call.  One draw keeps nothing and pays one attribute test: the
+    wrapper, compiled here, takes the function's own positional parameters
+    and defaults, so that no call packs or unpacks its arguments."""
     code = function.__code__
     names = code.co_varnames[: code.co_argcount]
     others = "".join(f"{name}, " for name in names[1:])
     source = _MEMO_SOURCE.format(params=names[0] + ", " + others, first=names[0], others=others)
     namespace = {"function": function, "_read_only": _read_only}
     exec(source, namespace)  # the source holds only the function's parameter names
-    return update_wrapper(namespace["memoized"], function)
+    memoized = update_wrapper(namespace["memoized"], function)
+    memoized.__defaults__ = function.__defaults__
+    return memoized
 
 
 def _read_only(value):
     """``value``, with every array in it made read-only: an array, a tuple
-    of them, or a closed-form report's value, sign and factors."""
+    of them, a closed-form report's value, sign and factors, or an oracle
+    measure's value."""
     if isinstance(value, tuple):
         for item in value:
             _read_only(item)
@@ -83,6 +86,8 @@ def _read_only(value):
         value.setflags(write=False)
     elif hasattr(value, "factors"):
         _read_only((value.value, value.sign, *value.factors.values()))
+    elif hasattr(value, "value"):
+        _read_only(value.value)
     return value
 
 
@@ -635,18 +640,17 @@ def validate(params: StructureParams, strict: bool = False) -> StructureParams:
     requires every probability to lie in the open interval (0, 1) and both
     collider strata -- and child strata, where applicable -- to have
     positive implied probability, so that all conditional quantities used by
-    the ratio scales exist.
+    the ratio scales exist.  A batch is checked draw by draw, and an error
+    names its first bad draw.
     """
     probabilities = replace(params).probabilities  # constructed again, which runs __post_init__
     if not strict:
         return params
     for c in (0, 1):
-        if params.prob_collider(c) <= 0.0:
-            raise DegenerateStratumError("C", c)
+        raise_where(params.prob_collider(c) <= 0.0, DegenerateStratumError, "C", c)
     if params.kind.has_child_d:
         for d in (0, 1):
-            if params.prob_child(d) <= 0.0:
-                raise DegenerateStratumError("D", d)
+            raise_where(params.prob_child(d) <= 0.0, DegenerateStratumError, "D", d)
     check_probabilities(zip(_PROBABILITY_NAMES[params.kind], probabilities), open_interval=True)
     return params
 

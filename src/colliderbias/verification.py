@@ -13,11 +13,9 @@ The draws run in fixed-size batches, each drawn by one
 structures.random_structure_params call: every check below evaluates the
 closed forms, the oracle and the sign rules once per batch, on arrays whose
 entries are bit-identical to each draw's own floats.  The checks ask the
-batch's joint table for many of the same event sums and measures; the
-table answers each once and keeps the answer (errors are never kept, and
-a single table keeps nothing).  The batch's parameters keep each
-closed-form piece they are asked for in the same way
-(structures.batch_memo).
+batch's joint table for many of the same event sums and measures, and the
+batch's parameters for many of the same closed-form pieces; each is worked
+out once and kept under one policy (structures.batch_memo).
 """
 
 from __future__ import annotations

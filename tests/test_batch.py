@@ -2,9 +2,11 @@
 as the scalar call on that draw alone."""
 
 import collections
+import dataclasses
 import hashlib
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from colliderbias import (
     lm_coefficient,
     params_from_dict,
     random_structure_params,
+    validate,
 )
 from colliderbias import cli
 from colliderbias import closedform as cf
@@ -492,7 +495,7 @@ def test_memoized_batch_raises_on_every_call():
             with pytest.raises(DegenerateStratumError, match="^draw 3: "):
                 bias(batch, BiasQuery(stratum, scale))
         assert cond_measure(batch, Scale.COV, Stratum("C", 0)).value.shape == (6,)
-    assert not any(key[1] == stratum for key in batch._memo if isinstance(key, tuple))
+    assert not any(stratum in key for key in batch._memo)
 
 
 def test_single_tables_keep_no_memo():
@@ -504,47 +507,73 @@ def test_single_tables_keep_no_memo():
     assert table._memo is None
 
 
-# Every piece of the closed forms that a batch keeps in its memo.
+# Every piece that a batch keeps in its memo (structures.batch_memo).
 MEMOIZED = (
     StructureParams.prob_collider,
     StructureParams.prob_child,
     cf.cross_product_difference,
     cf._given_left,
-    cf._v_stratum_bias,
-    cf._y_stratum_bias,
     cf.extension_variance_ratio,
     cf.lm_bias_kernel,
     cf.lm_weight_normalizer,
     cf.lm_bias,
-    cf.embedded_core,
+    joint_mod.JointTable._sums,
+    cond_measure,
 )
 
 
-# Nabla's one closed form, its or factor, uses none of the pieces.
-@pytest.mark.parametrize("kind", [kind for kind in ALL_KINDS if kind is not StructureKind.NABLA])
-def test_each_memoized_piece_runs_once_per_batch(kind, monkeypatch):
+@pytest.fixture(scope="module")
+def memo_traffic():
+    """For each kind, the traffic of the memoized pieces on the batch of one
+    verify_kind call: the runs, keyed by (piece, first argument's id, other
+    arguments), and the asks, keyed by piece."""
+    traffic = {}
+    wrappers = {id(piece.__code__): piece for piece in MEMOIZED}  # equal sources compile to equal code
+
+    def profile(frame, event, arg):
+        piece = wrappers.get(id(frame.f_code)) if event == "call" else None
+        if piece is not None and frame.f_locals[frame.f_code.co_varnames[0]]._memo is not None:
+            asks[piece] += 1
+
+    with pytest.MonkeyPatch.context() as patch:
+        for piece in MEMOIZED:
+            def counted(first, *args, piece=piece, raw=piece.__wrapped__):
+                if first._memo is not None:
+                    held.append(first)  # alive, so that no later argument takes its id
+                    runs[piece, id(first), args] += 1
+                return raw(first, *args)
+
+            patch.setitem(piece.__globals__, "function", counted)
+        for kind in ALL_KINDS:
+            runs, asks, held = collections.Counter(), collections.Counter(), []
+            sys.setprofile(profile)
+            try:
+                verification.verify_kind(kind, draws=DRAWS, seed=5)
+            finally:
+                sys.setprofile(None)
+            traffic[kind] = runs, asks
+    return traffic
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_each_memoized_piece_runs_once_per_batch(kind, memo_traffic):
     # The verify battery asks for the same pieces many times over; on its
     # one batch each piece runs once for each first argument and the rest.
-    runs, asks = collections.Counter(), collections.Counter()
-    for piece in MEMOIZED:
-        def counted(first, *args, raw=piece.__wrapped__):
-            runs[raw.__name__, id(first), args] += 1
-            return raw(first, *args)
-
-        def asked(*args, piece=piece, **kwargs):
-            asks[piece.__name__] += 1
-            return piece(*args, **kwargs)
-
-        monkeypatch.setitem(piece.__globals__, "function", counted)
-        if piece.__name__ in vars(cf):
-            monkeypatch.setattr(cf, piece.__name__, asked)
-    verification.verify_kind(kind, draws=DRAWS, seed=5)
+    runs, asks = memo_traffic[kind]
     assert runs and max(runs.values()) == 1
     assert sum(asks.values()) > len(runs)
+    # Over the battery of every kind, each piece is asked for more often
+    # than it runs: none keeps what is never asked for again.
+    for piece in MEMOIZED:
+        ran = sum(count for counts, _ in memo_traffic.values() for key, count in counts.items() if key[0] is piece)
+        asked = sum(kind_asks[piece] for _, kind_asks in memo_traffic.values())
+        assert asked > ran > 0, piece.__qualname__
 
 
 def test_memoized_pieces_keep_read_only_arrays():
     _, params = _draws(StructureKind.LONG_M)
+    table = build_joint(params)
+    stratum = Stratum("D", 1)
     kept = {
         "prob_collider": params.prob_collider(1),
         "prob_child": params.prob_child(0),
@@ -553,12 +582,13 @@ def test_memoized_pieces_keep_read_only_arrays():
         "extension_variance_ratio": cf.extension_variance_ratio(params, 0),
         "lm_bias_kernel": cf.lm_bias_kernel(params),
         "lm_weight_normalizer": cf.lm_weight_normalizer(params),
+        "_sums": table._sums(joint_mod._cell_index(table.order, ((("X", 1),), (("Y", 1),)))),
     }
-    for name in ("_v_stratum_bias", "_y_stratum_bias"):
-        report = getattr(cf, name)(params, 1, Scale.RD)
-        kept[name] = (report.value, report.sign, *report.factors.values())
     report = cf.lm_bias(params)
     kept["lm_bias"] = (report.value, report.sign, *report.factors.values())
+    measure = cond_measure(table, Scale.OR, stratum)
+    kept["cond_measure"] = measure.value
+    assert set(kept) == {piece.__name__ for piece in MEMOIZED}
     arrays = [(name, array) for name, value in kept.items()
               for array in (value if isinstance(value, tuple) else (value,)) if isinstance(array, np.ndarray)]
     assert {name for name, _ in arrays} == set(kept)
@@ -569,13 +599,13 @@ def test_memoized_pieces_keep_read_only_arrays():
     assert params.prob_collider(1) is kept["prob_collider"]
     assert cf.cross_product_difference(params.p_c_given, 1) is kept["cross_product_difference"]
     assert cf.lm_bias(params) is report
-    assert cf.embedded_core(params) is cf.embedded_core(params)
+    assert cond_measure(table, Scale.OR, stratum) is measure
 
 
 def test_memoized_piece_raises_on_every_call():
     # No error is kept: a V batch whose draw 3 has no mass at C=1 raises,
-    # naming draw 3, each time its C=1 form is asked, and the pieces that
-    # do not raise are kept.
+    # naming draw 3, each time its C=1 forms or its lm form are asked, and
+    # the pieces that do not raise are kept.
     collider = np.random.default_rng(9).uniform(0.05, 0.95, size=(4, 6))
     collider[:, 3] = 0.0
     params = StructureParams(
@@ -586,9 +616,35 @@ def test_memoized_piece_raises_on_every_call():
         for scale in (Scale.COV, Scale.RD):
             with pytest.raises(ColliderBiasError, match="^draw 3: "):
                 cf.v_stratum_bias(params, 1, scale)
+        with pytest.raises(DegenerateStratumError, match="^draw 3: "):
+            cf.lm_bias(params)
         assert cf.v_stratum_bias(params, 0, Scale.COV).value.shape == (6,)
-    assert not any(key[1:] in ((1, Scale.COV), (1, Scale.RD)) for key in params._memo)
+    assert not any(key[0] is cf.lm_bias.__wrapped__ for key in params._memo)
+    assert (cf.lm_weight_normalizer.__wrapped__,) in params._memo
     assert params.prob_collider(1) is params._memo[params.prob_collider.__wrapped__, 1]
+
+
+def test_strict_validate_checks_a_batch_draw_by_draw():
+    params = random_structure_params(StructureKind.Y, np.random.default_rng(8), 4)
+    assert validate(params, strict=True) is params
+    at = np.arange(4)
+    # Draw 2 has no mass at C=1, draw 1 none at D=1; draw 0 is not degenerate,
+    # but one of its probabilities is 0.
+    no_c1 = ColliderCpt(*[np.where(at == 2, 0.0, v) for v in params.p_c_given.values()])
+    no_d1 = dataclasses.replace(params.p_d_given_c, given_0=np.where(at == 1, 0.0, params.p_d_given_c.given_0),
+                                given_1=np.where(at == 1, 0.0, params.p_d_given_c.given_1))
+    cases = [
+        (dataclasses.replace(params, p_c_given=no_c1), DegenerateStratumError, 2, "draw 2: stratum C=1 has zero probability"),
+        (dataclasses.replace(params, p_d_given_c=no_d1), DegenerateStratumError, 1, "draw 1: stratum D=1 has zero probability"),
+        (dataclasses.replace(params, p_left=np.where(at == 0, 0.0, params.p_left)), OutOfRangeError, 0,
+         "draw 0: p_left = 0.0 is outside (0.0, 1.0)"),
+    ]
+    for bad, error, draw, message in cases:
+        assert validate(bad) is bad
+        with pytest.raises(error) as info:
+            validate(bad, strict=True)
+        assert info.value.draw == draw
+        assert str(info.value) == message
 
 
 def test_single_draws_and_grids_keep_no_memo(monkeypatch):

@@ -23,6 +23,7 @@ from colliderbias import (
 )
 from colliderbias import cli
 from colliderbias.cli import grid_to_csv, grid_to_json, main, parse_grid_csv
+from colliderbias.joint import SampleTable
 from colliderbias.signmap import SignGrid
 from colliderbias.structures import _KIND_FIELDS
 from colliderbias.verification import STAGES, verify_kind
@@ -174,6 +175,20 @@ def test_compute_tolerance_failure_exits_1(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["within_tolerance"] is False
+
+
+def test_compute_tolerance_zero_accepts_an_exact_match(capsys):
+    # A tolerance of 0 is allowed, and a discrepancy equal to the tolerance
+    # is within it: on the uniform V point both routes give exactly 0.
+    code, out, _ = run_cli(
+        capsys, "compute", "--kind", "V", "--p-left", "0.5", "--p-right", "0.5",
+        "--p-c-given", "00=0.5,01=0.5,10=0.5,11=0.5", "--scale", "cov", "--stratum", "C=1",
+        "--tolerance", "0", "--format", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["tolerance"] == doc["abs_discrepancy"] == 0.0
+    assert doc["within_tolerance"] is True
 
 
 def test_compute_errors_name_the_field(capsys):
@@ -420,6 +435,26 @@ def test_sample_deterministic_and_bounded(capsys):
     assert doc["within_bound"] is True
     assert len(doc["cells"]) == 8
     assert math.isclose(sum(c["observed"] for c in doc["cells"]), 1.0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("draws, code", [(25, 0), (36, 1)])
+def test_sample_bound_includes_its_edge(capsys, monkeypatch, draws, code):
+    # Every draw lands on X=1 where P(X=1) = 0.5: the largest deviation is
+    # 0.5, exactly the smoke bound 2.5 / sqrt(25), and above 2.5 / sqrt(36).
+    def one_sided(params, n, seed):
+        counts = np.zeros(8, dtype=np.intp)
+        counts[0b111] = n
+        return SampleTable(params.kind, ("X", "Y", "C"), counts, n)
+
+    monkeypatch.setattr(cli, "sample", one_sided)
+    got, out, _ = run_cli(
+        capsys, "sample", "--kind", "V", "--p-left", "0.5", "--p-right", "1",
+        "--p-c-given", "00=1,01=1,10=1,11=1", "--draws", str(draws), "--format", "json",
+    )
+    doc = json.loads(out)
+    assert doc["max_abs_deviation"] == 0.5
+    assert doc["smoke_bound"] == 2.5 / math.sqrt(draws)
+    assert (got, doc["within_bound"]) == (code, code == 0)
 
 
 def test_sample_rejects_zero_draws(capsys):

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -39,6 +40,7 @@ from colliderbias import (
     variable_roles,
 )
 from colliderbias import joint as joint_mod
+from colliderbias.closedform import classify_sign
 
 ALL_KINDS = list(StructureKind)
 
@@ -102,6 +104,41 @@ def test_prob_unknown_variable(uniform_v_params):
     table = build_joint(uniform_v_params)
     with pytest.raises(UnknownVariableError):
         table.prob({"Q": 1})
+
+
+@pytest.mark.parametrize("value", [2, -1, 0.5, "0", None])
+def test_oracle_refuses_a_level_other_than_0_or_1(value):
+    # One table and a batch: a level is 0 or 1, never any truthy value.
+    single = StructureParams(
+        kind=StructureKind.V, p_left=0.3, p_right=0.6, p_c_given=ColliderCpt(0.1, 0.2, 0.3, 0.4)
+    )
+    batch = random_structure_params(StructureKind.V, np.random.default_rng(4), 3)
+    for table in (build_joint(single), build_joint(batch)):
+        for event in ({"X": value}, {"Y": 1, "X": value}):
+            with pytest.raises(ParameterError, match=f"^level of X must be 0 or 1, got {re.escape(repr(value))}$"):
+                table.prob(event)
+            with pytest.raises(ParameterError, match="^level of X "):
+                table.probs({"Y": 1}, event)
+    table = build_joint(single)
+    assert table.prob({"X": 1}) == table.prob({"X": True}) == table.prob({"X": 1.0}) == pytest.approx(0.3)
+    assert table.prob({"X": 0}) == table.prob({"X": False}) == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_oracle_scales_agree_in_sign(kind):
+    # Within a stratum, and marginally, cov, RD, RR - 1 and OR - 1 all carry
+    # the sign of p11 p00 - p10 p01; after banding no two of them may be
+    # strictly opposite for any draw.
+    params = random_structure_params(kind, np.random.default_rng(31 + ALL_KINDS.index(kind)), 200)
+    table = build_joint(params)
+    g_name = kind.conditioning_variable
+    for conditioning in (None, Stratum(g_name, 0), Stratum(g_name, 1)):
+        codes = np.array([
+            classify_sign(cond_measure(table, scale, conditioning).value, scale)
+            for scale in (Scale.COV, Scale.RD, Scale.RR, Scale.OR)
+        ])
+        opposite = (codes.max(axis=0) == 1) & (codes.min(axis=0) == -1)
+        assert not opposite.any(), (str(conditioning), np.flatnonzero(opposite)[:5].tolist())
 
 
 def test_uniform_stratum_cov_is_zero(uniform_v_params):

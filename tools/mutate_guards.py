@@ -35,7 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src", "colliderbias")
-MODULES = ("closedform", "joint", "signmap", "structures", "verification")
+MODULES = ("cli", "closedform", "errors", "joint", "signmap", "structures", "verification")
 SWAP = {"<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 TIMEOUT_S = 300
 # Left out of the copy: version control, caches and run outputs.
