@@ -703,7 +703,10 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--tolerance", type=float,
                          help="override the discrepancy tolerance; a finite number >= 0")
 
-    _add_params_flags(command("sign", cmd_sign, "qualitative sign analysis"))
+    sign = command("sign", cmd_sign, "qualitative sign analysis")
+    sign.description = ("A cause of the collider fixed at 0 or 1 makes every bias sign zero, except "
+                        "in Nabla, whose stratum signs hold on the odds-ratio scale only.")
+    _add_params_flags(sign)
 
     verify = command("verify", cmd_verify, "randomized closed-form/oracle identity checks")
     verify_target = verify.add_mutually_exclusive_group()

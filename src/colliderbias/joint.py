@@ -32,6 +32,7 @@ from .errors import (
 )
 from .structures import (
     _PROBABILITY_NAMES,
+    _VARIABLE_FIELDS,
     LINEAR_MODEL,
     BiasQuery,
     Conditioning,
@@ -270,11 +271,6 @@ def _grow_source(places: tuple[tuple[int, ...], ...]) -> str:
     return "def grow(p, q):\n    " + "\n    ".join(body) + "\n"
 
 
-# The schema field of each variable that has parents.  A variable without
-# parents is a cause of the collider, read from p_left or p_right.
-_TABLE_FIELDS = {"C": "p_c_given", "X": "p_x_given_a", "Y": "p_y_given_b", "D": "p_d_given_c"}
-
-
 @lru_cache(maxsize=None)
 def _factor_places(kind: StructureKind) -> tuple[tuple[int, ...], ...]:
     """The one map from role order to schema order.  Entry k lists, for each
@@ -282,14 +278,12 @@ def _factor_places(kind: StructureKind) -> tuple[tuple[int, ...], ...]:
     them), the place in ``params.probabilities`` of P(order[k] = 1 | its
     parents' values there): the place of its field's name in
     ``structures._PROBABILITY_NAMES``, keyed by the parents' values as
-    binary digits where it has parents."""
-    roles, names = variable_roles(kind), _PROBABILITY_NAMES[kind]
+    binary digits where it has parents.  Its field is the one that
+    ``structures._VARIABLE_FIELDS`` gives it."""
+    roles, names, fields = variable_roles(kind), _PROBABILITY_NAMES[kind], _VARIABLE_FIELDS[kind]
     places = []
     for k, name in enumerate(roles.order):
-        if roles.parents[name]:
-            field_name = _TABLE_FIELDS[name]
-        else:
-            field_name = "p_left" if name == roles.left_cause else "p_right"
+        field_name = fields[name]
         shifts = [k - 1 - roles.order.index(parent) for parent in roles.parents[name]]
         row = []
         for prefix in range(2**k):

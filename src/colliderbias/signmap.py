@@ -33,6 +33,7 @@ from .structures import (
     Sign,
     StructureKind,
     StructureParams,
+    batch_memo,
     check_probabilities,
 )
 
@@ -175,15 +176,13 @@ def y_stratum_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -> 
 
 def extended_sign(params: StructureParams, conditioning: Conditioning) -> Sign:
     """Sign of the bias in any structure with marginally independent collider
-    causes: the embedded V- or Y-structure sign times the signs of the
-    extension-path risk differences.
+    causes: the embedded V- or Y-structure sign times :func:`_extension_sign`.
 
     For linear-model conditioning the embedded sign is that of the lm
     kernel, independent of the collider-child edge.
     """
     _require_kind(params, *_INDEPENDENT_KINDS)
-    rd_left, rd_right = extension_rds(params)
-    extension = band_sign(rd_left) * band_sign(rd_right)
+    extension = _extension_sign(params)
     if isinstance(conditioning, LinearModel):
         return band_sign(lm_bias_kernel(params)) * extension
     BiasQuery(conditioning).check_valid_for(params.kind)
@@ -193,6 +192,16 @@ def extended_sign(params: StructureParams, conditioning: Conditioning) -> Sign:
     else:
         inner = v_stratum_sign(params.p_c_given, conditioning.level)
     return inner * extension
+
+
+@batch_memo
+def _extension_sign(params: StructureParams) -> Sign:
+    """The signs of the extension-path risk differences, times Zero where a
+    cause is fixed at 0 or 1: every bias carries p_left (1 - p_left) p_right (1 - p_right)."""
+    rd_left, rd_right = extension_rds(params)
+    p_left, p_right = params.p_left, params.p_right
+    varies = (0.0 < p_left) & (p_left < 1.0) & (0.0 < p_right) & (p_right < 1.0)
+    return band_sign(rd_left) * band_sign(rd_right) * varies
 
 
 def v_lm_sign(params: StructureParams) -> Sign:

@@ -5,10 +5,12 @@ Every structure has a collider C with two marginally independent causes
 directly).  The exposure X and outcome Y either are those causes or are
 children of them; four structures add a child D of the collider.
 
-As data the kinds differ only in their parameter fields: ``_KIND_FIELDS``
-lists each kind's fields in one order, ``_FIELD_TYPES`` gives each field's
-type, and ``_PROBABILITY_NAMES`` names each probability of a kind in that
-order; every consumer of the fields reads these three tables.
+A kind's DAG is written in one place, ``_PARENTS``: its variables in role
+order, each with its parents.  Everything else about a kind is derived from
+it: the schema field of each variable (``_VARIABLE_FIELDS``), the kind's
+fields in one order (``_KIND_FIELDS``, with ``_FIELD_TYPES`` giving each
+field's type), the name of each probability in that order
+(``_PROBABILITY_NAMES``), the role map and the kind predicates.
 
 Index convention for the collider table: ``p_c_given`` entries are keyed
 (left parent value, right parent value), so ``given_01`` is
@@ -107,17 +109,17 @@ class StructureKind(str, Enum):
     @property
     def has_child_d(self) -> bool:
         """True when the structure conditions on a child D of the collider."""
-        return "p_d_given_c" in _KIND_FIELDS[self]
+        return "D" in _PARENTS[self]
 
     @property
     def has_left_a(self) -> bool:
         """True when the left cause of the collider is A rather than X."""
-        return "p_x_given_a" in _KIND_FIELDS[self]
+        return "A" in _PARENTS[self]
 
     @property
     def has_right_b(self) -> bool:
         """True when the right cause of the collider is B rather than Y."""
-        return self is not StructureKind.NABLA and "p_y_given_b" in _KIND_FIELDS[self]
+        return "B" in _PARENTS[self]
 
     @property
     def is_extended(self) -> bool:
@@ -268,20 +270,14 @@ class ColliderCpt(_Cpt):
     given_10: float
     given_11: float
 
-    def given(self, left: int, right: int) -> float:
-        """P(C=1 | left, right)."""
-        return (
-            (self.given_11 if right else self.given_10)
-            if left
-            else (self.given_01 if right else self.given_00)
-        )
-
     def level_given(self, c: int, left: int, right: int) -> float:
         """P(C=c | left, right); a level other than 0 or 1 is a ParameterError."""
+        entry = ((self.given_11 if right else self.given_10) if left
+                 else (self.given_01 if right else self.given_00))
         if c == 1:
-            return self.given(left, right)
+            return entry
         if c == 0:
-            return 1.0 - self.given(left, right)
+            return 1.0 - entry
         raise ParameterError(f"level must be 0 or 1, got {c!r}")
 
     def values(self) -> tuple:
@@ -297,15 +293,13 @@ class EdgeCpt(_Cpt):
     given_0: float
     given_1: float
 
-    def given(self, parent: int) -> float:
-        return self.given_1 if parent else self.given_0
-
     def level_given(self, value: int, parent: int) -> float:
         """P(child=value | parent); a value other than 0 or 1 is a ParameterError."""
+        entry = self.given_1 if parent else self.given_0
         if value == 1:
-            return self.given(parent)
+            return entry
         if value == 0:
-            return 1.0 - self.given(parent)
+            return 1.0 - entry
         raise ParameterError(f"level must be 0 or 1, got {value!r}")
 
     def mixture(self, value: int, w1: float, w0: float) -> float:
@@ -320,28 +314,47 @@ class EdgeCpt(_Cpt):
         return self.given_0, self.given_1
 
 
-# Every parameter field of each kind, in the one order that validation,
-# range scans, JSON, random draws and the CLI use; the StructureKind
-# properties read it too.  For Nabla, p_y_given_b holds P(Y=1 | X=x).
-_KIND_FIELDS: dict[StructureKind, tuple[str, ...]] = {
-    StructureKind.V: ("p_left", "p_right", "p_c_given"),
-    StructureKind.NABLA: ("p_left", "p_c_given", "p_y_given_b"),
-    StructureKind.Y: ("p_left", "p_right", "p_c_given", "p_d_given_c"),
-    StructureKind.M: ("p_left", "p_right", "p_c_given", "p_x_given_a", "p_y_given_b"),
-    StructureKind.LEFT_M: ("p_left", "p_right", "p_c_given", "p_x_given_a"),
-    StructureKind.RIGHT_M: ("p_left", "p_right", "p_c_given", "p_y_given_b"),
-    StructureKind.LONG_M: (
-        "p_left", "p_right", "p_c_given", "p_x_given_a", "p_y_given_b", "p_d_given_c"
-    ),
-    StructureKind.LEFT_LONG_M: ("p_left", "p_right", "p_c_given", "p_x_given_a", "p_d_given_c"),
-    StructureKind.RIGHT_LONG_M: ("p_left", "p_right", "p_c_given", "p_y_given_b", "p_d_given_c"),
-}
-
 # The type of every parameter field, in schema order: one probability
 # (float), or a table of them keyed by the table class's KEYS.
 _FIELD_TYPES: dict[str, type] = {
     "p_left": float, "p_right": float, "p_c_given": ColliderCpt,
     "p_x_given_a": EdgeCpt, "p_y_given_b": EdgeCpt, "p_d_given_c": EdgeCpt,
+}
+
+# The DAG of each kind, the one place it is written: every variable in role
+# order, which is topological, with its parent tuple.  C's parents are (left
+# cause, right cause); the exposure is X and the outcome Y.
+_PARENTS: dict[StructureKind, dict[str, tuple[str, ...]]] = {
+    StructureKind.V: {"X": (), "Y": (), "C": ("X", "Y")},
+    StructureKind.NABLA: {"X": (), "Y": ("X",), "C": ("X", "Y")},
+    StructureKind.Y: {"X": (), "Y": (), "C": ("X", "Y"), "D": ("C",)},
+    StructureKind.M: {"A": (), "B": (), "X": ("A",), "Y": ("B",), "C": ("A", "B")},
+    StructureKind.LEFT_M: {"A": (), "X": ("A",), "Y": (), "C": ("A", "Y")},
+    StructureKind.RIGHT_M: {"X": (), "B": (), "Y": ("B",), "C": ("X", "B")},
+    StructureKind.LONG_M: {"A": (), "B": (), "X": ("A",), "Y": ("B",), "C": ("A", "B"), "D": ("C",)},
+    StructureKind.LEFT_LONG_M: {"A": (), "X": ("A",), "Y": (), "C": ("A", "Y"), "D": ("C",)},
+    StructureKind.RIGHT_LONG_M: {"X": (), "B": (), "Y": ("B",), "C": ("X", "B"), "D": ("C",)},
+}
+
+# The schema field of a variable with parents: its table, keyed by them.  In
+# Nabla, p_y_given_b holds P(Y=1 | X=x).
+_TABLE_FIELDS = {"C": "p_c_given", "X": "p_x_given_a", "Y": "p_y_given_b", "D": "p_d_given_c"}
+
+# The schema field of each variable of each kind: its table where it has
+# parents, otherwise p_left for C's left cause and p_right for its right.
+_VARIABLE_FIELDS: dict[StructureKind, dict[str, str]] = {
+    kind: {
+        name: _TABLE_FIELDS[name] if parents else "p_left" if name == dag["C"][0] else "p_right"
+        for name, parents in dag.items()
+    }
+    for kind, dag in _PARENTS.items()
+}
+
+# Every parameter field of each kind, in the one order (``_FIELD_TYPES``'s)
+# that validation, range scans, JSON, random draws and the CLI use.
+_KIND_FIELDS: dict[StructureKind, tuple[str, ...]] = {
+    kind: tuple(field for field in _FIELD_TYPES if field in fields.values())
+    for kind, fields in _VARIABLE_FIELDS.items()
 }
 
 # The name of every probability of each kind, in schema order: a float
@@ -365,7 +378,8 @@ _TABLE_KEYS = {table_type: frozenset(table_type.KEYS) for table_type in (Collide
 
 @dataclass(frozen=True)
 class RoleMap:
-    """Variables of a structure, their parents, and the collider's causes.
+    """Variables of a structure, their parents, and the collider's causes,
+    as ``_PARENTS`` declares them for the kind.
 
     ``order`` is a topological order of the DAG; ``parents`` maps each
     variable to its parent tuple.  In every kind the exposure is X, the
@@ -382,32 +396,11 @@ class RoleMap:
 
 @lru_cache(maxsize=None)
 def variable_roles(kind: StructureKind) -> RoleMap:
-    """Role map for one of the nine structure kinds, built once per kind.
-
-    The left cause of the collider is A when present, otherwise X; the right
-    cause is B when present, otherwise Y.  In the Nabla structure X is also
-    a parent of Y (the direct exposure-outcome edge).
-    """
-    left = "A" if kind.has_left_a else "X"
-    right = "B" if kind.has_right_b else "Y"
-    # Inserted in topological order, which is the role map's order.
-    parents: dict[str, tuple[str, ...]] = {left: ()}
-    if kind.has_right_b:
-        parents["B"] = ()
-    if kind.has_left_a:
-        parents["X"] = ("A",)
-    parents["Y"] = ("X",) if kind is StructureKind.NABLA else ("B",) if kind.has_right_b else ()
-    parents["C"] = (left, right)
-    if kind.has_child_d:
-        parents["D"] = ("C",)
-
-    return RoleMap(
-        kind=kind,
-        order=tuple(parents),
-        parents=MappingProxyType(parents),
-        left_cause=left,
-        right_cause=right,
-    )
+    """Role map for one of the nine structure kinds, read once per kind from
+    its DAG in ``_PARENTS``: the collider's left cause (A, else X) and right
+    cause (B, else Y) are C's parents."""
+    parents = _PARENTS[kind]
+    return RoleMap(kind, tuple(parents), MappingProxyType(parents), *parents["C"])
 
 
 def check_probabilities(items: Iterable[tuple[str, float]], open_interval: bool = False) -> None:

@@ -250,6 +250,16 @@ def test_batch_closed_forms_and_signs_match_single_draws(kind):
             )
 
 
+def test_batch_extended_sign_is_zero_on_the_draw_with_a_fixed_cause():
+    draws, _ = _draws(StructureKind.M, seed=5)
+    draws[3] = dataclasses.replace(draws[3], p_left=1.0)
+    batch = _stack(draws)
+    for conditioning in [LINEAR_MODEL, Stratum("C", 1), Stratum("C", 0)]:
+        signs = sm.extended_sign(batch, conditioning).tolist()
+        assert signs == [sm.extended_sign(params, conditioning) for params in draws]
+        assert signs[3] == 0 and signs.count(0) < DRAWS
+
+
 def test_band_sign_is_elementwise():
     values = [0.5, -0.5, 1e-12, -1e-12, 2e-12, -2e-12, 0.0, math.nan, math.inf, -math.inf]
     codes = cf.band_sign(np.array(values))
@@ -519,6 +529,7 @@ MEMOIZED = (
     cf.lm_bias,
     joint_mod.JointTable._sums,
     cond_measure,
+    sm._extension_sign,
 )
 
 
@@ -582,6 +593,7 @@ def test_memoized_pieces_keep_read_only_arrays():
         "extension_variance_ratio": cf.extension_variance_ratio(params, 0),
         "lm_bias_kernel": cf.lm_bias_kernel(params),
         "lm_weight_normalizer": cf.lm_weight_normalizer(params),
+        "_extension_sign": sm._extension_sign(params),
         "_sums": table._sums(joint_mod._cell_index(table.order, ((("X", 1),), (("Y", 1),)))),
     }
     report = cf.lm_bias(params)

@@ -1030,6 +1030,26 @@ def test_sign_nabla_output_is_pinned(capsys):
     )
 
 
+FIXED_CAUSE_FLAGS = ["--kind", "V", "--p-left", "0", "--p-right", "0.5",
+                     "--p-c-given", "00=0.1,01=0.2,10=0.3,11=0.9"]
+
+
+def test_sign_agrees_with_compute_where_a_cause_is_fixed(capsys):
+    # X is constant, so every bias is zero, as compute's oracle and closed
+    # form say; the collider table alone would give C=1 positive.
+    code, out, _ = run_cli(capsys, "sign", *FIXED_CAUSE_FLAGS)
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        "bias sign C=0:  zero", "bias sign C=1:  zero", "bias sign lm:    zero",
+    ]
+    code, out, _ = run_cli(capsys, "compute", *FIXED_CAUSE_FLAGS, "--stratum", "C=1",
+                           "--scale", "cov", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["oracle"]["value"], doc["closed_form"]["value"]) == (0.0, 0.0)
+    assert doc["closed_form"]["sign"] == "zero"
+
+
 def test_sample_text_output_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "sample", *REFERENCE_FLAGS, "--draws", "1000", "--seed", "2")
     assert code == 0

@@ -6,6 +6,7 @@ import pytest
 
 from colliderbias import (
     LINEAR_MODEL,
+    BiasQuery,
     ColliderCpt,
     EdgeCpt,
     GridFamily,
@@ -17,6 +18,8 @@ from colliderbias import (
     Stratum,
     StructureKind,
     StructureParams,
+    bias,
+    build_joint,
     classify_effects,
     classify_sign,
     cross_product_difference,
@@ -301,6 +304,45 @@ def test_extended_sign_product_rule():
     assert v_stratum_sign(REFERENCE_CPT, 0) is Sign.NEGATIVE
     assert extended_sign(params, Stratum("C", 0)) is Sign.POSITIVE
     assert extended_sign(params, Stratum("C", 1)) is Sign.NEGATIVE
+
+
+# A cause of the collider fixed at 0 or 1 is constant, so every bias
+# vanishes; the collider table alone says otherwise.
+FIXED_CAUSE_CPT = ColliderCpt(given_00=0.1, given_01=0.2, given_10=0.3, given_11=0.9)
+FIXED_CAUSE_PARAMS = [
+    StructureParams(kind=StructureKind.V, p_left=0.0, p_right=0.5, p_c_given=FIXED_CAUSE_CPT),
+    StructureParams(
+        kind=StructureKind.M,
+        p_left=0.3,
+        p_right=1.0,
+        p_c_given=FIXED_CAUSE_CPT,
+        p_x_given_a=EdgeCpt(given_0=0.2, given_1=0.7),
+        p_y_given_b=EdgeCpt(given_0=0.4, given_1=0.8),
+    ),
+]
+
+
+@pytest.mark.parametrize("params", FIXED_CAUSE_PARAMS, ids=lambda p: p.kind.value)
+def test_extended_sign_is_zero_where_a_cause_is_fixed(params):
+    assert v_stratum_sign(params.p_c_given, 1) is Sign.POSITIVE
+    assert v_stratum_sign(params.p_c_given, 0) is Sign.NEGATIVE
+    for conditioning in (Stratum("C", 1), Stratum("C", 0), LINEAR_MODEL):
+        assert extended_sign(params, conditioning) is Sign.ZERO
+    table = build_joint(params)
+    for level in (1, 0):
+        value = bias(table, BiasQuery(Stratum("C", level), Scale.COV)).value
+        assert classify_sign(value, Scale.COV) is Sign.ZERO
+
+
+def test_nabla_stratum_sign_is_never_opposite_to_the_oracle_odds_ratio():
+    # The stratum signs that ``sign --kind Nabla`` prints hold on the odds-ratio
+    # scale: none is strictly opposite to the banded OR bias of the oracle.
+    params = random_structure_params(StructureKind.NABLA, np.random.default_rng(3), 20000)
+    table = build_joint(params)
+    for level in (1, 0):
+        rule = v_stratum_sign(params.p_c_given, level)
+        oracle = classify_sign(bias(table, BiasQuery(Stratum("C", level), Scale.OR)).value, Scale.OR)
+        assert not (rule * oracle == -1).any(), level
 
 
 def test_extended_sign_matches_lm_value(rng):

@@ -60,6 +60,9 @@ def _single_query_argvs(tmp_path: Path) -> list[list[str]]:
                                   "--scale", scale.value])
             argvs.append(["compute", *base, "--lm"])
             argvs.append(["sign", *base])
+    # A fixed cause: every sign is zero, and still no numpy.
+    argvs.append(["sign", "--kind", "V", "--p-left", "0", "--p-right", "0.5",
+                  "--p-c-given", "00=0.1,01=0.2,10=0.3,11=0.9", "--format", "json"])
     malformed = {
         "not-json": "{",
         "missing": '{"kind": "V", "p_left": 0.5}',

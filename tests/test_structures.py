@@ -363,8 +363,8 @@ def test_from_dict_names_missing_collider_key():
 
 def test_collider_cpt_accessors():
     cpt = ColliderCpt(given_00=0.1, given_01=0.2, given_10=0.3, given_11=0.4)
-    assert cpt.given(0, 1) == 0.2
-    assert cpt.given(1, 0) == 0.3
+    assert cpt.level_given(1, 0, 1) == 0.2
+    assert cpt.level_given(1, 1, 0) == 0.3
     assert cpt.level_given(0, 1, 1) == 1.0 - 0.4
 
 
