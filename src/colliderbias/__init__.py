@@ -62,6 +62,7 @@ from .signmap import (
     classify_effects,
     emit_grid,
     extended_sign,
+    nabla_stratum_sign,
     v_lm_sign,
     v_stratum_sign,
     y_stratum_sign,

@@ -23,11 +23,11 @@ import sys
 import time
 from contextlib import nullcontext
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import __version__
 from .closedform import closed_form
-from .errors import ColliderBiasError, ParameterError
+from .errors import ColliderBiasError, ParameterError, np
 from .joint import bias as oracle_bias
 from .joint import build_joint, sample
 from .signmap import (
@@ -38,7 +38,7 @@ from .signmap import (
     classify_effects,
     emit_grid,
     extended_sign,
-    v_stratum_sign,
+    nabla_stratum_sign,
 )
 from .structures import (
     LINEAR_MODEL,
@@ -58,9 +58,6 @@ from .verification import (
     relative_discrepancy,
     verify_many,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 log = logging.getLogger("colliderbias")
 
@@ -288,7 +285,7 @@ def cmd_sign(args: argparse.Namespace) -> int:
     variable = kind.conditioning_variable
     if kind is StructureKind.NABLA:
         doc["stratum_signs"] = {
-            f"C={level}": v_stratum_sign(params.p_c_given, level).label for level in (0, 1)
+            f"C={level}": nabla_stratum_sign(params, level).label for level in (0, 1)
         }
         doc["note"] = "stratum signs apply to the odds-ratio scale only"
     else:
@@ -466,8 +463,6 @@ def _grid_csv_blocks(grid: SignGrid) -> Iterator[str]:
     the metadata and header lines leading the first.  The signs are checked
     before the first block, so a sign outside -1/0/1 raises ValueError on
     the first ``next``."""
-    import numpy as np
-
     combos = _sign_combos(grid)
     head = [f"# family={grid.family.value}\n", f"# resolution={grid.resolution}\n"]
     head += [f"# {name}={value!r}\n" for name, value in grid.fixed.items()]
@@ -504,8 +499,6 @@ def _sign_combos(grid: SignGrid) -> list[tuple[int, ...]]:
 def _sign_codes(cells: np.ndarray) -> np.ndarray:
     """The index of each cell's combination in :func:`_sign_combos`, for a
     block of a grid's cells: its signs + 1 read as base-3 digits."""
-    import numpy as np
-
     digits = np.moveaxis(cells + 1, -1, 0)
     return np.ravel_multi_index(tuple(digits), (3,) * cells.shape[-1])
 
@@ -564,8 +557,6 @@ def _decode_signs(text: str, start: int, width: int) -> np.ndarray:
     read from the line's end as signs -1, 0 or 1.  Text that is not signs
     decodes to some grid that the round-trip check of parse_grid_csv
     rejects."""
-    import numpy as np
-
     buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
     at = np.flatnonzero(buf[start:] == ord("\n"))[1:] + (start - 1)
     cells = np.empty((at.size, width), dtype=np.int8)
@@ -609,8 +600,6 @@ def _grid_json_blocks(grid: SignGrid) -> Iterator[str]:
     each rendered from the 3**k cell strings, the dump of the other keys up
     to ``cells`` leading the first and the rest of it following the last.
     The signs are checked before the first block, as there."""
-    import numpy as np
-
     combos = _sign_combos(grid)
     doc = {
         "command": "grid",
@@ -704,8 +693,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the discrepancy tolerance; a finite number >= 0")
 
     sign = command("sign", cmd_sign, "qualitative sign analysis")
-    sign.description = ("A cause of the collider fixed at 0 or 1 makes every bias sign zero, except "
-                        "in Nabla, whose stratum signs hold on the odds-ratio scale only.")
+    sign.description = ("A cause of the collider fixed at 0 or 1 makes every bias sign zero.  Nabla's "
+                        "stratum signs hold on the odds-ratio scale only, and are zero at a level C=c "
+                        "where some cell P(X=x, Y=y, C=c) is 0.")
     _add_params_flags(sign)
 
     verify = command("verify", cmd_verify, "randomized closed-form/oracle identity checks")

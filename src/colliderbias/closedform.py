@@ -29,6 +29,7 @@ from .errors import (
     DegenerateStratumError,
     ParameterError,
     UndefinedRatioError,
+    np,
     raise_first_nonfinite,
     raise_where,
 )
@@ -68,8 +69,6 @@ def band_sign(delta: float, tol: float = SIGN_TOL, out=None) -> Sign:
         if abs(delta) <= tol:
             return Sign.ZERO
         return Sign.POSITIVE if delta > 0 else Sign.NEGATIVE
-    import numpy as np
-
     codes = np.empty(delta.shape, dtype=np.int8) if out is None else out
     # (delta >= -tol) + (delta > tol) - 1, which a NaN fails twice: -1.  The
     # one temporary is a byte per entry.

@@ -1,9 +1,34 @@
-"""Exception hierarchy shared by all colliderbias modules, and the guard
-that raises one for a single value or for a batch of draws."""
+"""Exception hierarchy shared by all colliderbias modules, the guard that
+raises one for a single value or for a batch of draws, and ``np``, the one
+handle through which every module reads numpy.
+
+numpy is loaded on the first read of an attribute of ``np``, so importing the
+package and answering a single query load no numpy; only a batch, a grid and
+the sampler do.  No module-level code (default arguments and class bodies
+included) may read an attribute of ``np``."""
 
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
+else:
+
+    class _Numpy:
+        """numpy, imported on the first attribute read; each attribute is
+        then stored on the handle, so a later read costs what a module
+        global costs."""
+
+        def __getattr__(self, name):
+            import numpy
+
+            value = getattr(numpy, name)
+            setattr(self, name, value)
+            return value
+
+    np = _Numpy()
 
 
 class ColliderBiasError(Exception):
@@ -100,15 +125,11 @@ def raise_first_nonfinite(label: str, named: tuple[tuple[str, object], ...]) -> 
     for _, value in named:
         (arrays if getattr(value, "ndim", 0) else numbers).append(value)
     if arrays and all(map(math.isfinite, numbers)):
-        import numpy as np
-
         every = np.concatenate(arrays, axis=None) if arrays[1:] else arrays[0]
         if np.count_nonzero(np.isfinite(every)) == every.size:
             return
     for name, value in named:
         if getattr(value, "ndim", 0):
-            import numpy as np
-
             bad = ~np.isfinite(value)
         else:
             bad = not math.isfinite(value)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .errors import (
     DegenerateStratumError,
@@ -27,6 +26,7 @@ from .errors import (
     SingularDesignError,
     UndefinedRatioError,
     UnknownVariableError,
+    np,
     raise_first_nonfinite,
     raise_where,
 )
@@ -44,9 +44,6 @@ from .structures import (
     batch_memo,
     variable_roles,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Null-association checks inside bias(): marginal cov/RD of X and Y must be 0
 # (OR/RR must be 1) for every kind except Nabla, up to accumulated rounding.
@@ -142,8 +139,6 @@ class JointTable:
         if hasattr(mass, "shape"):
             shape = mass.shape
         elif any(hasattr(cell, "__len__") for cell in mass):  # rows, or a batch's cell arrays
-            import numpy as np
-
             shape = np.array(mass, dtype=object).shape
         else:
             shape = (len(mass),)
@@ -153,8 +148,6 @@ class JointTable:
             # A caller's array becomes float64 numbers, as a batch's entries are.
             cells = tuple(mass.astype(float).tolist() if hasattr(mass, "astype") else mass)
         else:
-            import numpy as np
-
             cells = np.asarray(mass, dtype=np.float64).T.copy()  # row i of the copy is cell i
         self._hold(kind, order, cells, None if len(shape) == 1 else {})
 
@@ -166,8 +159,6 @@ class JointTable:
             if memo is None:
                 low = min(self._cells)
             else:
-                import numpy as np
-
                 low = np.min(self._cells, axis=0)
             # Any NaN or infinite cell makes the sum NaN or infinite, and a
             # NaN fails every comparison.
@@ -182,8 +173,6 @@ class JointTable:
         """The cells as a read-only float64 array: (2**n,), or (B, 2**n) for
         a batch."""
         if self._mass is None:
-            import numpy as np
-
             self._mass = np.array(self._cells, dtype=np.float64).T.copy()
             self._mass.setflags(write=False)
         return self._mass
@@ -196,14 +185,10 @@ class JointTable:
         sums = add(self._cells)
         if self._memo is None:
             return sums
-        import numpy as np
-
         return np.array(sums)
 
     def column(self, name: str) -> np.ndarray:
         """Boolean per-cell indicator that ``name`` equals 1."""
-        import numpy as np
-
         shift = _shift(self.order, name)
         return (np.arange(2 ** len(self.order)) >> shift) & 1 == 1
 
@@ -238,8 +223,6 @@ def build_joint(params: StructureParams) -> JointTable:
     p = params.probabilities
     batch = getattr(params.p_left, "ndim", 0)
     if batch:
-        import numpy as np
-
         p = [np.asarray(one, dtype=np.float64) for one in p]
     cells = _grow_cells(params.kind)(p, [1 - one for one in p])
     order = variable_roles(params.kind).order
@@ -520,8 +503,6 @@ def sample(params: StructureParams, n: int, seed: int) -> SampleTable:
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
-    import numpy as np
-
     if n < 1:
         raise ParameterError(f"draws must be >= 1, got {n}")
     if not 0 <= seed < 2**128:
@@ -572,8 +553,6 @@ def _sample_range(tables: list, seed: int, n: int, starts: range, stop) -> np.nd
     k*n + starts[0] of the seed's stream; numpy's bit generators and ufuncs
     let go of the GIL on each chunk, so ranges on other threads draw at the
     same time."""
-    import numpy as np
-
     rows = [_stream_at(seed, k * n + starts[0]) for k in range(len(tables))]
     counts = np.zeros(2 ** len(tables), dtype=np.intp)
     size = min(n - starts[0], _SAMPLE_CHUNK)
@@ -600,8 +579,6 @@ def _stream_at(seed: int, offset: int) -> np.random.Philox:
     """A bit generator whose raw words are those of ``Philox(key=seed)`` from
     the offset-th on.  Philox makes four words per counter step, so it
     advances offset // 4 steps and discards offset % 4 words."""
-    import numpy as np
-
     bits = np.random.Philox(key=seed)
     bits.advance(offset // 4)
     bits.random_raw(offset % 4)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .closedform import (
     _INDEPENDENT_KINDS,
@@ -23,7 +23,7 @@ from .closedform import (
     lm_bias_kernel,
     lm_kernel,
 )
-from .errors import InvalidResolutionError, ParameterError
+from .errors import InvalidResolutionError, ParameterError, np
 from .structures import (
     BiasQuery,
     ColliderCpt,
@@ -36,9 +36,6 @@ from .structures import (
     batch_memo,
     check_probabilities,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Largest cells per axis of a sign grid: 100 times the cells of the default
 # resolution of 200, checked before anything is allocated.
@@ -107,8 +104,6 @@ def effect_pattern(p_c_given: ColliderCpt) -> Pattern:
     ]
     if not getattr(rules[0], "ndim", 0):
         return next((pattern for rule, pattern in zip(rules, _PATTERN_RULES) if rule), _PATTERN_RULES[-1])
-    import numpy as np
-
     # The index of the first rule that holds, or len(rules) if none does.
     first = len(rules)
     for index in reversed(range(len(rules))):
@@ -141,6 +136,21 @@ def v_stratum_sign(p_c_given: ColliderCpt, level: int) -> Sign:
     """Sign of the stratum bias at C=level: the sign of the cross-product
     difference of the collider table at that level."""
     return band_sign(cross_product_difference(p_c_given, level))
+
+
+def nabla_stratum_sign(params: StructureParams, level: int) -> Sign:
+    """Sign of the Nabla structure's odds-ratio bias at C=level: that of the
+    collider table (:func:`v_stratum_sign`), or Zero where a cell
+    P(X=x, Y=y, C=level) is exactly 0 and so the odds ratio is undefined.
+    The tests are exact, as in :func:`_extension_sign`."""
+    _require_kind(params, StructureKind.NABLA)
+    t, p_left = params.p_c_given, params.p_left
+    full = (0.0 < p_left) & (p_left < 1.0)
+    for entry in params.p_y_given_b.values():
+        full = full & (0.0 < entry) & (entry < 1.0)
+    for left, right in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        full = full & (t.level_given(level, left, right) > 0.0)
+    return v_stratum_sign(t, level) * full
 
 
 def _child_deltas(
@@ -312,8 +322,6 @@ class SignGrid:
 
 
 def _cell_centers(resolution: int) -> np.ndarray:
-    import numpy as np
-
     return (np.arange(resolution) + 0.5) / resolution
 
 
@@ -379,8 +387,6 @@ def emit_grid(family: GridFamily, fixed: GridFixed, resolution: int) -> SignGrid
     inputs; repeated calls produce identical grids.  ``resolution`` must lie
     in [2, MAX_GRID_RESOLUTION].
     """
-    import numpy as np
-
     if not 2 <= resolution <= MAX_GRID_RESOLUTION:
         raise InvalidResolutionError(resolution, MAX_GRID_RESOLUTION)
     if family is GridFamily.CHILD_STRATUM and fixed.p_d_given_c is None:

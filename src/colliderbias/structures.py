@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from functools import lru_cache, update_wrapper
 from types import MappingProxyType
-from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 from .errors import (
     DegenerateStratumError,
@@ -35,11 +35,9 @@ from .errors import (
     MissingFieldError,
     OutOfRangeError,
     ParameterError,
+    np,
     raise_where,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 # The wrapper that batch_memo compiles for a function with the positional
@@ -423,8 +421,6 @@ def _check_batch_probabilities(names: tuple[str, ...], values: list) -> None:
     ``names``: the values are stacked and tested against [0, 1] at once, and
     searched name by name only when that fails (a NaN fails it) or when they
     do not stack into one float array."""
-    import numpy as np
-
     try:
         stacked = np.array(values)
     except ValueError:  # arrays of different shapes, or arrays beside numbers
@@ -669,8 +665,6 @@ def random_structure_params(
     elif not isinstance(draws, int) or draws < 1:
         raise ParameterError(f"draws must be an int >= 1, got {draws!r}")
     else:
-        import numpy as np
-
         columns = iter(np.ascontiguousarray(rng.uniform(0.05, 0.95, size=(draws, width)).T))
     kwargs: dict = {"kind": kind}
     for field_name in fields:

@@ -24,12 +24,11 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import TYPE_CHECKING
 
 from . import closedform as cf
 from . import joint as joint_mod
 from . import signmap as sm
-from .errors import ParameterError
+from .errors import ParameterError, np
 from .structures import (
     LINEAR_MODEL,
     BiasQuery,
@@ -43,9 +42,6 @@ from .structures import (
     random_structure_params,
     variable_roles,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_ABS_TOL = 1e-12
 DEFAULT_REL_TOL_OR = 1e-10
@@ -78,8 +74,6 @@ class IdentityResult:
         """Fold in one discrepancy or an array of them.  A failure is any
         value not within the tolerance, NaN included; the maximum skips
         NaN."""
-        import numpy as np
-
         values = np.ravel(discrepancy)
         self.checked += values.size
         self.max_discrepancy = float(np.fmax.reduce(values, initial=self.max_discrepancy))
@@ -113,8 +107,6 @@ def relative_discrepancy(a: float, b: float) -> float:
     """|a - b| over the larger magnitude: how ratio-scale values are
     compared, against DEFAULT_REL_TOL_OR.  Elementwise on arrays."""
     if getattr(a, "ndim", 0) or getattr(b, "ndim", 0):
-        import numpy as np
-
         return abs(a - b) / np.maximum(np.maximum(abs(a), abs(b)), 1e-300)
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
@@ -142,8 +134,6 @@ class _Recorder:
         self._record(name, DEFAULT_REL_TOL_OR, relative_discrepancy(a, b))
 
     def flag(self, name: str, ok, where=None) -> None:
-        import numpy as np
-
         self._record(name, 0.0, np.where(ok, 0.0, 1.0), where)
 
     def results(self) -> list[IdentityResult]:
@@ -266,8 +256,6 @@ def _check_extension_factorization(
 ) -> None:
     if not params.kind.is_extended:
         return
-    import numpy as np
-
     rd_left, rd_right = cf.extension_rds(params)
     for level in (1, 0):
         for scale in (Scale.COV, Scale.RD):
@@ -286,8 +274,6 @@ def _signs_agree(*signs) -> np.ndarray:
     """True for each draw where no two of ``signs`` are strictly opposite:
     every pair is equal or holds a Zero, which a sign flag reads as
     undecided."""
-    import numpy as np
-
     positive = reduce(np.logical_or, [np.equal(sign, Sign.POSITIVE) for sign in signs])
     negative = reduce(np.logical_or, [np.equal(sign, Sign.NEGATIVE) for sign in signs])
     return ~(positive & negative)
@@ -308,8 +294,6 @@ def _child_case_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -
     The effect in cases 1 and 2 is banded at closedform.SIGN_TOL, and so are
     case 3's boundaries, as pd1 - pd0 and pd1 g1 - pd0 g0.
     """
-    import numpy as np
-
     g1 = cf.cross_product_difference(p_c_given, 1)
     g0 = cf.cross_product_difference(p_c_given, 0)
     pd1 = p_d_given_c.level_given(level, 1)
@@ -326,8 +310,6 @@ def _child_case_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -
 
 
 def _check_sign_rules(params: StructureParams, biases, core_biases, rec: _Recorder) -> None:
-    import numpy as np
-
     kind = params.kind
     if kind is StructureKind.NABLA:
         return
@@ -379,8 +361,6 @@ def verify_kind(kind: StructureKind, draws: int, seed: int) -> KindVerification:
     strict parameter sets.  Deterministic for a given seed.  The absolute
     identities use DEFAULT_ABS_TOL unless they name their own bound; the
     relative odds-ratio identities use DEFAULT_REL_TOL_OR."""
-    import numpy as np
-
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
     if seed < 0:

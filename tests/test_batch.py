@@ -17,6 +17,7 @@ from colliderbias import (
     ColliderBiasError,
     ColliderCpt,
     DegenerateStratumError,
+    EdgeCpt,
     OutOfRangeError,
     ParameterError,
     PrecisionLossError,
@@ -258,6 +259,19 @@ def test_batch_extended_sign_is_zero_on_the_draw_with_a_fixed_cause():
         signs = sm.extended_sign(batch, conditioning).tolist()
         assert signs == [sm.extended_sign(params, conditioning) for params in draws]
         assert signs[3] == 0 and signs.count(0) < DRAWS
+
+
+def test_batch_nabla_stratum_sign_is_zero_on_the_draws_with_an_empty_cell():
+    draws, _ = _draws(StructureKind.NABLA, seed=5)
+    draws[1] = dataclasses.replace(draws[1], p_left=0.0)
+    draws[3] = dataclasses.replace(draws[3], p_y_given_b=EdgeCpt(given_0=0.5, given_1=1.0))
+    draws[4] = dataclasses.replace(draws[4], p_c_given=dataclasses.replace(draws[4].p_c_given, given_10=0.0))
+    batch = _stack(draws)
+    for level in (1, 0):
+        signs = sm.nabla_stratum_sign(batch, level).tolist()
+        assert signs == [sm.nabla_stratum_sign(params, level) for params in draws]
+        assert [signs[b] == 0 for b in (1, 3, 4)] == [True, True, level == 1]
+        assert signs.count(0) < DRAWS
 
 
 def test_band_sign_is_elementwise():

@@ -1050,6 +1050,32 @@ def test_sign_agrees_with_compute_where_a_cause_is_fixed(capsys):
     assert doc["closed_form"]["sign"] == "zero"
 
 
+# Nabla documents with an empty (X, Y, C=c) cell: X constant, Y constant
+# given X=0, and P(C=1 | X=1, Y=0) = 0, which empties only the C=1 level.
+EMPTY_CELL_FLAGS = {
+    "x-constant": ["--p-left", "0", "--p-y-given-b", "0=0.3,1=0.6",
+                   "--p-c-given", "00=0.1,01=0.2,10=0.3,11=0.9"],
+    "y-constant-given-x": ["--p-left", "0.4", "--p-y-given-b", "0=0,1=0.6",
+                           "--p-c-given", "00=0.1,01=0.2,10=0.3,11=0.9"],
+    "c-never-1": ["--p-left", "0.4", "--p-y-given-b", "0=0.3,1=0.6",
+                  "--p-c-given", "00=0.1,01=0.2,10=0,11=0.9"],
+}
+
+
+@pytest.mark.parametrize("flags", EMPTY_CELL_FLAGS.values(), ids=EMPTY_CELL_FLAGS.keys())
+def test_nabla_sign_is_zero_where_compute_calls_the_odds_ratio_undefined(capsys, flags):
+    code, out, _ = run_cli(capsys, "sign", "--kind", "Nabla", *flags, "--format", "json")
+    assert code == 0
+    signs = json.loads(out)["stratum_signs"]
+    for level in (0, 1):
+        code, _, err = run_cli(capsys, "compute", "--kind", "Nabla", *flags,
+                               "--stratum", f"C={level}", "--scale", "or")
+        assert (code == 2) == (signs[f"C={level}"] == "zero"), (level, err)
+        if code == 2:
+            assert "a zero cell makes the odds ratio undefined" in err
+    assert signs["C=1"] == "zero"
+
+
 def test_sample_text_output_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "sample", *REFERENCE_FLAGS, "--draws", "1000", "--seed", "2")
     assert code == 0

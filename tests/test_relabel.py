@@ -1,13 +1,16 @@
 """Relabeling a binary variable changes the parameters but not the question,
 so each relabeling links the biases of a draw to those of its relabeled
-draw with no second formula (a metamorphic relation).  Two relations are
-checked on every kind, at both levels, on seeded strict batches, through the
-oracle and through the closed form wherever one answers, at the tolerances
-of the numerical contract:
+draw with no second formula (a metamorphic relation).  Four relations are
+checked on every kind they apply to, at both levels, on seeded strict
+batches, through the oracle and through the closed form wherever one
+answers, at the tolerances of the numerical contract:
 
 - relabel the conditioning variable: complement its table and swap the
   levels; every bias is unchanged;
-- recode X: cov, RD and lm biases negate, RR and OR biases invert.
+- recode X: cov, RD and lm biases negate, RR and OR biases invert;
+- relabel A (kinds with A) or B (kinds with B): complement the cause's
+  marginal, swap its index of the collider table and the two entries of
+  its child's table; every bias is unchanged.
 
 A relabeling permutes the cells, so these relations check the logic of each
 route, not rounding that both sides share.
@@ -64,6 +67,41 @@ def _recode_x(params):
     return replace(params, **fields)
 
 
+def _relabel_a(params):
+    """The draw whose left cause A has its levels swapped: p_left is
+    complemented, the left index of the collider table and the entries of
+    P(X | A) swapped."""
+    t, edge = params.p_c_given, params.p_x_given_a
+    return replace(params, p_left=1.0 - params.p_left,
+                   p_c_given=ColliderCpt(t.given_10, t.given_11, t.given_00, t.given_01),
+                   p_x_given_a=EdgeCpt(edge.given_1, edge.given_0))
+
+
+def _relabel_b(params):
+    """The draw whose right cause B has its levels swapped: p_right is
+    complemented, the right index of the collider table and the entries of
+    P(Y | B) swapped."""
+    t, edge = params.p_c_given, params.p_y_given_b
+    return replace(params, p_right=1.0 - params.p_right,
+                   p_c_given=ColliderCpt(t.given_01, t.given_00, t.given_11, t.given_10),
+                   p_y_given_b=EdgeCpt(edge.given_1, edge.given_0))
+
+
+def _relations(kind):
+    """(name, relation) of each relation that applies to the kind: relabeling
+    A or B needs that variable."""
+    yield "conditioning", _relabel_conditioning
+    yield "recode_x", _recode_x
+    if kind.has_left_a:
+        yield "relabel_a", _relabel_a
+    if kind.has_right_b:
+        yield "relabel_b", _relabel_b
+
+
+CASES = [pytest.param(kind, relation, id=f"{kind.value}-{name}")
+         for kind in StructureKind for name, relation in _relations(kind)]
+
+
 def _oracle(params, query):
     return bias(build_joint(params), query).value
 
@@ -96,8 +134,7 @@ def _pairs(kind, relation):
 
 
 @pytest.mark.parametrize("route", [_oracle, _closed], ids=["oracle", "closed_form"])
-@pytest.mark.parametrize("relation", [_relabel_conditioning, _recode_x], ids=["conditioning", "recode_x"])
-@pytest.mark.parametrize("kind", list(StructureKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("kind, relation", CASES)
 def test_relabeling_maps_each_bias_as_the_relation_says(kind, relation, route):
     rng = np.random.default_rng(list(StructureKind).index(kind))
     params = random_structure_params(kind, rng, DRAWS)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -26,6 +27,7 @@ from colliderbias import (
     emit_grid,
     extended_sign,
     lm_bias,
+    nabla_stratum_sign,
     random_structure_params,
     v_lm_sign,
     v_stratum_sign,
@@ -319,6 +321,13 @@ FIXED_CAUSE_PARAMS = [
         p_x_given_a=EdgeCpt(given_0=0.2, given_1=0.7),
         p_y_given_b=EdgeCpt(given_0=0.4, given_1=0.8),
     ),
+    StructureParams(
+        kind=StructureKind.RIGHT_M,
+        p_left=0.5,
+        p_right=0.0,
+        p_c_given=FIXED_CAUSE_CPT,
+        p_y_given_b=EdgeCpt(given_0=0.4, given_1=0.8),
+    ),
 ]
 
 
@@ -340,9 +349,35 @@ def test_nabla_stratum_sign_is_never_opposite_to_the_oracle_odds_ratio():
     params = random_structure_params(StructureKind.NABLA, np.random.default_rng(3), 20000)
     table = build_joint(params)
     for level in (1, 0):
-        rule = v_stratum_sign(params.p_c_given, level)
+        rule = nabla_stratum_sign(params, level)
         oracle = classify_sign(bias(table, BiasQuery(Stratum("C", level), Scale.OR)).value, Scale.OR)
         assert not (rule * oracle == -1).any(), level
+
+
+NABLA_DRAW = StructureParams(
+    kind=StructureKind.NABLA, p_left=0.4, p_y_given_b=EdgeCpt(given_0=0.3, given_1=0.6),
+    p_c_given=ColliderCpt(given_00=0.1, given_01=0.2, given_10=0.3, given_11=0.9),
+)
+# An edit of NABLA_DRAW that empties some cell P(X=x, Y=y, C=c), and the
+# levels c at which it does.
+NABLA_EMPTY_CELLS = {
+    "x-never-1": ({"p_left": 0.0}, (0, 1)),
+    "x-always-1": ({"p_left": 1.0}, (0, 1)),
+    "y-never-1-given-x0": ({"p_y_given_b": EdgeCpt(given_0=0.0, given_1=0.6)}, (0, 1)),
+    "y-always-1-given-x1": ({"p_y_given_b": EdgeCpt(given_0=0.3, given_1=1.0)}, (0, 1)),
+    "c-never-1-at-10": ({"p_c_given": ColliderCpt(0.1, 0.2, 0.0, 0.9)}, (1,)),
+    "c-always-1-at-01": ({"p_c_given": ColliderCpt(0.1, 1.0, 0.3, 0.9)}, (0,)),
+}
+
+
+@pytest.mark.parametrize("edit, empty", NABLA_EMPTY_CELLS.values(), ids=NABLA_EMPTY_CELLS.keys())
+def test_nabla_stratum_sign_is_zero_at_a_level_with_an_empty_cell(edit, empty):
+    params = dataclasses.replace(NABLA_DRAW, **edit)
+    for level in (0, 1):
+        table_sign = v_stratum_sign(params.p_c_given, level)
+        assert table_sign is not Sign.ZERO
+        expected = Sign.ZERO if level in empty else table_sign
+        assert nabla_stratum_sign(params, level) is expected, level
 
 
 def test_extended_sign_matches_lm_value(rng):

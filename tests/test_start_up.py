@@ -63,6 +63,9 @@ def _single_query_argvs(tmp_path: Path) -> list[list[str]]:
     # A fixed cause: every sign is zero, and still no numpy.
     argvs.append(["sign", "--kind", "V", "--p-left", "0", "--p-right", "0.5",
                   "--p-c-given", "00=0.1,01=0.2,10=0.3,11=0.9", "--format", "json"])
+    # An empty (X, Y, C) cell: Nabla's stratum signs are zero, and still no numpy.
+    argvs.append(["sign", "--kind", "Nabla", "--p-left", "0", "--p-y-given-b", "0=0.3,1=0.6",
+                  "--p-c-given", "00=0.1,01=0.2,10=0.3,11=0.9", "--format", "json"])
     malformed = {
         "not-json": "{",
         "missing": '{"kind": "V", "p_left": 0.5}',

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -401,6 +403,26 @@ def test_package_exports_its_api_and_no_helper():
     assert {"StructureParams", "build_joint", "verify_many", "closed_form"} <= exported
     assert not exported & {"types", "ModuleType", "np", "closedform", "joint"}
     assert all(hasattr(colliderbias, name) for name in exported)
+
+
+def test_only_errors_imports_numpy():
+    # Every other module reads numpy through ``errors.np``, which loads it on
+    # first use; an import anywhere else, at any depth, is a second place
+    # that decides when numpy loads.
+    import colliderbias
+
+    importers = set()
+    for path in Path(colliderbias.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"errors.py"}
 
 
 # -- parse errors ------------------------------------------------------------
