@@ -148,21 +148,25 @@ class JointTable:
             # A caller's array becomes float64 numbers, as a batch's entries are.
             cells = tuple(mass.astype(float).tolist() if hasattr(mass, "astype") else mass)
         else:
-            cells = np.asarray(mass, dtype=np.float64).T.copy()  # row i of the copy is cell i
-        self._hold(kind, order, cells, None if len(shape) == 1 else {})
+            cells = tuple(np.asarray(mass, dtype=np.float64).T.copy())  # row i of the copy is cell i
+        self._hold(kind, order, cells, None if len(shape) == 1 else {}, None)
 
-    def _hold(self, kind: StructureKind, order: tuple[str, ...], cells, memo: dict | None) -> JointTable:
+    def _hold(self, kind: StructureKind, order: tuple[str, ...], cells: tuple, memo: dict | None, total) -> JointTable:
         """Keep ``cells``, which no caller holds, and ``memo`` (None for one
-        table, {} for a batch); check that the cells are a mass; return self."""
-        self.kind, self.order, self._cells, self._mass, self._memo = kind, order, tuple(cells), None, memo
+        table, {} for a batch); check that the cells, whose sum in
+        :func:`_sum_source`'s order is ``total`` (None: add them here, as
+        ``prob()`` does), are a mass; return self."""
+        self.kind, self.order, self._cells, self._mass, self._memo = kind, order, cells, None, memo
         try:
             if memo is None:
-                low = min(self._cells)
+                low = min(cells)
             else:
-                low = np.min(self._cells, axis=0)
+                low = np.min(cells, axis=0)
+            if total is None:
+                (total,) = _cell_index(order, ((),))(cells)
             # Any NaN or infinite cell makes the sum NaN or infinite, and a
             # NaN fails every comparison.
-            ok = (abs(self.prob() - 1) <= 1e-12) & (low >= 0)
+            ok = (abs(total - 1) <= 1e-12) & (low >= 0)
         except TypeError:  # a cell that is not a number: a string, a list
             raise ParameterError("mass cells must be numbers") from None
         raise_where(not ok if memo is None else ~ok, ParameterError, _MASS_MESSAGE)
@@ -224,34 +228,40 @@ def build_joint(params: StructureParams) -> JointTable:
     batch = getattr(params.p_left, "ndim", 0)
     if batch:
         p = [np.asarray(one, dtype=np.float64) for one in p]
-    cells = _grow_cells(params.kind)(p, [1 - one for one in p])
+    cells, total = _grow_cells(params.kind)(p)
     order = variable_roles(params.kind).order
-    return JointTable.__new__(JointTable)._hold(params.kind, order, cells, {} if batch else None)
+    return JointTable.__new__(JointTable)._hold(params.kind, order, cells, {} if batch else None, total)
 
 
 @lru_cache(maxsize=None)
 def _grow_cells(kind: StructureKind):
-    """A function from the probabilities p of a kind, in schema order, and
-    q = 1 - p to the tuple of its table's cells, numbers or a batch's arrays.
-    It is compiled from :func:`_grow_source` the first time the kind is
-    built."""
+    """A function from the probabilities p of a kind, in schema order, to
+    the tuple of its table's cells, numbers or a batch's arrays, and their
+    sum, which has the bits of the table's ``prob()``.  It is compiled from
+    :func:`_grow_source` the first time the kind is built."""
     namespace: dict = {}
     exec(_grow_source(_factor_places(kind)), namespace)  # the source holds only places
     return namespace["grow"]
 
 
 def _grow_source(places: tuple[tuple[int, ...], ...]) -> str:
-    """Python source of a function ``grow(p, q)`` that multiplies out the
-    cells with no loop: each row of ``places`` splits every product so far,
-    kept as a local, into its product with q[at] and with p[at], at the
-    place each prefix has there; the last row's products are returned."""
-    body, cells = [], ["1"]
+    """Python source of a function ``grow(p)`` that multiplies out the cells
+    with no loop.  It unpacks p into locals p0, p1, ... and sets q0 = 1 - p0,
+    q1 = 1 - p1, ...; then each row of ``places`` splits every product so
+    far, kept as a local, into its product with q and with p at the place
+    each prefix has there.  The last row's products are returned, with their
+    sum in :func:`_sum_source`'s order."""
+    width = 1 + max(max(row) for row in places)
+    body = [f"{', '.join(f'p{at}' for at in range(width))}, = p"]
+    body += [f"q{at} = 1 - p{at}" for at in range(width)]
+    cells, made = ["1"], 0
     for row in places:
-        products = [f"{prefix} * {factor}[{at}]" for prefix, at in zip(cells, row) for factor in "qp"]
-        cells = [f"c{len(body) + i}" for i in range(len(products))]
+        products = [f"{prefix} * {factor}{at}" for prefix, at in zip(cells, row) for factor in "qp"]
+        cells = [f"c{made + i}" for i in range(len(products))]
         body += [f"{cell} = {product}" for cell, product in zip(cells, products)]
-    body[-len(cells):] = [f"return ({', '.join(products)},)"]
-    return "def grow(p, q):\n    " + "\n    ".join(body) + "\n"
+        made += len(products)
+    body.append(f"return ({', '.join(cells)},), {_sum_source(cells)}")
+    return "def grow(p):\n    " + "\n    ".join(body) + "\n"
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from enum import Enum, IntEnum
 from functools import lru_cache, update_wrapper
 from types import MappingProxyType
@@ -372,6 +372,7 @@ _PROBABILITY_NAMES: dict[StructureKind, tuple[str, ...]] = {
 # an error names only when they differ.
 _DOC_KEYS = {kind: frozenset({"kind", *fields}) for kind, fields in _KIND_FIELDS.items()}
 _TABLE_KEYS = {table_type: frozenset(table_type.KEYS) for table_type in (ColliderCpt, EdgeCpt)}
+_KIND_NAMES = frozenset(kind.value for kind in StructureKind)
 
 
 @dataclass(frozen=True)
@@ -465,6 +466,8 @@ class StructureParams:
     _memo = None  # a dict on a batch, set by construction: see batch_memo
 
     def __post_init__(self) -> None:
+        if _construction_check(self.kind)(self):
+            return  # one draw of floats in [0, 1], checked in straight-line code
         fields = _KIND_FIELDS[self.kind]
         probabilities: list = []
         for field_name, field_type in _FIELD_TYPES.items():
@@ -591,9 +594,18 @@ def _table_fields(doc: Mapping, field: str, kind: str, table_type: type[_Cpt]) -
 
 
 def params_from_dict(doc: Mapping) -> StructureParams:
-    """Parse the JSON parameter schema into a validated StructureParams.  A
-    plain dict, what ``json`` gives, is told from other mappings without the
-    ``Mapping`` ABC's check."""
+    """Parse the JSON parameter schema into a validated StructureParams.
+
+    A plain dict naming a kind, what ``json`` gives, goes first to the kind's
+    compiled parser (:func:`_compiled_parser`); any other document, and one
+    that parser declines, is searched field by field, which names the first
+    error.  A plain dict is told from other mappings without the ``Mapping``
+    ABC's check."""
+    name = doc.get("kind") if type(doc) is dict else None
+    if type(name) is str and name in _KIND_NAMES:
+        params = _compiled_parser(name)(doc)
+        if params is not None:
+            return params
     if type(doc) is not dict and not isinstance(doc, Mapping):
         raise ParameterError(f"parameters must be a JSON object, got {type(doc).__name__}")
     if "kind" not in doc:
@@ -618,6 +630,119 @@ def params_from_dict(doc: Mapping) -> StructureParams:
         else:
             kwargs[field_name] = _table_fields(doc, field_name, name, field_type)
     return StructureParams(**kwargs)
+
+
+# The source that _compiled_parser compiles for a kind: {tables} reads each
+# table of the kind, {plain} tests that each is a plain dict of its size,
+# {values} reads every probability, {floats} tests that each is a float and
+# {arguments} builds the tables and the params from them.
+_PARSER_SOURCE = """\
+def parse(doc):
+    if len(doc) != {size}:
+        return None
+    try:
+        {tables}
+        if not ({plain}):
+            return None
+        {values}
+    except KeyError:  # a key of the kind's schema is missing
+        return None
+    if {floats}:
+        return StructureParams(kind=kind, {arguments})
+    return None
+"""
+
+
+@lru_cache(maxsize=None)
+def _compiled_parser(name: str):
+    """A function from a plain dict whose ``kind`` is ``name`` to its
+    StructureParams, or to None unless the dict has exactly the kind's keys,
+    each table is a plain dict with exactly its ``KEYS`` and every entry is a
+    float.  It reads each key once, in straight-line code compiled the first
+    time the kind is parsed, and calls no per-field parser; construction
+    range-checks the entries.  On None the caller searches the document field
+    by field, so every error is raised there, and named as it always was."""
+    kind = StructureKind(name)
+    tables, plain, values, reads, arguments = [], [], [], [], []
+    for field in _KIND_FIELDS[kind]:
+        table_type = _FIELD_TYPES[field]
+        if table_type is float:
+            values.append(field)
+            reads.append(f"{field} = doc[{field!r}]")
+            arguments.append(f"{field}={field}")
+            continue
+        tables.append(f"{field} = doc[{field!r}]")
+        plain.append(f"type({field}) is dict and len({field}) == {len(table_type.KEYS)}")
+        entries = [f"{field}_{key}" for key in table_type.KEYS]
+        values += entries
+        reads += [f"{entry} = {field}[{key!r}]" for entry, key in zip(entries, table_type.KEYS)]
+        arguments.append(f"{field}={table_type.__name__}({', '.join(entries)})")
+    source = _PARSER_SOURCE.format(
+        size=len(_DOC_KEYS[kind]),
+        tables="\n        ".join(tables),
+        plain=" and ".join(plain),
+        values="\n        ".join(reads),
+        floats=" and ".join(f"type({value}) is float" for value in values),
+        arguments=", ".join(arguments),
+    )
+    namespace = {"kind": kind, "StructureParams": StructureParams, "ColliderCpt": ColliderCpt, "EdgeCpt": EdgeCpt}
+    exec(source, namespace)  # the source holds only the schema's field names and keys
+    return namespace["parse"]
+
+
+# The source that _construction_check compiles for a kind: p_left, the first
+# field of every kind, is v0; {tables} reads each table of the kind, {shape}
+# tests that each is of its type and every field the kind lacks is absent,
+# {values} reads the other probabilities, in schema order, into v1, v2, ...
+# and {inside} tests that each is a float in [0, 1].
+_CHECK_SOURCE = """\
+def check(params):
+    v0 = params.p_left
+    if type(v0) is not float:
+        return False
+    {tables}
+    if not ({shape}):
+        return False
+    {values}
+    if not ({inside}):
+        return False
+    object.__setattr__(params, "probabilities", ({names}))
+    return True
+"""
+
+
+@lru_cache(maxsize=None)
+def _construction_check(kind: StructureKind):
+    """A function from a StructureParams of ``kind`` to True, having set its
+    ``probabilities``, when it is one draw of floats in [0, 1] with exactly
+    the kind's fields and each table of its type; to False, having set
+    nothing, otherwise.  It is compiled the first time the kind is
+    constructed, as straight-line code that tests each float once with
+    ``0.0 <= v <= 1.0`` (a NaN fails it).  On False, construction checks the
+    fields one by one and names the first bad one; a batch fails the first
+    test, on p_left."""
+    fields = _KIND_FIELDS[kind]
+    tables, shape, values = [], [], ["p_left"]
+    for field, field_type in list(_FIELD_TYPES.items())[1:]:
+        if field not in fields:
+            shape.append(f"params.{field} is None")
+        elif field_type is float:
+            values.append(f"params.{field}")
+        else:
+            tables.append(f"{field} = params.{field}")
+            shape.append(f"type({field}) is {field_type.__name__}")
+            values += [f"{field}.{entry.name}" for entry in dataclass_fields(field_type)]
+    names = [f"v{i}" for i in range(len(values))]
+    source = _CHECK_SOURCE.format(
+        tables="\n    ".join(tables),
+        shape=" and ".join(shape),
+        values="\n    ".join(f"{name} = {value}" for name, value in zip(names[1:], values[1:])),
+        inside=" and ".join(f"type({name}) is float and 0.0 <= {name} <= 1.0" for name in names),
+        names=", ".join(names),
+    )
+    namespace = {"ColliderCpt": ColliderCpt, "EdgeCpt": EdgeCpt}
+    exec(source, namespace)  # the source holds only the schema's field names
+    return namespace["check"]
 
 
 def validate(params: StructureParams, strict: bool = False) -> StructureParams:

@@ -513,18 +513,22 @@ def test_each_kind_compiles_its_product_kernel_once():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_product_kernel_source_reads_probabilities_only_at_places(kind):
-    # The kernel is straight-line code, one product per line: row k of
-    # _factor_places turns each cell of row k - 1, a local (or the 1 it
-    # starts from), into its product with q and with p at that cell's place,
-    # an integer; the last row's products are returned.
+    # The kernel is straight-line code, one statement per line.  It unpacks
+    # p into the locals p0, p1, ... and sets each q<at> = 1 - p<at>.  Then
+    # row k of _factor_places turns each cell of row k - 1, a local (or the 1
+    # it starts from), into its product with q and with p at that cell's
+    # place; the last row's products are returned, with their sum in
+    # _sum_source's order.
     places = joint_mod._factor_places(kind)
     (grow,) = ast.parse(joint_mod._grow_source(places)).body
-    assert [arg.arg for arg in grow.args.args] == ["p", "q"]
-    *assigns, ret = grow.body
-    products = [assign.value for assign in assigns] + ret.value.elts
-    names = [target.id for assign in assigns for target in assign.targets]
-    assert len(products) == len(names) + 2 ** len(places)
+    assert [arg.arg for arg in grow.args.args] == ["p"]
     width = len(random_structure_params(kind, np.random.default_rng(0)).probabilities)
+    unpack, *complements = grow.body[: 1 + width]
+    assert ast.unparse(unpack) == ", ".join(f"p{at}" for at in range(width)) + " = p"
+    assert [ast.unparse(line) for line in complements] == [f"q{at} = 1 - p{at}" for at in range(width)]
+    *assigns, ret = grow.body[1 + width :]
+    products = [assign.value for assign in assigns]
+    names = [target.id for assign in assigns for target in assign.targets]
     cells, start = [ast.Constant(1)], 0
     for row in places:
         assert len(cells) == len(row)
@@ -532,10 +536,63 @@ def test_product_kernel_source_reads_probabilities_only_at_places(kind):
             prefix, factor = product.left, product.right
             assert isinstance(product, ast.BinOp) and isinstance(product.op, ast.Mult)
             assert ast.dump(prefix) == ast.dump(cells[i // 2])
-            assert isinstance(factor, ast.Subscript) and factor.value.id == "qp"[i % 2]
-            assert type(factor.slice.value) is int and factor.slice.value == row[i // 2] < width
+            assert isinstance(factor, ast.Name) and factor.id == f"{'qp'[i % 2]}{row[i // 2]}"
+            assert row[i // 2] < width
         cells = [ast.Name(name, ast.Load()) for name in names[start : start + 2 * len(row)]]
         start += 2 * len(row)
+    assert start == len(products)
+    returned, total = ret.value.elts
+    last = names[-(2 ** len(places)) :]
+    assert [cell.id for cell in returned.elts] == last
+    assert ast.dump(total) == ast.dump(ast.parse(joint_mod._sum_source(last), mode="eval").body)
+
+
+def _stacked(draws):
+    """One batch of the single draws ``draws``, all of one kind: each field
+    the (B,) array of its values over them, each table a table of such."""
+    docs = [params.to_dict() for params in draws]
+    fields = {}
+    for field, value in docs[0].items():
+        if field == "kind":
+            continue
+        if isinstance(value, dict):
+            table_type = type(getattr(draws[0], field))
+            fields[field] = table_type(*[np.array([doc[field][key] for doc in docs]) for key in table_type.KEYS])
+        else:
+            fields[field] = np.array([doc[field] for doc in docs])
+    return StructureParams(kind=draws[0].kind, **fields)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_kernel_total_has_the_bits_of_prob(kind):
+    # The mass check reads the sum that the build kernel returns with the
+    # cells; it must be the number, or array, that the table's prob() adds.
+    rng = np.random.default_rng(61 + ALL_KINDS.index(kind))
+    rnd = random.Random(f"kernel-total/{kind.value}")
+    grow = joint_mod._grow_cells(kind)
+    strict = [random_structure_params(kind, rng) for _ in range(200)]
+    lenient = [_lenient_params(kind, rnd) for _ in range(200)]
+    for draws in (strict, lenient):
+        totals = []
+        for params in draws:
+            cells, total = grow(params.probabilities)
+            table = build_joint(params)
+            assert cells == table._cells
+            assert type(total) is float and total.hex() == table.prob().hex()
+            totals.append(total)
+        batch = _stacked(draws)
+        cells, total = grow([np.asarray(one, dtype=np.float64) for one in batch.probabilities])
+        assert total.shape == (200,)
+        assert total.tobytes() == build_joint(batch).prob().tobytes() == np.array(totals).tobytes()
+    # Fraction parameters still build an exact table, whose total is exactly 1.
+    exact = params_from_dict({
+        field: value if field == "kind" else Fraction(value) if type(value) is float
+        else {key: Fraction(entry) for key, entry in value.items()}
+        for field, value in strict[0].to_dict().items()
+    })
+    cells, total = grow(exact.probabilities)
+    assert type(total) is Fraction and total == 1
+    assert cells == build_joint(exact)._cells == tuple(mass for _, mass in _exact_cells(strict[0]))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -97,6 +97,15 @@ def test_cli_import_compiles_no_product_kernel():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
+def test_cli_import_compiles_no_parser_or_construction_check():
+    # A kind's parser and construction check are compiled when that kind is
+    # first parsed or constructed, so start-up does not pay for them.
+    proc = _python("-c", "import colliderbias.cli, colliderbias.structures as s; "
+                         "print(s._compiled_parser.cache_info().currsize, "
+                         "s._construction_check.cache_info().currsize)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
+
+
 def test_parameter_entry_loads_no_fractions():
     # A Fraction entry is told apart without importing its module; 1 is an
     # int, so the document takes the path past the float check.
@@ -118,6 +127,27 @@ def test_single_queries_run_without_numpy(tmp_path):
     codes = [code for code, _, _ in runs["available"]["results"]]
     assert codes[:2] == [0, 2] and codes[-3:] == [2, 2, 2]
     assert set(codes[2:-3]) == {0}
+
+
+def test_documents_the_compiled_parser_declines_run_without_numpy(tmp_path):
+    # An int, a true or a NaN entry sends a document past the compiled
+    # parser to the field-by-field search, which must load no numpy either,
+    # whether the query answers (the int) or exits 2 (true, NaN).
+    doc = random_structure_params(StructureKind.LONG_M, np.random.default_rng(9)).to_dict()
+    argvs = []
+    for name, entry in (("int", 1), ("true", True), ("nan", float("nan"))):
+        path = tmp_path / f"{name}-entry.json"
+        path.write_text(json.dumps({**doc, "p_x_given_a": {"0": 0.15, "1": entry}}), encoding="utf-8")
+        argvs += [["compute", "--file", str(path), "--stratum", "D=1", "--scale", "or"],
+                  ["compute", "--file", str(path), "--lm", "--format", "json"]]
+    runs = {}
+    for mode in ("blocked", "available"):
+        proc = _python("-c", RUNNER, mode, stdin=json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout)
+    assert not runs["available"]["numpy_loaded"]
+    assert runs["blocked"]["results"] == runs["available"]["results"]
+    assert [code for code, _, _ in runs["available"]["results"]] == [0, 0, 2, 2, 2, 2]
 
 
 def test_flat_mass_loads_no_numpy():

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
@@ -23,6 +24,7 @@ from colliderbias import (
     validate,
     variable_roles,
 )
+from colliderbias import structures as structures_mod
 from colliderbias.structures import _FIELD_TYPES, _KIND_FIELDS, _PROBABILITY_NAMES
 
 ALL_KINDS = list(StructureKind)
@@ -573,3 +575,194 @@ def test_probabilities_follow_the_schema(kind, rng):
     assert params.probabilities == tuple(values)
     assert _PROBABILITY_NAMES[kind] == tuple(names)
     assert all(type(value) is float for value in params.probabilities)
+
+
+# -- the compiled parser and construction check -------------------------------
+
+class _DictSubclass(dict):
+    pass
+
+
+# Entries that the fuzz below puts in place of a uniform draw: the edges of
+# [0, 1] and just past them, non-finite floats, numbers of other types and
+# values that are not numbers at all.
+_FUZZ_ENTRIES = (
+    0.0, 1.0, -0.0, 5e-324, 1 - 1e-16, math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0),
+    math.nan, math.inf, -math.inf, 0, 1, True, "0.5", None, Fraction(1, 3), np.float64(0.5), 10**400,
+)
+
+
+def _fuzz_value(rnd):
+    return rnd.choice(_FUZZ_ENTRIES) if rnd.random() < 0.08 else rnd.random()
+
+
+def _fuzz_document(kind, rnd):
+    """A parameter document of ``kind``, usually valid; now and then an
+    entry, a key, a table, the kind or a container is something else."""
+    doc = {"kind": kind.value}
+    for field in _KIND_FIELDS[kind]:
+        keys = getattr(_FIELD_TYPES[field], "KEYS", None)
+        doc[field] = _fuzz_value(rnd) if keys is None else {key: _fuzz_value(rnd) for key in keys}
+    for _ in range(rnd.choice((0, 0, 0, 1, 2))):
+        target = rnd.choice([doc] + [value for value in doc.values() if isinstance(value, dict)])
+        key = rnd.choice(list(target))
+        edit = rnd.randrange(5)
+        if edit == 0:
+            del target[key]
+        elif edit == 1:
+            target[rnd.choice(("zz", "2", "11", "p_right", "p_d_given_c", 0))] = rnd.random()
+        elif edit == 2:
+            target[key + "x" if isinstance(key, str) else 7] = target.pop(key)
+        elif edit == 3:
+            target[key] = rnd.choice(([0.5, 0.5], None, 0.5, {"0": 0.5, "1": 0.5}))
+        else:
+            target["kind"] = rnd.choice((kind, "W", StructureKind.V, None, ["V"]))
+    wrap = rnd.choice((dict,) * 6 + (_DictSubclass, MappingProxyType))
+    if rnd.random() < 0.1:
+        doc = {key: _DictSubclass(value) if isinstance(value, dict) else value for key, value in doc.items()}
+    return wrap(doc)
+
+
+def _outcome(build):
+    """What ``build()`` gives, in a form to compare exactly: the type and
+    message of its error, or the params, their kind and the type and bits of
+    every probability (a Fraction compares by value)."""
+    try:
+        params = build()
+    except Exception as exc:  # every error, whatever its type, must match
+        return type(exc), str(exc)
+    bits = [(type(v), v.hex() if type(v) is float else v) for v in params.probabilities]
+    return params.kind, bits, params
+
+
+def _generic_routes(monkeypatch):
+    """Make the compiled parser and construction check decline every input,
+    so that each goes through the field-by-field search."""
+    monkeypatch.setattr(structures_mod, "_compiled_parser", lambda name: lambda doc: None)
+    monkeypatch.setattr(structures_mod, "_construction_check", lambda kind: lambda params: False)
+
+
+def test_compiled_parser_gives_what_the_search_gives(monkeypatch):
+    rnd = random.Random("compiled-parser")
+    docs = [_fuzz_document(kind, rnd) for _ in range(300) for kind in ALL_KINDS]
+    compiled = [_outcome(lambda: params_from_dict(doc)) for doc in docs]
+    _generic_routes(monkeypatch)
+    generic = [_outcome(lambda: params_from_dict(doc)) for doc in docs]
+    assert compiled == generic
+    # Both routes ran often: the compiled parser took many documents (some
+    # of which construction refused) and the search the others, accepting
+    # some of them too; the outcomes include errors of several types.
+    monkeypatch.undo()
+
+    def compiled_parse(doc):
+        name = doc.get("kind") if type(doc) is dict else None
+        if type(name) is not str or name not in structures_mod._KIND_NAMES:
+            return None
+        try:
+            return structures_mod._compiled_parser(name)(doc)
+        except OutOfRangeError as exc:
+            return exc
+
+    taken = [compiled_parse(doc) is not None for doc in docs]
+    assert 500 < sum(taken) < len(docs) - 500
+    assert sum(not took and type(outcome[0]) is StructureKind for took, outcome in zip(taken, compiled)) > 50
+    assert len({outcome[0] for outcome in compiled}) > 5
+
+
+def _fuzz_fields(kind, rnd):
+    """Keyword arguments of StructureParams for ``kind``: usually valid, now
+    and then with an entry from the fuzz alphabet, a field missing or extra,
+    or a table of the wrong type or none."""
+    fields = {}
+    for field in _KIND_FIELDS[kind]:
+        table_type = _FIELD_TYPES[field]
+        if table_type is float:
+            fields[field] = _fuzz_value(rnd)
+        else:
+            fields[field] = table_type(*[_fuzz_value(rnd) for _ in table_type.KEYS])
+    edit = rnd.randrange(12)
+    field = rnd.choice(list(_FIELD_TYPES))
+    if edit == 0:
+        fields[field] = None
+    elif edit == 1:
+        fields[field] = rnd.choice((0.5, EdgeCpt(0.5, 0.5), ColliderCpt(0.1, 0.2, 0.3, 0.4)))
+    elif edit == 2:
+        fields[field] = rnd.choice(({"0": 0.5, "1": 0.5}, [0.5, 0.5], np.float64(0.5)))
+    return fields
+
+
+def test_compiled_construction_check_gives_what_the_loop_gives(monkeypatch):
+    rnd = random.Random("compiled-check")
+    cases = [(kind, _fuzz_fields(kind, rnd)) for _ in range(300) for kind in ALL_KINDS]
+    compiled = [_outcome(lambda: StructureParams(kind=kind, **fields)) for kind, fields in cases]
+    _generic_routes(monkeypatch)
+    generic = [_outcome(lambda: StructureParams(kind=kind, **fields)) for kind, fields in cases]
+    assert compiled == generic
+    assert sum(type(outcome[0]) is StructureKind for outcome in compiled) > 500
+    assert len({outcome[0] for outcome in compiled}) > 5
+
+
+# Each edge of [0, 1], as a float: in, or out with check_probabilities's message.
+_EDGES_IN = (0.0, -0.0, 1.0)
+_EDGES_OUT = (math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0), math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_compiled_range_test_holds_at_every_edge(kind):
+    # The range test is generated source, which the comparison-mutant
+    # harness cannot see, so each edge is pinned here at every place.
+    base = random_structure_params(kind, np.random.default_rng(5)).to_dict()
+    check = structures_mod._construction_check(kind)
+    for at, name in enumerate(_PROBABILITY_NAMES[kind]):
+        field, _, key = name.rstrip("]").partition("[")
+        for edge in _EDGES_IN + _EDGES_OUT:
+            doc = {k: dict(v) if isinstance(v, dict) else v for k, v in base.items()}
+            if key:
+                doc[field][key] = edge
+            else:
+                doc[field] = edge
+            if edge in _EDGES_IN:
+                params = params_from_dict(doc)
+                assert params.probabilities[at].hex() == edge.hex()
+                assert check(params) is True
+                continue
+            with pytest.raises(OutOfRangeError) as info:
+                params_from_dict(doc)
+            assert str(info.value) == f"{name} = {edge!r} is outside [0.0, 1.0]"
+            template = params_from_dict(base)
+            assert check(dataclasses.replace(template)) is True
+            bad = object.__new__(StructureParams)
+            for one in dataclasses.fields(StructureParams):
+                object.__setattr__(bad, one.name, getattr(template, one.name))
+            table = getattr(template, field)
+            if key:
+                table = dataclasses.replace(table, **{f"given_{key}": edge})
+            object.__setattr__(bad, field, table if key else edge)
+            assert check(bad) is False and not hasattr(bad, "probabilities")
+
+
+def test_each_kind_compiles_its_parser_and_check_once():
+    structures_mod._compiled_parser.cache_clear()
+    structures_mod._construction_check.cache_clear()
+    for _ in range(2):
+        for kind in ALL_KINDS:
+            params_from_dict(random_structure_params(kind, np.random.default_rng(3)).to_dict())
+    for compiled in (structures_mod._compiled_parser, structures_mod._construction_check):
+        info = compiled.cache_info()
+        assert (info.misses, info.currsize) == (9, 9)
+
+
+def test_a_batch_fails_one_type_test_before_the_loop():
+    batch = random_structure_params(StructureKind.LONG_M, np.random.default_rng(2), 4)
+
+    class Reads:
+        def __init__(self):
+            self.names = []
+
+        def __getattr__(self, name):
+            self.names.append(name)
+            return getattr(batch, name)
+
+    reads = Reads()
+    assert structures_mod._construction_check(StructureKind.LONG_M)(reads) is False
+    assert reads.names == ["p_left"]
