@@ -29,6 +29,7 @@ from .structures import (
     ColliderCpt,
     Conditioning,
     EdgeCpt,
+    LINEAR_MODEL,
     LinearModel,
     Sign,
     StructureKind,
@@ -156,12 +157,9 @@ def nabla_stratum_sign(params: StructureParams, level: int) -> Sign:
 def _child_deltas(
     p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, levels: tuple[int, ...]
 ) -> Iterator[float]:
-    """closedform.child_contrast at each D=level in turn, once the child
-    edge is checked to lie inside the open unit interval; the two
-    cross-product differences are computed once for all levels."""
-    check_probabilities(
-        ((f"p_d_given_c[{key}]", value) for key, value in p_d_given_c.items()), open_interval=True
-    )
+    """closedform.child_contrast at each D=level in turn, on the closed unit
+    interval of the child edge; the two cross-product differences are
+    computed once for all levels."""
     g1 = cross_product_difference(p_c_given, 1)
     g0 = cross_product_difference(p_c_given, 0)
     for level in levels:
@@ -216,7 +214,8 @@ def _extension_sign(params: StructureParams) -> Sign:
 
 def v_lm_sign(params: StructureParams) -> Sign:
     """Sign of the regression-adjustment bias in the V structure: the sign
-    of the lm kernel.
+    of the lm kernel, Zero where a cause is fixed at 0 or 1, as
+    :func:`extended_sign` gives it.
 
     Monotone effect patterns pin the sign (both causes pushing the collider
     the same way cannot give positive bias; opposite directions cannot give
@@ -224,7 +223,7 @@ def v_lm_sign(params: StructureParams) -> Sign:
     :mod:`colliderbias.verification` checks that.
     """
     _require_kind(params, StructureKind.V)
-    return band_sign(lm_bias_kernel(params))
+    return extended_sign(params, LINEAR_MODEL)
 
 
 class GridFamily(str, Enum):

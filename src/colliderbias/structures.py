@@ -23,10 +23,10 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from functools import lru_cache, update_wrapper
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import ClassVar, Iterable, Iterator
 
 from .errors import (
@@ -367,12 +367,10 @@ _PROBABILITY_NAMES: dict[StructureKind, tuple[str, ...]] = {
     for kind, fields in _KIND_FIELDS.items()
 }
 
-# The keys of each kind's parameter document, and of each table, as sets:
-# the parser compares a document's keys with these, and looks for the field
-# an error names only when they differ.
+# The keys of each kind's parameter document, as a set, and each kind by its
+# name: the parser reads a document's kind and keys through these.
 _DOC_KEYS = {kind: frozenset({"kind", *fields}) for kind, fields in _KIND_FIELDS.items()}
-_TABLE_KEYS = {table_type: frozenset(table_type.KEYS) for table_type in (ColliderCpt, EdgeCpt)}
-_KIND_NAMES = frozenset(kind.value for kind in StructureKind)
+_KINDS_BY_NAME = {kind.value: kind for kind in StructureKind}
 
 
 @dataclass(frozen=True)
@@ -405,10 +403,11 @@ def variable_roles(kind: StructureKind) -> RoleMap:
 def check_probabilities(items: Iterable[tuple[str, float]], open_interval: bool = False) -> None:
     """Raise OutOfRangeError, naming ``name``, for the first (name, value)
     whose value is outside [0, 1], or outside (0, 1) with ``open_interval``;
-    NaN fails both.  A value may be an array over a batch of draws."""
+    NaN fails both, and a bool is not a number.  A value may be an array
+    over a batch of draws."""
     for name, value in items:
-        if type(value) is float and (0.0 < value < 1.0 if open_interval else 0.0 <= value <= 1.0):
-            continue  # the common case, without the elementwise form below
+        if isinstance(value, bool):  # JSON's true and false, which the parser refuses too
+            raise ParameterError(f"{name} must be a number, got {value!r}")
         try:
             inside = (0.0 < value) & (value < 1.0) if open_interval else (0.0 <= value) & (value <= 1.0)
         except TypeError:  # a string, None, a list: no number compares with it
@@ -417,8 +416,21 @@ def check_probabilities(items: Iterable[tuple[str, float]], open_interval: bool 
         raise_where(bad, lambda v: OutOfRangeError(name, v, open_interval), value)
 
 
+def _check_entries(names: tuple[str, ...], values: list) -> None:
+    """:func:`check_probabilities` of the probabilities ``values``, named
+    ``names``; then ParameterError, naming it, for the first that is an array
+    of a shape other than p_left's, the first value's: one draw holds no
+    array, and the arrays of a batch share one shape, beside which a number
+    stands for every draw."""
+    check_probabilities(zip(names, values))
+    shape = getattr(values[0], "shape", ())
+    for name, value in zip(names, values):
+        if getattr(value, "shape", ()) not in ((), shape):
+            raise ParameterError(f"{name} has shape {value.shape}, but p_left has shape {shape}")
+
+
 def _check_batch_probabilities(names: tuple[str, ...], values: list) -> None:
-    """:func:`check_probabilities` of a batch's probabilities ``values``, named
+    """:func:`_check_entries` of a batch's probabilities ``values``, named
     ``names``: the values are stacked and tested against [0, 1] at once, and
     searched name by name only when that fails (a NaN fails it) or when they
     do not stack into one float array."""
@@ -427,7 +439,7 @@ def _check_batch_probabilities(names: tuple[str, ...], values: list) -> None:
     except ValueError:  # arrays of different shapes, or arrays beside numbers
         stacked = None
     if stacked is None or stacked.dtype != np.float64 or not (0.0 <= stacked.min() and stacked.max() <= 1.0):
-        check_probabilities(zip(names, values))
+        _check_entries(names, values)
 
 
 @dataclass(frozen=True)
@@ -466,7 +478,7 @@ class StructureParams:
     _memo = None  # a dict on a batch, set by construction: see batch_memo
 
     def __post_init__(self) -> None:
-        if _construction_check(self.kind)(self):
+        if _front_end(self.kind).check(self):
             return  # one draw of floats in [0, 1], checked in straight-line code
         fields = _KIND_FIELDS[self.kind]
         probabilities: list = []
@@ -483,8 +495,8 @@ class StructureParams:
             else:
                 raise ParameterError(f"{field_name} must be a {field_type.__name__}, got {value!r}")
         object.__setattr__(self, "probabilities", tuple(probabilities))
-        if type(self.p_left) is float or not getattr(self.p_left, "ndim", 0):
-            check_probabilities(zip(_PROBABILITY_NAMES[self.kind], probabilities))
+        if not getattr(self.p_left, "ndim", 0):
+            _check_entries(_PROBABILITY_NAMES[self.kind], probabilities)
             return
         _check_batch_probabilities(_PROBABILITY_NAMES[self.kind], probabilities)
         # A batch, and each of its tables, keeps a memo; a table that another
@@ -567,7 +579,7 @@ def _float_field(doc: Mapping, key: str, table: str | None = None) -> float:
     in JSON) is not a number; an integer too large for a double is out of
     range.  Fraction is looked up in ``sys.modules``, so start-up imports none."""
     value = doc[key]
-    if type(value) is float or isinstance(value, getattr(sys.modules.get("fractions"), "Fraction", ())):
+    if isinstance(value, getattr(sys.modules.get("fractions"), "Fraction", ())):
         return value
     name = key if table is None else f"{table}[{key}]"
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -581,15 +593,14 @@ def _float_field(doc: Mapping, key: str, table: str | None = None) -> float:
 def _table_fields(doc: Mapping, field: str, kind: str, table_type: type[_Cpt]) -> _Cpt:
     """The keyed probability table ``doc[field]`` as a ``table_type``."""
     table, keys = doc[field], table_type.KEYS
-    if type(table) is not dict and not isinstance(table, Mapping):
+    if not isinstance(table, Mapping):
         raise ParameterError(f"{field} must be an object with keys {'/'.join(keys)}")
-    if table.keys() != _TABLE_KEYS[table_type]:
-        missing = set(keys) - set(table)
-        if missing:
-            raise MissingFieldError(kind, f"{field}[{sorted(missing)[0]}]")
-        extra = set(table) - set(keys)
-        if extra:
-            raise ExtraFieldError(kind, f"{field}[{sorted(extra, key=str)[0]}]")
+    missing = set(keys) - set(table)
+    if missing:
+        raise MissingFieldError(kind, f"{field}[{sorted(missing)[0]}]")
+    extra = set(table) - set(keys)
+    if extra:
+        raise ExtraFieldError(kind, f"{field}[{sorted(extra, key=str)[0]}]")
     return table_type(*[_float_field(table, key, field) for key in keys])
 
 
@@ -597,16 +608,15 @@ def params_from_dict(doc: Mapping) -> StructureParams:
     """Parse the JSON parameter schema into a validated StructureParams.
 
     A plain dict naming a kind, what ``json`` gives, goes first to the kind's
-    compiled parser (:func:`_compiled_parser`); any other document, and one
-    that parser declines, is searched field by field, which names the first
-    error.  A plain dict is told from other mappings without the ``Mapping``
-    ABC's check."""
+    compiled parser (:func:`_front_end`); any other document, and one that
+    parser declines, is searched field by field, which names the first
+    error."""
     name = doc.get("kind") if type(doc) is dict else None
-    if type(name) is str and name in _KIND_NAMES:
-        params = _compiled_parser(name)(doc)
+    if type(name) is str and name in _KINDS_BY_NAME:
+        params = _front_end(_KINDS_BY_NAME[name]).parse(doc)
         if params is not None:
             return params
-    if type(doc) is not dict and not isinstance(doc, Mapping):
+    if not isinstance(doc, Mapping):
         raise ParameterError(f"parameters must be a JSON object, got {type(doc).__name__}")
     if "kind" not in doc:
         raise MissingFieldError("?", "kind")
@@ -615,13 +625,12 @@ def params_from_dict(doc: Mapping) -> StructureParams:
     except ValueError:
         raise ParameterError(f"unknown structure kind {doc['kind']!r}") from None
     fields, keys, name = _KIND_FIELDS[kind], _DOC_KEYS[kind], kind.value
-    if doc.keys() != keys:
-        extra = set(doc) - keys
-        if extra:
-            raise ExtraFieldError(name, sorted(extra, key=str)[0])
-        missing = keys - set(doc)
-        if missing:
-            raise MissingFieldError(name, sorted(missing)[0])
+    extra = set(doc) - keys
+    if extra:
+        raise ExtraFieldError(name, sorted(extra, key=str)[0])
+    missing = keys - set(doc)
+    if missing:
+        raise MissingFieldError(name, sorted(missing)[0])
     kwargs: dict = {"kind": kind}
     for field_name in fields:
         field_type = _FIELD_TYPES[field_name]
@@ -632,11 +641,16 @@ def params_from_dict(doc: Mapping) -> StructureParams:
     return StructureParams(**kwargs)
 
 
-# The source that _compiled_parser compiles for a kind: {tables} reads each
-# table of the kind, {plain} tests that each is a plain dict of its size,
-# {values} reads every probability, {floats} tests that each is a float and
-# {arguments} builds the tables and the params from them.
-_PARSER_SOURCE = """\
+# The source that _front_end compiles for a kind.  ``parse``: {tables} reads
+# each table of the kind from the document, {plain} tests that each is a
+# plain dict of its size, {reads} reads every probability, {floats} tests
+# that each is a float and {arguments} builds the tables and the params from
+# them.  ``check``: p_left, the first field of every kind, is v0; {attributes}
+# reads each table of the kind, {shape} tests that each is of its type and
+# every field the kind lacks is absent, {values} reads the other
+# probabilities, in schema order, into v1, v2, ... and {inside} tests that
+# each is a float in [0, 1].
+_FRONT_END_SOURCE = """\
 def parse(doc):
     if len(doc) != {size}:
         return None
@@ -644,63 +658,19 @@ def parse(doc):
         {tables}
         if not ({plain}):
             return None
-        {values}
+        {reads}
     except KeyError:  # a key of the kind's schema is missing
         return None
     if {floats}:
         return StructureParams(kind=kind, {arguments})
     return None
-"""
 
 
-@lru_cache(maxsize=None)
-def _compiled_parser(name: str):
-    """A function from a plain dict whose ``kind`` is ``name`` to its
-    StructureParams, or to None unless the dict has exactly the kind's keys,
-    each table is a plain dict with exactly its ``KEYS`` and every entry is a
-    float.  It reads each key once, in straight-line code compiled the first
-    time the kind is parsed, and calls no per-field parser; construction
-    range-checks the entries.  On None the caller searches the document field
-    by field, so every error is raised there, and named as it always was."""
-    kind = StructureKind(name)
-    tables, plain, values, reads, arguments = [], [], [], [], []
-    for field in _KIND_FIELDS[kind]:
-        table_type = _FIELD_TYPES[field]
-        if table_type is float:
-            values.append(field)
-            reads.append(f"{field} = doc[{field!r}]")
-            arguments.append(f"{field}={field}")
-            continue
-        tables.append(f"{field} = doc[{field!r}]")
-        plain.append(f"type({field}) is dict and len({field}) == {len(table_type.KEYS)}")
-        entries = [f"{field}_{key}" for key in table_type.KEYS]
-        values += entries
-        reads += [f"{entry} = {field}[{key!r}]" for entry, key in zip(entries, table_type.KEYS)]
-        arguments.append(f"{field}={table_type.__name__}({', '.join(entries)})")
-    source = _PARSER_SOURCE.format(
-        size=len(_DOC_KEYS[kind]),
-        tables="\n        ".join(tables),
-        plain=" and ".join(plain),
-        values="\n        ".join(reads),
-        floats=" and ".join(f"type({value}) is float" for value in values),
-        arguments=", ".join(arguments),
-    )
-    namespace = {"kind": kind, "StructureParams": StructureParams, "ColliderCpt": ColliderCpt, "EdgeCpt": EdgeCpt}
-    exec(source, namespace)  # the source holds only the schema's field names and keys
-    return namespace["parse"]
-
-
-# The source that _construction_check compiles for a kind: p_left, the first
-# field of every kind, is v0; {tables} reads each table of the kind, {shape}
-# tests that each is of its type and every field the kind lacks is absent,
-# {values} reads the other probabilities, in schema order, into v1, v2, ...
-# and {inside} tests that each is a float in [0, 1].
-_CHECK_SOURCE = """\
 def check(params):
     v0 = params.p_left
     if type(v0) is not float:
         return False
-    {tables}
+    {attributes}
     if not ({shape}):
         return False
     {values}
@@ -712,37 +682,58 @@ def check(params):
 
 
 @lru_cache(maxsize=None)
-def _construction_check(kind: StructureKind):
-    """A function from a StructureParams of ``kind`` to True, having set its
-    ``probabilities``, when it is one draw of floats in [0, 1] with exactly
-    the kind's fields and each table of its type; to False, having set
-    nothing, otherwise.  It is compiled the first time the kind is
-    constructed, as straight-line code that tests each float once with
-    ``0.0 <= v <= 1.0`` (a NaN fails it).  On False, construction checks the
-    fields one by one and names the first bad one; a batch fails the first
-    test, on p_left."""
+def _front_end(kind: StructureKind) -> SimpleNamespace:
+    """The parser and the construction check of ``kind``, compiled together
+    from one walk of its schema the first time the kind is parsed or
+    constructed, as straight-line code that calls no per-field function.
+
+    ``parse`` takes a plain dict whose ``kind`` is the kind's name to its
+    StructureParams, or to None unless the dict has exactly the kind's keys,
+    each table is a plain dict with exactly its ``KEYS`` and every entry is a
+    float; construction range-checks the entries.  ``check`` takes a
+    StructureParams of the kind to True, having set its ``probabilities``,
+    when it is one draw of floats in [0, 1] (``0.0 <= v <= 1.0``, which a NaN
+    fails) with exactly the kind's fields and each table of its type, and to
+    False, having set nothing, otherwise; a batch fails its first test, on
+    p_left.  On None or False the caller takes the generic route, field by
+    field, which raises and names every error."""
     fields = _KIND_FIELDS[kind]
-    tables, shape, values = [], [], ["p_left"]
-    for field, field_type in list(_FIELD_TYPES.items())[1:]:
+    tables, plain, reads, arguments, shape, entries, values = [], [], [], [], [], [], []
+    for field, field_type in _FIELD_TYPES.items():
         if field not in fields:
             shape.append(f"params.{field} is None")
         elif field_type is float:
+            reads.append(f"{field} = doc[{field!r}]")
+            arguments.append(f"{field}={field}")
+            entries.append(field)
             values.append(f"params.{field}")
         else:
-            tables.append(f"{field} = params.{field}")
+            keys = field_type.KEYS
+            tables.append(field)
+            plain.append(f"type({field}) is dict and len({field}) == {len(keys)}")
             shape.append(f"type({field}) is {field_type.__name__}")
-            values += [f"{field}.{entry.name}" for entry in dataclass_fields(field_type)]
+            own = [f"{field}_{key}" for key in keys]
+            reads += [f"{entry} = {field}[{key!r}]" for entry, key in zip(own, keys)]
+            arguments.append(f"{field}={field_type.__name__}({', '.join(own)})")
+            entries += own
+            values += [f"{field}.given_{key}" for key in keys]
     names = [f"v{i}" for i in range(len(values))]
-    source = _CHECK_SOURCE.format(
-        tables="\n    ".join(tables),
+    source = _FRONT_END_SOURCE.format(
+        size=len(_DOC_KEYS[kind]),
+        tables="\n        ".join(f"{table} = doc[{table!r}]" for table in tables),
+        plain=" and ".join(plain),
+        reads="\n        ".join(reads),
+        floats=" and ".join(f"type({entry}) is float" for entry in entries),
+        arguments=", ".join(arguments),
+        attributes="\n    ".join(f"{table} = params.{table}" for table in tables),
         shape=" and ".join(shape),
         values="\n    ".join(f"{name} = {value}" for name, value in zip(names[1:], values[1:])),
         inside=" and ".join(f"type({name}) is float and 0.0 <= {name} <= 1.0" for name in names),
         names=", ".join(names),
     )
-    namespace = {"ColliderCpt": ColliderCpt, "EdgeCpt": EdgeCpt}
-    exec(source, namespace)  # the source holds only the schema's field names
-    return namespace["check"]
+    namespace = {"kind": kind, "StructureParams": StructureParams, "ColliderCpt": ColliderCpt, "EdgeCpt": EdgeCpt}
+    exec(source, namespace)  # the source holds only the schema's field names and keys
+    return SimpleNamespace(parse=namespace["parse"], check=namespace["check"])
 
 
 def validate(params: StructureParams, strict: bool = False) -> StructureParams:

@@ -307,6 +307,38 @@ def test_sign_degenerate_cross_products_is_zero(capsys):
     assert json.loads(out)["stratum_signs"] == {"D=0": "zero", "D=1": "zero"}
 
 
+# A child edge at 0: P(D=1 | C=0) = 0.  compute answers at D=1 and D=0, and
+# sign answers too, with the sign of compute's value at each level.
+CHILD_EDGE_FLAGS = ["--kind", "Y", "--p-left", "0.4", "--p-right", "0.6",
+                    "--p-c-given", "00=0.1,01=0.5,10=0.4,11=0.9", "--p-d-given-c", "0=0,1=0.7"]
+
+
+def test_sign_answers_a_child_edge_at_0_as_compute_does(capsys):
+    code, out, err = run_cli(capsys, "sign", *CHILD_EDGE_FLAGS, "--format", "json")
+    assert (code, err) == (0, "")
+    signs = json.loads(out)["stratum_signs"]
+    assert signs == {"D=0": "negative", "D=1": "negative"}
+    for level in (0, 1):
+        code, out, err = run_cli(capsys, "compute", *CHILD_EDGE_FLAGS, "--stratum", f"D={level}",
+                                 "--scale", "cov", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["closed_form"]["sign"] == signs[f"D={level}"]
+
+
+def test_child_stratum_grid_where_d_copies_c_is_the_stratum_grid(capsys):
+    # At --p-d-given-c 0=0,1=1, D copies C: each D=d column is the C=d column.
+    flags = ["--p-c00", "0.15", "--p-c11", "0.75", "--resolution", "30"]
+    code, out, err = run_cli(capsys, "grid", "--family", "child-stratum", *flags,
+                             "--p-d-given-c", "0=0,1=1")
+    assert (code, err) == (0, "")
+    child = parse_grid_csv(out)
+    code, out, err = run_cli(capsys, "grid", "--family", "stratum", *flags)
+    assert (code, err) == (0, "")
+    stratum = parse_grid_csv(out)
+    assert np.array_equal(child.cells, stratum.cells)
+    assert {-1, 1} <= set(child.cells.ravel().tolist())
+
+
 def test_verify_single_kind(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--kind", "V", "--draws", "40", "--seed", "11",

@@ -9,6 +9,7 @@ from colliderbias import (
     LINEAR_MODEL,
     BiasQuery,
     ColliderCpt,
+    DegenerateStratumError,
     EdgeCpt,
     GridFamily,
     GridFixed,
@@ -33,7 +34,7 @@ from colliderbias import (
     v_stratum_sign,
     y_stratum_sign,
 )
-from colliderbias.closedform import SIGN_TOL, band_sign, child_contrast
+from colliderbias.closedform import SIGN_TOL, band_sign, child_contrast, lm_bias_kernel
 from colliderbias.verification import _child_case_sign
 from conftest import REFERENCE_CPT, UNIFORM_CPT
 
@@ -229,11 +230,66 @@ def test_child_contrast_zero_when_both_cross_products_in_band(pd1, pd0, rng):
             assert band_sign(child_contrast(pd1, pd0, float(g1), g0)) is Sign.ZERO
 
 
-def test_y_sign_requires_strict_child_edge():
-    from colliderbias import OutOfRangeError
+# Collider tables whose stratum signs differ from level to level and table
+# to table, including a tie at level 0 (UNIFORM_CPT ties at both).
+CHILD_EDGE_CPTS = [REFERENCE_CPT, UNIFORM_CPT, ColliderCpt(0.1, 0.5, 0.4, 0.9),
+                   ColliderCpt(0.9, 0.2, 0.7, 0.1), ColliderCpt(0.0, 1.0, 0.0, 1.0)]
 
-    with pytest.raises(OutOfRangeError):
-        y_stratum_sign(REFERENCE_CPT, EdgeCpt(given_0=0.0, given_1=1.0), 1)
+
+@pytest.mark.parametrize("cpt", CHILD_EDGE_CPTS)
+def test_y_sign_answers_a_child_edge_at_0_or_1(cpt):
+    # child_contrast is defined on the closed interval.  At 0=0,1=1, D copies
+    # C, so each D=d sign is the C=d sign; a child edge with one entry at an
+    # edge and one inside is answered as well.
+    for level in (0, 1):
+        assert y_stratum_sign(cpt, EdgeCpt(given_0=0.0, given_1=1.0), level) is v_stratum_sign(cpt, level)
+        for d_cpt in (EdgeCpt(given_0=0.0, given_1=0.7), EdgeCpt(given_0=0.3, given_1=1.0)):
+            pd1, pd0 = d_cpt.level_given(level, 1), d_cpt.level_given(level, 0)
+            direct = child_contrast(pd1, pd0, cross_product_difference(cpt, 1), cross_product_difference(cpt, 0))
+            assert y_stratum_sign(cpt, d_cpt, level) is band_sign(direct)
+
+
+@pytest.mark.parametrize("entry", [0.0, 1.0])
+def test_y_sign_is_zero_in_an_empty_child_stratum(entry):
+    # D is constant: the stratum D = 1 - entry is empty, and the bias in it,
+    # which compute refuses as degenerate, has sign Zero; so has the other.
+    d_cpt = EdgeCpt(given_0=entry, given_1=entry)
+    for cpt in CHILD_EDGE_CPTS:
+        for level in (0, 1):
+            assert y_stratum_sign(cpt, d_cpt, level) is Sign.ZERO
+    params = StructureParams(kind=StructureKind.Y, p_left=0.4, p_right=0.6, p_c_given=REFERENCE_CPT,
+                             p_d_given_c=d_cpt)
+    with pytest.raises(DegenerateStratumError):
+        bias(build_joint(params), BiasQuery(Stratum("D", int(1 - entry)), Scale.COV))
+
+
+CHILD_KINDS = [StructureKind.Y, StructureKind.LONG_M, StructureKind.LEFT_LONG_M, StructureKind.RIGHT_LONG_M]
+
+
+@pytest.mark.parametrize("kind", CHILD_KINDS, ids=lambda kind: kind.value)
+def test_sign_at_a_child_edge_of_0_or_1_is_never_opposite_to_the_oracle(kind):
+    # Draws whose child entries are forced, now and then, to 0 or 1: where
+    # the oracle answers, the sign is never strictly opposite to its banded
+    # cov bias; where the stratum is empty, the sign is Zero.
+    rng = np.random.default_rng(34)
+    answered = empty = 0
+    for _ in range(2000):
+        params = random_structure_params(kind, rng)
+        entries = [float(rng.integers(2)) if rng.random() < 0.7 else value
+                   for value in params.p_d_given_c.values()]
+        params = dataclasses.replace(params, p_d_given_c=EdgeCpt(*entries))
+        table = build_joint(params)
+        for level in (0, 1):
+            rule = extended_sign(params, Stratum("D", level))
+            try:
+                value = bias(table, BiasQuery(Stratum("D", level), Scale.COV)).value
+            except DegenerateStratumError:
+                assert rule is Sign.ZERO
+                empty += 1
+                continue
+            assert rule * classify_sign(value, Scale.COV) != -1, (params, level)
+            answered += 1
+    assert answered > 3000 and empty > 300
 
 
 def test_y_sign_matches_direct_formula(rng):
@@ -414,6 +470,17 @@ def test_v_lm_sign_zero_when_exposure_independent():
         p_c_given=ColliderCpt(given_00=0.3, given_01=0.7, given_10=0.3, given_11=0.7),
     )
     assert v_lm_sign(params) is Sign.ZERO
+
+
+@pytest.mark.parametrize("fixed", [{"p_left": 1.0}, {"p_left": 0.0}, {"p_right": 1.0}, {"p_right": 0.0}])
+def test_v_lm_sign_is_zero_where_a_cause_is_fixed(fixed):
+    # One lm sign rule: the lm kernel alone is nonzero here, but a constant
+    # cause leaves no bias, as extended_sign and the sign command say.
+    params = StructureParams(kind=StructureKind.V, p_left=0.5, p_right=0.5, p_c_given=REFERENCE_CPT)
+    assert v_lm_sign(params) is Sign.NEGATIVE
+    params = dataclasses.replace(params, **fixed)
+    assert band_sign(lm_bias_kernel(params)) is not Sign.ZERO
+    assert v_lm_sign(params) is extended_sign(params, LINEAR_MODEL) is Sign.ZERO
 
 
 @pytest.mark.parametrize("kind", [StructureKind.M, StructureKind.NABLA, StructureKind.Y])

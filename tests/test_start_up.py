@@ -101,9 +101,8 @@ def test_cli_import_compiles_no_parser_or_construction_check():
     # A kind's parser and construction check are compiled when that kind is
     # first parsed or constructed, so start-up does not pay for them.
     proc = _python("-c", "import colliderbias.cli, colliderbias.structures as s; "
-                         "print(s._compiled_parser.cache_info().currsize, "
-                         "s._construction_check.cache_info().currsize)")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
+                         "print(s._front_end.cache_info().currsize)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def test_parameter_entry_loads_no_fractions():

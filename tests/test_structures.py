@@ -4,7 +4,7 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -277,6 +277,58 @@ def test_params_equality_agrees_with_the_hash(draws):
     one = random_structure_params(StructureKind.V, np.random.default_rng(1))
     assert one == StructureParams.from_json(one.to_json()) and one != a
     assert len({one, StructureParams.from_json(one.to_json())}) == 1
+
+
+def _with_entry(params, name, value):
+    """The fields of ``params``, as keyword arguments, with the probability
+    named ``name`` set to ``value``."""
+    fields = {field: getattr(params, field) for field in ("kind", *_KIND_FIELDS[params.kind])}
+    field, _, key = name.rstrip("]").partition("[")
+    fields[field] = dataclasses.replace(fields[field], **{f"given_{key}": value}) if key else value
+    return fields
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_construction_refuses_a_bool_and_its_document_parses_back(kind, rng):
+    # Construction refuses what the parser refuses, with its message, so the
+    # document of anything constructed parses back to the same params.
+    params = random_structure_params(kind, rng)
+    for name in _PROBABILITY_NAMES[kind]:
+        for entry in (True, False):
+            fields = _with_entry(params, name, entry)
+            with pytest.raises(ParameterError) as built:
+                StructureParams(**fields)
+            doc = params.to_dict()
+            field, _, key = name.rstrip("]").partition("[")
+            if key:
+                doc[field] = {**doc[field], key: entry}
+            else:
+                doc[field] = entry
+            with pytest.raises(ParameterError) as parsed:
+                params_from_dict(doc)
+            assert str(built.value) == str(parsed.value) == f"{name} must be a number, got {entry!r}"
+        for entry in (0, 1, 0.0, 1.0, Fraction(1, 3)):
+            one = StructureParams(**_with_entry(params, name, entry))
+            again = params_from_dict(one.to_dict())
+            assert again == one and again.probabilities == one.probabilities
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_an_array_of_another_shape_than_p_left_is_refused(kind, rng):
+    # One draw holds no array, and a batch's arrays share p_left's shape;
+    # the error names the probability, instead of numpy failing later.
+    params = random_structure_params(kind, rng)
+    batch = random_structure_params(kind, np.random.default_rng(8), 3)
+    for name in _PROBABILITY_NAMES[kind][1:]:
+        with pytest.raises(ParameterError) as info:
+            StructureParams(**_with_entry(params, name, np.array([0.2, 0.4])))
+        assert str(info.value) == f"{name} has shape (2,), but p_left has shape ()"
+        for other in (np.full(5, 0.5), np.full((3, 1), 0.5)):
+            with pytest.raises(ParameterError) as info:
+                StructureParams(**_with_entry(batch, name, other))
+            assert str(info.value) == f"{name} has shape {other.shape}, but p_left has shape (3,)"
+        # A number beside the arrays stands for every draw.
+        StructureParams(**_with_entry(batch, name, 0.5))
 
 
 def test_schema_covers_every_field_in_one_order():
@@ -638,8 +690,8 @@ def _outcome(build):
 def _generic_routes(monkeypatch):
     """Make the compiled parser and construction check decline every input,
     so that each goes through the field-by-field search."""
-    monkeypatch.setattr(structures_mod, "_compiled_parser", lambda name: lambda doc: None)
-    monkeypatch.setattr(structures_mod, "_construction_check", lambda kind: lambda params: False)
+    declines = SimpleNamespace(parse=lambda doc: None, check=lambda params: False)
+    monkeypatch.setattr(structures_mod, "_front_end", lambda kind: declines)
 
 
 def test_compiled_parser_gives_what_the_search_gives(monkeypatch):
@@ -656,10 +708,10 @@ def test_compiled_parser_gives_what_the_search_gives(monkeypatch):
 
     def compiled_parse(doc):
         name = doc.get("kind") if type(doc) is dict else None
-        if type(name) is not str or name not in structures_mod._KIND_NAMES:
+        if type(name) is not str or name not in structures_mod._KINDS_BY_NAME:
             return None
         try:
-            return structures_mod._compiled_parser(name)(doc)
+            return structures_mod._front_end(structures_mod._KINDS_BY_NAME[name]).parse(doc)
         except OutOfRangeError as exc:
             return exc
 
@@ -712,7 +764,7 @@ def test_compiled_range_test_holds_at_every_edge(kind):
     # The range test is generated source, which the comparison-mutant
     # harness cannot see, so each edge is pinned here at every place.
     base = random_structure_params(kind, np.random.default_rng(5)).to_dict()
-    check = structures_mod._construction_check(kind)
+    check = structures_mod._front_end(kind).check
     for at, name in enumerate(_PROBABILITY_NAMES[kind]):
         field, _, key = name.rstrip("]").partition("[")
         for edge in _EDGES_IN + _EDGES_OUT:
@@ -742,14 +794,12 @@ def test_compiled_range_test_holds_at_every_edge(kind):
 
 
 def test_each_kind_compiles_its_parser_and_check_once():
-    structures_mod._compiled_parser.cache_clear()
-    structures_mod._construction_check.cache_clear()
+    structures_mod._front_end.cache_clear()
     for _ in range(2):
         for kind in ALL_KINDS:
             params_from_dict(random_structure_params(kind, np.random.default_rng(3)).to_dict())
-    for compiled in (structures_mod._compiled_parser, structures_mod._construction_check):
-        info = compiled.cache_info()
-        assert (info.misses, info.currsize) == (9, 9)
+    info = structures_mod._front_end.cache_info()
+    assert (info.misses, info.currsize) == (9, 9)
 
 
 def test_a_batch_fails_one_type_test_before_the_loop():
@@ -764,5 +814,5 @@ def test_a_batch_fails_one_type_test_before_the_loop():
             return getattr(batch, name)
 
     reads = Reads()
-    assert structures_mod._construction_check(StructureKind.LONG_M)(reads) is False
+    assert structures_mod._front_end(StructureKind.LONG_M).check(reads) is False
     assert reads.names == ["p_left"]
