@@ -59,6 +59,10 @@ SIGN_TOL_OR = 1e-11
 _EXTENDED_KINDS = tuple(kind for kind in StructureKind if kind.is_extended)
 # The kinds whose collider causes are marginally independent: all but Nabla.
 _INDEPENDENT_KINDS = tuple(kind for kind in StructureKind if kind is not StructureKind.NABLA)
+# The strata a report conditions on, by variable and by whether the level is
+# 1; a level reaches a report only after a table's ``level_given`` took it.
+# Stratum is frozen, so every report shares them.
+_STRATA = {(variable, level == 1): Stratum(variable, level) for variable in "CD" for level in (0, 1)}
 
 
 def band_sign(delta: float, tol: float = SIGN_TOL, out=None) -> Sign:
@@ -98,11 +102,16 @@ class BiasReport:
     factors: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        numbers = (*self.factors.values(), self.value)
-        if not (isinstance(self.value, float) and all(map(math.isfinite, numbers))):
-            named = (*self.factors.items(), ("value", self.value))
-            raise_first_nonfinite("closed form gave non-finite", named)
+        _finite(self.value, self.factors)
         object.__setattr__(self, "sign", classify_sign(self.value, self.scale))
+
+
+def _finite(value: float, factors: Mapping[str, float]) -> tuple[float, Mapping[str, float]]:
+    """(value, factors); PrecisionLossError "closed form gave non-finite
+    <name> = <value>" at the first NaN or infinite factor, then value."""
+    if not (isinstance(value, float) and all(map(math.isfinite, (*factors.values(), value)))):
+        raise_first_nonfinite("closed form gave non-finite", (*factors.items(), ("value", value)))
+    return value, factors
 
 
 def _require_kind(params: StructureParams, *kinds: StructureKind) -> None:
@@ -170,12 +179,14 @@ def v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
     or:   P(C=c|00)P(C=c|11) / {P(C=c|10)P(C=c|01)}.
     """
     _require_kind(params, StructureKind.V)
-    return _v_stratum_bias(params, level, scale)
+    value, factors = _v_stratum_bias(params, level, scale)
+    return BiasReport(value=value, scale=scale, conditioning=_STRATA["C", level == 1], factors=factors)
 
 
-def _v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasReport:
-    """:func:`v_stratum_bias` of the V structure embedded in ``params``, which
-    may be of any kind with a ``p_right``: it reads only the V fields."""
+def _v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> tuple[float, dict]:
+    """The value and factors of :func:`v_stratum_bias` of the V structure
+    embedded in ``params``, which may be of any kind with a ``p_right``: it
+    reads only the V fields."""
     assert params.p_right is not None
     g = cross_product_difference(params.p_c_given, level)
     p_x1, p_y1 = params.p_left, params.p_right
@@ -196,7 +207,7 @@ def _v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRe
         value = _stratum_odds_ratio(params.p_c_given, level)
     else:
         raise ParameterError(f"no closed stratum form on scale {scale.value}")
-    return BiasReport(value=value, scale=scale, conditioning=Stratum("C", level), factors=factors)
+    return _finite(value, factors)
 
 
 def nabla_or_bias_factor(params: StructureParams, level: int) -> BiasReport:
@@ -232,13 +243,14 @@ def y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
     the bias vanishes on every scale.
     """
     _require_kind(params, StructureKind.Y)
-    return _y_stratum_bias(params, level, scale)
+    value, factors = _y_stratum_bias(params, level, scale)
+    return BiasReport(value=value, scale=scale, conditioning=_STRATA["D", level == 1], factors=factors)
 
 
-def _y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasReport:
-    """:func:`y_stratum_bias` of the Y structure embedded in ``params``, which
-    may be of any kind with a ``p_right`` and a child D: it reads only the Y
-    fields."""
+def _y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> tuple[float, dict]:
+    """The value and factors of :func:`y_stratum_bias` of the Y structure
+    embedded in ``params``, which may be of any kind with a ``p_right`` and a
+    child D: it reads only the Y fields."""
     assert params.p_right is not None and params.p_d_given_c is not None
     t = params.p_c_given
     d = level
@@ -273,7 +285,7 @@ def _y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRe
         value = num / den
     else:
         raise ParameterError(f"no closed stratum form on scale {scale.value}")
-    return BiasReport(value=value, scale=scale, conditioning=Stratum("D", d), factors=factors)
+    return _finite(value, factors)
 
 
 def _y_odds_term(t: ColliderCpt, pd1: float, pd0: float, a: tuple, b: tuple) -> float:
@@ -308,8 +320,8 @@ def y_bias_from_embedded_v(params: StructureParams, level: int) -> float:
     pc1 = params.prob_collider(1)
     pc0 = params.prob_collider(0)
     return (pd1 - pd0) / p_d_sq * (
-        pd1 * pc1 * pc1 * _v_stratum_bias(params, 1, Scale.COV).value
-        - pd0 * pc0 * pc0 * _v_stratum_bias(params, 0, Scale.COV).value
+        pd1 * pc1 * pc1 * _v_stratum_bias(params, 1, Scale.COV)[0]
+        - pd0 * pc0 * pc0 * _v_stratum_bias(params, 0, Scale.COV)[0]
     )
 
 
@@ -377,18 +389,15 @@ def extended_stratum_bias(params: StructureParams, level: int, scale: Scale) -> 
             f"no closed stratum form on scale {scale.value} for extended structures"
         )
     embedded = _y_stratum_bias if params.kind.has_child_d else _v_stratum_bias
-    inner = embedded(params, level, scale)
+    inner, factors = embedded(params, level, scale)
     rd_left, rd_right = extension_rds(params)
-    factors = dict(inner.factors)
-    factors.update(
-        {"embedded_value": inner.value, "rd_left": rd_left, "rd_right": rd_right}
-    )
-    value = rd_left * inner.value * rd_right
+    factors.update({"embedded_value": inner, "rd_left": rd_left, "rd_right": rd_right})
+    value = rd_left * inner * rd_right
     if scale is Scale.RD:
         vr = extension_variance_ratio(params, level)
         value *= vr
         factors["variance_ratio"] = vr
-    conditioning = Stratum(params.kind.conditioning_variable, level)
+    conditioning = _STRATA[params.kind.conditioning_variable, level == 1]
     return BiasReport(value=value, scale=scale, conditioning=conditioning, factors=factors)
 
 

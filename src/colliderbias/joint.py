@@ -33,7 +33,6 @@ from .errors import (
 from .structures import (
     _PROBABILITY_NAMES,
     _VARIABLE_FIELDS,
-    LINEAR_MODEL,
     BiasQuery,
     Conditioning,
     LinearModel,
@@ -125,8 +124,8 @@ class JointTable:
     cells once, a copy that no caller's list, array, view or base can change
     later.  Queries add the cells of an event with :meth:`_sums`.
 
-    A batch keeps each event sum and each :func:`cond_measure` it is asked
-    for in a private memo (:func:`structures.batch_memo`); one table keeps
+    A batch keeps each event sum and each measure it is asked for in a
+    private memo (:func:`structures.batch_memo`); one table keeps
     no memo (``_memo`` is None): it answers a query or two and is dropped.
     """
 
@@ -155,7 +154,8 @@ class JointTable:
         """Keep ``cells``, which no caller holds, and ``memo`` (None for one
         table, {} for a batch); check that the cells, whose sum in
         :func:`_sum_source`'s order is ``total`` (None: add them here, as
-        ``prob()`` does), are a mass; return self."""
+        ``prob()`` does), are a mass; return self.  A batch keeps ``total``
+        as its ``prob()``."""
         self.kind, self.order, self._cells, self._mass, self._memo = kind, order, cells, None, memo
         try:
             if memo is None:
@@ -170,6 +170,8 @@ class JointTable:
         except TypeError:  # a cell that is not a number: a string, a list
             raise ParameterError("mass cells must be numbers") from None
         raise_where(not ok if memo is None else ~ok, ParameterError, _MASS_MESSAGE)
+        if memo is not None:
+            JointTable._sums.keep(total[None], self, _cell_index(order, ((),)))
         return self
 
     @property
@@ -296,17 +298,25 @@ class OracleMeasure:
     conditioning: Conditioning | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.value, float) and math.isfinite(self.value)):
-            raise_first_nonfinite("oracle gave non-finite", ((self.scale.value, self.value),))
+        _finite(self.value, self.scale)
+
+
+def _finite(value, scale: Scale):
+    """``value``; PrecisionLossError "oracle gave non-finite <scale> = <value>"
+    if it is NaN or infinite."""
+    if not (isinstance(value, float) and math.isfinite(value)):
+        raise_first_nonfinite("oracle gave non-finite", ((scale.value, value),))
+    return value
 
 
 @lru_cache(maxsize=None)
-def _stratum_index(order: tuple[str, ...], stratum: tuple[str, int] | None) -> tuple:
-    """The :func:`_cell_index` adders of the stratum, a (variable, level)
-    pair or None for the whole table, and of p11, p10, p01, p00 within it."""
+def _stratum_index(order: tuple[str, ...], stratum: tuple[str, int] | None):
+    """The one :func:`_cell_index` adder of p11, p10, p01, p00 within the
+    stratum, a (variable, level) pair or None for the whole table, and, for a
+    stratum, of the stratum itself."""
     keep = () if stratum is None else (stratum,)
     xy = tuple((("X", x), ("Y", y), *keep) for x, y in ((1, 1), (1, 0), (0, 1), (0, 0)))
-    return _cell_index(order, (keep,)), _cell_index(order, xy)
+    return _cell_index(order, xy if stratum is None else (*xy, keep))
 
 
 def _xy_stratum_cells(table: JointTable, stratum: Stratum | None) -> tuple:
@@ -315,13 +325,11 @@ def _xy_stratum_cells(table: JointTable, stratum: Stratum | None) -> tuple:
     Returns (p11, p10, p01, p00, p_stratum) where pxy = P(X=x, Y=y, stratum);
     a zero-mass stratum raises DegenerateStratumError.
     """
-    keep, xy = _stratum_index(table.order, None if stratum is None else (stratum.variable, stratum.level))
     if stratum is None:
-        p_g = 1
-    else:
-        (p_g,) = table._sums(keep)
-        raise_where(p_g <= 0.0, DegenerateStratumError, stratum.variable, stratum.level)
-    return (*table._sums(xy), p_g)
+        return (*table._sums(_stratum_index(table.order, None)), 1)
+    cells = (*table._sums(_stratum_index(table.order, (stratum.variable, stratum.level))),)
+    raise_where(cells[4] <= 0.0, DegenerateStratumError, stratum.variable, stratum.level)
+    return cells
 
 
 def lm_coefficient(table: JointTable) -> float:
@@ -383,22 +391,30 @@ def lm_stratum_weights(table: JointTable) -> tuple[float, float]:
     return raw1 / total, raw0 / total
 
 
-@batch_memo
 def cond_measure(
     table: JointTable,
     scale: Scale,
     conditioning: Conditioning | None = None,
 ) -> OracleMeasure:
     """X-Y association on the requested scale, within a stratum, adjusted by
-    a linear model, or marginally (conditioning=None).
+    a linear model (on the lm scale, whatever ``scale`` is), or marginally
+    (conditioning=None).
 
     Cov is E[XY|.] - E[X|.]E[Y|.]; RD is P(Y=1|X=1,.) - P(Y=1|X=0,.); RR and
     OR are the corresponding conditional ratios.  The bias relative to the
-    marginal association is formed by :func:`bias`, not here.  A batch
-    keeps each measure (:func:`structures.batch_memo`).
+    marginal association is formed by :func:`bias`, not here.
     """
     if isinstance(conditioning, LinearModel):
-        return OracleMeasure(lm_coefficient(table), Scale.LM_COEF, conditioning)
+        scale = Scale.LM_COEF
+    return OracleMeasure(_measure(table, scale, conditioning), scale, conditioning)
+
+
+@batch_memo
+def _measure(table: JointTable, scale: Scale, conditioning: Conditioning | None):
+    """The value of :func:`cond_measure`, checked finite where it is made; a
+    batch keeps each one (:func:`structures.batch_memo`)."""
+    if isinstance(conditioning, LinearModel):
+        return _finite(lm_coefficient(table), Scale.LM_COEF)
     p11, p10, p01, p00, p_g = _xy_stratum_cells(table, conditioning)
     if scale is Scale.COV:
         e_xy = p11 / p_g
@@ -422,7 +438,7 @@ def cond_measure(
         value = (p11 * p00) / (p10 * p01)
     else:
         raise ParameterError(f"scale {scale} requires linear-model conditioning")
-    return OracleMeasure(value, scale, conditioning)
+    return _finite(value, scale)
 
 
 def bias(table: JointTable, query: BiasQuery) -> OracleMeasure:
@@ -435,30 +451,29 @@ def bias(table: JointTable, query: BiasQuery) -> OracleMeasure:
     PrecisionLossError reports a table whose rounding has lost it.
     """
     query.check_valid_for(table.kind)
-    if isinstance(query.conditioning, LinearModel):
-        conditional = cond_measure(table, Scale.LM_COEF, LINEAR_MODEL)
-        marginal = cond_measure(table, Scale.RD, None)
-    else:
-        conditional = cond_measure(table, query.scale, query.conditioning)
-        marginal = cond_measure(table, query.scale, None)
+    lm = isinstance(query.conditioning, LinearModel)
+    scale = Scale.LM_COEF if lm else query.scale
+    conditional = _measure(table, scale, query.conditioning)
+    marginal_scale = Scale.RD if lm else scale
+    marginal = _measure(table, marginal_scale, None)
 
-    ratio_scale = query.scale.is_ratio and not isinstance(query.conditioning, LinearModel)
+    ratio_scale = scale.is_ratio
     if table.kind is not StructureKind.NABLA:
         null = 1 if ratio_scale else 0
         raise_where(
-            abs(marginal.value - null) > _NULL_TOL,
+            abs(marginal - null) > _NULL_TOL,
             lambda v: PrecisionLossError(
                 f"marginal X-Y association should be null for {table.kind.value}, "
-                f"got {v!r} on scale {marginal.scale.value}"
+                f"got {v!r} on scale {marginal_scale.value}"
             ),
-            marginal.value,
+            marginal,
         )
     if ratio_scale:
-        raise_where(marginal.value == 0.0, UndefinedRatioError, "marginal association is zero")
-        value = conditional.value / marginal.value
+        raise_where(marginal == 0.0, UndefinedRatioError, "marginal association is zero")
+        value = conditional / marginal
     else:
-        value = conditional.value - marginal.value
-    return OracleMeasure(value, conditional.scale, query.conditioning)
+        value = conditional - marginal
+    return OracleMeasure(value, scale, query.conditioning)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,10 @@ def memoized({params}):
     if value is None:
         value = memo[key] = _read_only(function({params}))
     return value
+
+
+def keep(value, {params}):
+    {first}._memo[function, {others}] = _read_only(value)
 """
 
 
@@ -63,7 +67,9 @@ def batch_memo(function):
     made read-only; a call that raises keeps nothing, so it raises again on
     every call.  One draw keeps nothing and pays one attribute test: the
     wrapper, compiled here, takes the function's own positional parameters
-    and defaults, so that no call packs or unpacks its arguments."""
+    and defaults, so that no call packs or unpacks its arguments.  Its
+    ``keep(value, *arguments)`` keeps a result worked out elsewhere, as a
+    call with those arguments on a batch would have."""
     code = function.__code__
     names = code.co_varnames[: code.co_argcount]
     others = "".join(f"{name}, " for name in names[1:])
@@ -72,13 +78,13 @@ def batch_memo(function):
     exec(source, namespace)  # the source holds only the function's parameter names
     memoized = update_wrapper(namespace["memoized"], function)
     memoized.__defaults__ = function.__defaults__
+    memoized.keep = namespace["keep"]
     return memoized
 
 
 def _read_only(value):
     """``value``, with every array in it made read-only: an array, a tuple
-    of them, a closed-form report's value, sign and factors, or an oracle
-    measure's value."""
+    of them, or a closed-form report's value, sign and factors."""
     if isinstance(value, tuple):
         for item in value:
             _read_only(item)
@@ -86,8 +92,6 @@ def _read_only(value):
         value.setflags(write=False)
     elif hasattr(value, "factors"):
         _read_only((value.value, value.sign, *value.factors.values()))
-    elif hasattr(value, "value"):
-        _read_only(value.value)
     return value
 
 
@@ -163,7 +167,10 @@ class Scale(str, Enum):
     def is_ratio(self) -> bool:
         """True on the ratio scales (rr, or): the null point is 1 and a bias
         is a quotient, so values are compared relatively."""
-        return self in (Scale.RR, Scale.OR)
+        return self in _RATIO_SCALES
+
+
+_RATIO_SCALES = frozenset((Scale.RR, Scale.OR))
 
 
 @dataclass(frozen=True)
@@ -419,14 +426,17 @@ def check_probabilities(items: Iterable[tuple[str, float]], open_interval: bool 
 def _check_entries(names: tuple[str, ...], values: list) -> None:
     """:func:`check_probabilities` of the probabilities ``values``, named
     ``names``; then ParameterError, naming it, for the first that is an array
-    of a shape other than p_left's, the first value's: one draw holds no
-    array, and the arrays of a batch share one shape, beside which a number
-    stands for every draw."""
+    of a shape other than p_left's, the first value's, or that is an array
+    in one draw: one draw holds no array (a numpy scalar is a number), and
+    the arrays of a batch share one shape, beside which a number stands for
+    every draw."""
     check_probabilities(zip(names, values))
     shape = getattr(values[0], "shape", ())
     for name, value in zip(names, values):
         if getattr(value, "shape", ()) not in ((), shape):
             raise ParameterError(f"{name} has shape {value.shape}, but p_left has shape {shape}")
+        if not shape and hasattr(value, "shape") and isinstance(value, np.ndarray):  # 0-d: no hash, no JSON
+            raise ParameterError(f"{name} must be a number, got {value!r}")
 
 
 def _check_batch_probabilities(names: tuple[str, ...], values: list) -> None:

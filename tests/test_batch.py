@@ -522,6 +522,25 @@ def test_memoized_batch_raises_on_every_call():
     assert not any(stratum in key for key in batch._memo)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_batch_keeps_the_sum_that_its_mass_check_read(kind, monkeypatch):
+    # verify's joint_normalization asks a batch for prob(): a batch built by
+    # the kernel, or from a mass, answers with the sum its mass check read,
+    # which has the bits of adding its cells again, and adds nothing.
+    calls = []
+    raw = joint_mod.JointTable._sums.__wrapped__
+    monkeypatch.setitem(joint_mod.JointTable._sums.__globals__, "function",
+                        lambda table, add: calls.append(add) or raw(table, add))
+    built = build_joint(_draws(kind)[1])
+    for table in (built, joint_mod.JointTable(kind, built.order, built.mass)):
+        (added,) = joint_mod._cell_index(table.order, ((),))(table._cells)
+        assert table.prob().tobytes() == added.tobytes()
+        assert not table.prob().flags.writeable
+        assert calls == []
+    built.probs({"X": 1})
+    assert len(calls) == 1
+
+
 def test_single_tables_keep_no_memo():
     params = random_structure_params(StructureKind.LONG_M, np.random.default_rng(2))
     table = build_joint(params)
@@ -542,7 +561,7 @@ MEMOIZED = (
     cf.lm_weight_normalizer,
     cf.lm_bias,
     joint_mod.JointTable._sums,
-    cond_measure,
+    joint_mod._measure,
     sm._extension_sign,
 )
 
@@ -612,8 +631,8 @@ def test_memoized_pieces_keep_read_only_arrays():
     }
     report = cf.lm_bias(params)
     kept["lm_bias"] = (report.value, report.sign, *report.factors.values())
-    measure = cond_measure(table, Scale.OR, stratum)
-    kept["cond_measure"] = measure.value
+    measure = joint_mod._measure(table, Scale.OR, stratum)
+    kept["_measure"] = measure
     assert set(kept) == {piece.__name__ for piece in MEMOIZED}
     arrays = [(name, array) for name, value in kept.items()
               for array in (value if isinstance(value, tuple) else (value,)) if isinstance(array, np.ndarray)]
@@ -625,7 +644,8 @@ def test_memoized_pieces_keep_read_only_arrays():
     assert params.prob_collider(1) is kept["prob_collider"]
     assert cf.cross_product_difference(params.p_c_given, 1) is kept["cross_product_difference"]
     assert cf.lm_bias(params) is report
-    assert cond_measure(table, Scale.OR, stratum) is measure
+    assert joint_mod._measure(table, Scale.OR, stratum) is measure
+    assert cond_measure(table, Scale.OR, stratum).value is measure
 
 
 def test_memoized_piece_raises_on_every_call():

@@ -1,6 +1,8 @@
 import ast
+import dataclasses
 import hashlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -688,3 +690,63 @@ def test_bias_report_rejects_non_finite(value, factor):
             conditioning=Stratum("C", 1),
             factors={"p_stratum": factor},
         )
+
+
+def test_each_public_closed_form_builds_one_report(monkeypatch):
+    # closed_form answers through v_stratum_bias, y_stratum_bias,
+    # extended_stratum_bias, nabla_or_bias_factor and lm_bias; v_lm_bias is
+    # V's second lm route.  Each builds the one report it returns, and
+    # y_bias_from_embedded_v, which returns a number, builds none.
+    built = []
+    check = BiasReport.__post_init__
+    monkeypatch.setattr(BiasReport, "__post_init__", lambda self: (built.append(self), check(self))[1])
+    for kind in StructureKind:
+        params = random_structure_params(kind, np.random.default_rng(6))
+        queries = [BiasQuery(Stratum(kind.conditioning_variable, level), scale)
+                   for level in (1, 0) for scale in (Scale.COV, Scale.RD, Scale.RR, Scale.OR)]
+        forms = [lambda query=query: closed_form(params, query) for query in queries + [BiasQuery(LINEAR_MODEL)]]
+        if kind is StructureKind.V:
+            forms.append(lambda: v_lm_bias(params))
+        for form in forms:
+            del built[:]
+            report = form()
+            assert [id(one) for one in built] == ([] if report is None else [id(report)]), kind
+        if kind is StructureKind.Y:
+            del built[:]
+            y_bias_from_embedded_v(params, 1)
+            assert built == []
+
+
+@pytest.mark.parametrize("kind, factor", [
+    (StructureKind.LEFT_M, "cross_product_diff"),
+    (StructureKind.LEFT_LONG_M, "cross_product_diff_c1"),
+    (StructureKind.Y, "cross_product_diff"),
+])
+def test_a_non_finite_inner_value_raises_the_inner_error(kind, factor, monkeypatch):
+    # The embedded V or Y form checks its value and factors before the
+    # extended form (or y_bias_from_embedded_v) uses them.  Here X copies no
+    # part of A, so the extension's variance ratio is undefined: the real
+    # RD form raises that, and with a NaN collider contrast (standing for
+    # any non-finite inner value) the inner form's error comes first.  A
+    # batch names the draw.
+    single = random_structure_params(kind, np.random.default_rng(9))
+    batch = random_structure_params(kind, np.random.default_rng(9), 4)
+    if kind.is_extended:
+        form = lambda params: extended_stratum_bias(params, 1, Scale.RD)  # noqa: E731
+        single = dataclasses.replace(single, p_x_given_a=EdgeCpt(given_0=0.0, given_1=0.0))
+        batch = dataclasses.replace(batch, p_x_given_a=EdgeCpt(given_0=np.zeros(4), given_1=np.zeros(4)))
+        with pytest.raises(UndefinedRatioError, match=re.escape("var(X | stratum) = 0")):
+            form(single)
+    else:
+        form = lambda params: y_bias_from_embedded_v(params, 1)  # noqa: E731
+    real = colliderbias.closedform.cross_product_difference
+
+    def nan_at_draw_1(table, level):
+        value = real(table, level)
+        return np.where(np.arange(value.size) == 1, np.nan, value) if getattr(value, "ndim", 0) else math.nan
+
+    monkeypatch.setattr(colliderbias.closedform, "cross_product_difference", nan_at_draw_1)
+    for params, prefix in ((single, ""), (batch, "draw 1: ")):
+        with pytest.raises(PrecisionLossError) as info:
+            form(params)
+        assert str(info.value) == f"{prefix}closed form gave non-finite {factor} = nan"

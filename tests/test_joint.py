@@ -362,6 +362,54 @@ def test_overflowing_marginal_ratio_raises():
         bias(build_joint(params), BiasQuery(Stratum("C", 0), Scale.RR))
 
 
+def _v_mass(stratum_1, stratum_0):
+    """A V table's mass over (X, Y, C) from P(X=x, Y=y, C=1) and P(X=x, Y=y,
+    C=0), each a list over (x, y) = 11, 10, 01, 00."""
+    mass = [0.0] * 8
+    for (x, y), p1, p0 in zip(((1, 1), (1, 0), (0, 1), (0, 0)), stratum_1, stratum_0):
+        mass[4 * x + 2 * y + 1], mass[4 * x + 2 * y] = p1, p0
+    return mass
+
+
+# Within C=1, P(Y=1 | X=0) is subnormal, so the stratum risk ratio overflows;
+# the marginal one is 2, which is not null.
+_CONDITIONAL_OVERFLOWS = _v_mass([0.25, 0.25, 1e-320, 0.25], [0.05, 0.05, 0.1, 0.05])
+# Within C=1 the risk ratio is 1; over the whole table P(Y=1 | X=0) is
+# subnormal, so the marginal risk ratio overflows.
+_MARGINAL_OVERFLOWS = _v_mass([0.2, 0.2, 1e-320, 1e-320], [0.1, 0.1, 1e-320, 0.4])
+
+
+@pytest.mark.parametrize("mass, overflows", [(_CONDITIONAL_OVERFLOWS, Stratum("C", 1)), (_MARGINAL_OVERFLOWS, None)])
+def test_a_non_finite_measure_raises_where_it_is_made(mass, overflows):
+    # Each measure is checked finite as it is made: an overflowing stratum
+    # measure raises before the marginal one is made and checked for its
+    # null, and an overflowing marginal before the bias is formed.  A batch
+    # names the draw (numpy's overflow warning aside).
+    order = ("X", "Y", "C")
+    good = build_joint(random_structure_params(StructureKind.V, np.random.default_rng(8))).mass.tolist()
+    query = BiasQuery(Stratum("C", 1), Scale.RR)
+    for table, prefix in ((JointTable(StructureKind.V, order, mass), ""),
+                          (JointTable(StructureKind.V, order, [good, good, mass, good]), "draw 2: ")):
+        for ask in (lambda: bias(table, query), lambda: cond_measure(table, Scale.RR, overflows)):
+            with pytest.raises(PrecisionLossError) as info, np.errstate(over="ignore"):
+                ask()
+            assert str(info.value) == prefix + "oracle gave non-finite rr = inf"
+
+
+def test_one_bias_builds_one_oracle_measure(monkeypatch):
+    built = []
+    check = OracleMeasure.__post_init__
+    monkeypatch.setattr(OracleMeasure, "__post_init__", lambda self: (built.append(self), check(self))[1])
+    for kind in ALL_KINDS:
+        params = random_structure_params(kind, np.random.default_rng(5))
+        batch = random_structure_params(kind, np.random.default_rng(5), 4)
+        for query in _every_bias_query(kind):
+            for table in (build_joint(params), build_joint(batch)):
+                del built[:]
+                measure = bias(table, query)
+                assert [id(one) for one in built] == [id(measure)], (kind, query)
+
+
 def test_joint_table_owns_its_mass():
     base = np.zeros(16)
     base[:8] = 0.125

@@ -641,6 +641,7 @@ class _DictSubclass(dict):
 _FUZZ_ENTRIES = (
     0.0, 1.0, -0.0, 5e-324, 1 - 1e-16, math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0),
     math.nan, math.inf, -math.inf, 0, 1, True, "0.5", None, Fraction(1, 3), np.float64(0.5), 10**400,
+    np.array(0.5),
 )
 
 
@@ -752,6 +753,15 @@ def test_compiled_construction_check_gives_what_the_loop_gives(monkeypatch):
     assert compiled == generic
     assert sum(type(outcome[0]) is StructureKind for outcome in compiled) > 500
     assert len({outcome[0] for outcome in compiled}) > 5
+    # Whatever one draw construction takes hashes, and its document parses
+    # back to equal params: a 0-d array, which has no hash, is refused.
+    for outcome in compiled:
+        if type(outcome[0]) is StructureKind:
+            params = outcome[2]
+            again = params_from_dict(params.to_dict())
+            assert again == params and hash(again) == hash(params)
+    refused = [outcome[1] for outcome in compiled if outcome[0] is ParameterError]
+    assert any(message.endswith("must be a number, got array(0.5)") for message in refused)
 
 
 # Each edge of [0, 1], as a float: in, or out with check_probabilities's message.
