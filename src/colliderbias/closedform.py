@@ -60,7 +60,7 @@ _EXTENDED_KINDS = tuple(kind for kind in StructureKind if kind.is_extended)
 # The kinds whose collider causes are marginally independent: all but Nabla.
 _INDEPENDENT_KINDS = tuple(kind for kind in StructureKind if kind is not StructureKind.NABLA)
 # The strata a report conditions on, by variable and by whether the level is
-# 1; a level reaches a report only after a table's ``level_given`` took it.
+# 1; a level reaches a report only after a table's ``at_level`` took it.
 # Stratum is frozen, so every report shares them.
 _STRATA = {(variable, level == 1): Stratum(variable, level) for variable in "CD" for level in (0, 1)}
 
@@ -123,11 +123,8 @@ def _require_kind(params: StructureParams, *kinds: StructureKind) -> None:
 @batch_memo
 def cross_product_difference(p_c_given: ColliderCpt, level: int) -> float:
     """P(C=c|00)P(C=c|11) - P(C=c|10)P(C=c|01) at c = level."""
-    t = p_c_given
-    return (
-        t.level_given(level, 0, 0) * t.level_given(level, 1, 1)
-        - t.level_given(level, 1, 0) * t.level_given(level, 0, 1)
-    )
+    p00, p01, p10, p11 = p_c_given.at_level(level)
+    return p00 * p11 - p10 * p01
 
 
 def child_contrast(pd1: float, pd0: float, g1: float, g0: float) -> float:
@@ -146,27 +143,22 @@ def _given_left(params: StructureParams, level: int, child: bool) -> tuple[float
     assert p_r1 is not None
     p_r0 = 1.0 - p_r1
     t = params.p_c_given
-    if not child:
-        return (
-            p_r1 * t.level_given(level, 1, 1) + p_r0 * t.level_given(level, 1, 0),
-            p_r1 * t.level_given(level, 0, 1) + p_r0 * t.level_given(level, 0, 0),
-        )
-    d_cpt = params.p_d_given_c
-    assert d_cpt is not None
-    pair = []
-    for left in (1, 0):
-        # P(D=level | left, right) mixes the child edge over C at each right value.
-        at_r1 = d_cpt.mixture(level, t.level_given(1, left, 1), t.level_given(0, left, 1))
-        at_r0 = d_cpt.mixture(level, t.level_given(1, left, 0), t.level_given(0, left, 0))
-        pair.append(p_r1 * at_r1 + p_r0 * at_r0)
-    return tuple(pair)
+    if child:
+        # P(D=level | left, right) mixes the child edge over C in each cell.
+        assert params.p_d_given_c is not None
+        pd0, pd1 = params.p_d_given_c.at_level(level)
+        g00, g01, g10, g11 = [c1 * pd1 + c0 * pd0 for c0, c1 in zip(t.at_level(0), t.at_level(1))]
+    else:
+        g00, g01, g10, g11 = t.at_level(level)
+    return p_r1 * g11 + p_r0 * g10, p_r1 * g01 + p_r0 * g00
 
 
 def _stratum_odds_ratio(t: ColliderCpt, level: int) -> float:
     """P(C=c|00)P(C=c|11) / {P(C=c|10)P(C=c|01)} at c = level."""
-    denom = t.level_given(level, 1, 0) * t.level_given(level, 0, 1)
+    p00, p01, p10, p11 = t.at_level(level)
+    denom = p10 * p01
     raise_where(denom <= 0.0, UndefinedRatioError, f"P(C={level}|10) P(C={level}|01) = 0")
-    return t.level_given(level, 0, 0) * t.level_given(level, 1, 1) / denom
+    return p00 * p11 / denom
 
 
 def v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasReport:
@@ -186,7 +178,8 @@ def v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
 def _v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> tuple[float, dict]:
     """The value and factors of :func:`v_stratum_bias` of the V structure
     embedded in ``params``, which may be of any kind with a ``p_right``: it
-    reads only the V fields."""
+    reads only the V fields.  They are not yet tested for finiteness: the
+    report, or the caller that reads them as an inner value, tests them."""
     assert params.p_right is not None
     g = cross_product_difference(params.p_c_given, level)
     p_x1, p_y1 = params.p_left, params.p_right
@@ -207,7 +200,7 @@ def _v_stratum_bias(params: StructureParams, level: int, scale: Scale) -> tuple[
         value = _stratum_odds_ratio(params.p_c_given, level)
     else:
         raise ParameterError(f"no closed stratum form on scale {scale.value}")
-    return _finite(value, factors)
+    return value, factors
 
 
 def nabla_or_bias_factor(params: StructureParams, level: int) -> BiasReport:
@@ -250,12 +243,12 @@ def y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> BiasRep
 def _y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> tuple[float, dict]:
     """The value and factors of :func:`y_stratum_bias` of the Y structure
     embedded in ``params``, which may be of any kind with a ``p_right`` and a
-    child D: it reads only the Y fields."""
+    child D: it reads only the Y fields.  As :func:`_v_stratum_bias`, they
+    are not yet tested for finiteness."""
     assert params.p_right is not None and params.p_d_given_c is not None
     t = params.p_c_given
     d = level
-    pd1 = params.p_d_given_c.level_given(d, 1)  # P(D=d | C=1)
-    pd0 = params.p_d_given_c.level_given(d, 0)  # P(D=d | C=0)
+    pd0, pd1 = params.p_d_given_c.at_level(d)  # P(D=d | C=0), P(D=d | C=1)
     g1 = cross_product_difference(t, 1)
     g0 = cross_product_difference(t, 0)
     core = child_contrast(pd1, pd0, g1, g0)
@@ -279,23 +272,22 @@ def _y_stratum_bias(params: StructureParams, level: int, scale: Scale) -> tuple[
         raise_where(bad, UndefinedRatioError, f"P(D={d} | X=x) = 0 for some x")
         value = p_y1 * p_y0 * core / (d_given_x1 * d_given_x0)
     elif scale is Scale.OR:
-        num = _y_odds_term(t, pd1, pd0, (0, 0), (1, 1))
-        den = _y_odds_term(t, pd1, pd0, (1, 0), (0, 1))
+        one, zero = t.at_level(1), t.at_level(0)
+        num = _y_odds_term(pd1, pd0, one, zero, 0, 3)  # cells 00 and 11
+        den = _y_odds_term(pd1, pd0, one, zero, 2, 1)  # cells 10 and 01
         raise_where(den <= 0.0, UndefinedRatioError, f"odds-ratio denominator vanishes at D={d}")
         value = num / den
     else:
         raise ParameterError(f"no closed stratum form on scale {scale.value}")
-    return _finite(value, factors)
+    return value, factors
 
 
-def _y_odds_term(t: ColliderCpt, pd1: float, pd0: float, a: tuple, b: tuple) -> float:
+def _y_odds_term(pd1: float, pd0: float, one: tuple, zero: tuple, a: int, b: int) -> float:
     """(pd1 - pd0)(pd1 P(C=1|a) P(C=1|b) - pd0 P(C=0|a) P(C=0|b)) + pd1 pd0 for
-    collider-parent cells a and b: the Y structure's odds ratio at D=d is this
-    term on cells 00, 11 over the term on cells 10, 01."""
-    return (pd1 - pd0) * (
-        pd1 * t.level_given(1, *a) * t.level_given(1, *b)
-        - pd0 * t.level_given(0, *a) * t.level_given(0, *b)
-    ) + pd1 * pd0
+    the collider-parent cells at places a and b of ``KEYS``, with ``one`` and
+    ``zero`` the collider table at levels 1 and 0: the Y structure's odds
+    ratio at D=d is this term on cells 00, 11 over the term on cells 10, 01."""
+    return (pd1 - pd0) * (pd1 * one[a] * one[b] - pd0 * zero[a] * zero[b]) + pd1 * pd0
 
 
 def y_bias_from_embedded_v(params: StructureParams, level: int) -> float:
@@ -315,13 +307,12 @@ def y_bias_from_embedded_v(params: StructureParams, level: int) -> float:
     p_d = params.prob_child(d)
     p_d_sq = p_d * p_d  # zero when P(D=d) is zero or underflows on squaring
     raise_where(p_d_sq <= 0.0, DegenerateStratumError, "D", d)
-    pd1 = params.p_d_given_c.level_given(d, 1)
-    pd0 = params.p_d_given_c.level_given(d, 0)
+    pd0, pd1 = params.p_d_given_c.at_level(d)
     pc1 = params.prob_collider(1)
     pc0 = params.prob_collider(0)
     return (pd1 - pd0) / p_d_sq * (
-        pd1 * pc1 * pc1 * _v_stratum_bias(params, 1, Scale.COV)[0]
-        - pd0 * pc0 * pc0 * _v_stratum_bias(params, 0, Scale.COV)[0]
+        pd1 * pc1 * pc1 * _finite(*_v_stratum_bias(params, 1, Scale.COV))[0]
+        - pd0 * pc0 * pc0 * _finite(*_v_stratum_bias(params, 0, Scale.COV))[0]
     )
 
 
@@ -389,7 +380,7 @@ def extended_stratum_bias(params: StructureParams, level: int, scale: Scale) -> 
             f"no closed stratum form on scale {scale.value} for extended structures"
         )
     embedded = _y_stratum_bias if params.kind.has_child_d else _v_stratum_bias
-    inner, factors = embedded(params, level, scale)
+    inner, factors = _finite(*embedded(params, level, scale))
     rd_left, rd_right = extension_rds(params)
     factors.update({"embedded_value": inner, "rd_left": rd_left, "rd_right": rd_right})
     value = rd_left * inner * rd_right
@@ -484,9 +475,9 @@ def lm_weight_normalizer(params: StructureParams) -> float:
     """Closed form of the normalizing constant of the lm stratum weights.
 
     Definitionally P(G=0) P(G=1,X=1) P(G=1,X=0) + P(G=1) P(G=0,X=1) P(G=0,X=0)
-    with G the conditioning variable; there are four distinct closed
-    expressions, shared pairwise by structures in which the exposure sits in
-    the same position relative to the conditioning variable.
+    with G the conditioning variable; there are two closed expressions, one
+    where the exposure is the collider's left cause and one where it is a
+    child of the left cause, each written once for G = C and G = D.
     """
     _require_kind(params, *_INDEPENDENT_KINDS)
     kind = params.kind
@@ -511,13 +502,11 @@ def lm_weight_normalizer(params: StructureParams) -> float:
     rd_x = x_cpt.risk_difference
     effect = p_a1 * p_a0 * rd_x * _left_effect(params.p_c_given, params.p_right)
     correction = effect * effect
-    if not kind.has_child_d:
-        return p_x1 * p_x0 * pc1 * pc0 - correction
-    assert params.p_d_given_c is not None
+    # G's marginals; with no child D, G is C and rd_child is 1 (x * 1.0 == x).
     d_cpt = params.p_d_given_c
-    pd1 = d_cpt.mixture(1, pc1, pc0)
-    pd0 = d_cpt.mixture(0, pc1, pc0)
-    return p_x1 * p_x0 * pd1 * pd0 - correction * (d_cpt.risk_difference * d_cpt.risk_difference)
+    pg1, pg0 = (pc1, pc0) if d_cpt is None else (d_cpt.mixture(1, pc1, pc0), d_cpt.mixture(0, pc1, pc0))
+    rd_child = _rd_or_one(d_cpt)
+    return p_x1 * p_x0 * pg1 * pg0 - correction * (rd_child * rd_child)
 
 
 @batch_memo

@@ -117,10 +117,7 @@ def classify_effects(p_c_given: ColliderCpt) -> EffectPattern:
     with the interaction signs at the canonical level."""
     t = p_c_given
     canonical = 1 if t.given_11 >= t.given_00 else 0
-    q00 = t.level_given(canonical, 0, 0)
-    q01 = t.level_given(canonical, 0, 1)
-    q10 = t.level_given(canonical, 1, 0)
-    q11 = t.level_given(canonical, 1, 1)
+    q00, q01, q10, q11 = t.at_level(canonical)
     or_contrast = q11 * q00 * (1.0 - q10) * (1.0 - q01) - q10 * q01 * (1.0 - q11) * (1.0 - q00)
     rd_contrast = q11 + q00 - q10 - q01
     return EffectPattern(
@@ -143,14 +140,14 @@ def nabla_stratum_sign(params: StructureParams, level: int) -> Sign:
     """Sign of the Nabla structure's odds-ratio bias at C=level: that of the
     collider table (:func:`v_stratum_sign`), or Zero where a cell
     P(X=x, Y=y, C=level) is exactly 0 and so the odds ratio is undefined.
-    The tests are exact, as in :func:`_extension_sign`."""
+    The tests are exact, as in :func:`_causes_vary`."""
     _require_kind(params, StructureKind.NABLA)
     t, p_left = params.p_c_given, params.p_left
     full = (0.0 < p_left) & (p_left < 1.0)
     for entry in params.p_y_given_b.values():
         full = full & (0.0 < entry) & (entry < 1.0)
-    for left, right in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        full = full & (t.level_given(level, left, right) > 0.0)
+    for entry in t.at_level(level):
+        full = full & (entry > 0.0)
     return v_stratum_sign(t, level) * full
 
 
@@ -163,8 +160,7 @@ def _child_deltas(
     g1 = cross_product_difference(p_c_given, 1)
     g0 = cross_product_difference(p_c_given, 0)
     for level in levels:
-        pd1 = p_d_given_c.level_given(level, 1)
-        pd0 = p_d_given_c.level_given(level, 0)
+        pd0, pd1 = p_d_given_c.at_level(level)
         yield child_contrast(pd1, pd0, g1, g0)
 
 
@@ -207,9 +203,13 @@ def _extension_sign(params: StructureParams) -> Sign:
     """The signs of the extension-path risk differences, times Zero where a
     cause is fixed at 0 or 1: every bias carries p_left (1 - p_left) p_right (1 - p_right)."""
     rd_left, rd_right = extension_rds(params)
-    p_left, p_right = params.p_left, params.p_right
-    varies = (0.0 < p_left) & (p_left < 1.0) & (0.0 < p_right) & (p_right < 1.0)
-    return band_sign(rd_left) * band_sign(rd_right) * varies
+    return band_sign(rd_left) * band_sign(rd_right) * _causes_vary(params.p_left, params.p_right)
+
+
+def _causes_vary(p_left: float, p_right: float) -> bool:
+    """True where neither collider cause is fixed at 0 or 1, tested exactly;
+    elementwise over arrays."""
+    return (0.0 < p_left) & (p_left < 1.0) & (0.0 < p_right) & (p_right < 1.0)
 
 
 def v_lm_sign(params: StructureParams) -> Sign:
@@ -380,9 +380,10 @@ def emit_grid(family: GridFamily, fixed: GridFixed, resolution: int) -> SignGrid
     broadcast: one collider table whose P(C=1|1,0) entry is the axis as a
     column and whose P(C=1|0,1) entry is the axis as a row, fed once to the
     function the family's scalar sign rule calls, and banded with one
-    closedform.band_sign call per column.  The arithmetic is elementwise,
-    so every cell equals its scalar evaluation; memory is a few
-    O(resolution²) float temporaries.  The output is a pure function of the
+    closedform.band_sign call per column; a regression grid with a cause
+    fixed at 0 or 1 is Zero in every cell, as :func:`v_lm_sign` says.  The
+    arithmetic is elementwise, so every cell equals its scalar evaluation;
+    memory is a few O(resolution²) float temporaries.  The output is a pure function of the
     inputs; repeated calls produce identical grids.  ``resolution`` must lie
     in [2, MAX_GRID_RESOLUTION].
     """
@@ -410,5 +411,7 @@ def emit_grid(family: GridFamily, fixed: GridFixed, resolution: int) -> SignGrid
     cells = np.empty((resolution, resolution, len(family.columns)), dtype=np.int8)
     for k in range(len(family.columns)):
         band_sign(next(deltas), out=cells[..., k])
+    if family is GridFamily.REGRESSION and not _causes_vary(fixed.p_left, fixed.p_right):
+        cells.fill(0)  # as v_lm_sign: a cause fixed at 0 or 1 zeroes the bias
     cells.setflags(write=False)
     return SignGrid(family=family, fixed=fixed, cells=cells)

@@ -14,8 +14,9 @@ field's type), the name of each probability in that order
 
 Index convention for the collider table: ``p_c_given`` entries are keyed
 (left parent value, right parent value), so ``given_01`` is
-P(C=1 | left=0, right=1).  Use the named accessors; never unpack the four
-probabilities positionally.
+P(C=1 | left=0, right=1).  Read a table at one level through ``at_level``,
+whose entries come in ``KEYS`` order: unpacking that tuple in that order is
+the sanctioned read; never unpack a table's fields positionally otherwise.
 """
 
 from __future__ import annotations
@@ -263,8 +264,8 @@ class ColliderCpt(_Cpt):
     """P(C=1 | left parent, right parent).
 
     Field suffix is (left value, right value): ``given_01`` is the entry for
-    left=0, right=1.  A field may be a float64 array; the lookups, and the
-    sign-grid closed forms built on them (``cross_product_difference``,
+    left=0, right=1.  A field may be a float64 array; ``at_level``, and the
+    sign-grid closed forms built on it (``cross_product_difference``,
     ``child_contrast``, ``lm_kernel``), are then evaluated elementwise.
     """
 
@@ -275,14 +276,13 @@ class ColliderCpt(_Cpt):
     given_10: float
     given_11: float
 
-    def level_given(self, c: int, left: int, right: int) -> float:
-        """P(C=c | left, right); a level other than 0 or 1 is a ParameterError."""
-        entry = ((self.given_11 if right else self.given_10) if left
-                 else (self.given_01 if right else self.given_00))
+    def at_level(self, c: int) -> tuple:
+        """(P(C=c|00), P(C=c|01), P(C=c|10), P(C=c|11)), in ``KEYS`` order; a
+        level other than 0 or 1 is a ParameterError."""
         if c == 1:
-            return entry
+            return self.given_00, self.given_01, self.given_10, self.given_11
         if c == 0:
-            return 1.0 - entry
+            return 1.0 - self.given_00, 1.0 - self.given_01, 1.0 - self.given_10, 1.0 - self.given_11
         raise ParameterError(f"level must be 0 or 1, got {c!r}")
 
     def values(self) -> tuple:
@@ -298,18 +298,19 @@ class EdgeCpt(_Cpt):
     given_0: float
     given_1: float
 
-    def level_given(self, value: int, parent: int) -> float:
-        """P(child=value | parent); a value other than 0 or 1 is a ParameterError."""
-        entry = self.given_1 if parent else self.given_0
+    def at_level(self, value: int) -> tuple:
+        """(P(child=value | 0), P(child=value | 1)), in ``KEYS`` order; a value
+        other than 0 or 1 is a ParameterError."""
         if value == 1:
-            return entry
+            return self.given_0, self.given_1
         if value == 0:
-            return 1.0 - entry
+            return 1.0 - self.given_0, 1.0 - self.given_1
         raise ParameterError(f"level must be 0 or 1, got {value!r}")
 
     def mixture(self, value: int, w1: float, w0: float) -> float:
         """P(child=value) with the parent at 1 by weight w1 and at 0 by weight w0."""
-        return w1 * self.level_given(value, 1) + w0 * self.level_given(value, 0)
+        p0, p1 = self.at_level(value)
+        return w1 * p1 + w0 * p0
 
     @property
     def risk_difference(self) -> float:
@@ -541,17 +542,17 @@ class StructureParams:
         For Nabla the right cause is Y, which depends on the left cause X
         through p_y_given_b; elsewhere the two causes are independent.
         """
-        total = 0.0
-        for left in (0, 1):
-            pl = self.p_left if left else 1.0 - self.p_left
-            for right in (0, 1):
-                if self.p_right is not None:
-                    pr = self.p_right if right else 1.0 - self.p_right
-                else:
-                    assert self.p_y_given_b is not None
-                    pr = self.p_y_given_b.level_given(right, left)
-                total += pl * pr * self.p_c_given.level_given(c, left, right)
-        return total
+        p_l1 = self.p_left
+        p_l0 = 1.0 - p_l1
+        if self.p_right is not None:
+            r01 = r11 = self.p_right
+            r00 = r10 = 1.0 - self.p_right
+        else:  # r<l><r> = P(Y=r | X=l)
+            assert self.p_y_given_b is not None
+            (r00, r10), (r01, r11) = self.p_y_given_b.at_level(0), self.p_y_given_b.at_level(1)
+        q00, q01, q10, q11 = self.p_c_given.at_level(c)
+        # Summed from 0.0, in KEYS order: a sum of -0.0 terms is +0.0.
+        return 0.0 + p_l0 * r00 * q00 + p_l0 * r01 * q01 + p_l1 * r10 * q10 + p_l1 * r11 * q11
 
     @batch_memo
     def prob_child(self, d: int) -> float:

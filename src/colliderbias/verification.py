@@ -198,11 +198,11 @@ def _check_oracle_identities(params: StructureParams, table, rec: _Recorder) -> 
         for level in (1, 0):
             stratum = Stratum(variable, level)
             p11, p10, p01, p00, p_g = joint_mod._xy_stratum_cells(table, stratum)
-            cov_moments = joint_mod.cond_measure(table, Scale.COV, stratum).value
+            cov_moments = joint_mod._measure(table, Scale.COV, stratum)
             cov_bracket = (p11 * p00 - p10 * p01) / (p_g * p_g)
             rec.absolute("cov_bracket_identity", cov_moments, cov_bracket)
 
-            rd = joint_mod.cond_measure(table, Scale.RD, stratum).value
+            rd = joint_mod._measure(table, Scale.RD, stratum)
             e_x = (p11 + p10) / p_g
             var_x = e_x * (1.0 - e_x)
             rec.absolute("rd_cov_ratio_identity", rd, cov_moments / var_x)
@@ -210,8 +210,8 @@ def _check_oracle_identities(params: StructureParams, table, rec: _Recorder) -> 
     # Regression coefficient as a variance-weighted stratum average.
     g_name = params.kind.conditioning_variable
     raw1, raw0 = joint_mod.lm_normalizer_terms(table)
-    rd1 = joint_mod.cond_measure(table, Scale.RD, Stratum(g_name, 1)).value
-    rd0 = joint_mod.cond_measure(table, Scale.RD, Stratum(g_name, 0)).value
+    rd1 = joint_mod._measure(table, Scale.RD, Stratum(g_name, 1))
+    rd0 = joint_mod._measure(table, Scale.RD, Stratum(g_name, 0))
     averaged = (raw1 * rd1 + raw0 * rd0) / (raw1 + raw0)
     rec.absolute("lm_weighted_average_identity", joint_mod.lm_coefficient(table), averaged)
 
@@ -296,8 +296,7 @@ def _child_case_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -
     """
     g1 = cf.cross_product_difference(p_c_given, 1)
     g0 = cf.cross_product_difference(p_c_given, 0)
-    pd1 = p_d_given_c.level_given(level, 1)
-    pd0 = p_d_given_c.level_given(level, 0)
+    pd0, pd1 = p_d_given_c.at_level(level)
     case1 = (g1 >= 0.0) & (g0 <= 0.0)
     case2 = (g1 <= 0.0) & (g0 >= 0.0)
     ratio = pd1 / pd0

@@ -614,6 +614,21 @@ def test_each_memoized_piece_runs_once_per_batch(kind, memo_traffic):
         assert asked > ran > 0, piece.__qualname__
 
 
+@pytest.mark.parametrize("kind", [StructureKind.V, StructureKind.LONG_M])
+def test_the_oracle_identities_build_no_oracle_measure(kind, monkeypatch):
+    # The battery reads the memoized measures as numbers, finite-checked once
+    # where they were made.
+    built = []
+    check = joint_mod.OracleMeasure.__post_init__
+    monkeypatch.setattr(joint_mod.OracleMeasure, "__post_init__", lambda self: (built.append(self), check(self))[1])
+    params = random_structure_params(kind, np.random.default_rng(9), 20)
+    table = joint_mod.build_joint(params)
+    recorder = verification._Recorder()
+    verification._check_oracle_identities(params, table, recorder)
+    assert built == []
+    assert recorder.results() and all(result.passed for result in recorder.results())
+
+
 def test_memoized_pieces_keep_read_only_arrays():
     _, params = _draws(StructureKind.LONG_M)
     table = build_joint(params)

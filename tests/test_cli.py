@@ -661,7 +661,7 @@ GRID_PIN_SETTINGS = [
 ]
 # Digest of the CSV and JSON bytes of every family's grid at each setting, at
 # resolutions 5 and 60; any changed cell, axis value or locus changes it.
-GRID_BYTES_DIGEST = "219036dc4f3a89c76b4d9c6513296c0d527afb84476548380e940c79b6418b06"
+GRID_BYTES_DIGEST = "943d3eea0af722ff245bdd3dadb7bba248a448e26a2163ae32f5285b920c1270"
 
 
 def _grid_bytes_digest() -> str:

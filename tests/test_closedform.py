@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import colliderbias
+from colliderbias import closedform as closedform_mod
 from colliderbias import (
     LINEAR_MODEL,
     BiasQuery,
@@ -583,8 +584,7 @@ def test_y_bias_from_embedded_v_matches_the_built_v_core(draws):
     )
     pc1, pc0 = params.prob_collider(1), params.prob_collider(0)
     for d in (1, 0):
-        pd1 = params.p_d_given_c.level_given(d, 1)
-        pd0 = params.p_d_given_c.level_given(d, 0)
+        pd0, pd1 = params.p_d_given_c.at_level(d)
         p_d = params.prob_child(d)
         built = (pd1 - pd0) / (p_d * p_d) * (
             pd1 * pc1 * pc1 * v_stratum_bias(v_core, 1, Scale.COV).value
@@ -715,6 +715,23 @@ def test_each_public_closed_form_builds_one_report(monkeypatch):
             del built[:]
             y_bias_from_embedded_v(params, 1)
             assert built == []
+
+
+def test_each_v_and_y_stratum_form_tests_finiteness_once(monkeypatch):
+    # The report tests its value and factors; the private form does not test
+    # them again.  An extended form tests its inner value too, as its own.
+    calls = []
+    check = closedform_mod._finite
+    monkeypatch.setattr(closedform_mod, "_finite", lambda *args: (calls.append(args), check(*args))[1])
+    for kind, form, inner in [(StructureKind.V, v_stratum_bias, 0), (StructureKind.Y, y_stratum_bias, 0),
+                              (StructureKind.M, extended_stratum_bias, 1),
+                              (StructureKind.LONG_M, extended_stratum_bias, 1)]:
+        params = random_structure_params(kind, np.random.default_rng(8))
+        for level in (1, 0):
+            for scale in (Scale.COV, Scale.RD):
+                del calls[:]
+                form(params, level, scale)
+                assert len(calls) == 1 + inner, (kind, level, scale)
 
 
 @pytest.mark.parametrize("kind, factor", [

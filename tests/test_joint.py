@@ -76,7 +76,7 @@ def test_factorization_matches_cell_products(kind, rng):
     expected = 1.0
     for name in roles.order:
         if name == "C":
-            expected *= params.p_c_given.level_given(1, 1, 1)
+            expected *= params.p_c_given.at_level(1)[3]
         elif not roles.parents[name]:
             expected *= params.p_left if name == roles.left_cause else params.p_right
         else:
@@ -719,9 +719,9 @@ def _exact_cells(params):
             if not parents:
                 p1 = params.p_left if name == roles.left_cause else params.p_right
             elif name == "C":
-                p1 = params.p_c_given.level_given(1, value[parents[0]], value[parents[1]])
+                p1 = params.p_c_given.at_level(1)[2 * value[parents[0]] + value[parents[1]]]
             else:
-                p1 = _CHILD_TABLE[name](params).level_given(1, value[parents[0]])
+                p1 = _CHILD_TABLE[name](params).at_level(1)[value[parents[0]]]
             mass *= Fraction(p1) if value[name] else 1 - Fraction(p1)
         cells.append((value, mass))
     return cells
@@ -962,7 +962,7 @@ def _reference_sample(params, n, seed):
 def _reference_counts(params, uniforms):
     """Cell counts of draws whose variable k is 1 where ``uniforms[k]`` is
     below P(=1 | parents), compared as doubles.  The probabilities come from
-    the tables' own ``given`` lookups, not from the sampler's factor vector."""
+    the tables' own ``at_level`` reads, not from the sampler's factor vector."""
     roles = variable_roles(params.kind)
     values = {}
     cell = np.zeros(uniforms.shape[1], dtype=np.intp)
@@ -972,11 +972,11 @@ def _reference_counts(params, uniforms):
             p1 = params.p_left if name == roles.left_cause else params.p_right
         elif name == "C":
             left, right = (values[parent].astype(np.intp) for parent in parents)
-            given = [params.p_c_given.level_given(1, a, b) for a in (0, 1) for b in (0, 1)]
+            given = list(params.p_c_given.at_level(1))
             p1 = np.array(given)[2 * left + right]
         else:
             cpt = _CHILD_TABLE[name](params)
-            p1 = np.array([cpt.level_given(1, 0), cpt.level_given(1, 1)])[values[parents[0]].astype(np.intp)]
+            p1 = np.array(cpt.at_level(1))[values[parents[0]].astype(np.intp)]
         values[name] = uniforms[k] < p1
         cell = (cell << 1) | values[name]
     return np.bincount(cell, minlength=2 ** len(roles.order))

@@ -244,7 +244,7 @@ def test_y_sign_answers_a_child_edge_at_0_or_1(cpt):
     for level in (0, 1):
         assert y_stratum_sign(cpt, EdgeCpt(given_0=0.0, given_1=1.0), level) is v_stratum_sign(cpt, level)
         for d_cpt in (EdgeCpt(given_0=0.0, given_1=0.7), EdgeCpt(given_0=0.3, given_1=1.0)):
-            pd1, pd0 = d_cpt.level_given(level, 1), d_cpt.level_given(level, 0)
+            pd0, pd1 = d_cpt.at_level(level)
             direct = child_contrast(pd1, pd0, cross_product_difference(cpt, 1), cross_product_difference(cpt, 0))
             assert y_stratum_sign(cpt, d_cpt, level) is band_sign(direct)
 
@@ -297,8 +297,7 @@ def test_y_sign_matches_direct_formula(rng):
         params = random_structure_params(StructureKind.Y, rng)
         for level in (0, 1):
             case = y_stratum_sign(params.p_c_given, params.p_d_given_c, level)
-            pd1 = params.p_d_given_c.level_given(level, 1)
-            pd0 = params.p_d_given_c.level_given(level, 0)
+            pd0, pd1 = params.p_d_given_c.at_level(level)
             direct = (pd1 - pd0) * (
                 pd1 * cross_product_difference(params.p_c_given, 1)
                 - pd0 * cross_product_difference(params.p_c_given, 0)
@@ -572,11 +571,16 @@ def test_grid_zero_on_locus():
 
 # (p_c00, p_c11, p_left, p_right, child edge, resolution).  The zero-locus
 # setting's odd resolution puts a cell center on (0.5, 0.5), where every table
-# entry is 0.5 and both cross-product differences vanish.
+# entry is 0.5 and both cross-product differences vanish.  In the last four a
+# cause is fixed at 0 or 1, where every regression sign is Zero.
 SCALAR_ROUTE_SETTINGS = {
     "reference": (0.15, 0.75, 0.3, 0.6, (0.2, 0.7), 12),
     "zero-locus": (0.5, 0.5, 0.5, 0.5, (0.2, 0.7), 5),
     "near-tie-child-edge": (0.999, 0.999, 0.5, 0.5, (0.9, 0.9000000000009), 20),
+    "left-cause-at-1": (0.15, 0.75, 1.0, 0.5, (0.2, 0.7), 6),
+    "left-cause-at-0": (0.15, 0.75, 0.0, 0.6, (0.2, 0.7), 6),
+    "right-cause-at-1": (0.15, 0.75, 0.3, 1.0, (0.2, 0.7), 6),
+    "both-causes-fixed": (0.0, 1.0, 0.0, 1.0, (0.3, 0.8), 6),
 }
 
 

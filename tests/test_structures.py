@@ -419,9 +419,9 @@ def test_from_dict_names_missing_collider_key():
 
 def test_collider_cpt_accessors():
     cpt = ColliderCpt(given_00=0.1, given_01=0.2, given_10=0.3, given_11=0.4)
-    assert cpt.level_given(1, 0, 1) == 0.2
-    assert cpt.level_given(1, 1, 0) == 0.3
-    assert cpt.level_given(0, 1, 1) == 1.0 - 0.4
+    assert cpt.at_level(1)[1] == 0.2
+    assert cpt.at_level(1)[2] == 0.3
+    assert cpt.at_level(0)[3] == 1.0 - 0.4
 
 
 @pytest.mark.parametrize("level", [2, -1, 0.5])
@@ -429,12 +429,36 @@ def test_level_outside_zero_one_is_rejected(level):
     cpt = ColliderCpt(given_00=0.1, given_01=0.2, given_10=0.3, given_11=0.4)
     edge = EdgeCpt(given_0=0.25, given_1=0.75)
     with pytest.raises(ParameterError, match=f"^level must be 0 or 1, got {level}$"):
-        cpt.level_given(level, 1, 0)
+        cpt.at_level(level)
     with pytest.raises(ParameterError, match=f"^level must be 0 or 1, got {level}$"):
-        edge.level_given(level, 1)
+        edge.at_level(level)
     with pytest.raises(ParameterError, match="^level must be 0 or 1"):
         edge.mixture(level, 0.5, 0.5)
-    assert (edge.level_given(1, 1), edge.level_given(0, 1)) == (0.75, 1.0 - 0.75)
+    assert (edge.at_level(1)[1], edge.at_level(0)[1]) == (0.75, 1.0 - 0.75)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("table_type", [ColliderCpt, EdgeCpt], ids=lambda t: t.__name__)
+def test_at_level_reads_each_entry_or_its_complement(table_type):
+    # One draw with -0.0, 0 and 1 among its entries, and a 7-draw batch: at
+    # level 1 each entry as it is, at level 0 as 1.0 - entry, in KEYS order.
+    width = len(table_type.KEYS)
+    one_draw = table_type(*[-0.0, 1.0, 0.0, 0.3][:width])
+    batch = table_type(*np.random.default_rng(5).uniform(size=(width, 7)))
+    for table in (one_draw, batch):
+        entries = table.values()
+        assert len(table.at_level(1)) == len(table.at_level(0)) == width
+        for entry, at_1, at_0 in zip(entries, table.at_level(1), table.at_level(0)):
+            assert _bits(at_1) == _bits(entry)
+            assert _bits(at_0) == _bits(1.0 - entry)
+    for level in (2, -1, 0.5, "0"):
+        with pytest.raises(ParameterError, match=f"^level must be 0 or 1, got {level!r}$"):
+            one_draw.at_level(level)
+        with pytest.raises(ParameterError, match=f"^level must be 0 or 1, got {level!r}$"):
+            batch.at_level(level)
 
 
 def test_implied_marginals(reference_v_params, reference_y_params):
