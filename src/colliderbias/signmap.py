@@ -88,7 +88,15 @@ def effect_pattern(p_c_given: ColliderCpt) -> Pattern:
     effects on P(C=1), each banded at closedform.SIGN_TOL.  Any tie yields a
     degenerate-tie verdict rather than a forced region.  Elementwise over
     array-valued table entries, as an object array of Patterns."""
-    t = p_c_given
+    index = _pattern_index(p_c_given)
+    if not getattr(index, "ndim", 0):
+        return _PATTERN_RULES[index]
+    return np.array(_PATTERN_RULES, dtype=object)[index]
+
+
+def _pattern_index(t: ColliderCpt) -> int:
+    """:func:`effect_pattern`'s verdict as its index in _PATTERN_RULES: an
+    int for one draw, an int array over a batch."""
     x_at_y0, x_at_y1 = t.given_10 - t.given_00, t.given_11 - t.given_01
     y_at_x0, y_at_x1 = t.given_01 - t.given_00, t.given_11 - t.given_10
     sx0, sx1, sy0, sy1 = (band_sign(d) for d in (x_at_y0, x_at_y1, y_at_x0, y_at_x1))
@@ -104,12 +112,12 @@ def effect_pattern(p_c_given: ColliderCpt) -> Pattern:
         x_consistent,  # QUALITATIVE_IN_Y
     ]
     if not getattr(rules[0], "ndim", 0):
-        return next((pattern for rule, pattern in zip(rules, _PATTERN_RULES) if rule), _PATTERN_RULES[-1])
+        return next((index for index, rule in enumerate(rules) if rule), len(rules))
     # The index of the first rule that holds, or len(rules) if none does.
     first = len(rules)
     for index in reversed(range(len(rules))):
         first = np.where(rules[index], index, first)
-    return np.array(_PATTERN_RULES, dtype=object)[first]
+    return first
 
 
 def classify_effects(p_c_given: ColliderCpt) -> EffectPattern:

@@ -51,9 +51,9 @@ _EXACT_TOL = 1e-14
 # Draws per batch: memory stays fixed whatever the number of draws.
 _BATCH = 500
 # The stages of a batch that verify_kind times: drawing the parameters,
-# building the joint tables, the oracle's checks, the closed forms' checks
-# and the sign rules' checks.
-STAGES = ("draw", "build", "oracle", "closed forms", "signs")
+# building the joint tables, the oracle's, closed forms' and sign rules'
+# checks, and folding the batch's discrepancies into the identity results.
+STAGES = ("draw", "build", "oracle", "closed forms", "signs", "record")
 
 
 @dataclass
@@ -71,13 +71,27 @@ class IdentityResult:
         return self.failures == 0
 
     def record(self, discrepancy: float | np.ndarray) -> None:
-        """Fold in one discrepancy or an array of them.  A failure is any
-        value not within the tolerance, NaN included; the maximum skips
-        NaN."""
-        values = np.ravel(discrepancy)
-        self.checked += values.size
-        self.max_discrepancy = float(np.fmax.reduce(values, initial=self.max_discrepancy))
-        self.failures += int(np.count_nonzero(~(values <= self.tolerance)))
+        """Fold in one discrepancy or an array of them, as :func:`_fold`."""
+        if np.size(discrepancy):
+            _fold([(self, discrepancy)])
+
+
+def _fold(entries: list[tuple[IdentityResult, float | np.ndarray]]) -> None:
+    """Fold each (result, discrepancies) entry, none empty, into its result
+    in one pass over all their values.  A failure is any value not within
+    the result's tolerance, NaN included; the maximum skips NaN."""
+    results, arrays = zip(*entries)
+    sizes = [np.size(array) for array in arrays]
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    values = np.concatenate(arrays, axis=None, dtype=np.float64)
+    maxima = np.fmax.reduceat(values, starts).tolist()
+    tolerances = np.repeat([result.tolerance for result in results], sizes)
+    failures = np.add.reduceat(~(values <= tolerances), starts).tolist()
+    for result, size, top, failed in zip(results, sizes, maxima, failures):
+        result.checked += size
+        if top > result.max_discrepancy:
+            result.max_discrepancy = top
+        result.failures += failed
 
 
 @dataclass
@@ -112,11 +126,13 @@ def relative_discrepancy(a: float, b: float) -> float:
 
 
 class _Recorder:
-    """Per-identity results of a batch of draws; ``where`` picks the draws
-    an identity applies to, and one with none applying is not recorded."""
+    """Per-identity results of a batch of draws, added up by :meth:`fold`;
+    ``where`` picks the draws an identity applies to, and one with none
+    applying is not recorded."""
 
     def __init__(self) -> None:
         self._results: dict[str, IdentityResult] = {}
+        self._pending: list[tuple[IdentityResult, np.ndarray]] = []
 
     def _record(self, name: str, tolerance: float, discrepancy, where=None) -> None:
         if where is not None:
@@ -125,7 +141,7 @@ class _Recorder:
                 return
         if name not in self._results:
             self._results[name] = IdentityResult(name=name, tolerance=tolerance)
-        self._results[name].record(discrepancy)
+        self._pending.append((self._results[name], discrepancy))
 
     def absolute(self, name: str, a, b, tolerance: float = DEFAULT_ABS_TOL, where=None) -> None:
         self._record(name, tolerance, abs(a - b), where)
@@ -134,19 +150,25 @@ class _Recorder:
         self._record(name, DEFAULT_REL_TOL_OR, relative_discrepancy(a, b))
 
     def flag(self, name: str, ok, where=None) -> None:
-        self._record(name, 0.0, np.where(ok, 0.0, 1.0), where)
+        # A failed check reads as 1.0, over the flag's tolerance of 0.
+        self._record(name, 0.0, np.logical_not(ok), where)
+
+    def fold(self) -> None:
+        """Add the discrepancies recorded since the last fold to their results."""
+        if self._pending:
+            _fold(self._pending)
+            self._pending = []
 
     def results(self) -> list[IdentityResult]:
+        self.fold()
         return list(self._results.values())
 
 
-def _stratum_biases(table) -> dict[tuple[int, Scale], np.ndarray]:
-    """The oracle's bias at each level of the kind's conditioning variable,
-    on the or scale and, but for Nabla, the cov and rd scales: evaluated once
-    per batch, and read by every check below."""
-    kind = table.kind
-    scales = (Scale.OR,) if kind is StructureKind.NABLA else (Scale.COV, Scale.RD, Scale.OR)
-    strata = {level: Stratum(kind.conditioning_variable, level) for level in (1, 0)}
+def _stratum_biases(table, scales: tuple[Scale, ...]) -> dict[tuple[int, Scale], np.ndarray]:
+    """The oracle's bias at each level of the kind's conditioning variable on
+    each of ``scales``: evaluated once per batch, and read by every check
+    below."""
+    strata = {level: Stratum(table.kind.conditioning_variable, level) for level in (1, 0)}
     return {
         (level, scale): joint_mod.bias(table, BiasQuery(stratum, scale)).value
         for level, stratum in strata.items()
@@ -271,12 +293,10 @@ def _check_extension_factorization(
 
 
 def _signs_agree(*signs) -> np.ndarray:
-    """True for each draw where no two of ``signs`` are strictly opposite:
-    every pair is equal or holds a Zero, which a sign flag reads as
-    undecided."""
-    positive = reduce(np.logical_or, [np.equal(sign, Sign.POSITIVE) for sign in signs])
-    negative = reduce(np.logical_or, [np.equal(sign, Sign.NEGATIVE) for sign in signs])
-    return ~(positive & negative)
+    """True for each draw where no two of ``signs`` are strictly opposite (a
+    Zero reads as undecided): of the sign codes -1, 0 and 1, only a 1 beside
+    a -1 spans 2."""
+    return reduce(np.maximum, signs) - reduce(np.minimum, signs) < 2
 
 
 def _child_case_sign(p_c_given: ColliderCpt, p_d_given_c: EdgeCpt, level: int) -> np.ndarray:
@@ -335,11 +355,10 @@ def _check_sign_rules(params: StructureParams, biases, core_biases, rec: _Record
     lm_numeric = cf.classify_sign(cf.lm_bias(params).value, Scale.LM_COEF)
     rec.flag("lm_sign_rule", _signs_agree(lm_predicted, lm_numeric))
 
-    pattern = sm.effect_pattern(params.p_c_given)
+    pattern = sm._pattern_index(params.p_c_given)
 
     def among(*patterns: sm.Pattern) -> np.ndarray:
-        # A 0-d object array compares the enum members, not their str().
-        return reduce(np.logical_or, [pattern == np.array(p, dtype=object) for p in patterns])
+        return reduce(np.logical_or, [pattern == sm._PATTERN_RULES.index(p) for p in patterns])
 
     s1, s0 = (sm.v_stratum_sign(params.p_c_given, level) for level in (1, 0))
     kernel_sign = cf.classify_sign(cf.lm_bias_kernel(params), Scale.LM_COEF)
@@ -374,6 +393,7 @@ def verify_kind(kind: StructureKind, draws: int, seed: int) -> KindVerification:
         seconds[stage] += now - mark
         mark = now
 
+    scales = (Scale.OR,) if kind is StructureKind.NABLA else (Scale.COV, Scale.RD, Scale.OR)
     rng = np.random.default_rng(seed)
     rec = _Recorder()
     for first in range(0, draws, _BATCH):
@@ -381,12 +401,12 @@ def verify_kind(kind: StructureKind, draws: int, seed: int) -> KindVerification:
         params = random_structure_params(kind, rng, size)
         charge("draw")
         table = joint_mod.build_joint(params)
-        # The embedded V or Y structure's; a V, Nabla or Y structure is its
-        # own core.
+        # The embedded V or Y structure's, read on the cov and rd scales only;
+        # a V, Nabla or Y structure is its own core.
         core_table = joint_mod.build_joint(cf.embedded_core(params)) if kind.is_extended else table
         charge("build")
-        biases = _stratum_biases(table)
-        core_biases = _stratum_biases(core_table) if kind.is_extended else biases
+        biases = _stratum_biases(table, scales)
+        core_biases = _stratum_biases(core_table, (Scale.COV, Scale.RD)) if kind.is_extended else biases
         _check_joint_basics(params, table, rec)
         charge("oracle")
         _check_closed_vs_oracle(params, table, biases, rec)
@@ -398,6 +418,8 @@ def verify_kind(kind: StructureKind, draws: int, seed: int) -> KindVerification:
         charge("closed forms")
         _check_sign_rules(params, biases, core_biases, rec)
         charge("signs")
+        rec.fold()
+        charge("record")
     return KindVerification(
         kind=kind,
         draws=draws,

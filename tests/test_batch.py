@@ -4,6 +4,7 @@ as the scalar call on that draw alone."""
 import collections
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import sys
@@ -440,6 +441,115 @@ def test_nan_discrepancy_counts_as_a_failure():
     assert (result.checked, result.failures, result.max_discrepancy) == (5, 3, 2e-12)
 
 
+def _record_alone(result, discrepancy):
+    """The reference for the fold: one array folded into one result, with
+    its own ravel, maximum and failure count."""
+    values = np.ravel(discrepancy)
+    result.checked += values.size
+    result.max_discrepancy = float(np.fmax.reduce(values, initial=result.max_discrepancy))
+    result.failures += int(np.count_nonzero(~(values <= result.tolerance)))
+
+
+def _summary(results):
+    return [(r.name, r.tolerance, r.checked, r.max_discrepancy, r.failures) for r in results]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_fold_per_batch_equals_recording_each_array_alone(seed):
+    rng = np.random.default_rng(seed)
+    tol = verification.DEFAULT_ABS_TOL
+    # On, just under and just over each tolerance, with NaN and inf.
+    pool = np.array([0.0, tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0), 1e-9,
+                     np.nextafter(1e-9, 1.0), 3e-7, np.inf, np.nan, 1.0])
+    recorder, reference = verification._Recorder(), {}
+
+    def expect(name, tolerance, discrepancy, where=None):
+        if where is not None:
+            discrepancy = discrepancy[where]
+            if not discrepancy.size:
+                return
+        result = reference.setdefault(name, verification.IdentityResult(name, tolerance))
+        _record_alone(result, discrepancy)
+
+    for _ in range(3):
+        a, b = rng.choice(pool, 40), rng.choice(pool[np.isfinite(pool)], 40) + 1.0
+        picked = rng.random(40) < 0.3
+        ok = rng.random(40) < 0.8
+        nothing = np.zeros(40, dtype=bool)
+        square = rng.choice(pool, (3, 7))
+        recorder.absolute("exact", a, 0.0)
+        expect("exact", tol, a)
+        recorder.absolute("bound", a, 0.0, 1e-9, where=picked)
+        expect("bound", 1e-9, a, picked)
+        recorder.absolute("never", a, 0.0, where=nothing)
+        expect("never", tol, a, nothing)
+        recorder.relative("ratio", b, 1.0)
+        expect("ratio", verification.DEFAULT_REL_TOL_OR, verification.relative_discrepancy(b, 1.0))
+        recorder.absolute("square", square, 0.0)
+        expect("square", tol, square)
+        recorder.absolute("nan_only", np.full(5, np.nan), 0.0)
+        expect("nan_only", tol, np.full(5, np.nan))
+        recorder.flag("flag", ok)
+        expect("flag", 0.0, np.where(ok, 0.0, 1.0))
+        recorder.flag("flag_where", ok, where=picked)
+        expect("flag_where", 0.0, np.where(ok, 0.0, 1.0), picked)
+        recorder.absolute("exact", a[::-1], 0.0)
+        expect("exact", tol, a[::-1])
+        recorder.fold()
+    assert _summary(recorder.results()) == _summary(reference.values())
+    assert "never" not in reference and reference["nan_only"].max_discrepancy == 0.0
+
+    # IdentityResult.record, one array or number at a time, folds alike; a
+    # bool flag reads as 0.0 and 1.0.
+    result, alone = (verification.IdentityResult("x", tol) for _ in range(2))
+    for discrepancy in [*rng.choice(pool, 6), square, np.array([]), np.nan, a]:
+        result.record(discrepancy)
+        _record_alone(alone, discrepancy)
+    result.record(~ok)
+    _record_alone(alone, np.where(ok, 0.0, 1.0))
+    assert _summary([result]) == _summary([alone])
+
+
+def test_a_closed_form_nudged_off_its_oracle_fails_the_same_draws(monkeypatch):
+    # Scaled by 1 + 1e-9, the V lm closed form misses the other route by
+    # |lm bias| 1e-9: over the tolerance of 1e-12 wherever |lm bias| > 1e-3.
+    # The counts and the maximum are those that the per-array rule of
+    # _record_alone gives.
+    exact = cf.v_lm_bias
+    monkeypatch.setattr(cf, "v_lm_bias", lambda params: dataclasses.replace(
+        exact(params), value=exact(params).value * (1.0 + 1e-9)))
+    run = verification.verify_kind(StructureKind.V, draws=1200, seed=3)
+    nudged = run.result("lm_two_routes_agree")
+    assert (nudged.checked, nudged.failures, nudged.max_discrepancy) == (1200, 1149, 3.78768627573578e-10)
+    assert [result.name for result in run.identities if not result.passed] == ["lm_two_routes_agree"]
+
+
+def _old_signs_agree(*signs):
+    positive = any(sign == Sign.POSITIVE for sign in signs)
+    negative = any(sign == Sign.NEGATIVE for sign in signs)
+    return not (positive and negative)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_signs_agree_unless_one_is_positive_and_one_negative(dtype):
+    triples = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=dtype)
+    agree = verification._signs_agree(*triples.T)
+    assert agree.tolist() == [_old_signs_agree(*map(int, triple)) for triple in triples]
+    assert agree.tolist().count(False) == 12
+
+
+def test_pattern_indices_name_the_effect_patterns():
+    # Every table on a lattice of four values: ties, and every pattern.
+    entries = np.array(list(itertools.product((0.2, 0.4, 0.6, 0.8), repeat=4))).T
+    batch = ColliderCpt(*entries)
+    indices = sm._pattern_index(batch)
+    singles = [ColliderCpt(*map(float, column)) for column in entries.T]
+    assert indices.tolist() == [sm._pattern_index(one) for one in singles]
+    assert [sm._PATTERN_RULES[index] for index in indices] == [sm.effect_pattern(one) for one in singles]
+    assert (sm.effect_pattern(batch) == np.array(sm._PATTERN_RULES, dtype=object)[indices]).all()
+    assert sorted(set(indices.tolist())) == list(range(len(sm.Pattern)))
+
+
 def _batch_queries(kind):
     """Every oracle query a batch of ``kind`` keeps in its memo, by name: each
     stratum (and the whole table) on each scale, lm, event sums and the lm
@@ -627,6 +737,7 @@ def test_the_oracle_identities_build_no_oracle_measure(kind, monkeypatch):
     verification._check_oracle_identities(params, table, recorder)
     assert built == []
     assert recorder.results() and all(result.passed for result in recorder.results())
+    assert all(result.checked > 0 for result in recorder.results())
 
 
 def test_memoized_pieces_keep_read_only_arrays():

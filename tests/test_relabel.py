@@ -14,9 +14,14 @@ answers, at the tolerances of the numerical contract:
 
 A relabeling permutes the cells, so these relations check the logic of each
 route, not rounding that both sides share.
+
+The sign rules obey the same relations: recoding X negates each verdict,
+relabeling A or B leaves it unchanged and relabeling the conditioning
+variable swaps the levels.
 """
 
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -34,11 +39,17 @@ from colliderbias import (
     closed_form,
     random_structure_params,
 )
+from colliderbias import closedform as cf
+from colliderbias import signmap as sm
+from colliderbias import verification
 
 DRAWS = 200
 ABS_TOL = 1e-12
 REL_TOL = 1e-10
 SCALES = (Scale.COV, Scale.RD, Scale.RR, Scale.OR)
+# A banded value this close to its band's edge may change its verdict under
+# a relabeling's rounding.
+EDGE = 1e-13
 
 
 def _complement(table):
@@ -150,3 +161,70 @@ def test_relabeling_maps_each_bias_as_the_relation_says(kind, relation, route):
         _assert_close(got, want, scale, query)
         answered += 1
     assert answered
+
+
+def _extended_stratum_sign(params, level):
+    return sm.extended_sign(params, Stratum(params.kind.conditioning_variable, level))
+
+
+def _extended_lm_sign(params, level):
+    return sm.extended_sign(params, LINEAR_MODEL)
+
+
+def _v_stratum_sign(params, level):
+    return sm.v_stratum_sign(params.p_c_given, level)
+
+
+def _y_stratum_sign(params, level):
+    return sm.y_stratum_sign(params.p_c_given, params.p_d_given_c, level)
+
+
+def _child_case_sign(params, level):
+    return verification._child_case_sign(params.p_c_given, params.p_d_given_c, level)
+
+
+def _sign_rules(kind):
+    """Each rule that signs the kind's X-Y bias: extended_sign on every kind
+    but Nabla, and the rules of the V and Y structures on their own kind."""
+    yield from (_extended_stratum_sign, _extended_lm_sign)
+    if kind is StructureKind.V:
+        yield _v_stratum_sign
+    if kind is StructureKind.Y:
+        yield from (_y_stratum_sign, _child_case_sign)
+
+
+SIGN_CASES = [pytest.param(kind, relation, rule, id=f"{kind.value}-{name}-{rule.__name__[1:]}")
+              for kind in cf._INDEPENDENT_KINDS for name, relation in _relations(kind)
+              for rule in _sign_rules(kind)]
+
+
+@pytest.fixture
+def near_edge(monkeypatch):
+    """Draws whose value in some closedform.band_sign call made since lay
+    within EDGE of its band's edge, as a function of no arguments."""
+    band_sign, seen = cf.band_sign, []
+
+    def recording(delta, tol=cf.SIGN_TOL, out=None):
+        seen.append(abs(abs(delta) - tol) <= EDGE)
+        return band_sign(delta, tol, out)
+
+    monkeypatch.setattr(cf, "band_sign", recording)
+    monkeypatch.setattr(sm, "band_sign", recording)
+    return lambda: reduce(np.logical_or, seen, np.zeros(DRAWS, dtype=bool))
+
+
+@pytest.mark.parametrize("kind, relation, rule", SIGN_CASES)
+def test_relabeling_maps_each_sign_verdict_as_the_relation_says(kind, relation, rule, near_edge):
+    rng = np.random.default_rng(100 + list(StructureKind).index(kind))
+    params = random_structure_params(kind, rng, DRAWS)
+    relabeled = relation(params)
+    for level in (1, 0):
+        other = 1 - level if relation is _relabel_conditioning else level
+        want, got = np.asarray(rule(params, level)), np.asarray(rule(relabeled, other))
+        if relation is _recode_x:
+            want = -want
+        near = near_edge()
+        assert (got == want)[~near].all(), level
+        # Near an edge, a verdict may fall to Zero but never turn over.
+        assert (got * want >= 0)[near].all(), level
+        assert (want != 0).any() and near.sum() < DRAWS // 10, level
